@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyDatasetError
-from .kginfo import GlobalPredicateRecord
+from .kginfo import GlobalPredicateRecord, atomic_write_text
 from .model import Cardinality, DatatypeCategory, DEFAULT_DATATYPE_CATEGORIES, Iri
 
 FEATURE_NAMES: tuple[str, ...] = (
@@ -410,7 +410,7 @@ class CardinalityModel:
         return json.dumps(doc, sort_keys=True, indent=2)
 
     def save(self, path: Path | str) -> None:
-        Path(path).write_text(self.to_json())
+        atomic_write_text(path, self.to_json())
 
     @classmethod
     def from_json(cls, text: str) -> "CardinalityModel":

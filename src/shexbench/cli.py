@@ -39,6 +39,7 @@ from .generate import (
     MlCardinalitySource,
     StructuredOutputFailedError,
     StubLlmClient,
+    StubReplyMissingError,
     TranscriptRecorder,
     generate_end_to_end,
     generate_global,
@@ -50,12 +51,14 @@ from .kginfo import (
     KgClient,
     KgKind,
     KgSubclassOracle,
+    Triple,
+    atomic_write_text as _atomic_write,
 )
 from .matching import ALL_CRITERIA, MatchCriteria, StaticSubclassOracle, evaluate_pair, macro_average
 from .model import Iri, canonicalize
 from .prompts import PromptSetting, build_local_prompt, build_triples_prompt, load_fewshot
 from .shexc import ShexcParseError, parse_shexc, serialize_shexc
-from .treedist import nged, schema_ged
+from .treedist import ged_and_nged
 
 log = logging.getLogger(__name__)
 
@@ -179,13 +182,6 @@ class ResultRecord:
         return cls(**doc)
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 def _run_per_entry(entries, worker, jobs: int):
     if jobs <= 1:
         results = [worker(entry) for entry in entries]
@@ -198,24 +194,33 @@ def _run_per_entry(entries, worker, jobs: int):
 # -- extract ------------------------------------------------------------------
 
 
+def _triple_groups(client: KgClient, entry: ManifestEntry, frequencies: dict[Iri, int],
+                   max_candidates: int | None) -> dict[Iri, list[Triple]]:
+    """Example triples per predicate for a triples-setting prompt; the typing
+    predicate stays in, its examples show class membership."""
+    candidates = list(frequencies)
+    if max_candidates is not None:
+        candidates = candidates[:max_candidates]
+    return {p: client.triple_examples(entry.class_uri, p) for p in candidates}
+
+
 def _warm_entry(client: KgClient, entry: ManifestEntry, setting: PromptSetting,
                 samples: int, max_candidates: int | None) -> dict[str, int]:
     counts: dict[str, int] = {}
     counts["instances"] = client.instance_count(entry.class_uri)
     frequencies = client.predicate_frequencies(entry.class_uri)
     counts["predicates"] = len(frequencies)
-    candidates = [p for p in frequencies if p != entry.typing_predicate]
-    if max_candidates is not None:
-        candidates = candidates[:max_candidates]
     if setting is PromptSetting.LOCAL:
         instances = client.sample_instances(entry.class_uri, samples)
         counts["sampled_instances"] = len(instances)
         counts["triples"] = sum(len(client.instance_triples(instance)) for instance in instances)
     elif setting is PromptSetting.TRIPLES:
-        counts["example_triples"] = sum(
-            len(client.triple_examples(entry.class_uri, predicate)) for predicate in candidates
-        )
+        groups = _triple_groups(client, entry, frequencies, max_candidates)
+        counts["example_triples"] = sum(len(triples) for triples in groups.values())
     else:
+        candidates = [p for p in frequencies if p != entry.typing_predicate]
+        if max_candidates is not None:
+            candidates = candidates[:max_candidates]
         records = [client.build_global_record(entry.class_uri, predicate) for predicate in candidates]
         counts["records"] = len(records)
     return counts
@@ -359,10 +364,7 @@ def cmd_generate(
                     prompt = build_local_prompt(entry.class_uri, sampled, fewshot, entry.label)
                 else:
                     frequencies = kg.predicate_frequencies(entry.class_uri)
-                    candidates = list(frequencies)
-                    if max_candidates is not None:
-                        candidates = candidates[:max_candidates]
-                    groups = {p: kg.triple_examples(entry.class_uri, p) for p in candidates}
+                    groups = _triple_groups(kg, entry, frequencies, max_candidates)
                     prompt = build_triples_prompt(entry.class_uri, groups, fewshot, entry.label)
                 schema = generate_end_to_end(entry.class_uri, prompt, client, max_repairs)
             text = serialize_shexc(schema)
@@ -373,8 +375,8 @@ def cmd_generate(
                     "seconds": round(time.perf_counter() - started, 3)}
         except CacheMissError as exc:
             return {"class_uri": entry.class_uri.value, "status": "cache_miss", "error": str(exc)}
-        except (GenerationFailedError, StructuredOutputFailedError, AssemblyError,
-                EndpointError, ValueError, RuntimeError) as exc:
+        except (GenerationFailedError, StructuredOutputFailedError, StubReplyMissingError,
+                AssemblyError, EndpointError, ValueError, RuntimeError) as exc:
             log.warning("generation failed for %s: %s", entry.class_uri, exc)
             return {"class_uri": entry.class_uri.value, "status": "failed", "error": str(exc)}
 
@@ -462,10 +464,9 @@ def cmd_evaluate(
             }
             if record.error_breakdown is None:
                 record.error_breakdown = report.error_breakdown.as_dict()
-        record.ged = schema_ged(gen, gt)
-        record.nged = nged(gen, gt)
-        record.n_gt_constraints = len(canonicalize(gt).start_shape.constraints)
-        record.n_gen_constraints = len(canonicalize(gen).start_shape.constraints)
+        record.ged, record.nged = ged_and_nged(gen, gt)
+        record.n_gt_constraints = len(gt.start_shape.constraints)
+        record.n_gen_constraints = len(gen.start_shape.constraints)
         record.timings["evaluate"] = round(time.perf_counter() - started, 4)
         return record
 

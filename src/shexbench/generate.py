@@ -24,7 +24,14 @@ from typing import Protocol, Sequence
 import requests
 from pydantic import BaseModel, ConfigDict, Field, ValidationError, field_validator, model_validator
 
-from .kginfo import EndpointConfig, EndpointError, CacheMissError, GlobalPredicateRecord, KgClient
+from .kginfo import (
+    CacheMissError,
+    EndpointConfig,
+    EndpointError,
+    GlobalPredicateRecord,
+    KgClient,
+    atomic_write_text,
+)
 from .model import (
     WELL_KNOWN_PREFIXES,
     Cardinality,
@@ -156,11 +163,9 @@ class TranscriptRecorder:
 
     def send(self, messages: Sequence[Message]) -> str:
         reply = self.inner.send(messages)
-        key = prompt_hash(messages)
-        path = Path(self.directory) / f"{key}.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
+        path = Path(self.directory) / f"{prompt_hash(messages)}.json"
         payload = {"messages": list(messages), "reply": reply}
-        path.write_text(json.dumps(payload, indent=2, ensure_ascii=False))
+        atomic_write_text(path, json.dumps(payload, indent=2, ensure_ascii=False))
         return reply
 
     @property

@@ -322,6 +322,16 @@ def _normalize_query(query: str) -> str:
     return " ".join(query.split())
 
 
+def atomic_write_text(path: Path | str, text: str) -> None:
+    """Replace ``path`` with ``text`` in one rename.  The temp file is named
+    per process and thread, so concurrent writers of one path never share it."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}-{threading.get_ident()}")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
 def cache_key(query: str, endpoint_url: str) -> str:
     digest = hashlib.sha256(f"{_normalize_query(query)}\n{endpoint_url}".encode("utf-8")).hexdigest()
     return digest
@@ -429,16 +439,13 @@ class KgClient:
             raise MalformedResultsError(f"corrupt cache file {path}: {exc}") from exc
 
     def _write_cache(self, path: Path, query: str, results: dict) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "endpoint": self.cfg.endpoint_url,
             "query": query,
             "fetched_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "results_document": results,
         }
-        tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-        tmp.write_text(json.dumps(payload, indent=2, ensure_ascii=False))
-        os.replace(tmp, path)
+        atomic_write_text(path, json.dumps(payload, indent=2, ensure_ascii=False))
 
     def _fetch(self, query: str) -> dict:
         delays = [ms / 1000.0 for ms in self.cfg.retry_backoff_ms]

@@ -268,26 +268,23 @@ def evaluate_pair(
     gen_canon = canonicalize(gen, typing_predicates)
     gt_canon = canonicalize(gt, typing_predicates)
     gen_constraints = gen_canon.start_shape.constraints
-    gt_constraints = gt_canon.start_shape.constraints
-    gen_by_predicate = {c.predicate: c for c in gen_constraints}
-
-    matched = 0
-    for gt_constraint in gt_constraints:
-        candidate = gen_by_predicate.get(gt_constraint.predicate)
-        if candidate is not None and constraint_matches(
+    pairs = _paired_constraints(gen_canon, gt_canon)
+    matched = sum(
+        candidate is not None and constraint_matches(
             gt_constraint, candidate, criteria, oracle, gt_canon, gen_canon,
             datatype_mapping=datatype_mapping, typing_predicates=typing_predicates,
-        ):
-            matched += 1
+        )
+        for gt_constraint, candidate in pairs
+    )
 
     precision = matched / len(gen_constraints) if gen_constraints else 0.0
-    recall = matched / len(gt_constraints) if gt_constraints else 0.0
+    recall = matched / len(pairs) if pairs else 0.0
     return EvalReport(
         precision=precision,
         recall=recall,
         f1=f1_score(precision, recall),
         matched_count=matched,
-        error_breakdown=categorize_errors(gen_canon, gt_canon, typing_predicates=typing_predicates),
+        error_breakdown=_breakdown(pairs, gen_canon, gt_canon, typing_predicates),
     )
 
 
@@ -304,11 +301,18 @@ def categorize_errors(
     """
     gen_canon = canonicalize(gen, typing_predicates)
     gt_canon = canonicalize(gt, typing_predicates)
-    gen_by_predicate = {c.predicate: c for c in gen_canon.start_shape.constraints}
+    return _breakdown(_paired_constraints(gen_canon, gt_canon), gen_canon, gt_canon, typing_predicates)
 
+
+def _paired_constraints(gen_canon: Schema, gt_canon: Schema) -> list[tuple[TripleConstraint, TripleConstraint | None]]:
+    """Each ground-truth start constraint with the generated one of its predicate, if any."""
+    gen_by_predicate = {c.predicate: c for c in gen_canon.start_shape.constraints}
+    return [(c, gen_by_predicate.get(c.predicate)) for c in gt_canon.start_shape.constraints]
+
+
+def _breakdown(pairs, gen_canon: Schema, gt_canon: Schema, typing_predicates: tuple[Iri, ...]) -> ErrorBreakdown:
     correct = missing = wrong_card = wrong_node = both = 0
-    for gt_constraint in gt_canon.start_shape.constraints:
-        candidate = gen_by_predicate.get(gt_constraint.predicate)
+    for gt_constraint, candidate in pairs:
         if candidate is None:
             missing += 1
             continue

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyDatasetError
 from .model import (
     DatatypeConstraint,
     Iri,
@@ -79,7 +78,10 @@ def schema_to_tree(schema: Schema, root_label: str | None = None) -> TreeNode:
     Shape names never appear: the root carries the focus-class IRI and shape
     references are rendered as the sorted typing-class set of their target.
     """
-    canon = canonicalize(schema)
+    return _canonical_tree(canonicalize(schema), root_label)
+
+
+def _canonical_tree(canon: Schema, root_label: str | None) -> TreeNode:
     if root_label is None:
         root_label = canon.focus_class.value if canon.focus_class else canon.start_label
     children = []
@@ -158,18 +160,15 @@ def tree_edit_distance(a: TreeNode, b: TreeNode, costs: EditCostModel = UNIT_COS
     return treedists[-1][-1]
 
 
-def _paired_trees(generated: Schema, ground_truth: Schema) -> tuple[TreeNode, TreeNode]:
+def schema_ged(generated: Schema, ground_truth: Schema, costs: EditCostModel = UNIT_COSTS) -> int:
+    """Edit distance between the schema trees of a generated/ground-truth pair."""
     # Both schemas target the same class by construction, so both roots carry
     # the ground truth's focus-class label and never contribute relabel cost.
     gt_canon = canonicalize(ground_truth)
     root = gt_canon.focus_class.value if gt_canon.focus_class else gt_canon.start_label
-    return schema_to_tree(generated, root_label=root), schema_to_tree(gt_canon, root_label=root)
-
-
-def schema_ged(generated: Schema, ground_truth: Schema, costs: EditCostModel = UNIT_COSTS) -> int:
-    """Edit distance between the schema trees of a generated/ground-truth pair."""
-    tree_gen, tree_gt = _paired_trees(generated, ground_truth)
-    return tree_edit_distance(tree_gen, tree_gt, costs)
+    return tree_edit_distance(
+        _canonical_tree(canonicalize(generated), root), _canonical_tree(gt_canon, root), costs
+    )
 
 
 def nged(generated: Schema, ground_truth: Schema, costs: EditCostModel = UNIT_COSTS) -> float:
@@ -179,19 +178,15 @@ def nged(generated: Schema, ground_truth: Schema, costs: EditCostModel = UNIT_CO
     1 when the generated schema needs more edits than deleting the ground
     truth would.
     """
-    gt_size = len(canonicalize(ground_truth).start_shape.constraints)
+    return ged_and_nged(generated, ground_truth, costs)[1]
+
+
+def ged_and_nged(generated: Schema, ground_truth: Schema,
+                 costs: EditCostModel = UNIT_COSTS) -> tuple[int, float]:
+    """``schema_ged`` and ``nged`` of one pair from a single tree-distance run."""
+    # canonicalize keeps every start-shape constraint, so the raw count is |GT|.
+    gt_size = len(ground_truth.start_shape.constraints)
     if gt_size == 0:
         raise EmptyGroundTruthError("ground-truth schema has no constraints")
-    return schema_ged(generated, ground_truth, costs) / (3 * gt_size)
-
-
-def aggregate_distances(pairs: list[tuple[Schema, Schema]]) -> tuple[float, float]:
-    """Mean GED and mean NGED over (generated, ground_truth) pairs."""
-    if not pairs:
-        raise EmptyDatasetError("no schema pairs to aggregate")
-    geds = []
-    ngeds = []
-    for generated, ground_truth in pairs:
-        geds.append(schema_ged(generated, ground_truth))
-        ngeds.append(nged(generated, ground_truth))
-    return sum(geds) / len(geds), sum(ngeds) / len(ngeds)
+    distance = schema_ged(generated, ground_truth, costs)
+    return distance, distance / (3 * gt_size)

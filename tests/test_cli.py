@@ -214,6 +214,30 @@ class TestGenerate:
         predicates = {c.predicate.value for c in schema.start_shape.constraints}
         assert WDT + "P17" not in predicates
 
+    def test_triples_offline_replay_after_extract(self, bench):
+        from shexbench.generate import ScriptedLlmClient
+
+        cmd_extract(bench["manifest"], bench["cache"], "triples", transport_factory=bench["factory"])
+        replies = [e.ground_truth_path.read_text() for e in load_manifest(bench["manifest"]).entries]
+        code, report = cmd_generate(
+            bench["manifest"], bench["tmp"] / "triples", bench["cache"], "triples", offline=True,
+            llm_client=ScriptedLlmClient(replies), transport_factory=bench["factory"],
+        )
+        assert [r["status"] for r in report["classes"]] == ["ok"] * 3
+        assert code == EXIT_OK
+
+    def test_missing_stub_reply_fails_per_class(self, bench):
+        (bench["tmp"] / "no-stubs").mkdir()
+        code, report = cmd_generate(
+            bench["manifest"], bench["tmp"] / "nostub", bench["cache"], "global",
+            stub_dir=bench["tmp"] / "no-stubs", transport_factory=bench["factory"],
+        )
+        assert code == EXIT_PARTIAL
+        assert len(report["classes"]) == 3
+        for entry in report["classes"]:
+            assert entry["status"] == "failed"
+            assert "no recorded reply" in entry["error"]
+
     def test_local_setting_generation(self, bench, museum_text):
         from shexbench.generate import ScriptedLlmClient
 
@@ -258,6 +282,17 @@ class TestEvaluate:
         loosened = doc["aggregate"]["node=exact,card=loosened"]
         assert loosened["f1"] >= exact["f1"]
         assert doc["records"][0]["reports"]
+
+    def test_one_tree_distance_per_class(self, bench, monkeypatch):
+        from shexbench import treedist
+
+        generate_stubbed(bench, out_name="gen")
+        calls = []
+        original = treedist.tree_edit_distance
+        monkeypatch.setattr(treedist, "tree_edit_distance", lambda *args: calls.append(args) or original(*args))
+        code, doc = cmd_evaluate(bench["manifest"], bench["tmp"] / "gen", "all")
+        assert code == EXIT_OK and doc["n_valid"] == 3
+        assert len(calls) == 3
 
     def test_invalid_file_flagged_and_excluded(self, bench):
         generated = self._copy_ground_truth(bench, "broken")

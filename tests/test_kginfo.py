@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 
@@ -176,6 +177,45 @@ class TestCache:
             thread.join()
         assert len(calls) == 1
         assert results == [3, 3, 3, 3]
+
+    def test_separate_clients_write_one_key_concurrently(self, tmp_path):
+        """With --jobs, each class has its own client, so the single-flight
+        lock does not serialize them: every thread fetches and writes."""
+        def count_results(barrier):
+            def transport(query):
+                barrier.wait(timeout=10)  # all fetches finish together, so the writes overlap
+                return {"head": {"vars": ["count"]}, "results": {"bindings": [
+                    {"count": {"type": "literal", "value": "3", "datatype": XSD + "integer"}}]}}
+            return transport
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(20):
+                cache = tmp_path / str(trial)
+                transport = count_results(threading.Barrier(8))
+                results, errors = [], []
+
+                def work():
+                    try:
+                        client = KgClient(award_endpoint_config(cache), transport=transport)
+                        results.append(client.instance_count(AWARD))
+                    except Exception as exc:  # collected and asserted below
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=work) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                assert errors == []
+                assert results == [3] * 8
+                files = list(cache.iterdir())
+                assert len(files) == 1 and files[0].suffix == ".json"
+                assert json.loads(files[0].read_text())["results_document"]["results"]["bindings"]
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_cache_file_is_inspectable(self, client, endpoint, tmp_path):
         client.instance_count(AWARD)

@@ -282,6 +282,20 @@ class TestMutationProperties:
             for criteria in self.RELAXATIONS:
                 assert evaluate_pair(generated, gt, criteria, oracle).matched_count >= exact
 
+    def test_report_breakdown_equals_categorize_errors(self, mutated_pairs):
+        pairs, oracle = mutated_pairs
+        dropped = []
+        for gt in {id(gt): gt for _, gt in pairs}.values():
+            start = gt.start_shape
+            for k in range(len(start.constraints) + 1):
+                shapes = dict(gt.shapes)
+                shapes[start.label] = Shape(start.label, start.constraints[k:], start.extra_predicates)
+                dropped.append((Schema(gt.prefixes, gt.start_label, shapes, gt.focus_class), gt))
+        for generated, gt in pairs + dropped:
+            expected = categorize_errors(generated, gt)
+            for criteria in ALL_CRITERIA:
+                assert evaluate_pair(generated, gt, criteria, oracle).error_breakdown == expected
+
     def test_error_breakdown_partitions_ground_truth(self, mutated_pairs):
         pairs, _ = mutated_pairs
         from shexbench.model import canonicalize

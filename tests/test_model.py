@@ -214,3 +214,18 @@ def test_fixture_schemas_canonicalize_idempotently(fixture_schemas):
     for _, schema in fixture_schemas:
         canon = canonicalize(schema)
         assert canonicalize(canon) == canon
+
+
+def test_canonicalize_keeps_start_constraint_count(fixture_schemas):
+    """Evaluation counts constraints on the parsed schema, without canonicalizing."""
+    import random
+
+    from support import mutate_schema
+
+    rng = random.Random(31)
+    schemas = [museum_like(), museum_like(shuffle=True)] + [schema for _, schema in fixture_schemas]
+    schemas += [mutate_schema(schema, rng) for schema in schemas for _ in range(5)]
+    for schema in schemas:
+        for typing in ((Iri(WDT + "P31"),), (Iri(RDF_NS + "type"),), ()):
+            canon = canonicalize(schema, typing)
+            assert len(canon.start_shape.constraints) == len(schema.start_shape.constraints)

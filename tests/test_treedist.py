@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shexbench.errors import EmptyDatasetError
 from shexbench.model import Schema, Shape, canonicalize
 from shexbench.shexc import parse_shexc
 from shexbench.treedist import (
     EditCostModel,
     EmptyGroundTruthError,
     TreeNode,
-    aggregate_distances,
+    ged_and_nged,
     nged,
     schema_ged,
     schema_to_tree,
@@ -180,30 +179,29 @@ class TestNged:
         with pytest.raises(EmptyGroundTruthError):
             nged(museum_schema, empty_start(museum_schema))
 
+    def test_one_distance_gives_ged_and_nged(self, fixture_schemas):
+        from support import mutate_schema
+
+        rng = random.Random(77)
+        pairs = []
+        for _, schema in fixture_schemas:
+            predicates = [c.predicate.local_name() for c in schema.start_shape.constraints]
+            for k in range(len(predicates)):
+                dropped = drop_constraints(schema, set(predicates[:k]))
+                pairs += [(dropped, schema), (schema, dropped)]
+            pairs += [(mutate_schema(schema, rng), schema) for _ in range(3)]
+        for generated, gt in pairs:
+            distance, normalized = ged_and_nged(generated, gt)
+            assert distance == schema_ged(generated, gt)
+            assert normalized == nged(generated, gt)
+            assert normalized == distance / (3 * len(canonicalize(gt).start_shape.constraints))
+
+    def test_ged_and_nged_rejects_empty_ground_truth(self, museum_schema):
+        with pytest.raises(EmptyGroundTruthError):
+            ged_and_nged(museum_schema, empty_start(museum_schema))
+
     def test_zero_iff_same_canonical_tree(self, museum_schema, museum_text):
         renamed = parse_shexc(museum_text.replace("Country", "Nation"))
         assert nged(renamed, museum_schema) == 0.0
         mutated = drop_constraints(museum_schema, {"P17"})
         assert nged(mutated, museum_schema) > 0.0
-
-
-class TestAggregate:
-    def test_single_identity_pair(self, museum_schema):
-        assert aggregate_distances([(museum_schema, museum_schema)]) == (0.0, 0.0)
-
-    def test_mean_of_mixed(self, museum_schema):
-        pairs = [
-            (museum_schema, museum_schema),
-            (empty_start(museum_schema), museum_schema),
-        ]
-        mean_ged, mean_nged = aggregate_distances(pairs)
-        assert mean_ged == pytest.approx(6.0)
-        assert mean_nged == pytest.approx(0.5)
-
-    def test_fixture_self_pairs(self, fixture_schemas):
-        pairs = [(schema, schema) for _, schema in fixture_schemas]
-        assert aggregate_distances(pairs) == (0.0, 0.0)
-
-    def test_empty_dataset(self):
-        with pytest.raises(EmptyDatasetError):
-            aggregate_distances([])
