@@ -9,6 +9,7 @@ bit-deterministic under a seed and models serialize to self-describing JSON.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import warnings
@@ -144,39 +145,107 @@ def _dominant_category(datatypes: dict[str, float]) -> DatatypeCategory | None:
     return best[0] if best[1] > 0 else None
 
 
-# -- decision tree ------------------------------------------------------------
+# -- shared tree machinery -----------------------------------------------------
+# Both models split by the exact greedy search of XGBoost (Chen & Guestrin,
+# KDD 2016) over cumulative sums of per-row statistics: y for Gini, g and h for Newton.
 
-def _gini(positives: float, n: float) -> float:
-    if n <= 0:
-        return 0.0
-    p = positives / n
+def _gini(p: np.ndarray | float) -> np.ndarray | float:
     return 1.0 - p * p - (1.0 - p) * (1.0 - p)
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int) -> tuple[int, float] | None:
-    """(feature, threshold) with the largest Gini decrease; None when no split
-    improves.  Scan order (feature index, then threshold) breaks ties so
-    training is deterministic."""
+def _gini_gain(stats, left, right, n_left: np.ndarray) -> np.ndarray:
+    """Gini decrease of each split; n_left rows go left."""
+    (y,), (pos_left,), (pos_right,) = stats, left, right
     n = len(y)
-    parent = _gini(float(y.sum()), n)
-    best: tuple[float, int, float] | None = None
-    for feature in range(X.shape[1]):
-        order = np.argsort(X[:, feature], kind="stable")
-        xs = X[order, feature]
-        ys = y[order]
-        positives = np.cumsum(ys)
-        total_pos = float(positives[-1])
-        for i in range(min_leaf, n - min_leaf + 1):
-            if i >= n or xs[i] <= xs[i - 1]:
-                continue
-            left_pos = float(positives[i - 1])
-            weighted = (i * _gini(left_pos, i) + (n - i) * _gini(total_pos - left_pos, n - i)) / n
-            decrease = parent - weighted
-            if decrease > 1e-12 and (best is None or decrease > best[0] + 1e-12):
-                best = (decrease, feature, float((xs[i] + xs[i - 1]) / 2.0))
-    if best is None:
+    n_right = n - n_left
+    weighted = (n_left * _gini(pos_left / n_left) + n_right * _gini(pos_right / n_right)) / n
+    return _gini(float(y.sum()) / n) - weighted
+
+
+def _newton_score(g_sum, h_sum):
+    return g_sum * g_sum / (h_sum + 1e-9)
+
+
+def _newton_gain(stats, left, right, n_left: np.ndarray) -> np.ndarray:
+    """Second-order gain of each split on logistic-loss gradients."""
+    (g, h), (g_left, h_left), (g_right, h_right) = stats, left, right
+    parent = _newton_score(float(g.sum()), float(h.sum()))
+    return _newton_score(g_left, h_left) + _newton_score(g_right, h_right) - parent
+
+
+def _best_split(X: np.ndarray, stats: Sequence[np.ndarray], min_leaf: int, gain) -> tuple[int, float] | None:
+    """(feature, threshold) of the best split; None when no split gains.
+
+    Candidates lie between distinct adjacent values with at least min_leaf
+    rows on each side, and are scanned in (feature, threshold) order: one
+    replaces the best so far only when it gains more than the best + 1e-12,
+    so ties keep the earliest and training is deterministic.
+    """
+    n = len(X)
+    if n < 2:
         return None
-    return best[1], best[2]
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    sums = [np.cumsum(stat[order], axis=0) for stat in stats]
+    n_left = np.arange(1, n)[:, None]
+    gains = gain(stats, [s[:-1] for s in sums], [s[-1] - s[:-1] for s in sums], n_left)
+    usable = ~(xs[1:] <= xs[:-1]) & (n_left >= min_leaf) & (n_left <= n - min_leaf) & (gains > 1e-12)
+    # Transposed so that flat positions follow the scan order.
+    flat_gains = gains.T.ravel()
+    candidates = np.flatnonzero(usable.T.ravel())
+    if not len(candidates):
+        return None
+    # Every replacement beats everything scanned before it, so only strict
+    # running-max records can replace the best; the rule runs on those alone.
+    scanned = flat_gains[candidates]
+    records = candidates[np.r_[True, scanned[1:] > np.maximum.accumulate(scanned)[:-1]]]
+    best = records[0]
+    for position in records[1:]:
+        if flat_gains[position] > flat_gains[best] + 1e-12:
+            best = position
+    feature, row = divmod(int(best), n - 1)
+    return feature, float((xs[row + 1, feature] + xs[row, feature]) / 2.0)
+
+
+def _grow(X: np.ndarray, stats: Sequence[np.ndarray], max_depth: int, min_leaf: int, leaf, gain) -> dict:
+    """Recursive binary partition to max_depth; leaf(*stats) builds each leaf."""
+    node = leaf(*stats)
+    if max_depth <= 0 or len(X) < 2 * min_leaf:
+        return node
+    split = _best_split(X, stats, min_leaf, gain)
+    if split is None:
+        return node
+    feature, threshold = split
+    mask = X[:, feature] <= threshold
+    return {
+        "leaf": False,
+        "feature": feature,
+        "threshold": threshold,
+        "left": _grow(X[mask], [s[mask] for s in stats], max_depth - 1, min_leaf, leaf, gain),
+        "right": _grow(X[~mask], [s[~mask] for s in stats], max_depth - 1, min_leaf, leaf, gain),
+    }
+
+
+def _leaf(node: dict | None, x: Sequence[float]) -> dict:
+    """The leaf that row x falls into."""
+    if node is None:
+        raise RuntimeError("model is not fitted")
+    while not node["leaf"]:
+        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
+    return node
+
+
+# -- decision tree ------------------------------------------------------------
+
+def _class_leaf(y: np.ndarray) -> dict:
+    n = len(y)
+    positives = int(y.sum())
+    return {
+        "leaf": True,
+        "prediction": int(positives * 2 > n),
+        "probability": positives / n if n else 0.0,
+        "samples": n,
+    }
 
 
 class DecisionTreeClassifier:
@@ -190,40 +259,11 @@ class DecisionTreeClassifier:
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeClassifier":
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=int)
-        self.root = self._grow(X, y, depth=0)
+        self.root = _grow(X, (y,), self.max_depth, self.min_leaf, _class_leaf, _gini_gain)
         return self
 
-    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> dict:
-        n = len(y)
-        positives = int(y.sum())
-        leaf = {
-            "leaf": True,
-            "prediction": int(positives * 2 > n),
-            "probability": positives / n if n else 0.0,
-            "samples": n,
-        }
-        if depth >= self.max_depth or n < 2 * self.min_leaf or positives in (0, n):
-            return leaf
-        split = _best_split(X, y, self.min_leaf)
-        if split is None:
-            return leaf
-        feature, threshold = split
-        mask = X[:, feature] <= threshold
-        return {
-            "leaf": False,
-            "feature": feature,
-            "threshold": threshold,
-            "left": self._grow(X[mask], y[mask], depth + 1),
-            "right": self._grow(X[~mask], y[~mask], depth + 1),
-        }
-
     def predict_one(self, x: Sequence[float]) -> int:
-        node = self.root
-        if node is None:
-            raise RuntimeError("model is not fitted")
-        while not node["leaf"]:
-            node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
-        return node["prediction"]
+        return _leaf(self.root, x)["prediction"]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.array([self.predict_one(row) for row in np.asarray(X, dtype=float)])
@@ -249,64 +289,12 @@ def _log_loss(y: np.ndarray, p: np.ndarray) -> float:
     return float(-(y * np.log(p) + (1 - y) * np.log(1 - p)).mean())
 
 
-class _RegressionTree:
-    """Depth-limited tree on gradients with Newton leaf values (sum g / sum h)."""
+def _newton_leaf(g: np.ndarray, h: np.ndarray) -> dict:
+    return {"leaf": True, "value": float(g.sum() / (h.sum() + 1e-9)), "samples": len(g)}
 
-    def __init__(self, max_depth: int, min_leaf: int):
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
-        self.root: dict | None = None
 
-    def fit(self, X: np.ndarray, g: np.ndarray, h: np.ndarray) -> "_RegressionTree":
-        self.root = self._grow(X, g, h, depth=0)
-        return self
-
-    def _gain(self, g_sum: float, h_sum: float) -> float:
-        return g_sum * g_sum / (h_sum + 1e-9)
-
-    def _grow(self, X: np.ndarray, g: np.ndarray, h: np.ndarray, depth: int) -> dict:
-        n = len(g)
-        leaf = {"leaf": True, "value": float(g.sum() / (h.sum() + 1e-9)), "samples": n}
-        if depth >= self.max_depth or n < 2 * self.min_leaf:
-            return leaf
-        parent_gain = self._gain(float(g.sum()), float(h.sum()))
-        best: tuple[float, int, float] | None = None
-        for feature in range(X.shape[1]):
-            order = np.argsort(X[:, feature], kind="stable")
-            xs = X[order, feature]
-            gs = np.cumsum(g[order])
-            hs = np.cumsum(h[order])
-            total_g, total_h = float(gs[-1]), float(hs[-1])
-            for i in range(self.min_leaf, n - self.min_leaf + 1):
-                if i >= n or xs[i] <= xs[i - 1]:
-                    continue
-                gain = (
-                    self._gain(float(gs[i - 1]), float(hs[i - 1]))
-                    + self._gain(total_g - float(gs[i - 1]), total_h - float(hs[i - 1]))
-                    - parent_gain
-                )
-                if gain > 1e-12 and (best is None or gain > best[0] + 1e-12):
-                    best = (gain, feature, float((xs[i] + xs[i - 1]) / 2.0))
-        if best is None:
-            return leaf
-        _, feature, threshold = best
-        mask = X[:, feature] <= threshold
-        return {
-            "leaf": False,
-            "feature": feature,
-            "threshold": threshold,
-            "left": self._grow(X[mask], g[mask], h[mask], depth + 1),
-            "right": self._grow(X[~mask], g[~mask], h[~mask], depth + 1),
-        }
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.array([self._predict_one(row) for row in X])
-
-    def _predict_one(self, x: np.ndarray) -> float:
-        node = self.root
-        while not node["leaf"]:
-            node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
-        return node["value"]
+def _tree_values(root: dict, X: np.ndarray) -> np.ndarray:
+    return np.array([_leaf(root, row)["value"] for row in X])
 
 
 class GradientBoostingClassifier:
@@ -318,7 +306,7 @@ class GradientBoostingClassifier:
         self.learning_rate = learning_rate
         self.min_leaf = min_leaf
         self.base_score: float = 0.0
-        self.trees: list[_RegressionTree] = []
+        self.trees: list[dict] = []
         self.train_losses: list[float] = []
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostingClassifier":
@@ -333,8 +321,8 @@ class GradientBoostingClassifier:
             probabilities = _sigmoid(scores)
             gradients = y - probabilities
             hessians = probabilities * (1 - probabilities)
-            tree = _RegressionTree(self.max_depth, self.min_leaf).fit(X, gradients, hessians)
-            scores = scores + self.learning_rate * tree.predict(X)
+            tree = _grow(X, (gradients, hessians), self.max_depth, self.min_leaf, _newton_leaf, _newton_gain)
+            scores = scores + self.learning_rate * _tree_values(tree, X)
             self.trees.append(tree)
             self.train_losses.append(_log_loss(y, _sigmoid(scores)))
         return self
@@ -343,7 +331,7 @@ class GradientBoostingClassifier:
         X = np.asarray(X, dtype=float)
         scores = np.full(len(X), self.base_score)
         for tree in self.trees:
-            scores = scores + self.learning_rate * tree.predict(X)
+            scores = scores + self.learning_rate * _tree_values(tree, X)
         return scores
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -360,7 +348,7 @@ class GradientBoostingClassifier:
             "learning_rate": self.learning_rate,
             "min_leaf": self.min_leaf,
             "base_score": self.base_score,
-            "trees": [tree.root for tree in self.trees],
+            "trees": list(self.trees),
         }
 
     @classmethod
@@ -372,19 +360,22 @@ class GradientBoostingClassifier:
             min_leaf=doc["min_leaf"],
         )
         model.base_score = doc["base_score"]
-        for root in doc["trees"]:
-            tree = _RegressionTree(model.max_depth, model.min_leaf)
-            tree.root = root
-            model.trees.append(tree)
+        model.trees = list(doc["trees"])
         return model
 
 
 # -- training and prediction ----------------------------------------------------
 
-DEFAULT_PARAMS = {
-    "dt": {"max_depth": 6, "min_leaf": 5},
-    "gb": {"n_rounds": 100, "max_depth": 3, "learning_rate": 0.1, "min_leaf": 1},
+MODEL_KINDS: dict[str, tuple[type, dict]] = {
+    "dt": (DecisionTreeClassifier, {"max_depth": 6, "min_leaf": 5}),
+    "gb": (GradientBoostingClassifier, {"n_rounds": 100, "max_depth": 3, "learning_rate": 0.1, "min_leaf": 1}),
 }
+
+
+def _model_kind(kind: str) -> tuple[type, dict]:
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {kind!r} (expected 'dt' or 'gb')")
+    return MODEL_KINDS[kind]
 
 
 @dataclass
@@ -414,16 +405,20 @@ class CardinalityModel:
 
     @classmethod
     def from_json(cls, text: str) -> "CardinalityModel":
+        """Raises ValueError for malformed JSON, an unknown kind or a missing key."""
         doc = json.loads(text)
-        loader = DecisionTreeClassifier if doc["kind"] == "dt" else GradientBoostingClassifier
-        return cls(
-            kind=doc["kind"],
-            min_model=loader.from_dict(doc["min_model"]),
-            max_model=loader.from_dict(doc["max_model"]),
-            seed=doc["seed"],
-            params=doc["params"],
-            feature_names=tuple(doc["feature_names"]),
-        )
+        try:
+            model_class, _ = _model_kind(doc["kind"])
+            return cls(
+                kind=doc["kind"],
+                min_model=model_class.from_dict(doc["min_model"]),
+                max_model=model_class.from_dict(doc["max_model"]),
+                seed=doc["seed"],
+                params=doc["params"],
+                feature_names=tuple(doc["feature_names"]),
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed model document ({type(exc).__name__}: {exc})") from exc
 
     @classmethod
     def load(cls, path: Path | str) -> "CardinalityModel":
@@ -441,11 +436,10 @@ def train(
     Single-class targets degrade to constant predictors with a warning rather
     than failing, so tiny benchmark slices still train.
     """
-    if model_kind not in DEFAULT_PARAMS:
-        raise ValueError(f"unknown model kind {model_kind!r} (expected 'dt' or 'gb')")
+    model_class, defaults = _model_kind(model_kind)
     if not data:
         raise EmptyDatasetError("no training rows")
-    merged = {**DEFAULT_PARAMS[model_kind], **(params or {})}
+    merged = {**defaults, **(params or {})}
     X = np.array([features.to_array() for features, _ in data], dtype=float)
     y_min = np.array([label.min_class for _, label in data], dtype=int)
     y_max = np.array([int(label.max_class is MaxBound.ONE) for _, label in data], dtype=int)
@@ -454,10 +448,7 @@ def train(
     for name, y in (("min", y_min), ("max", y_max)):
         if len(set(y.tolist())) < 2:
             warnings.warn(f"{name} target is single-class; training a constant predictor", stacklevel=2)
-        if model_kind == "dt":
-            models.append(DecisionTreeClassifier(**merged).fit(X, y))
-        else:
-            models.append(GradientBoostingClassifier(**merged).fit(X, y))
+        models.append(model_class(**merged).fit(X, y))
     return CardinalityModel(kind=model_kind, min_model=models[0], max_model=models[1], seed=seed, params=merged)
 
 
@@ -494,18 +485,20 @@ def write_feature_csv(
     class_uris: Sequence[str] | None = None,
     predicates: Sequence[str] | None = None,
 ) -> None:
-    """Feature table with a documented header: identifiers, features, labels."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["class_uri", "predicate_uri", *FEATURE_NAMES, "min_class", "max_class"])
-        for index, (features, label) in enumerate(rows):
-            writer.writerow([
-                class_uris[index] if class_uris else "",
-                predicates[index] if predicates else "",
-                *features.to_array(),
-                label.min_class,
-                label.max_class.value,
-            ])
+    """Feature table with a documented header: identifiers, features, labels.
+    Renamed into place, so a failed write leaves an earlier file unchanged."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(["class_uri", "predicate_uri", *FEATURE_NAMES, "min_class", "max_class"])
+    for index, (features, label) in enumerate(rows):
+        writer.writerow([
+            class_uris[index] if class_uris else "",
+            predicates[index] if predicates else "",
+            *features.to_array(),
+            label.min_class,
+            label.max_class.value,
+        ])
+    atomic_write_text(path, buffer.getvalue())
 
 
 def read_feature_csv(path: Path | str) -> list[tuple[FeatureVector, CardinalityLabel]]:

@@ -16,6 +16,7 @@ import argparse
 import json
 import logging
 import os
+import random
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -54,7 +55,7 @@ from .kginfo import (
     Triple,
     atomic_write_text as _atomic_write,
 )
-from .matching import ALL_CRITERIA, MatchCriteria, StaticSubclassOracle, evaluate_pair, macro_average
+from .matching import ALL_CRITERIA, EvalReport, MatchCriteria, StaticSubclassOracle, evaluate_pair, macro_average
 from .model import Iri, canonicalize
 from .prompts import PromptSetting, build_local_prompt, build_triples_prompt, load_fewshot
 from .shexc import ShexcParseError, parse_shexc, serialize_shexc
@@ -340,7 +341,11 @@ def cmd_generate(
     elif cardinality in ("dt", "gb"):
         if not model_file:
             raise ManifestError(f"--cardinality {cardinality} requires --model-file")
-        cardinality_source = MlCardinalitySource(CardinalityModel.load(model_file))
+        try:
+            cardinality_model = CardinalityModel.load(model_file)
+        except (OSError, ValueError) as exc:
+            raise ManifestError(f"cannot load --model-file {model_file}: {exc}") from exc
+        cardinality_source = MlCardinalitySource(cardinality_model)
     else:
         raise ManifestError(f"unknown cardinality source {cardinality!r}")
 
@@ -485,8 +490,6 @@ def _evaluation_document(manifest, records, criteria_list, setting, model_id) ->
     for criterion in criteria_list:
         key = criterion.key()
         if valid:
-            from .matching import EvalReport
-
             reports = [
                 EvalReport(
                     r.reports[key]["precision"], r.reports[key]["recall"],
@@ -629,12 +632,10 @@ def cmd_train_cardinality(
     dump_features: Path | str | None = None,
     transport_factory: TransportFactory | None = None,
 ) -> tuple[int, dict]:
-    import random as _random
-
     manifest = load_manifest(manifest_path)
     entries = list(manifest.select(classes))
     if sample_n is not None and sample_n < len(entries):
-        rng = _random.Random(seed)
+        rng = random.Random(seed)
         entries = sorted(rng.sample(entries, sample_n), key=lambda e: e.class_uri.value)
 
     rows: list[tuple] = []

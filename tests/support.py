@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 import re
 
+import numpy as np
+
 
 class PlainTree:
     """Minimal labeled ordered tree for oracle-side computations."""
@@ -684,3 +686,75 @@ def random_tree(rng: random.Random, max_nodes: int, labels=("a", "b", "c", "d"))
         return PlainTree(label, children)
 
     return build(n)
+
+
+def _reference_gini(positives: float, n: float) -> float:
+    if n <= 0:
+        return 0.0
+    p = positives / n
+    return 1.0 - p * p - (1.0 - p) * (1.0 - p)
+
+
+def reference_gini_split(X, y, min_leaf: int):
+    """The per-threshold loop scan for the largest Gini decrease.
+
+    This is the split search the decision tree used before the vectorized
+    ``cardml._best_split``; it is kept as the oracle for that fast path.
+    """
+    n = len(y)
+    parent = _reference_gini(float(y.sum()), n)
+    best = None
+    for feature in range(X.shape[1]):
+        order = np.argsort(X[:, feature], kind="stable")
+        xs = X[order, feature]
+        ys = y[order]
+        positives = np.cumsum(ys)
+        total_pos = float(positives[-1])
+        for i in range(min_leaf, n - min_leaf + 1):
+            if i >= n or xs[i] <= xs[i - 1]:
+                continue
+            left_pos = float(positives[i - 1])
+            weighted = (
+                i * _reference_gini(left_pos, i) + (n - i) * _reference_gini(total_pos - left_pos, n - i)
+            ) / n
+            decrease = parent - weighted
+            if decrease > 1e-12 and (best is None or decrease > best[0] + 1e-12):
+                best = (decrease, feature, float((xs[i] + xs[i - 1]) / 2.0))
+    if best is None:
+        return None
+    return best[1], best[2]
+
+
+def _reference_newton(g_sum: float, h_sum: float) -> float:
+    return g_sum * g_sum / (h_sum + 1e-9)
+
+
+def reference_newton_split(X, g, h, min_leaf: int):
+    """The per-threshold loop scan for the largest Newton gain.
+
+    This is the split search the boosted regression trees used before the
+    vectorized ``cardml._best_split``; it is kept as the oracle for that
+    fast path.
+    """
+    n = len(g)
+    parent_gain = _reference_newton(float(g.sum()), float(h.sum()))
+    best = None
+    for feature in range(X.shape[1]):
+        order = np.argsort(X[:, feature], kind="stable")
+        xs = X[order, feature]
+        gs = np.cumsum(g[order])
+        hs = np.cumsum(h[order])
+        total_g, total_h = float(gs[-1]), float(hs[-1])
+        for i in range(min_leaf, n - min_leaf + 1):
+            if i >= n or xs[i] <= xs[i - 1]:
+                continue
+            gain = (
+                _reference_newton(float(gs[i - 1]), float(hs[i - 1]))
+                + _reference_newton(total_g - float(gs[i - 1]), total_h - float(hs[i - 1]))
+                - parent_gain
+            )
+            if gain > 1e-12 and (best is None or gain > best[0] + 1e-12):
+                best = (gain, feature, float((xs[i] + xs[i - 1]) / 2.0))
+    if best is None:
+        return None
+    return best[1], best[2]

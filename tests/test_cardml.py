@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from shexbench import cardml
 from shexbench.cardml import (
     FEATURE_NAMES,
     CardinalityLabel,
@@ -21,7 +27,15 @@ from shexbench.cardml import (
 from shexbench.errors import EmptyDatasetError
 from shexbench.kginfo import GlobalPredicateRecord, KgClient, RecordField
 from shexbench.model import Cardinality, Iri
-from support import WD, WDT, award_endpoint_config, build_award_endpoint, synthetic_cardinality_rows
+from support import (
+    WD,
+    WDT,
+    award_endpoint_config,
+    build_award_endpoint,
+    reference_gini_split,
+    reference_newton_split,
+    synthetic_cardinality_rows,
+)
 
 AWARD = Iri(WD + "Q4220917")
 
@@ -140,6 +154,17 @@ class TestTraining:
         with pytest.raises(ValueError):
             train("rf", synthetic_split[0])
 
+    @pytest.mark.parametrize(
+        "kind,digest",
+        [
+            ("dt", "ec7671d50a09bfa81bd07ddfc139ba9d49bcbb02f8288c98151622a281c75871"),
+            ("gb", "f0b09a46499ea665d9cd339a0d7d38551fdd65fb6da31d0c4451871baaacb4ec"),
+        ],
+    )
+    def test_model_json_digest_is_pinned(self, kind, digest):
+        model = train(kind, synthetic_cardinality_rows(200, seed=7), seed=42)
+        assert hashlib.sha256(model.to_json().encode()).hexdigest() == digest
+
     def test_empty_data(self):
         with pytest.raises(EmptyDatasetError):
             train("dt", [])
@@ -147,7 +172,42 @@ class TestTraining:
             evaluate_cardinality_accuracy(None, [])  # type: ignore[arg-type]
 
 
+@st.composite
+def tie_heavy_nodes(draw):
+    """A small node: feature matrix with many repeated values, labels and
+    logistic-loss gradients drawn from few levels so that equal and nearly
+    equal split gains are common."""
+    n = draw(st.integers(1, 24))
+    n_features = draw(st.integers(1, 4))
+    levels = st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0])
+    X = np.array(draw(st.lists(st.lists(levels, min_size=n_features, max_size=n_features), min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    scores = np.array(draw(st.lists(st.sampled_from([-1.0, 0.0, 0.3, 2.0]), min_size=n, max_size=n)))
+    p = 1.0 / (1.0 + np.exp(-scores))
+    return X, y, y - p, p * (1 - p), draw(st.integers(0, 3))
+
+
+class TestSplitSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_nodes())
+    def test_matches_loop_reference_for_both_gains(self, node):
+        X, y, g, h, min_leaf = node
+        assert cardml._best_split(X, (y,), min_leaf, cardml._gini_gain) == reference_gini_split(X, y, min_leaf)
+        assert cardml._best_split(X, (g, h), min_leaf, cardml._newton_gain) == reference_newton_split(
+            X, g, h, min_leaf
+        )
+
+    def test_pure_node_has_no_split(self):
+        X = np.arange(10, dtype=float).reshape(-1, 1)
+        for y in (np.zeros(10, dtype=int), np.ones(10, dtype=int)):
+            assert cardml._best_split(X, (y,), 1, cardml._gini_gain) is None
+
+
 class TestTreeInternals:
+    def test_unfitted_prediction_raises(self):
+        with pytest.raises(RuntimeError, match="not fitted"):
+            DecisionTreeClassifier().predict_one([0.0] * len(FEATURE_NAMES))
+
     def test_cart_fits_consistent_data_exactly(self):
         rng = np.random.default_rng(3)
         X = rng.random((40, 3))
@@ -172,6 +232,22 @@ class TestTreeInternals:
             assert evaluate_cardinality_accuracy(restored, test_rows) == evaluate_cardinality_accuracy(
                 model, test_rows
             )
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda doc: {**doc, "kind": "rf"},
+            lambda doc: {**doc, "kind": ["gb"]},
+            lambda doc: {key: value for key, value in doc.items() if key != "seed"},
+            lambda doc: {**doc, "min_model": {"kind": "gb"}},
+            lambda doc: [doc],
+        ],
+        ids=["unknown-kind", "unhashable-kind", "missing-key", "missing-nested-key", "not-an-object"],
+    )
+    def test_malformed_document_is_a_value_error(self, mangle, synthetic_split):
+        doc = json.loads(train("dt", synthetic_split[0], seed=42).to_json())
+        with pytest.raises(ValueError, match="unknown model kind|malformed model document"):
+            CardinalityModel.from_json(json.dumps(mangle(doc)))
 
 
 class TestPrediction:
@@ -221,3 +297,14 @@ def test_feature_csv_round_trip(tmp_path, synthetic_split):
     header = path.read_text().splitlines()[0].split(",")
     assert header[:2] == ["class_uri", "predicate_uri"]
     assert tuple(header[2:-2]) == FEATURE_NAMES
+
+
+def test_failed_feature_csv_rewrite_keeps_earlier_file(tmp_path, synthetic_split):
+    rows = synthetic_split[0][:5]
+    path = tmp_path / "features.csv"
+    write_feature_csv(rows, path, class_uris=["c"] * 5, predicates=["p"] * 5)
+    before = path.read_bytes()
+    with pytest.raises(IndexError):
+        write_feature_csv(rows, path, class_uris=["c"], predicates=["p"] * 5)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["features.csv"]

@@ -411,6 +411,23 @@ class TestHybridWiring:
         assert differences > 0
 
 
+    @pytest.mark.parametrize(
+        "content",
+        ['{"kind": "rf"}', '{"kind": "gb", "seed": 1}', '{"kind": "gb", "min_model"', None],
+        ids=["unknown-kind", "missing-key", "truncated", "missing-file"],
+    )
+    def test_unloadable_model_file_is_a_config_error(self, bench, tmp_path, content):
+        model_file = tmp_path / "model.json"
+        if content is not None:
+            model_file.write_text(content)
+        with pytest.raises(ManifestError, match="cannot load --model-file"):
+            cmd_generate(
+                bench["manifest"], bench["tmp"] / "ml_run", bench["cache"], "global",
+                llm_client=benchmark_rule_client(), transport_factory=bench["factory"],
+                cardinality="gb", model_file=model_file,
+            )
+
+
 def _saved(model, tmp_path):
     path = tmp_path / "model.json"
     model.save(path)
