@@ -226,6 +226,30 @@ def _grow(X: np.ndarray, stats: Sequence[np.ndarray], max_depth: int, min_leaf: 
     }
 
 
+def _check_tree(root, value_key: str) -> None:
+    """Raise ValueError unless root is a tree over the cardinality features
+    whose leaves carry a numeric value_key, as a loaded model needs."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, dict) or not isinstance(node.get("leaf"), bool):
+            raise ValueError(f"malformed model tree: node without a boolean 'leaf': {node!r:.80}")
+        if node["leaf"]:
+            if not _is_number(node.get(value_key)):
+                raise ValueError(f"malformed model tree: leaf without a numeric {value_key!r}")
+            continue
+        feature = node.get("feature")
+        if type(feature) is not int or not 0 <= feature < len(FEATURE_NAMES):
+            raise ValueError(f"malformed model tree: split on feature {feature!r}")
+        if not _is_number(node.get("threshold")) or "left" not in node or "right" not in node:
+            raise ValueError("malformed model tree: split without 'threshold', 'left' and 'right'")
+        stack += [node["left"], node["right"]]
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _leaf(node: dict | None, x: Sequence[float]) -> dict:
     """The leaf that row x falls into."""
     if node is None:
@@ -273,6 +297,7 @@ class DecisionTreeClassifier:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DecisionTreeClassifier":
+        _check_tree(doc["root"], "prediction")
         model = cls(max_depth=doc["max_depth"], min_leaf=doc["min_leaf"])
         model.root = doc["root"]
         return model
@@ -305,7 +330,7 @@ class GradientBoostingClassifier:
         self.max_depth = max_depth
         self.learning_rate = learning_rate
         self.min_leaf = min_leaf
-        self.base_score: float = 0.0
+        self.base_score: float | None = None  # set by fit
         self.trees: list[dict] = []
         self.train_losses: list[float] = []
 
@@ -328,6 +353,8 @@ class GradientBoostingClassifier:
         return self
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
+        if self.base_score is None:
+            raise RuntimeError("model is not fitted")
         X = np.asarray(X, dtype=float)
         scores = np.full(len(X), self.base_score)
         for tree in self.trees:
@@ -359,6 +386,10 @@ class GradientBoostingClassifier:
             learning_rate=doc["learning_rate"],
             min_leaf=doc["min_leaf"],
         )
+        if not _is_number(doc["base_score"]) or not isinstance(doc["trees"], list):
+            raise ValueError("malformed model document: 'base_score' must be a number and 'trees' a list")
+        for tree in doc["trees"]:
+            _check_tree(tree, "value")
         model.base_score = doc["base_score"]
         model.trees = list(doc["trees"])
         return model
@@ -405,7 +436,7 @@ class CardinalityModel:
 
     @classmethod
     def from_json(cls, text: str) -> "CardinalityModel":
-        """Raises ValueError for malformed JSON, an unknown kind or a missing key."""
+        """Raises ValueError for malformed JSON, an unknown kind, a missing key or a malformed tree."""
         doc = json.loads(text)
         try:
             model_class, _ = _model_kind(doc["kind"])

@@ -407,11 +407,20 @@ def _parse_criteria(spec: str | None) -> tuple[MatchCriteria, ...]:
 
 
 def load_subclass_oracle(path: Path | str) -> StaticSubclassOracle:
-    """Static oracle file: {"subclass_of": {child: [parents]}, "value_types": {pred: [classes]}}."""
+    """Static oracle file: {"subclass_of": {child: [parents]}, "value_types": {pred: [classes]}}.
+
+    Raises OSError for an unreadable file and ValueError for a malformed one.
+    """
     doc = json.loads(Path(path).read_text())
-    edges = {Iri(child): [Iri(p) for p in parents] for child, parents in doc.get("subclass_of", {}).items()}
-    value_types = {Iri(pred): [Iri(c) for c in cs] for pred, cs in doc.get("value_types", {}).items()}
-    return StaticSubclassOracle(edges, value_types)
+    tables = []
+    for key in ("subclass_of", "value_types"):
+        table = doc.get(key, {}) if isinstance(doc, dict) else None
+        if not isinstance(table, dict) or not all(
+            isinstance(values, list) and all(isinstance(v, str) for v in values) for values in table.values()
+        ):
+            raise ValueError(f"{key!r} must map IRIs to lists of IRIs")
+        tables.append({Iri(k): [Iri(v) for v in values] for k, values in table.items()})
+    return StaticSubclassOracle(*tables)
 
 
 def cmd_evaluate(
@@ -432,10 +441,16 @@ def cmd_evaluate(
     entries = manifest.select(classes)
     criteria_list = _parse_criteria(criteria)
     generated = Path(generated_dir)
+    static_oracle = None
+    if subclass_file:
+        try:
+            static_oracle = load_subclass_oracle(subclass_file)
+        except (OSError, ValueError) as exc:
+            raise ManifestError(f"cannot load --subclass-file {subclass_file}: {exc}") from exc
 
     def oracle_for(entry: ManifestEntry):
-        if subclass_file:
-            return load_subclass_oracle(subclass_file)
+        if static_oracle is not None:
+            return static_oracle
         if cache_dir is not None:
             cfg = entry_endpoint_config(entry, cache_dir, offline=False)
             transport = transport_factory(cfg) if transport_factory else None

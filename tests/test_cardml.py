@@ -205,8 +205,15 @@ class TestSplitSearch:
 
 class TestTreeInternals:
     def test_unfitted_prediction_raises(self):
-        with pytest.raises(RuntimeError, match="not fitted"):
-            DecisionTreeClassifier().predict_one([0.0] * len(FEATURE_NAMES))
+        for model_class in (DecisionTreeClassifier, GradientBoostingClassifier):
+            with pytest.raises(RuntimeError, match="not fitted"):
+                model_class().predict_one([0.0] * len(FEATURE_NAMES))
+
+    def test_zero_round_boosting_predicts_its_prior(self):
+        X = np.zeros((4, len(FEATURE_NAMES)))
+        for y, expected in (([1, 1, 1, 0], 1), ([0, 0, 1, 0], 0)):
+            model = GradientBoostingClassifier(n_rounds=0).fit(X, np.array(y))
+            assert model.trees == [] and model.predict_one(X[0]) == expected
 
     def test_cart_fits_consistent_data_exactly(self):
         rng = np.random.default_rng(3)
@@ -248,6 +255,36 @@ class TestTreeInternals:
         doc = json.loads(train("dt", synthetic_split[0], seed=42).to_json())
         with pytest.raises(ValueError, match="unknown model kind|malformed model document"):
             CardinalityModel.from_json(json.dumps(mangle(doc)))
+
+    @pytest.mark.parametrize(
+        "kind,mangle",
+        [
+            ("dt", lambda model: model.update(root={"samples": 3})),
+            ("dt", lambda model: model.update(root=None)),
+            ("dt", lambda model: model["root"].pop("right")),
+            ("dt", lambda model: model["root"].update(feature=len(FEATURE_NAMES))),
+            ("dt", lambda model: model["root"].update(threshold="0.5")),
+            ("dt", lambda model: _first_leaf(model["root"]).pop("prediction")),
+            ("gb", lambda model: model["trees"].append({"samples": 3})),
+            ("gb", lambda model: _first_leaf(model["trees"][-1]).update(value=None)),
+            ("gb", lambda model: model["trees"][0].update(leaf="no")),
+            ("gb", lambda model: model.update(base_score=None)),
+        ],
+        ids=["dt-node-without-leaf", "dt-null-root", "dt-split-without-right", "dt-feature-out-of-range",
+             "dt-string-threshold", "dt-leaf-without-prediction", "gb-node-without-leaf",
+             "gb-leaf-without-value", "gb-non-boolean-leaf", "gb-null-base-score"],
+    )
+    def test_malformed_tree_is_a_value_error(self, kind, mangle, synthetic_split):
+        doc = json.loads(train(kind, synthetic_split[0], seed=42).to_json())
+        mangle(doc["max_model"])
+        with pytest.raises(ValueError, match="malformed model"):
+            CardinalityModel.from_json(json.dumps(doc))
+
+
+def _first_leaf(node: dict) -> dict:
+    while not node["leaf"]:
+        node = node["left"]
+    return node
 
 
 class TestPrediction:

@@ -294,6 +294,17 @@ class TestEvaluate:
         assert code == EXIT_OK and doc["n_valid"] == 3
         assert len(calls) == 3
 
+    def test_schema_distances_skip_zhang_shasha(self, bench, monkeypatch):
+        from shexbench import treedist
+
+        def no_zhang_shasha(*args):
+            raise AssertionError("Zhang-Shasha reached")
+
+        generate_stubbed(bench, out_name="gen")
+        monkeypatch.setattr(treedist, "_zhang_shasha", no_zhang_shasha)
+        code, doc = cmd_evaluate(bench["manifest"], bench["tmp"] / "gen", "all")
+        assert code == EXIT_OK and doc["n_valid"] == 3
+
     def test_invalid_file_flagged_and_excluded(self, bench):
         generated = self._copy_ground_truth(bench, "broken")
         (generated / "Q33506.shex").write_text("PREFIX broken")
@@ -339,6 +350,35 @@ class TestEvaluate:
         )
         assert code == EXIT_OK
         assert doc["aggregate"]["node=subclass,card=exact"]["f1"] == 1.0
+
+    def test_subclass_oracle_file_is_read_once(self, bench, tmp_path, monkeypatch):
+        from shexbench import cli
+
+        generated = self._copy_ground_truth(bench)
+        oracle_file = tmp_path / "oracle.json"
+        oracle_file.write_text(json.dumps({"subclass_of": {WD + "Q6256": [WD + "Q56061"]}}))
+        loads = []
+        original = cli.load_subclass_oracle
+        monkeypatch.setattr(cli, "load_subclass_oracle", lambda path: loads.append(path) or original(path))
+        code, doc = cmd_evaluate(bench["manifest"], generated, "node=subclass,card=exact",
+                                 subclass_file=oracle_file, jobs=2)
+        assert code == EXIT_OK and doc["n_valid"] == 3
+        assert loads == [oracle_file]
+
+    @pytest.mark.parametrize(
+        "content",
+        [None, '{"subclass_of": {', "[]", '{"subclass_of": {"a": "b"}}', '{"value_types": []}'],
+        ids=["missing-file", "truncated", "not-an-object", "parents-not-a-list", "table-not-an-object"],
+    )
+    def test_unloadable_subclass_file_is_a_config_error(self, bench, tmp_path, capsys, content):
+        generated = self._copy_ground_truth(bench)
+        oracle_file = tmp_path / "oracle.json"
+        if content is not None:
+            oracle_file.write_text(content)
+        code = main(["evaluate", "--manifest", str(bench["manifest"]), "--generated-dir", str(generated),
+                     "--subclass-file", str(oracle_file)])
+        assert code == EXIT_CONFIG
+        assert "cannot load --subclass-file" in capsys.readouterr().err
 
 
 class TestReportAndTrain:
@@ -413,8 +453,11 @@ class TestHybridWiring:
 
     @pytest.mark.parametrize(
         "content",
-        ['{"kind": "rf"}', '{"kind": "gb", "seed": 1}', '{"kind": "gb", "min_model"', None],
-        ids=["unknown-kind", "missing-key", "truncated", "missing-file"],
+        ['{"kind": "rf"}', '{"kind": "gb", "seed": 1}', '{"kind": "gb", "min_model"', None,
+         json.dumps({"kind": "dt", "seed": 0, "params": {}, "feature_names": [],
+                     "min_model": {"max_depth": 1, "min_leaf": 1, "root": {"samples": 3}},
+                     "max_model": {"max_depth": 1, "min_leaf": 1, "root": {"leaf": True, "prediction": 1}}})],
+        ids=["unknown-kind", "missing-key", "truncated", "missing-file", "node-without-leaf"],
     )
     def test_unloadable_model_file_is_a_config_error(self, bench, tmp_path, content):
         model_file = tmp_path / "model.json"

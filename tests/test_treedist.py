@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shexbench import treedist
 from shexbench.model import Schema, Shape, canonicalize
 from shexbench.shexc import parse_shexc
 from shexbench.treedist import (
+    UNIT_COSTS,
     EditCostModel,
     EmptyGroundTruthError,
     TreeNode,
@@ -131,6 +133,80 @@ class TestMetricProperties:
     @given(small_trees())
     def test_identity(self, a):
         assert tree_edit_distance(a, a) == 0
+
+
+def schema_tree(root: str, paths) -> TreeNode:
+    return TreeNode(root, tuple(TreeNode(p, (TreeNode(n, (TreeNode(c),)),)) for p, n, c in paths))
+
+
+@st.composite
+def schema_tree_pairs(draw):
+    """Two schema-shaped trees over small per-depth alphabets, with equal or
+    unequal roots; with ``collide`` every depth draws from one alphabet, so
+    labels may repeat across depths."""
+    collide = draw(st.booleans())
+    alphabets = ["xyz"] * 3 if collide else ["pqr", "mn", "cd"]
+    path = st.tuples(*(st.sampled_from(alphabet) for alphabet in alphabets))
+    roots = st.sampled_from("xy" if collide else "RS")
+    return tuple(schema_tree(draw(roots), draw(st.lists(path, max_size=5))) for _ in range(2))
+
+
+# GED of every ordered (generated, ground truth) pair of fixture schemas, in
+# manifest order, as measured with Zhang-Shasha alone.
+FIXTURE_PAIR_GED = [
+    [0, 7, 7, 12, 13, 14, 11, 11],
+    [7, 0, 9, 10, 13, 14, 13, 13],
+    [7, 9, 0, 12, 13, 13, 11, 12],
+    [12, 10, 12, 0, 13, 14, 12, 11],
+    [13, 13, 13, 13, 0, 9, 9, 11],
+    [14, 14, 13, 14, 9, 0, 11, 12],
+    [11, 13, 11, 12, 9, 11, 0, 8],
+    [11, 13, 12, 11, 11, 12, 8, 0],
+]
+
+
+def _no_zhang_shasha(*args):
+    raise AssertionError("Zhang-Shasha reached")
+
+
+class TestSchemaFastPath:
+    @settings(max_examples=400, deadline=None)
+    @given(schema_tree_pairs())
+    def test_equals_zhang_shasha(self, pair):
+        a, b = pair
+        assert tree_edit_distance(a, b) == treedist._zhang_shasha(a, b, UNIT_COSTS)
+
+    def test_fixture_pairs_are_pinned_and_skip_zhang_shasha(self, fixture_schemas, monkeypatch):
+        from support import mutate_schema
+
+        monkeypatch.setattr(treedist, "_zhang_shasha", _no_zhang_shasha)
+        schemas = [schema for _, schema in fixture_schemas]
+        assert [[schema_ged(g, t) for t in schemas] for g in schemas] == FIXTURE_PAIR_GED
+        rng = random.Random(77)
+        distances = [schema_ged(mutate_schema(s, rng), s) for s in schemas for _ in range(3)]
+        assert distances == [1, 0, 3, 2, 2, 3, 3, 4, 1, 4, 3, 3, 3, 6, 4, 3, 5, 1, 1, 0, 1, 7, 2, 1]
+
+    @pytest.mark.parametrize(
+        "a,b,costs",
+        [
+            (schema_tree("R", [("p", "n", "c")]), schema_tree("R", [("q", "n", "d")]),
+             EditCostModel(relabel_cost=2)),
+            # "x" is a predicate in one tree and a node label in the other
+            (schema_tree("R", [("x", "y", "c")]), schema_tree("R", [("p", "x", "c")]), UNIT_COSTS),
+            # the root label reappears as a predicate
+            (schema_tree("R", [("p", "n", "c")]), schema_tree("R", [("R", "n", "c")]), UNIT_COSTS),
+            # not schema-shaped: a predicate with two node children
+            (TreeNode("R", (TreeNode("p", (TreeNode("n"), TreeNode("m"))),)),
+             schema_tree("R", [("p", "n", "c")]), UNIT_COSTS),
+        ],
+        ids=["non-unit-costs", "depth-collision", "root-collision", "not-schema-shaped"],
+    )
+    def test_other_inputs_reach_zhang_shasha(self, a, b, costs, monkeypatch):
+        calls = []
+        original = treedist._zhang_shasha
+        monkeypatch.setattr(treedist, "_zhang_shasha", lambda *args: calls.append(args) or original(*args))
+        assert tree_edit_distance(a, b, costs) == original(a, b, costs)
+        assert len(calls) == 1
 
 
 class TestNged:
