@@ -453,7 +453,7 @@ class CardinalityModel:
 
     @classmethod
     def load(cls, path: Path | str) -> "CardinalityModel":
-        return cls.from_json(Path(path).read_text())
+        return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
 
 def train(
@@ -534,7 +534,7 @@ def write_feature_csv(
 
 def read_feature_csv(path: Path | str) -> list[tuple[FeatureVector, CardinalityLabel]]:
     rows = []
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         for record in csv.DictReader(handle):
             values = {name: float(record[name]) for name in FEATURE_NAMES}
             values["max_observed_count"] = int(values["max_observed_count"])

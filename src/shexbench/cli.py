@@ -52,6 +52,7 @@ from .kginfo import (
     KgClient,
     KgKind,
     KgSubclassOracle,
+    MalformedResultsError,
     Triple,
     atomic_write_text as _atomic_write,
 )
@@ -110,7 +111,7 @@ class Manifest:
 def load_manifest(path: Path | str, validate_ground_truth: bool = True) -> Manifest:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
     entries = []
@@ -135,7 +136,7 @@ def load_manifest(path: Path | str, validate_ground_truth: bool = True) -> Manif
         seen.add(entry.class_uri.value)
         if validate_ground_truth:
             try:
-                parse_shexc(entry.ground_truth_path.read_text())
+                parse_shexc(entry.ground_truth_path.read_text(encoding="utf-8"))
             except (OSError, ShexcParseError) as exc:
                 problems.append(f"ground truth {entry.ground_truth_path} invalid: {exc}")
                 continue
@@ -411,7 +412,7 @@ def load_subclass_oracle(path: Path | str) -> StaticSubclassOracle:
 
     Raises OSError for an unreadable file and ValueError for a malformed one.
     """
-    doc = json.loads(Path(path).read_text())
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
     tables = []
     for key in ("subclass_of", "value_types"):
         table = doc.get(key, {}) if isinstance(doc, dict) else None
@@ -459,14 +460,14 @@ def cmd_evaluate(
 
     def worker(entry: ManifestEntry) -> ResultRecord:
         record = ResultRecord(entry.class_uri.value, entry.label, setting, model_id)
-        gt = parse_shexc(entry.ground_truth_path.read_text(), focus_class=entry.class_uri)
+        gt = parse_shexc(entry.ground_truth_path.read_text(encoding="utf-8"), focus_class=entry.class_uri)
         path = generated / f"{entry.slug}.shex"
         if not path.exists():
             record.status = "invalid"
             record.message = f"no generated schema at {path}"
             return record
         try:
-            gen = parse_shexc(path.read_text(), focus_class=entry.class_uri)
+            gen = parse_shexc(path.read_text(encoding="utf-8"), focus_class=entry.class_uri)
         except ShexcParseError as exc:
             record.status = "invalid"
             record.message = str(exc)
@@ -590,7 +591,7 @@ def _markdown_grid(doc: dict) -> str:
 
 
 def cmd_report(result_paths: Sequence[Path | str], fmt: str = "md") -> tuple[int, str]:
-    docs = [json.loads(Path(p).read_text()) for p in result_paths]
+    docs = [json.loads(Path(p).read_text(encoding="utf-8")) for p in result_paths]
     if fmt == "csv":
         lines = ["model_id,setting,criteria,precision,recall,f1,ged,nged,n"]
         for doc in docs:
@@ -660,7 +661,7 @@ def cmd_train_cardinality(
         cfg = entry_endpoint_config(entry, cache_dir, offline)
         transport = transport_factory(cfg) if transport_factory else None
         client = KgClient(cfg, transport=transport)
-        gt = parse_shexc(entry.ground_truth_path.read_text(), focus_class=entry.class_uri)
+        gt = parse_shexc(entry.ground_truth_path.read_text(encoding="utf-8"), focus_class=entry.class_uri)
         for constraint in canonicalize(gt).start_shape.constraints:
             try:
                 record = client.build_global_record(entry.class_uri, constraint.predicate)
@@ -692,11 +693,12 @@ def cmd_train_cardinality(
 # -- argparse wiring -------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, jobs: bool = True) -> None:
     parser.add_argument("--manifest", required=True, help="benchmark manifest JSON")
     parser.add_argument("--class", dest="classes", action="append",
                         help="restrict to a class (URI, label, or slug); repeatable")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel per-class workers")
+    if jobs:
+        parser.add_argument("--jobs", type=int, default=1, help="parallel per-class workers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -749,7 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--out")
 
     train_cmd = sub.add_parser("train-cardinality", help="fit cardinality models from cached profiles")
-    _add_common(train_cmd)
+    _add_common(train_cmd, jobs=False)
     train_cmd.add_argument("--cache-dir", required=True)
     train_cmd.add_argument("--kind", choices=["dt", "gb"], default="gb")
     train_cmd.add_argument("--out", required=True, help="model file to write")
@@ -821,6 +823,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_CACHE_MISS
     except EndpointError as exc:
         print(f"endpoint error: {exc}", file=sys.stderr)
+        return EXIT_NETWORK
+    except MalformedResultsError as exc:
+        print(f"malformed results: {exc}", file=sys.stderr)
         return EXIT_NETWORK
     except ShexcParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

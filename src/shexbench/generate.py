@@ -137,7 +137,7 @@ class StubLlmClient:
         path = Path(self.stub_dir) / f"{key}.json"
         if not path.exists():
             raise StubReplyMissingError(f"no recorded reply for prompt hash {key}")
-        return json.loads(path.read_text())["reply"]
+        return json.loads(path.read_text(encoding="utf-8"))["reply"]
 
 
 @dataclass

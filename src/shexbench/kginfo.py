@@ -2,8 +2,9 @@
 
 Every query goes through a deterministic on-disk cache keyed by the
 whitespace-normalized query text plus the endpoint URL.  A cache hit never
-touches the network; concurrent misses on the same key collapse to a single
-request; offline mode turns misses into errors instead of requests.  Cache
+touches the network, and a client keeps each parsed document after its first
+read; concurrent misses on the same key collapse to a single request; offline
+mode turns misses into errors instead of requests.  Cache
 files are plain JSON holding the query, a timestamp, and the standard SPARQL
 results document, so they can be inspected and checked into fixtures.
 """
@@ -328,7 +329,7 @@ def atomic_write_text(path: Path | str, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.tmp{os.getpid()}-{threading.get_ident()}")
-    tmp.write_text(text)
+    tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
 
 
@@ -403,27 +404,35 @@ class KgClient:
         self._gate = threading.BoundedSemaphore(cfg.max_in_flight)
         self._key_locks: dict[str, threading.Lock] = {}
         self._key_locks_guard = threading.Lock()
-        self._subclass_memo: dict[tuple[Iri, Iri], bool] = {}
+        # Parsed results documents by cache key, and decoded frequency tables
+        # by class.  Only answers are kept: a miss is looked up again next time.
+        self._documents: dict[str, dict] = {}
+        self._frequencies: dict[Iri, dict[Iri, int]] = {}
 
     # -- cache layer ---------------------------------------------------------
 
     def cached_query(self, query: str) -> dict:
-        """SPARQL JSON results for ``query``, served from the cache when warm."""
+        """SPARQL JSON results for ``query``, served from the cache when warm.
+
+        Each key's document is read (or fetched) once per client and then
+        served from memory; callers must not mutate it."""
         key = cache_key(query, self.cfg.endpoint_url)
         self.keys_touched.add(key)
-        path = Path(self.cfg.cache_dir) / f"{key}.json"
-        cached = self._read_cache(path)
-        if cached is not None:
-            return cached
-        if self.cfg.offline:
-            raise CacheMissError(key, query)
-        with self._key_lock(key):
-            cached = self._read_cache(path)
-            if cached is not None:
-                return cached
-            results = self._fetch(query)
-            self._write_cache(path, query, results)
+        results = self._documents.get(key)
+        if results is not None:
             return results
+        path = Path(self.cfg.cache_dir) / f"{key}.json"
+        results = self._read_cache(path)
+        if results is None:
+            if self.cfg.offline:
+                raise CacheMissError(key, query)
+            with self._key_lock(key):
+                results = self._read_cache(path)
+                if results is None:
+                    results = self._fetch(query)
+                    self._write_cache(path, query, results)
+        self._documents[key] = results
+        return results
 
     def _key_lock(self, key: str) -> threading.Lock:
         with self._key_locks_guard:
@@ -431,11 +440,12 @@ class KgClient:
 
     @staticmethod
     def _read_cache(path: Path) -> dict | None:
-        if not path.exists():
-            return None
         try:
-            return json.loads(path.read_text())["results_document"]
-        except (ValueError, KeyError) as exc:
+            with open(path, encoding="utf-8") as handle:
+                return json.load(handle)["results_document"]
+        except FileNotFoundError:
+            return None
+        except (ValueError, KeyError, TypeError) as exc:
             raise MalformedResultsError(f"corrupt cache file {path}: {exc}") from exc
 
     def _write_cache(self, path: Path, query: str, results: dict) -> None:
@@ -481,15 +491,19 @@ class KgClient:
     # -- extraction operations ------------------------------------------------
 
     def predicate_frequencies(self, class_iri: Iri) -> dict[Iri, int]:
-        """Distinct-subject usage count per predicate, descending."""
-        rows = self._rows(frequency_query(class_iri, self.cfg.typing_predicate))
-        counts = {}
-        for row in rows:
-            predicate = term_from_binding(row["predicate"])
-            if isinstance(predicate, Iri):
-                counts[predicate] = _int_value(row["count"])
-        ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-        return dict(ordered)
+        """Distinct-subject usage count per predicate, descending; a fresh dict
+        on every call, decoded once per client."""
+        frequencies = self._frequencies.get(class_iri)
+        if frequencies is None:
+            rows = self._rows(frequency_query(class_iri, self.cfg.typing_predicate))
+            counts = {}
+            for row in rows:
+                predicate = term_from_binding(row["predicate"])
+                if isinstance(predicate, Iri):
+                    counts[predicate] = _int_value(row["count"])
+            frequencies = dict(sorted(counts.items(), key=lambda item: (-item[1], item[0])))
+            self._frequencies[class_iri] = frequencies
+        return dict(frequencies)
 
     def instance_count(self, class_iri: Iri) -> int:
         rows = self._rows(instance_count_query(class_iri, self.cfg.typing_predicate))
@@ -617,11 +631,7 @@ class KgClient:
         """Reflexive-transitive subclass test, bounded to the configured depth."""
         if c == c_prime:
             return True
-        memo_key = (c, c_prime)
-        if memo_key not in self._subclass_memo:
-            query = subclass_path_query(c, c_prime, self.cfg.subclass_predicate, self.cfg.subclass_max_depth)
-            self._subclass_memo[memo_key] = self._ask(query)
-        return self._subclass_memo[memo_key]
+        return self._ask(subclass_path_query(c, c_prime, self.cfg.subclass_predicate, self.cfg.subclass_max_depth))
 
     def build_global_record(self, class_iri: Iri, predicate: Iri) -> GlobalPredicateRecord:
         """Compose the per-predicate profile that feeds prompts and features.

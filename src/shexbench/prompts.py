@@ -75,7 +75,7 @@ class ChatPrompt:
 
 def load_fewshot(path: Path | str) -> tuple[tuple[str, str], ...]:
     """Few-shot exemplars from a JSON file: one {user, assistant} object or a list."""
-    doc = json.loads(Path(path).read_text())
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
     entries = doc if isinstance(doc, list) else [doc]
     return tuple((entry["user"], entry["assistant"]) for entry in entries)
 

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import codecs
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -491,3 +495,128 @@ class TestMainEntry:
         code = main(["report", str(results)])
         assert code == EXIT_OK
         assert "| Model | Setting |" in capsys.readouterr().out
+
+
+class TestCorruptCache:
+    def test_train_exits_with_the_corrupt_file_named(self, bench, tmp_path, capsys):
+        from shexbench.kginfo import cache_key, label_query
+
+        cmd_extract(bench["manifest"], bench["cache"], "global", transport_factory=bench["factory"])
+        label_file = bench["cache"] / f"{cache_key(label_query(Iri(WD + 'Q4220917')), 'https://fake.example.org/sparql')}.json"
+        label_file.write_text(label_file.read_text()[:30])
+        code = main(["train-cardinality", "--manifest", str(bench["manifest"]), "--cache-dir", str(bench["cache"]),
+                     "--out", str(tmp_path / "model.json"), "--kind", "dt", "--offline"])
+        assert code == EXIT_NETWORK
+        assert f"corrupt cache file {label_file}" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
+
+class TestArguments:
+    def test_train_rejects_jobs(self, capsys):
+        from shexbench.cli import build_parser
+
+        common = ["--manifest", "m.json", "--cache-dir", "c"]
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["train-cardinality", *common, "--out", "m", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert build_parser().parse_args(["extract", *common, "--jobs", "2"]).jobs == 2
+
+
+_C_LOCALE_RUN = r"""
+import locale, sys
+from pathlib import Path
+from shexbench.cli import EXIT_OK, cmd_extract, cmd_generate, main
+from support import WD, benchmark_rule_client, build_benchmark_endpoint, write_benchmark_manifest
+
+print(locale.getpreferredencoding(False))
+root = Path(sys.argv[1])
+endpoint = build_benchmark_endpoint()
+endpoint.labels[WD + "Q33506"] = "Museum (Z\u00fcrich)"
+endpoint.descriptions[WD + "Q33506"] = "Einrichtung f\u00fcr Kunst \u2013 \u00abSammlung\u00bb"
+manifest = write_benchmark_manifest(root)
+code, _ = cmd_extract(manifest, root / "cache", "global", classes=["museum"],
+                      transport_factory=lambda cfg: endpoint)
+assert code == EXIT_OK, code
+code, _ = cmd_generate(manifest, root / "recorded", root / "cache", "global", classes=["museum"],
+                       offline=True, llm_client=benchmark_rule_client())
+assert code == EXIT_OK, code
+sys.exit(main(["generate", "--manifest", str(manifest), "--class", "museum", "--offline",
+               "--cache-dir", str(root / "cache"), "--out-dir", str(root / "replayed"),
+               "--stub-dir", str(root / "recorded" / "transcripts")]))
+"""
+
+
+def test_non_ascii_label_under_c_locale(tmp_path):
+    """Every file is read and written as UTF-8 whatever the locale says."""
+    here = Path(__file__).resolve().parent
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "PYTHONIOENCODING", "PYTHONUTF8"))}
+    env.update(LC_ALL="C", LANG="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    run = subprocess.run([sys.executable, "-X", "utf8=0", "-c", _C_LOCALE_RUN, str(tmp_path)],
+                         env=env, capture_output=True, text=True, encoding="utf-8", timeout=120)
+    assert run.returncode == EXIT_OK, run.stderr
+    assert codecs.lookup(run.stdout.splitlines()[0]).name != "utf-8"
+    sidecar = (tmp_path / "recorded" / "Q33506.transcript.json").read_text(encoding="utf-8")
+    assert "Zürich" in sidecar and "«Sammlung»" in sidecar
+    cached = [p.read_text(encoding="utf-8") for p in (tmp_path / "cache").glob("*.json")]
+    assert any("Museum (Zürich)" in text for text in cached)
+    assert (tmp_path / "replayed" / "Q33506.shex").read_bytes() == (tmp_path / "recorded" / "Q33506.shex").read_bytes()
+
+
+def _pipeline_artifacts(bench) -> dict[str, str]:
+    """Artifact group -> sha256 over its files' bytes, with timings and the
+    run's temp-dir path taken out of the JSON reports."""
+    import hashlib
+
+    tmp, factory = bench["tmp"], bench["factory"]
+    files: dict[str, dict[str, bytes]] = {"extract": {}, "shex": {}, "transcripts": {}, "model": {}, "evaluate": {}}
+
+    def normalized(doc) -> bytes:
+        def strip(value):
+            if isinstance(value, dict):
+                return {k: strip(v) for k, v in value.items() if k not in ("seconds", "timings")}
+            if isinstance(value, list):
+                return [strip(v) for v in value]
+            return value.replace(str(tmp), "<tmp>") if isinstance(value, str) else value
+        return json.dumps(strip(doc), indent=2, sort_keys=True).encode("utf-8")
+
+    for setting in ("global", "local", "triples"):
+        code, report = cmd_extract(bench["manifest"], tmp / f"cache-{setting}", setting, transport_factory=factory)
+        assert code == EXIT_OK
+        files["extract"][setting] = normalized(report)
+    cache = tmp / "cache-global"
+    code, _ = cmd_generate(bench["manifest"], tmp / "out", cache, "global", offline=True,
+                           llm_client=benchmark_rule_client())
+    assert code == EXIT_OK
+    for path in sorted((tmp / "out").rglob("*.json")) + sorted((tmp / "out").glob("*.shex")):
+        group = "shex" if path.suffix == ".shex" else "transcripts"
+        files[group][str(path.relative_to(tmp / "out"))] = path.read_bytes()
+    for kind in ("dt", "gb"):
+        code, _ = cmd_train_cardinality(bench["manifest"], cache, tmp / f"{kind}.json", kind=kind, offline=True,
+                                        dump_features=tmp / f"{kind}.csv")
+        assert code == EXIT_OK
+        files["model"][kind] = (tmp / f"{kind}.json").read_bytes() + (tmp / f"{kind}.csv").read_bytes()
+    code, doc = cmd_evaluate(bench["manifest"], tmp / "out", "all", cache_dir=cache, transport_factory=factory)
+    assert code == EXIT_OK
+    files["evaluate"]["all"] = normalized(doc)
+    digests = {}
+    for group, members in files.items():
+        digest = hashlib.sha256()
+        for name in sorted(members):
+            digest.update(name.encode("utf-8") + b"\0" + members[name] + b"\0")
+        digests[group] = digest.hexdigest()
+    return digests
+
+
+def test_pipeline_outputs_are_pinned(bench):
+    """Extract reports, schemas, transcripts, models and the evaluation are
+    byte-identical to the ones measured before cache documents were kept in
+    memory per client."""
+    assert _pipeline_artifacts(bench) == {
+        "extract": "f09f41655f92bb94609d6824361945423b4229e4c43b59b086ef29b5d142a07e",
+        "shex": "ba543499407baf8bd87d1c3c057593be9009d9b81465ef12909f9a773fbfa2fc",
+        "transcripts": "c84d30aa82ebd65db941f7ca53a58f5009d676d16e5f65f4fff5d6bb5af2733d",
+        "model": "489371750d427e0ce2b397d2ef6226ff958c03886b8f49e2b99a81cf68c89d81",
+        "evaluate": "8c0415275857877ed4447739d71078fd239bf36732a229ea64645e4bcf3cb8ee",
+    }

@@ -254,6 +254,102 @@ class TestCache:
             client.instance_count(AWARD)
 
 
+AWARD_PREDICATES = (Iri(WDT + "P31"), COUNTRY_PRED, INCEPTION, WEBSITE, CONFERRED)
+
+
+class TestDocumentTable:
+    """Each client reads and parses a cache file once; misses are not remembered."""
+
+    def test_warm_cache_file_read_at_most_once_per_client(self, endpoint, client, tmp_path, monkeypatch):
+        for predicate in AWARD_PREDICATES:
+            client.build_global_record(AWARD, predicate)
+        reads = []
+        original = KgClient._read_cache
+
+        def counting(path):
+            reads.append(path.name)
+            return original(path)
+
+        monkeypatch.setattr(KgClient, "_read_cache", staticmethod(counting))
+        requests = endpoint.request_count
+        warm = KgClient(award_endpoint_config(tmp_path / "cache", offline=True), transport=endpoint)
+        for predicate in AWARD_PREDICATES:
+            warm.build_global_record(AWARD, predicate)
+        assert endpoint.request_count == requests
+        assert reads and len(reads) == len(set(reads))
+        assert set(reads) == {f"{key}.json" for key in warm.keys_touched}
+
+    def test_offline_miss_is_not_remembered(self, endpoint, tmp_path):
+        cache = tmp_path / "cache"
+        offline = KgClient(award_endpoint_config(cache, offline=True), transport=endpoint)
+        for _ in range(2):
+            with pytest.raises(CacheMissError):
+                offline.instance_count(AWARD)
+        KgClient(award_endpoint_config(cache), transport=endpoint).instance_count(AWARD)
+        assert offline.instance_count(AWARD) == 10
+
+    def test_hits_count_as_touched_keys(self, client):
+        client.instance_count(AWARD)
+        client.keys_touched.clear()
+        client.instance_count(AWARD)
+        assert len(client.keys_touched) == 1
+
+    def test_frequencies_are_a_fresh_dict_per_call(self, client):
+        first = client.predicate_frequencies(AWARD)
+        expected = dict(first)
+        first.clear()
+        first[WEBSITE] = 99
+        assert client.predicate_frequencies(AWARD) == expected
+        assert client.predicate_frequencies(AWARD) is not client.predicate_frequencies(AWARD)
+
+    def test_records_equal_a_fresh_client_per_call(self, endpoint, client, tmp_path):
+        shared = [client.build_global_record(AWARD, predicate) for predicate in AWARD_PREDICATES]
+        fresh = [
+            KgClient(award_endpoint_config(tmp_path / "cache", offline=True), transport=endpoint)
+            .build_global_record(AWARD, predicate)
+            for predicate in AWARD_PREDICATES
+        ]
+        assert shared == fresh
+
+    def test_threads_sharing_a_client_fetch_each_key_once(self, endpoint, client, tmp_path):
+        expected = [
+            KgClient(award_endpoint_config(tmp_path / "reference"), transport=build_award_endpoint())
+            .build_global_record(AWARD, predicate)
+            for predicate in AWARD_PREDICATES
+        ]
+        results, errors = [], []
+
+        def work():
+            try:
+                results.append([client.build_global_record(AWARD, p) for p in AWARD_PREDICATES])
+            except Exception as exc:  # collected and asserted below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert results == [expected] * 8
+        assert len(endpoint.request_log) == len(set(endpoint.request_log)) == len(client.keys_touched)
+
+    def test_corrupt_cache_file_names_the_file(self, endpoint, client, tmp_path):
+        client.instance_count(AWARD)
+        (path,) = (tmp_path / "cache").glob("*.json")
+        path.write_text(path.read_text()[:40])
+        fresh = KgClient(award_endpoint_config(tmp_path / "cache"), transport=endpoint)
+        for _ in range(2):
+            with pytest.raises(MalformedResultsError, match=path.name):
+                fresh.instance_count(AWARD)
+
+
 class TestSubclass:
     def test_reflexive_without_network(self, endpoint, client):
         assert client.is_subclass_of(Iri(WD + "Q6256"), Iri(WD + "Q6256"))
