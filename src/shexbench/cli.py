@@ -56,8 +56,16 @@ from .kginfo import (
     Triple,
     atomic_write_text as _atomic_write,
 )
-from .matching import ALL_CRITERIA, EvalReport, MatchCriteria, StaticSubclassOracle, evaluate_pair, macro_average
-from .model import Iri, canonicalize
+from .matching import (  # noqa: F401 - evaluate_pair stays bound for bench/tracer.py to patch
+    ALL_CRITERIA,
+    EvalReport,
+    MatchCriteria,
+    StaticSubclassOracle,
+    evaluate_criteria,
+    evaluate_pair,
+    macro_average,
+)
+from .model import Iri, Schema, canonicalize
 from .prompts import PromptSetting, build_local_prompt, build_triples_prompt, load_fewshot
 from .shexc import ShexcParseError, parse_shexc, serialize_shexc
 from .treedist import ged_and_nged
@@ -86,6 +94,8 @@ class ManifestEntry:
     endpoint_url: str
     typing_predicate: Iri
     ground_truth_path: Path
+    #: The parsed ground truth, focused on ``class_uri``.
+    ground_truth: Schema = field(compare=False, repr=False)
 
     @property
     def slug(self) -> str:
@@ -108,7 +118,8 @@ class Manifest:
         )
 
 
-def load_manifest(path: Path | str, validate_ground_truth: bool = True) -> Manifest:
+def load_manifest(path: Path | str) -> Manifest:
+    """Read and validate a manifest, parsing each entry's ground truth once."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -119,7 +130,7 @@ def load_manifest(path: Path | str, validate_ground_truth: bool = True) -> Manif
     seen: set[str] = set()
     for raw in doc.get("entries", []):
         try:
-            entry = ManifestEntry(
+            fields = dict(
                 class_uri=Iri(raw["class_uri"]),
                 label=raw.get("label", ""),
                 kg_kind=KgKind(raw["kg_kind"]),
@@ -130,17 +141,17 @@ def load_manifest(path: Path | str, validate_ground_truth: bool = True) -> Manif
         except (KeyError, ValueError) as exc:
             problems.append(f"bad entry {raw!r}: {exc}")
             continue
-        if entry.class_uri.value in seen:
-            problems.append(f"duplicate class_uri {entry.class_uri}")
+        class_uri, ground_truth_path = fields["class_uri"], fields["ground_truth_path"]
+        if class_uri.value in seen:
+            problems.append(f"duplicate class_uri {class_uri}")
             continue
-        seen.add(entry.class_uri.value)
-        if validate_ground_truth:
-            try:
-                parse_shexc(entry.ground_truth_path.read_text(encoding="utf-8"))
-            except (OSError, ShexcParseError) as exc:
-                problems.append(f"ground truth {entry.ground_truth_path} invalid: {exc}")
-                continue
-        entries.append(entry)
+        seen.add(class_uri.value)
+        try:
+            ground_truth = parse_shexc(ground_truth_path.read_text(encoding="utf-8"), focus_class=class_uri)
+        except (OSError, ShexcParseError) as exc:
+            problems.append(f"ground truth {ground_truth_path} invalid: {exc}")
+            continue
+        entries.append(ManifestEntry(**fields, ground_truth=ground_truth))
     if problems:
         raise ManifestError("; ".join(problems))
     if not entries:
@@ -178,10 +189,6 @@ class ResultRecord:
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ResultRecord":
-        return cls(**doc)
 
 
 def _run_per_entry(entries, worker, jobs: int):
@@ -381,6 +388,8 @@ def cmd_generate(
                     "seconds": round(time.perf_counter() - started, 3)}
         except CacheMissError as exc:
             return {"class_uri": entry.class_uri.value, "status": "cache_miss", "error": str(exc)}
+        except MalformedResultsError as exc:
+            return {"class_uri": entry.class_uri.value, "status": "error", "error": str(exc)}
         except (GenerationFailedError, StructuredOutputFailedError, StubReplyMissingError,
                 AssemblyError, EndpointError, ValueError, RuntimeError) as exc:
             log.warning("generation failed for %s: %s", entry.class_uri, exc)
@@ -393,6 +402,8 @@ def cmd_generate(
     statuses = {r["status"] for r in results}
     if "cache_miss" in statuses:
         return EXIT_CACHE_MISS, report
+    if "error" in statuses:
+        return EXIT_NETWORK, report
     if "failed" in statuses:
         return EXIT_PARTIAL, report
     return EXIT_OK, report
@@ -460,7 +471,7 @@ def cmd_evaluate(
 
     def worker(entry: ManifestEntry) -> ResultRecord:
         record = ResultRecord(entry.class_uri.value, entry.label, setting, model_id)
-        gt = parse_shexc(entry.ground_truth_path.read_text(encoding="utf-8"), focus_class=entry.class_uri)
+        gt = entry.ground_truth
         path = generated / f"{entry.slug}.shex"
         if not path.exists():
             record.status = "invalid"
@@ -473,10 +484,9 @@ def cmd_evaluate(
             record.message = str(exc)
             return record
         oracle = oracle_for(entry)
-        typing_predicates = (entry.typing_predicate,)
         started = time.perf_counter()
-        for criterion in criteria_list:
-            report = evaluate_pair(gen, gt, criterion, oracle, typing_predicates=typing_predicates)
+        reports = evaluate_criteria(gen, gt, criteria_list, oracle, typing_predicates=(entry.typing_predicate,))
+        for criterion, report in reports.items():
             record.reports[criterion.key()] = {
                 "precision": report.precision,
                 "recall": report.recall,
@@ -661,8 +671,7 @@ def cmd_train_cardinality(
         cfg = entry_endpoint_config(entry, cache_dir, offline)
         transport = transport_factory(cfg) if transport_factory else None
         client = KgClient(cfg, transport=transport)
-        gt = parse_shexc(entry.ground_truth_path.read_text(encoding="utf-8"), focus_class=entry.class_uri)
-        for constraint in canonicalize(gt).start_shape.constraints:
+        for constraint in canonicalize(entry.ground_truth).start_shape.constraints:
             try:
                 record = client.build_global_record(entry.class_uri, constraint.predicate)
             except (EndpointError, CacheMissError) as exc:
@@ -763,10 +772,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(payload: str, out: str | None) -> None:
+    """Write ``payload`` to ``out``, or else to standard output, as UTF-8
+    whatever the locale."""
     if out:
         _atomic_write(Path(out), payload)
-    else:
-        sys.stdout.write(payload)
+        return
+    sys.stdout.flush()
+    sys.stdout.buffer.write(payload.encode("utf-8"))
+    sys.stdout.buffer.flush()
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -249,6 +249,52 @@ def constraint_matches(
     return gt.cardinality == gen.cardinality
 
 
+def evaluate_criteria(
+    gen: Schema,
+    gt: Schema,
+    criteria: Iterable[MatchCriteria] = ALL_CRITERIA,
+    oracle: SubclassOracle | None = None,
+    *,
+    datatype_mapping: Mapping[Iri, DatatypeCategory] = DEFAULT_DATATYPE_CATEGORIES,
+    typing_predicates: tuple[Iri, ...] = DEFAULT_TYPING_PREDICATES,
+) -> dict[MatchCriteria, EvalReport]:
+    """Precision/recall/F1 of a generated schema's start shape against ground
+    truth, under each of ``criteria``.
+
+    Both schemas are canonicalized and their constraints paired once; every
+    criterion is scored on that one pairing.  The distinct-predicate
+    invariant makes predicate-keyed pairing unambiguous and P/R share one
+    matched count: precision divides by the generated constraint count,
+    recall by the ground-truth count.  An empty generated shape scores zero
+    rather than undefined.  The error breakdown does not depend on the
+    criterion, so every report carries the same one.
+    """
+    gen_canon = canonicalize(gen, typing_predicates)
+    gt_canon = canonicalize(gt, typing_predicates)
+    gen_count = len(gen_canon.start_shape.constraints)
+    pairs = _paired_constraints(gen_canon, gt_canon)
+    breakdown = _breakdown(pairs, gen_canon, gt_canon, typing_predicates)
+    reports = {}
+    for criterion in criteria:
+        matched = sum(
+            candidate is not None and constraint_matches(
+                gt_constraint, candidate, criterion, oracle, gt_canon, gen_canon,
+                datatype_mapping=datatype_mapping, typing_predicates=typing_predicates,
+            )
+            for gt_constraint, candidate in pairs
+        )
+        precision = matched / gen_count if gen_count else 0.0
+        recall = matched / len(pairs) if pairs else 0.0
+        reports[criterion] = EvalReport(
+            precision=precision,
+            recall=recall,
+            f1=f1_score(precision, recall),
+            matched_count=matched,
+            error_breakdown=breakdown,
+        )
+    return reports
+
+
 def evaluate_pair(
     gen: Schema,
     gt: Schema,
@@ -258,34 +304,10 @@ def evaluate_pair(
     datatype_mapping: Mapping[Iri, DatatypeCategory] = DEFAULT_DATATYPE_CATEGORIES,
     typing_predicates: tuple[Iri, ...] = DEFAULT_TYPING_PREDICATES,
 ) -> EvalReport:
-    """Precision/recall/F1 of a generated schema's start shape against ground truth.
-
-    The distinct-predicate invariant makes predicate-keyed pairing unambiguous
-    and P/R share one matched count: precision divides by the generated
-    constraint count, recall by the ground-truth count.  An empty generated
-    shape scores zero rather than undefined.
-    """
-    gen_canon = canonicalize(gen, typing_predicates)
-    gt_canon = canonicalize(gt, typing_predicates)
-    gen_constraints = gen_canon.start_shape.constraints
-    pairs = _paired_constraints(gen_canon, gt_canon)
-    matched = sum(
-        candidate is not None and constraint_matches(
-            gt_constraint, candidate, criteria, oracle, gt_canon, gen_canon,
-            datatype_mapping=datatype_mapping, typing_predicates=typing_predicates,
-        )
-        for gt_constraint, candidate in pairs
-    )
-
-    precision = matched / len(gen_constraints) if gen_constraints else 0.0
-    recall = matched / len(pairs) if pairs else 0.0
-    return EvalReport(
-        precision=precision,
-        recall=recall,
-        f1=f1_score(precision, recall),
-        matched_count=matched,
-        error_breakdown=_breakdown(pairs, gen_canon, gt_canon, typing_predicates),
-    )
+    """:func:`evaluate_criteria` under one criterion."""
+    return evaluate_criteria(
+        gen, gt, (criteria,), oracle, datatype_mapping=datatype_mapping, typing_predicates=typing_predicates,
+    )[criteria]
 
 
 def categorize_errors(
@@ -299,9 +321,8 @@ def categorize_errors(
     Comparison is exact on both node constraint and cardinality; a predicate
     absent from the generated start shape counts as missing.
     """
-    gen_canon = canonicalize(gen, typing_predicates)
-    gt_canon = canonicalize(gt, typing_predicates)
-    return _breakdown(_paired_constraints(gen_canon, gt_canon), gen_canon, gt_canon, typing_predicates)
+    exact = MatchCriteria()
+    return evaluate_criteria(gen, gt, (exact,), typing_predicates=typing_predicates)[exact].error_breakdown
 
 
 def _paired_constraints(gen_canon: Schema, gt_canon: Schema) -> list[tuple[TripleConstraint, TripleConstraint | None]]:

@@ -41,6 +41,7 @@ WELL_KNOWN_PREFIXES: dict[str, str] = {
     "schema": "http://schema.org/",
     "yago": "http://yago-knowledge.org/resource/",
 }
+_WELL_KNOWN_NAMESPACES = frozenset(WELL_KNOWN_PREFIXES.values())
 
 
 @dataclass(frozen=True, order=True)
@@ -420,7 +421,7 @@ def _used_namespaces(schema: Schema) -> set[str]:
 def _candidate_namespaces(iri: Iri) -> list[str]:
     # Longest declared namespace that both matches and leaves a clean local part.
     matches = []
-    for namespace in set(WELL_KNOWN_PREFIXES.values()):
+    for namespace in _WELL_KNOWN_NAMESPACES:
         if iri.value.startswith(namespace) and _LOCAL_PART_RE.match(iri.value[len(namespace):] or "-"):
             matches.append(namespace)
     return [max(matches, key=len)] if matches else []

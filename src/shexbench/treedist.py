@@ -216,13 +216,15 @@ def _zhang_shasha(a: TreeNode, b: TreeNode, costs: EditCostModel) -> int:
 
 def schema_ged(generated: Schema, ground_truth: Schema, costs: EditCostModel = UNIT_COSTS) -> int:
     """Edit distance between the schema trees of a generated/ground-truth pair."""
+    return _canonical_ged(canonicalize(generated), canonicalize(ground_truth), costs)
+
+
+def _canonical_ged(gen_canon: Schema, gt_canon: Schema, costs: EditCostModel) -> int:
+    """``schema_ged`` of a pair already canonical under the default typing predicates."""
     # Both schemas target the same class by construction, so both roots carry
     # the ground truth's focus-class label and never contribute relabel cost.
-    gt_canon = canonicalize(ground_truth)
     root = gt_canon.focus_class.value if gt_canon.focus_class else gt_canon.start_label
-    return tree_edit_distance(
-        _canonical_tree(canonicalize(generated), root), _canonical_tree(gt_canon, root), costs
-    )
+    return tree_edit_distance(_canonical_tree(gen_canon, root), _canonical_tree(gt_canon, root), costs)
 
 
 def nged(generated: Schema, ground_truth: Schema, costs: EditCostModel = UNIT_COSTS) -> float:

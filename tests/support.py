@@ -758,3 +758,52 @@ def reference_newton_split(X, g, h, min_leaf: int):
     if best is None:
         return None
     return best[1], best[2]
+
+
+def reference_evaluate_pair(gen, gt, criteria, oracle=None, *, typing_predicates):
+    """Scores of one criterion, canonicalizing and pairing both schemas anew.
+
+    This is the per-criterion ``evaluate_pair`` that scoring used before
+    ``matching.evaluate_criteria`` scored every criterion on one pairing; it
+    is kept as the oracle for that one-pass path.
+    """
+    from shexbench.matching import ErrorBreakdown, EvalReport, _nodes_exact, constraint_matches, f1_score
+    from shexbench.model import canonicalize
+
+    gen_canon = canonicalize(gen, typing_predicates)
+    gt_canon = canonicalize(gt, typing_predicates)
+    gen_constraints = gen_canon.start_shape.constraints
+    gen_by_predicate = {c.predicate: c for c in gen_constraints}
+    pairs = [(c, gen_by_predicate.get(c.predicate)) for c in gt_canon.start_shape.constraints]
+    matched = sum(
+        candidate is not None and constraint_matches(
+            gt_constraint, candidate, criteria, oracle, gt_canon, gen_canon, typing_predicates=typing_predicates,
+        )
+        for gt_constraint, candidate in pairs
+    )
+    correct = missing = wrong_card = wrong_node = both = 0
+    for gt_constraint, candidate in pairs:
+        if candidate is None:
+            missing += 1
+            continue
+        node_ok = _nodes_exact(
+            gt_constraint.node_constraint, candidate.node_constraint, gt_canon, gen_canon, typing_predicates
+        )
+        card_ok = gt_constraint.cardinality == candidate.cardinality
+        if node_ok and card_ok:
+            correct += 1
+        elif node_ok:
+            wrong_card += 1
+        elif card_ok:
+            wrong_node += 1
+        else:
+            both += 1
+    precision = matched / len(gen_constraints) if gen_constraints else 0.0
+    recall = matched / len(pairs) if pairs else 0.0
+    return EvalReport(
+        precision=precision,
+        recall=recall,
+        f1=f1_score(precision, recall),
+        matched_count=matched,
+        error_breakdown=ErrorBreakdown(correct, missing, wrong_card, wrong_node, both),
+    )

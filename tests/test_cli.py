@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -57,6 +58,15 @@ class TestManifest:
         assert manifest.dataset_name == "bundled"
         assert len(manifest.entries) == 8
         assert len({e.class_uri.value for e in manifest.entries}) == 8
+
+    def test_entries_carry_their_parsed_ground_truth(self, fixtures_dir):
+        first, second = load_manifest(fixtures_dir / "manifest.json"), load_manifest(fixtures_dir / "manifest.json")
+        for entry in first.entries:
+            text = entry.ground_truth_path.read_text(encoding="utf-8")
+            assert entry.ground_truth == parse_shexc(text, focus_class=entry.class_uri)
+            assert "ground_truth=" not in repr(entry)
+        # the parsed schema takes no part in equality or hashing
+        assert first == second and hash(first) == hash(second)
 
     def test_select_by_label_and_slug(self, fixtures_dir):
         manifest = load_manifest(fixtures_dir / "manifest.json")
@@ -309,6 +319,23 @@ class TestEvaluate:
         code, doc = cmd_evaluate(bench["manifest"], bench["tmp"] / "gen", "all")
         assert code == EXIT_OK and doc["n_valid"] == 3
 
+    def test_at_most_four_canonicalizations_per_class(self, bench, monkeypatch):
+        from shexbench import cardml, cli, generate, matching, model, shexc, treedist
+
+        generate_stubbed(bench, out_name="gen")
+        calls = []
+        for module in (cli, cardml, generate, matching, model, shexc, treedist):
+            if "canonicalize" in vars(module):
+                original = module.canonicalize
+                monkeypatch.setattr(module, "canonicalize",
+                                    lambda *args, _original=original, **kwargs:
+                                    calls.append(args[0]) or _original(*args, **kwargs))
+        code, doc = cmd_evaluate(bench["manifest"], bench["tmp"] / "gen", "all")
+        assert code == EXIT_OK and doc["n_valid"] == 3
+        per_class = Counter(schema.focus_class for schema in calls)
+        assert set(per_class) == {Iri(uri) for uri in BENCHMARK_CLASSES}
+        assert max(per_class.values()) <= 4, per_class
+
     def test_invalid_file_flagged_and_excluded(self, bench):
         generated = self._copy_ground_truth(bench, "broken")
         (generated / "Q33506.shex").write_text("PREFIX broken")
@@ -511,6 +538,62 @@ class TestCorruptCache:
         assert not (tmp_path / "model.json").exists()
 
 
+class TestGroundTruthParsing:
+    def test_each_ground_truth_file_is_parsed_once_per_command(self, bench, tmp_path, monkeypatch):
+        from shexbench import cli
+
+        entries = load_manifest(bench["manifest"]).entries
+        ground_truth = Counter(e.ground_truth_path.read_text(encoding="utf-8") for e in entries)
+        parsed = []
+        original = cli.parse_shexc
+        monkeypatch.setattr(cli, "parse_shexc", lambda text, **kwargs: parsed.append(text) or original(text, **kwargs))
+
+        def parses(run):
+            parsed.clear()
+            assert run()[0] == EXIT_OK
+            return Counter(parsed)
+
+        factory = bench["factory"]
+        assert parses(lambda: cmd_extract(bench["manifest"], bench["cache"], "global",
+                                          transport_factory=factory)) == ground_truth
+        assert parses(lambda: generate_stubbed(bench, out_name="gen")) == ground_truth
+        assert parses(lambda: cmd_train_cardinality(bench["manifest"], bench["cache"], tmp_path / "dt.json",
+                                                    kind="dt", offline=True, transport_factory=factory)) == ground_truth
+        generated = Counter(p.read_text(encoding="utf-8") for p in (bench["tmp"] / "gen").glob("*.shex"))
+        assert sum(generated.values()) == 3
+        assert parses(lambda: cmd_evaluate(bench["manifest"], bench["tmp"] / "gen", "all")) == ground_truth + generated
+
+
+class TestCorruptCacheInGenerate:
+    """A corrupt cache file is a class ``error`` (exit 3) in generate, as in
+    extract; an offline miss still outranks it, and it outranks ``failed``."""
+
+    @pytest.mark.parametrize("also, expected_code", [
+        (None, EXIT_NETWORK),
+        ("failed", EXIT_NETWORK),
+        ("cache_miss", EXIT_CACHE_MISS),
+    ])
+    def test_truncated_label_file_is_an_error(self, bench, also, expected_code):
+        from shexbench.kginfo import cache_key, label_query
+
+        award, museum, airport = WD + "Q4220917", WD + "Q33506", WD + "Q1248784"
+        warmed = ["film award", "museum"] if also == "cache_miss" else None
+        cmd_extract(bench["manifest"], bench["cache"], "global", classes=warmed, transport_factory=bench["factory"])
+        label_file = bench["cache"] / f"{cache_key(label_query(Iri(award)), 'https://fake.example.org/sparql')}.json"
+        label_file.write_text(label_file.read_text()[:30])
+        client = benchmark_rule_client()
+        if also == "failed":
+            client.cardinality_replies[WDT + "P238"] = "junk"  # airport loses its only own predicate
+            client.node_replies[WDT + "P17"] = "junk"
+        code, report = cmd_generate(bench["manifest"], bench["tmp"] / "gen", bench["cache"], "global",
+                                    offline=True, llm_client=client, transport_factory=bench["factory"])
+        statuses = {r["class_uri"]: r["status"] for r in report["classes"]}
+        assert statuses == {award: "error", museum: "ok", airport: also or "ok"}
+        error = next(r["error"] for r in report["classes"] if r["class_uri"] == award)
+        assert str(label_file) in error
+        assert code == expected_code
+
+
 class TestArguments:
     def test_train_rejects_jobs(self, capsys):
         from shexbench.cli import build_parser
@@ -562,6 +645,24 @@ def test_non_ascii_label_under_c_locale(tmp_path):
     cached = [p.read_text(encoding="utf-8") for p in (tmp_path / "cache").glob("*.json")]
     assert any("Museum (Zürich)" in text for text in cached)
     assert (tmp_path / "replayed" / "Q33506.shex").read_bytes() == (tmp_path / "recorded" / "Q33506.shex").read_bytes()
+
+
+def test_report_to_stdout_under_c_locale(tmp_path):
+    """Reports reach standard output as UTF-8 whatever the locale says."""
+    results = tmp_path / "results.json"
+    results.write_text(json.dumps({
+        "model_id": "mod\u00e8le", "setting": "global", "mean_ged": 1.0, "mean_nged": 0.5,
+        "aggregate": {"node=exact,card=exact": {"precision": 0.5, "recall": 0.5, "f1": 0.5, "n": 1}},
+        "error_breakdown": {"correct": 1, "missing_predicate": 1},
+    }, ensure_ascii=False), encoding="utf-8")
+    here = Path(__file__).resolve().parent
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "PYTHONIOENCODING", "PYTHONUTF8"))}
+    env.update(LC_ALL="C", LANG="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=str(here.parent / "src"))
+    run = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "shexbench.cli", "report", str(results)],
+                         env=env, capture_output=True, timeout=120)
+    assert run.returncode == EXIT_OK, run.stderr.decode("utf-8", "replace")
+    assert "| modèle | global | 0.500 |" in run.stdout.decode("utf-8")
 
 
 def _pipeline_artifacts(bench) -> dict[str, str]:

@@ -4,6 +4,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shexbench.errors import EmptyDatasetError
 from shexbench.matching import (
@@ -18,15 +20,19 @@ from shexbench.matching import (
     cardinality_loosened,
     categorize_errors,
     constraint_matches,
+    evaluate_criteria,
     evaluate_pair,
     f1_score,
     macro_average,
 )
 from shexbench.model import (
+    DEFAULT_TYPING_PREDICATES,
+    RDF_TYPE,
     XSD_NS,
     Cardinality,
     DatatypeConstraint,
     Iri,
+    Literal,
     NodeKindIri,
     Schema,
     Shape,
@@ -34,6 +40,7 @@ from shexbench.model import (
     TripleConstraint,
     ValueSet,
 )
+from support import reference_evaluate_pair, superclass_of
 
 WD = "http://www.wikidata.org/entity/"
 WDT = "http://www.wikidata.org/prop/direct/"
@@ -324,3 +331,85 @@ class TestCriteriaParsing:
     def test_bad_component(self):
         with pytest.raises(ValueError):
             MatchCriteria.parse("shape=exact")
+
+
+IS_A = Iri("http://example.org/vocab#isA")
+#: Typing-predicate tuples to score under; all but the last differ from the default.
+TYPINGS = [(Iri(WDT + "P31"),), (RDF_TYPE,), (IS_A,), (Iri(WDT + "P31"), IS_A), DEFAULT_TYPING_PREDICATES]
+POOL_CLASSES = [Iri(WD + q) for q in ("Q5", "Q515", "Q6256", "Q43229")]
+POOL_PREDICATES = [Iri(WDT + p) for p in ("P17", "P50", "P131", "P571", "P856", "P1174")]
+POOL_DATATYPES = [Iri(XSD_NS + t) for t in ("decimal", "integer", "string", "dateTime")] + [
+    Iri("http://example.org/vocab#custom")
+]
+POOL_LITERALS = [Literal("x"), Literal("1", Iri(XSD_NS + "integer")), Literal("a", language="en")]
+POOL_CARDS = CARD_SPACE + [Cardinality(2, 2), Cardinality(0, 3)]
+
+
+@st.composite
+def small_schemas(draw):
+    """A start shape over a small predicate pool plus up to three referenced
+    shapes, each typed by one of three typing predicates (so labels collide
+    and some references name no class under a given typing tuple)."""
+    shapes = {}
+    for index in range(draw(st.integers(0, 3))):
+        typing = draw(st.sampled_from([Iri(WDT + "P31"), RDF_TYPE, IS_A]))
+        classes = draw(st.lists(st.sampled_from(POOL_CLASSES + [superclass_of(c) for c in POOL_CLASSES]),
+                                min_size=1, max_size=2, unique=True))
+        shapes[f"R{index}"] = Shape(f"R{index}", (TripleConstraint(typing, ValueSet(tuple(classes))),))
+    nodes = [
+        st.just(NodeKindIri()),
+        st.sampled_from(POOL_DATATYPES).map(DatatypeConstraint),
+        st.lists(st.sampled_from(POOL_CLASSES + POOL_LITERALS), min_size=1, max_size=3, unique=True)
+        .map(lambda values: ValueSet(tuple(values))),
+    ]
+    if shapes:
+        nodes.append(st.sampled_from(sorted(shapes)).map(ShapeRef))
+    node = st.one_of(nodes)
+    predicates = draw(st.lists(st.sampled_from(POOL_PREDICATES), max_size=5, unique=True))
+    constraints = [TripleConstraint(p, draw(node), draw(st.sampled_from(POOL_CARDS))) for p in predicates]
+    if draw(st.booleans()):
+        typing = draw(st.sampled_from([Iri(WDT + "P31"), RDF_TYPE, IS_A]))
+        constraints.append(TripleConstraint(typing, ValueSet((Iri(WD + "Q33506"),))))
+    shapes["S"] = Shape("S", tuple(constraints))
+    return Schema({}, "S", shapes, focus_class=draw(st.sampled_from([None, Iri(WD + "Q33506")])))
+
+
+POOL_ORACLE = StaticSubclassOracle(
+    {c: [superclass_of(c)] for c in POOL_CLASSES},
+    {Iri(WDT + "P17"): [Iri(WD + "Q6256")], Iri(WDT + "P131"): [superclass_of(Iri(WD + "Q515"))]},
+)
+
+
+def assert_one_pass_matches_reference(generated, gt, oracle, typing):
+    reports = evaluate_criteria(generated, gt, ALL_CRITERIA, oracle, typing_predicates=typing)
+    assert list(reports) == list(ALL_CRITERIA)
+    for criteria in ALL_CRITERIA:
+        expected = reference_evaluate_pair(generated, gt, criteria, oracle, typing_predicates=typing)
+        assert reports[criteria] == expected, criteria.key()
+        assert evaluate_pair(generated, gt, criteria, oracle, typing_predicates=typing) == expected
+    assert categorize_errors(generated, gt, typing_predicates=typing) == expected.error_breakdown
+
+
+class TestOnePassScoring:
+    """``evaluate_criteria`` scores every criterion on one canonicalization
+    and one pairing; each report must equal scoring that criterion alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_schemas(), small_schemas(), st.sampled_from(TYPINGS))
+    def test_equals_per_criterion_scoring(self, generated, gt, typing):
+        assert_one_pass_matches_reference(generated, gt, POOL_ORACLE, typing)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 7), st.integers(0, 2**32 - 1), st.sampled_from(TYPINGS))
+    def test_equals_per_criterion_scoring_on_mutated_fixtures(self, fixture_schemas, index, seed, typing):
+        from support import build_mutation_oracle, mutate_schema
+
+        schemas = [schema for _, schema in fixture_schemas]
+        gt = schemas[index]
+        generated = mutate_schema(gt, random.Random(seed))
+        assert_one_pass_matches_reference(generated, gt, build_mutation_oracle(schemas), typing)
+
+    def test_reports_follow_the_criteria_given(self, museum_schema):
+        subset = (ALL_CRITERIA[3], ALL_CRITERIA[0])
+        assert list(evaluate_criteria(museum_schema, museum_schema, subset, StaticSubclassOracle())) == list(subset)
+        assert evaluate_criteria(museum_schema, museum_schema, ()) == {}
