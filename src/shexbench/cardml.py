@@ -226,37 +226,97 @@ def _grow(X: np.ndarray, stats: Sequence[np.ndarray], max_depth: int, min_leaf: 
     }
 
 
-def _check_tree(root, value_key: str) -> None:
-    """Raise ValueError unless root is a tree over the cardinality features
-    whose leaves carry a numeric value_key, as a loaded model needs."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if not isinstance(node, dict) or not isinstance(node.get("leaf"), bool):
-            raise ValueError(f"malformed model tree: node without a boolean 'leaf': {node!r:.80}")
-        if node["leaf"]:
-            if not _is_number(node.get(value_key)):
-                raise ValueError(f"malformed model tree: leaf without a numeric {value_key!r}")
-            continue
-        feature = node.get("feature")
-        if type(feature) is not int or not 0 <= feature < len(FEATURE_NAMES):
-            raise ValueError(f"malformed model tree: split on feature {feature!r}")
-        if not _is_number(node.get("threshold")) or "left" not in node or "right" not in node:
-            raise ValueError("malformed model tree: split without 'threshold', 'left' and 'right'")
-        stack += [node["left"], node["right"]]
-
+# -- flat trees -------------------------------------------------------------------
+# A fitted or loaded tree is flattened once into parallel node arrays, the
+# layout of scikit-learn's Tree (Pedregosa et al., JMLR 2011) and of the
+# XGBoost and LightGBM predictors; the dict form is kept only for JSON.
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _leaf(node: dict | None, x: Sequence[float]) -> dict:
-    """The leaf that row x falls into."""
-    if node is None:
-        raise RuntimeError("model is not fitted")
-    while not node["leaf"]:
-        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
-    return node
+# What each leaf value key must hold, as (description, test).
+_LEAF_VALUES = {
+    "prediction": ("0 or 1", lambda value: type(value) is int and value in (0, 1)),
+    "value": ("numeric", _is_number),
+}
+
+
+@dataclass(frozen=True)
+class _Forest:
+    """Trees as parallel arrays over their concatenated nodes.
+
+    roots[t] is tree t's root node.  A leaf is its own left and right child,
+    so walking depth levels (the deepest leaf's) from the roots lands every
+    row on its leaf in every tree.
+    """
+
+    roots: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    depth: int
+
+
+def _flatten(roots: Sequence, value_key: str) -> _Forest:
+    """Flatten dict trees, validating each node on the way: ValueError unless
+    every tree splits on the cardinality features and every leaf's value_key
+    holds what _LEAF_VALUES asks for, as a loaded model needs."""
+    value_kind, is_value = _LEAF_VALUES[value_key]
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    value: list[float] = []
+    # Breadth first over all trees at once: node i of the list, which grows
+    # while it is walked, is node i of the arrays, and the roots come first.
+    nodes = [(root, 0) for root in roots]
+    for node_id, (node, level) in enumerate(nodes):
+        if not isinstance(node, dict) or not isinstance(node.get("leaf"), bool):
+            raise ValueError(f"malformed model tree: node without a boolean 'leaf': {node!r:.80}")
+        if node["leaf"]:
+            if not is_value(node.get(value_key)):
+                raise ValueError(f"malformed model tree: leaf without a {value_kind} {value_key!r}")
+            feature.append(0)
+            threshold.append(0.0)
+            left.append(node_id)
+            right.append(node_id)
+            value.append(node[value_key])
+            continue
+        split_on = node.get("feature")
+        if type(split_on) is not int or not 0 <= split_on < len(FEATURE_NAMES):
+            raise ValueError(f"malformed model tree: split on feature {split_on!r}")
+        if not _is_number(node.get("threshold")) or "left" not in node or "right" not in node:
+            raise ValueError("malformed model tree: split without 'threshold', 'left' and 'right'")
+        feature.append(split_on)
+        threshold.append(node["threshold"])
+        left.append(len(nodes))
+        right.append(len(nodes) + 1)
+        value.append(0.0)
+        nodes += [(node["left"], level + 1), (node["right"], level + 1)]
+    return _Forest(
+        roots=np.arange(len(roots), dtype=np.intp),
+        feature=np.array(feature, dtype=np.intp),
+        threshold=np.array(threshold, dtype=float),
+        left=np.array(left, dtype=np.intp),
+        right=np.array(right, dtype=np.intp),
+        value=np.array(value, dtype=float),
+        depth=max(level for _, level in nodes) if nodes else 0,
+    )
+
+
+def _apply(forest: _Forest, X: np.ndarray) -> np.ndarray:
+    """(n, trees) matrix of the leaf value that each row of the (n, d) matrix
+    X reaches in each tree.  All rows walk all trees at once, level by level;
+    a row exactly on a threshold goes left."""
+    rows = np.arange(len(X))[:, None]
+    nodes = np.broadcast_to(forest.roots, (len(X), len(forest.roots)))
+    for _ in range(forest.depth):
+        go_left = X[rows, forest.feature[nodes]] <= forest.threshold[nodes]
+        nodes = np.where(go_left, forest.left[nodes], forest.right[nodes])
+    return forest.value[nodes]
 
 
 # -- decision tree ------------------------------------------------------------
@@ -279,27 +339,32 @@ class DecisionTreeClassifier:
         self.max_depth = max_depth
         self.min_leaf = min_leaf
         self.root: dict | None = None
+        self._forest: _Forest | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeClassifier":
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=int)
         self.root = _grow(X, (y,), self.max_depth, self.min_leaf, _class_leaf, _gini_gain)
+        self._forest = _flatten([self.root], "prediction")
         return self
 
     def predict_one(self, x: Sequence[float]) -> int:
-        return _leaf(self.root, x)["prediction"]
+        return int(self.predict(np.asarray([x], dtype=float))[0])
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.array([self.predict_one(row) for row in np.asarray(X, dtype=float)])
+        if self._forest is None:
+            raise RuntimeError("model is not fitted")
+        return _apply(self._forest, np.asarray(X, dtype=float))[:, 0].astype(int)
 
     def to_dict(self) -> dict:
         return {"kind": "dt", "max_depth": self.max_depth, "min_leaf": self.min_leaf, "root": self.root}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DecisionTreeClassifier":
-        _check_tree(doc["root"], "prediction")
+        forest = _flatten([doc["root"]], "prediction")
         model = cls(max_depth=doc["max_depth"], min_leaf=doc["min_leaf"])
         model.root = doc["root"]
+        model._forest = forest
         return model
 
 
@@ -318,10 +383,6 @@ def _newton_leaf(g: np.ndarray, h: np.ndarray) -> dict:
     return {"leaf": True, "value": float(g.sum() / (h.sum() + 1e-9)), "samples": len(g)}
 
 
-def _tree_values(root: dict, X: np.ndarray) -> np.ndarray:
-    return np.array([_leaf(root, row)["value"] for row in X])
-
-
 class GradientBoostingClassifier:
     """Additive depth-limited regression trees on logistic loss."""
 
@@ -333,6 +394,7 @@ class GradientBoostingClassifier:
         self.base_score: float | None = None  # set by fit
         self.trees: list[dict] = []
         self.train_losses: list[float] = []
+        self._forest: _Forest | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostingClassifier":
         X = np.asarray(X, dtype=float)
@@ -347,18 +409,21 @@ class GradientBoostingClassifier:
             gradients = y - probabilities
             hessians = probabilities * (1 - probabilities)
             tree = _grow(X, (gradients, hessians), self.max_depth, self.min_leaf, _newton_leaf, _newton_gain)
-            scores = scores + self.learning_rate * _tree_values(tree, X)
+            scores = scores + self.learning_rate * _apply(_flatten([tree], "value"), X)[:, 0]
             self.trees.append(tree)
             self.train_losses.append(_log_loss(y, _sigmoid(scores)))
+        self._forest = _flatten(self.trees, "value")
         return self
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
-        if self.base_score is None:
+        if self._forest is None:
             raise RuntimeError("model is not fitted")
-        X = np.asarray(X, dtype=float)
-        scores = np.full(len(X), self.base_score)
-        for tree in self.trees:
-            scores = scores + self.learning_rate * _tree_values(tree, X)
+        steps = self.learning_rate * _apply(self._forest, np.asarray(X, dtype=float))
+        scores = np.full(len(steps), self.base_score)
+        # One tree at a time in tree order, as fit adds them, so that every
+        # score is bit-identical to the one fit reached.
+        for step in steps.T:
+            scores = scores + step
         return scores
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -388,8 +453,7 @@ class GradientBoostingClassifier:
         )
         if not _is_number(doc["base_score"]) or not isinstance(doc["trees"], list):
             raise ValueError("malformed model document: 'base_score' must be a number and 'trees' a list")
-        for tree in doc["trees"]:
-            _check_tree(tree, "value")
+        model._forest = _flatten(doc["trees"], "value")
         model.base_score = doc["base_score"]
         model.trees = list(doc["trees"])
         return model
@@ -436,11 +500,12 @@ class CardinalityModel:
 
     @classmethod
     def from_json(cls, text: str) -> "CardinalityModel":
-        """Raises ValueError for malformed JSON, an unknown kind, a missing key or a malformed tree."""
+        """Raises ValueError for malformed JSON, an unknown kind, a missing key,
+        a malformed tree or feature names other than FEATURE_NAMES."""
         doc = json.loads(text)
         try:
             model_class, _ = _model_kind(doc["kind"])
-            return cls(
+            model = cls(
                 kind=doc["kind"],
                 min_model=model_class.from_dict(doc["min_model"]),
                 max_model=model_class.from_dict(doc["max_model"]),
@@ -450,6 +515,14 @@ class CardinalityModel:
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed model document ({type(exc).__name__}: {exc})") from exc
+        if model.feature_names != FEATURE_NAMES:
+            # The trees split on feature positions, so other names would
+            # mispredict every row.
+            raise ValueError(
+                f"malformed model document: 'feature_names' {list(model.feature_names)!r:.120} "
+                f"are not this version's {len(FEATURE_NAMES)} features in order"
+            )
+        return model
 
     @classmethod
     def load(cls, path: Path | str) -> "CardinalityModel":
@@ -471,9 +544,7 @@ def train(
     if not data:
         raise EmptyDatasetError("no training rows")
     merged = {**defaults, **(params or {})}
-    X = np.array([features.to_array() for features, _ in data], dtype=float)
-    y_min = np.array([label.min_class for _, label in data], dtype=int)
-    y_max = np.array([int(label.max_class is MaxBound.ONE) for _, label in data], dtype=int)
+    X, y_min, y_max = _design_matrix(data)
 
     models = []
     for name, y in (("min", y_min), ("max", y_max)):
@@ -481,6 +552,16 @@ def train(
             warnings.warn(f"{name} target is single-class; training a constant predictor", stacklevel=2)
         models.append(model_class(**merged).fit(X, y))
     return CardinalityModel(kind=model_kind, min_model=models[0], max_model=models[1], seed=seed, params=merged)
+
+
+def _design_matrix(
+    data: Sequence[tuple[FeatureVector, CardinalityLabel]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Feature matrix and the min and max targets (1 for max one) of data's rows."""
+    X = np.array([features.to_array() for features, _ in data], dtype=float)
+    y_min = np.array([label.min_class for _, label in data], dtype=int)
+    y_max = np.array([int(label.max_class is MaxBound.ONE) for _, label in data], dtype=int)
+    return X, y_min, y_max
 
 
 def predict_cardinality(model: CardinalityModel, features: FeatureVector) -> Cardinality:
@@ -498,16 +579,11 @@ def evaluate_cardinality_accuracy(
     """Per-target accuracies plus the both-correct rate (never above either)."""
     if not data:
         raise EmptyDatasetError("no evaluation rows")
-    min_hits = max_hits = combined_hits = 0
-    for features, label in data:
-        row = features.to_array()
-        min_ok = model.min_model.predict_one(row) == label.min_class
-        max_ok = model.max_model.predict_one(row) == int(label.max_class is MaxBound.ONE)
-        min_hits += min_ok
-        max_hits += max_ok
-        combined_hits += min_ok and max_ok
+    X, y_min, y_max = _design_matrix(data)
+    min_ok = model.min_model.predict(X) == y_min
+    max_ok = model.max_model.predict(X) == y_max
     n = len(data)
-    return min_hits / n, max_hits / n, combined_hits / n
+    return int(min_ok.sum()) / n, int(max_ok.sum()) / n, int((min_ok & max_ok).sum()) / n
 
 
 def write_feature_csv(

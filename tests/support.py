@@ -760,6 +760,40 @@ def reference_newton_split(X, g, h, min_leaf: int):
     return best[1], best[2]
 
 
+def reference_leaf(node: dict, x) -> dict:
+    """The leaf of a dict tree that row x falls into; a row on a threshold
+    goes left.
+
+    This is the node-by-node walk both cardinality models used before the
+    flat-array ``cardml._apply``; it is kept as the oracle for that fast path.
+    """
+    while not node["leaf"]:
+        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
+    return node
+
+
+def reference_decision_function(model, X) -> np.ndarray:
+    """A boosted model's scores from its dict trees: the base score plus each
+    tree's scaled leaf value, added in tree order in Python floats."""
+    scores = []
+    for row in X:
+        score = model.base_score
+        for tree in model.trees:
+            score = score + model.learning_rate * reference_leaf(tree, row)["value"]
+        scores.append(score)
+    return np.array(scores, dtype=float)
+
+
+def reference_predict(model, X) -> np.ndarray:
+    """Class predictions of a fitted decision tree or boosted model, walked
+    row by row through its dict trees."""
+    from shexbench.cardml import DecisionTreeClassifier, _sigmoid
+
+    if isinstance(model, DecisionTreeClassifier):
+        return np.array([reference_leaf(model.root, row)["prediction"] for row in X], dtype=int)
+    return (_sigmoid(reference_decision_function(model, X)) >= 0.5).astype(int)
+
+
 def reference_evaluate_pair(gen, gt, criteria, oracle=None, *, typing_predicates):
     """Scores of one criterion, canonicalizing and pairing both schemas anew.
 

@@ -32,8 +32,10 @@ from support import (
     WDT,
     award_endpoint_config,
     build_award_endpoint,
+    reference_decision_function,
     reference_gini_split,
     reference_newton_split,
+    reference_predict,
     synthetic_cardinality_rows,
 )
 
@@ -203,6 +205,61 @@ class TestSplitSearch:
             assert cardml._best_split(X, (y,), 1, cardml._gini_gain) is None
 
 
+@st.composite
+def fitted_tie_heavy_models(draw):
+    """A decision tree or boosted model fitted on a tie-heavy node's matrix
+    and labels, with that matrix."""
+    X, y, _, _, min_leaf = draw(tie_heavy_nodes())
+    max_depth = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        return DecisionTreeClassifier(max_depth=max_depth, min_leaf=min_leaf).fit(X, y), X
+    n_rounds = draw(st.integers(1, 12))
+    return GradientBoostingClassifier(n_rounds=n_rounds, max_depth=max_depth, min_leaf=min_leaf).fit(X, y), X
+
+
+def _on_threshold_rows(model, X: np.ndarray) -> np.ndarray:
+    """Copies of X's first row with one split's feature set exactly to that
+    split's threshold, one per split node of the model."""
+    stack = [model.root] if isinstance(model, DecisionTreeClassifier) else list(model.trees)
+    rows = []
+    while stack:
+        node = stack.pop()
+        if not node["leaf"]:
+            row = X[0].copy()
+            row[node["feature"]] = node["threshold"]
+            rows.append(row)
+            stack += [node["left"], node["right"]]
+    return np.array(rows).reshape(-1, X.shape[1])
+
+
+class TestFlatApply:
+    @settings(max_examples=120, deadline=None)
+    @given(fitted_tie_heavy_models())
+    def test_matches_dict_tree_walk_bit_for_bit(self, fitted):
+        model, X = fitted
+        queries = np.vstack([X, _on_threshold_rows(model, X)])
+        boosted = isinstance(model, GradientBoostingClassifier)
+        # A document's max_depth says nothing about its trees: a loaded tree is
+        # walked to its own depth.
+        loaded = type(model).from_dict({**model.to_dict(), "max_depth": 0})
+        for candidate in (model, loaded):
+            expected = reference_predict(candidate, queries)
+            assert np.array_equal(candidate.predict(queries), expected)
+            assert [candidate.predict_one(row) for row in queries] == expected.tolist()
+            assert candidate.predict(queries[:0]).shape == (0,)
+            if boosted:
+                scores = candidate.decision_function(queries)
+                assert scores.dtype == float
+                assert scores.tobytes() == reference_decision_function(candidate, queries).tobytes()
+                assert candidate.decision_function(queries[:0]).shape == (0,)
+        unfitted = type(model)()
+        with pytest.raises(RuntimeError, match="not fitted"):
+            unfitted.predict(queries)
+        if boosted:
+            with pytest.raises(RuntimeError, match="not fitted"):
+                unfitted.decision_function(queries)
+
+
 class TestTreeInternals:
     def test_unfitted_prediction_raises(self):
         for model_class in (DecisionTreeClassifier, GradientBoostingClassifier):
@@ -248,8 +305,11 @@ class TestTreeInternals:
             lambda doc: {key: value for key, value in doc.items() if key != "seed"},
             lambda doc: {**doc, "min_model": {"kind": "gb"}},
             lambda doc: [doc],
+            lambda doc: {**doc, "feature_names": doc["feature_names"][::-1]},
+            lambda doc: {**doc, "feature_names": doc["feature_names"][:-1]},
         ],
-        ids=["unknown-kind", "unhashable-kind", "missing-key", "missing-nested-key", "not-an-object"],
+        ids=["unknown-kind", "unhashable-kind", "missing-key", "missing-nested-key", "not-an-object",
+             "reversed-feature-names", "missing-feature-name"],
     )
     def test_malformed_document_is_a_value_error(self, mangle, synthetic_split):
         doc = json.loads(train("dt", synthetic_split[0], seed=42).to_json())
@@ -265,13 +325,17 @@ class TestTreeInternals:
             ("dt", lambda model: model["root"].update(feature=len(FEATURE_NAMES))),
             ("dt", lambda model: model["root"].update(threshold="0.5")),
             ("dt", lambda model: _first_leaf(model["root"]).pop("prediction")),
+            ("dt", lambda model: _first_leaf(model["root"]).update(prediction=0.7)),
+            ("dt", lambda model: _first_leaf(model["root"]).update(prediction=True)),
+            ("dt", lambda model: _first_leaf(model["root"]).update(prediction=2)),
             ("gb", lambda model: model["trees"].append({"samples": 3})),
             ("gb", lambda model: _first_leaf(model["trees"][-1]).update(value=None)),
             ("gb", lambda model: model["trees"][0].update(leaf="no")),
             ("gb", lambda model: model.update(base_score=None)),
         ],
         ids=["dt-node-without-leaf", "dt-null-root", "dt-split-without-right", "dt-feature-out-of-range",
-             "dt-string-threshold", "dt-leaf-without-prediction", "gb-node-without-leaf",
+             "dt-string-threshold", "dt-leaf-without-prediction", "dt-fractional-prediction",
+             "dt-boolean-prediction", "dt-prediction-above-one", "gb-node-without-leaf",
              "gb-leaf-without-value", "gb-non-boolean-leaf", "gb-null-base-score"],
     )
     def test_malformed_tree_is_a_value_error(self, kind, mangle, synthetic_split):

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from shexbench.cardml import FEATURE_NAMES
 from shexbench.cli import (
     EXIT_NETWORK,
     EXIT_CACHE_MISS,
@@ -487,8 +488,12 @@ class TestHybridWiring:
         ['{"kind": "rf"}', '{"kind": "gb", "seed": 1}', '{"kind": "gb", "min_model"', None,
          json.dumps({"kind": "dt", "seed": 0, "params": {}, "feature_names": [],
                      "min_model": {"max_depth": 1, "min_leaf": 1, "root": {"samples": 3}},
+                     "max_model": {"max_depth": 1, "min_leaf": 1, "root": {"leaf": True, "prediction": 1}}}),
+         json.dumps({"kind": "dt", "seed": 0, "params": {}, "feature_names": list(FEATURE_NAMES)[::-1],
+                     "min_model": {"max_depth": 1, "min_leaf": 1, "root": {"leaf": True, "prediction": 0}},
                      "max_model": {"max_depth": 1, "min_leaf": 1, "root": {"leaf": True, "prediction": 1}}})],
-        ids=["unknown-kind", "missing-key", "truncated", "missing-file", "node-without-leaf"],
+        ids=["unknown-kind", "missing-key", "truncated", "missing-file", "node-without-leaf",
+             "reversed-feature-names"],
     )
     def test_unloadable_model_file_is_a_config_error(self, bench, tmp_path, content):
         model_file = tmp_path / "model.json"
