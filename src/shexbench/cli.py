@@ -169,6 +169,22 @@ def entry_endpoint_config(entry: ManifestEntry, cache_dir: Path | str, offline: 
     )
 
 
+def _kg_client(entry: ManifestEntry, cache_dir: Path | str, offline: bool,
+               transport_factory: TransportFactory | None) -> KgClient:
+    """The class's KG client, over ``transport_factory``'s transport when one is given."""
+    cfg = entry_endpoint_config(entry, cache_dir, offline)
+    return KgClient(cfg, transport=transport_factory(cfg) if transport_factory else None)
+
+
+def _exit_code(results: Sequence[dict]) -> int:
+    """A command's exit code from its per-class statuses, the gravest first."""
+    statuses = {r["status"] for r in results}
+    for status, code in (("cache_miss", EXIT_CACHE_MISS), ("error", EXIT_NETWORK), ("failed", EXIT_PARTIAL)):
+        if status in statuses:
+            return code
+    return EXIT_OK
+
+
 @dataclass
 class ResultRecord:
     """One evaluated (class, pipeline) run; serializable."""
@@ -251,9 +267,7 @@ def cmd_extract(
     entries = manifest.select(classes)
 
     def worker(entry: ManifestEntry) -> dict:
-        cfg = entry_endpoint_config(entry, cache_dir, offline)
-        transport = transport_factory(cfg) if transport_factory else None
-        client = KgClient(cfg, transport=transport)
+        client = _kg_client(entry, cache_dir, offline, transport_factory)
         started = time.perf_counter()
         try:
             counts = _warm_entry(client, entry, prompt_setting, samples, max_candidates)
@@ -268,12 +282,7 @@ def cmd_extract(
     results = _run_per_entry(entries, worker, jobs)
     report = {"dataset": manifest.dataset_name, "setting": setting, "cache_dir": str(cache_dir),
               "classes": results}
-    statuses = {r["status"] for r in results}
-    if "cache_miss" in statuses:
-        return EXIT_CACHE_MISS, report
-    if "error" in statuses:
-        return EXIT_NETWORK, report
-    return EXIT_OK, report
+    return _exit_code(results), report
 
 
 # -- generate -----------------------------------------------------------------
@@ -294,24 +303,6 @@ def _fewshot_for(entry: ManifestEntry, setting: PromptSetting, fewshot_dir) -> t
         return ()
     path = Path(fewshot_dir) / f"{entry.kg_kind.value}_{setting.value}.json"
     return load_fewshot(path) if path.exists() else ()
-
-
-class _CollectingClient:
-    """Attributes one class's LLM exchanges so they land in its sidecar file."""
-
-    def __init__(self, inner: LlmClient):
-        self.inner = inner
-        self.exchanges: list[dict] = []
-
-    def send(self, messages):
-        reply = self.inner.send(messages)
-        self.exchanges.append({"messages": list(messages), "reply": reply})
-        return reply
-
-    def write_sidecar(self, path: Path, class_uri: str) -> None:
-        _atomic_write(path, json.dumps(
-            {"class_uri": class_uri, "exchanges": self.exchanges}, indent=2, ensure_ascii=False
-        ) + "\n")
 
 
 def cmd_generate(
@@ -342,7 +333,6 @@ def cmd_generate(
     out.mkdir(parents=True, exist_ok=True)
 
     base_client = llm_client or _build_llm_client(stub_dir, provider_url, model, api_key_env)
-    client_for_run: LlmClient = TranscriptRecorder(base_client, out / "transcripts")
 
     if cardinality == "llm":
         cardinality_source = None
@@ -358,11 +348,9 @@ def cmd_generate(
         raise ManifestError(f"unknown cardinality source {cardinality!r}")
 
     def worker(entry: ManifestEntry) -> dict:
-        cfg = entry_endpoint_config(entry, cache_dir, offline)
-        transport = transport_factory(cfg) if transport_factory else None
-        kg = KgClient(cfg, transport=transport)
+        kg = _kg_client(entry, cache_dir, offline, transport_factory)
         fewshot = _fewshot_for(entry, prompt_setting, fewshot_dir)
-        client = _CollectingClient(client_for_run)
+        client = TranscriptRecorder(base_client, out / "transcripts")
         started = time.perf_counter()
         try:
             if prompt_setting is PromptSetting.GLOBAL:
@@ -399,14 +387,7 @@ def cmd_generate(
     report = {"dataset": manifest.dataset_name, "setting": setting, "out_dir": str(out),
               "model_id": model or ("stub" if stub_dir or llm_client else "unknown"),
               "cardinality": cardinality, "classes": results}
-    statuses = {r["status"] for r in results}
-    if "cache_miss" in statuses:
-        return EXIT_CACHE_MISS, report
-    if "error" in statuses:
-        return EXIT_NETWORK, report
-    if "failed" in statuses:
-        return EXIT_PARTIAL, report
-    return EXIT_OK, report
+    return _exit_code(results), report
 
 
 # -- evaluate -----------------------------------------------------------------
@@ -464,9 +445,7 @@ def cmd_evaluate(
         if static_oracle is not None:
             return static_oracle
         if cache_dir is not None:
-            cfg = entry_endpoint_config(entry, cache_dir, offline=False)
-            transport = transport_factory(cfg) if transport_factory else None
-            return KgSubclassOracle(KgClient(cfg, transport=transport))
+            return KgSubclassOracle(_kg_client(entry, cache_dir, False, transport_factory))
         return StaticSubclassOracle()
 
     def worker(entry: ManifestEntry) -> ResultRecord:
@@ -668,9 +647,7 @@ def cmd_train_cardinality(
     row_classes: list[str] = []
     row_predicates: list[str] = []
     for entry in entries:
-        cfg = entry_endpoint_config(entry, cache_dir, offline)
-        transport = transport_factory(cfg) if transport_factory else None
-        client = KgClient(cfg, transport=transport)
+        client = _kg_client(entry, cache_dir, offline, transport_factory)
         for constraint in canonicalize(entry.ground_truth).start_shape.constraints:
             try:
                 record = client.build_global_record(entry.class_uri, constraint.predicate)

@@ -156,17 +156,29 @@ class ScriptedLlmClient:
 
 @dataclass
 class TranscriptRecorder:
-    """Wraps a client, persisting every exchange in stub-replayable form."""
+    """Wraps a client, persisting every exchange in stub-replayable form.
+
+    Each exchange is written to ``directory`` under its prompt hash as it
+    happens, and kept in ``exchanges`` for :meth:`write_sidecar`.
+    """
 
     inner: LlmClient
     directory: Path
+    exchanges: list[dict] = field(default_factory=list, init=False)
 
     def send(self, messages: Sequence[Message]) -> str:
         reply = self.inner.send(messages)
         path = Path(self.directory) / f"{prompt_hash(messages)}.json"
         payload = {"messages": list(messages), "reply": reply}
         atomic_write_text(path, json.dumps(payload, indent=2, ensure_ascii=False))
+        self.exchanges.append(payload)
         return reply
+
+    def write_sidecar(self, path: Path, class_uri: str) -> None:
+        """Write every exchange so far to ``path``, attributed to ``class_uri``."""
+        atomic_write_text(path, json.dumps(
+            {"class_uri": class_uri, "exchanges": self.exchanges}, indent=2, ensure_ascii=False
+        ) + "\n")
 
     @property
     def stub_dir(self) -> Path:
@@ -289,20 +301,19 @@ def _step_messages(prompt: ChatPrompt, instruction: str) -> list[Message]:
     return amended.to_messages()
 
 
-def _structured_request(
-    model_cls,
-    messages: list[Message],
-    client: LlmClient,
-    max_retries: int,
-):
+#: Re-requests after an invalid structured reply before the step gives up.
+_STRUCTURED_RETRIES = 2
+
+
+def _structured_request(model_cls, messages: list[Message], client: LlmClient):
     transcript = list(messages)
-    for attempt in range(max_retries + 1):
+    for attempt in range(_STRUCTURED_RETRIES + 1):
         reply = client.send(transcript)
         transcript.append({"role": "assistant", "content": reply})
         try:
             return model_cls.model_validate_json(extract_json_object(reply)), transcript
         except (ValueError, ValidationError) as exc:
-            if attempt == max_retries:
+            if attempt == _STRUCTURED_RETRIES:
                 raise StructuredOutputFailedError(
                     f"reply failed validation after {attempt + 1} attempt(s): {exc}", transcript
                 ) from exc
@@ -317,10 +328,9 @@ def predict_cardinality_structured(
     record: GlobalPredicateRecord,
     client: LlmClient,
     fewshot: tuple[tuple[str, str], ...] = (),
-    max_retries: int = 2,
 ) -> StructuredCardinality:
     messages = _step_messages(build_global_prompt(record, fewshot), CARDINALITY_INSTRUCTION)
-    result, _ = _structured_request(StructuredCardinality, messages, client, max_retries)
+    result, _ = _structured_request(StructuredCardinality, messages, client)
     return result
 
 
@@ -328,10 +338,9 @@ def predict_node_constraint_structured(
     record: GlobalPredicateRecord,
     client: LlmClient,
     fewshot: tuple[tuple[str, str], ...] = (),
-    max_retries: int = 2,
 ) -> StructuredNodeConstraint:
     messages = _step_messages(build_global_prompt(record, fewshot), NODE_CONSTRAINT_INSTRUCTION)
-    result, _ = _structured_request(StructuredNodeConstraint, messages, client, max_retries)
+    result, _ = _structured_request(StructuredNodeConstraint, messages, client)
     return result
 
 
@@ -459,10 +468,9 @@ class CardinalitySource(Protocol):
 class LlmCardinalitySource:
     client: LlmClient
     fewshot: tuple[tuple[str, str], ...] = ()
-    max_retries: int = 2
 
     def predict(self, record: GlobalPredicateRecord) -> StructuredCardinality:
-        return predict_cardinality_structured(record, self.client, self.fewshot, self.max_retries)
+        return predict_cardinality_structured(record, self.client, self.fewshot)
 
 
 @dataclass
@@ -486,7 +494,6 @@ def generate_global(
     *,
     fewshot: tuple[tuple[str, str], ...] = (),
     max_candidates: int | None = None,
-    max_retries: int = 2,
 ) -> Schema:
     """Two-step structured generation over the class's candidate predicates.
 
@@ -495,7 +502,7 @@ def generate_global(
     on individual predicates are logged and skipped rather than aborting the
     class.
     """
-    source = cardinality_source or LlmCardinalitySource(client, fewshot, max_retries)
+    source = cardinality_source or LlmCardinalitySource(client, fewshot)
     frequencies = kg.predicate_frequencies(class_iri)
     candidates = [p for p in frequencies if p != kg.cfg.typing_predicate]
     if max_candidates is not None:
@@ -508,7 +515,7 @@ def generate_global(
             cardinality = source.predict(record)
             if not cardinality.include:
                 continue
-            node = predict_node_constraint_structured(record, client, fewshot, max_retries)
+            node = predict_node_constraint_structured(record, client, fewshot)
             parts.append((predicate, cardinality, node))
         except (StructuredOutputFailedError, EndpointError, CacheMissError, IncompleteRecordError) as exc:
             log.warning("skipping predicate %s for %s: %s", predicate, class_iri, exc)

@@ -77,15 +77,8 @@ class EndpointConfig:
     typing_predicate: Iri
     cache_dir: Path
     request_timeout: float = 60.0
-    max_in_flight: int = 2
     retry_backoff_ms: tuple[int, ...] = (500, 1000, 2000)
     offline: bool = False
-    subclass_max_depth: int = 10
-    sample_pool_limit: int = 10000
-
-    def __post_init__(self) -> None:
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
 
     @property
     def subclass_predicate(self) -> Iri:
@@ -274,23 +267,23 @@ def object_classes_query(class_iri: Iri, predicate: Iri, typing_predicate: Iri) 
     )
 
 
-def label_query(term: Iri, language: str = "en") -> str:
+def label_query(term: Iri) -> str:
     return (
         "SELECT ?label\n"
         "WHERE {\n"
         f"  <{term}> <{RDFS_NS}label> ?label .\n"
-        f"  FILTER (LANG(?label) = \"{language}\" || LANG(?label) = \"\")\n"
+        "  FILTER (LANG(?label) = \"en\" || LANG(?label) = \"\")\n"
         "}\n"
         "LIMIT 1"
     )
 
 
-def description_query(term: Iri, description_predicate: Iri, language: str = "en") -> str:
+def description_query(term: Iri, description_predicate: Iri) -> str:
     return (
         "SELECT ?description\n"
         "WHERE {\n"
         f"  <{term}> <{description_predicate}> ?description .\n"
-        f"  FILTER (LANG(?description) = \"{language}\" || LANG(?description) = \"\")\n"
+        "  FILTER (LANG(?description) = \"en\" || LANG(?description) = \"\")\n"
         "}\n"
         "LIMIT 1"
     )
@@ -389,19 +382,27 @@ class _RetryableEndpointError(EndpointError):
     """Transient failure (429/5xx); eligible for backoff retries."""
 
 
+#: Requests one client runs at once; a politeness bound on public endpoints.
+_MAX_IN_FLIGHT = 2
+#: Instances fetched before :meth:`KgClient.sample_instances` ranks them.
+_SAMPLE_POOL_LIMIT = 10000
+#: Longest subclass chain :meth:`KgClient.is_subclass_of` follows.
+_SUBCLASS_MAX_DEPTH = 10
+
+
 class KgClient:
     """Cached SPARQL client plus the extraction operations built on it.
 
     ``transport`` may be replaced by a stub callable ``query -> results doc``
-    for tests and recorded fixtures.  Thread-safe: at most ``max_in_flight``
-    requests run concurrently and identical cache misses are single-flight.
+    for tests and recorded fixtures.  Thread-safe: at most two requests run
+    concurrently and identical cache misses are single-flight.
     """
 
     def __init__(self, cfg: EndpointConfig, transport: Callable[[str], dict] | None = None):
         self.cfg = cfg
         self.keys_touched: set[str] = set()
         self._transport = transport or http_transport(cfg)
-        self._gate = threading.BoundedSemaphore(cfg.max_in_flight)
+        self._gate = threading.BoundedSemaphore(_MAX_IN_FLIGHT)
         self._key_locks: dict[str, threading.Lock] = {}
         self._key_locks_guard = threading.Lock()
         # Parsed results documents by cache key, and decoded frequency tables
@@ -548,12 +549,12 @@ class KgClient:
         if n < 1:
             raise ValueError("sample size must be >= 1")
         if self.cfg.kg_kind is KgKind.WIKIDATA:
-            rows = self._rows(instances_query(class_iri, self.cfg.typing_predicate, self.cfg.sample_pool_limit))
+            rows = self._rows(instances_query(class_iri, self.cfg.typing_predicate, _SAMPLE_POOL_LIMIT))
             instances = [term_from_binding(r["instance"]) for r in rows]
             instances = [i for i in instances if isinstance(i, Iri)]
             instances.sort(key=_wikidata_id_sort_key)
             return instances[:n]
-        rows = self._rows(instance_richness_query(class_iri, self.cfg.typing_predicate, self.cfg.sample_pool_limit))
+        rows = self._rows(instance_richness_query(class_iri, self.cfg.typing_predicate, _SAMPLE_POOL_LIMIT))
         ranked = []
         for row in rows:
             instance = term_from_binding(row["instance"])
@@ -562,10 +563,10 @@ class KgClient:
         ranked.sort()
         return [instance for _, instance in ranked[:n]]
 
-    def instance_triples(self, instance: Iri, with_labels: bool = True) -> list[Triple]:
-        """One-hop triples of an instance, optionally with English labels."""
+    def instance_triples(self, instance: Iri) -> list[Triple]:
+        """One-hop triples of an instance, with English labels."""
         rows = self._rows(instance_triples_query(instance))
-        subject_label = self.label_of(instance) if with_labels else None
+        subject_label = self.label_of(instance)
         triples = []
         for row in rows:
             predicate = term_from_binding(row["predicate"])
@@ -578,15 +579,15 @@ class KgClient:
                     predicate,
                     obj,
                     subject_label=subject_label,
-                    predicate_label=self.label_of(self._labeled_form(predicate)) if with_labels else None,
-                    object_label=self.label_of(obj) if with_labels and isinstance(obj, Iri) else None,
+                    predicate_label=self.label_of(self._labeled_form(predicate)),
+                    object_label=self.label_of(obj) if isinstance(obj, Iri) else None,
                 )
             )
         return triples
 
-    def triple_examples(self, class_iri: Iri, predicate: Iri, limit: int = 5, with_labels: bool = True) -> list[Triple]:
+    def triple_examples(self, class_iri: Iri, predicate: Iri, limit: int = 5) -> list[Triple]:
         rows = self._rows(triple_examples_query(class_iri, predicate, self.cfg.typing_predicate, limit))
-        predicate_label = self.label_of(self._labeled_form(predicate)) if with_labels else None
+        predicate_label = self.label_of(self._labeled_form(predicate))
         triples = []
         for row in rows:
             subject = term_from_binding(row["subject"])
@@ -598,9 +599,9 @@ class KgClient:
                     subject,
                     predicate,
                     obj,
-                    subject_label=self.label_of(subject) if with_labels else None,
+                    subject_label=self.label_of(subject),
                     predicate_label=predicate_label,
-                    object_label=self.label_of(obj) if with_labels and isinstance(obj, Iri) else None,
+                    object_label=self.label_of(obj) if isinstance(obj, Iri) else None,
                 )
             )
         return triples[:limit]
@@ -628,10 +629,11 @@ class KgClient:
         return tuple(sorted(c for c in classes if isinstance(c, Iri)))
 
     def is_subclass_of(self, c: Iri, c_prime: Iri) -> bool:
-        """Reflexive-transitive subclass test, bounded to the configured depth."""
+        """Reflexive-transitive subclass test, bounded to
+        :data:`_SUBCLASS_MAX_DEPTH` steps."""
         if c == c_prime:
             return True
-        return self._ask(subclass_path_query(c, c_prime, self.cfg.subclass_predicate, self.cfg.subclass_max_depth))
+        return self._ask(subclass_path_query(c, c_prime, self.cfg.subclass_predicate, _SUBCLASS_MAX_DEPTH))
 
     def build_global_record(self, class_iri: Iri, predicate: Iri) -> GlobalPredicateRecord:
         """Compose the per-predicate profile that feeds prompts and features.

@@ -17,10 +17,8 @@ from typing import Iterable, Mapping, Protocol
 
 from .errors import EmptyDatasetError
 from .model import (
-    DEFAULT_DATATYPE_CATEGORIES,
     DEFAULT_TYPING_PREDICATES,
     Cardinality,
-    DatatypeCategory,
     Iri,
     NodeConstraint,
     Schema,
@@ -134,15 +132,6 @@ class ErrorBreakdown:
         return (self.correct + self.missing_predicate + self.wrong_cardinality
                 + self.wrong_node_constraint + self.both_wrong)
 
-    def __add__(self, other: "ErrorBreakdown") -> "ErrorBreakdown":
-        return ErrorBreakdown(
-            self.correct + other.correct,
-            self.missing_predicate + other.missing_predicate,
-            self.wrong_cardinality + other.wrong_cardinality,
-            self.wrong_node_constraint + other.wrong_node_constraint,
-            self.both_wrong + other.both_wrong,
-        )
-
     def as_dict(self) -> dict[str, int]:
         return {
             "correct": self.correct,
@@ -207,7 +196,6 @@ def constraint_matches(
     gt_schema: Schema | None = None,
     gen_schema: Schema | None = None,
     *,
-    datatype_mapping: Mapping[Iri, DatatypeCategory] = DEFAULT_DATATYPE_CATEGORIES,
     typing_predicates: tuple[Iri, ...] = DEFAULT_TYPING_PREDICATES,
 ) -> bool:
     """Decide whether a generated constraint satisfies a ground-truth one."""
@@ -234,9 +222,7 @@ def constraint_matches(
             node_ok = _nodes_exact(gt.node_constraint, gen.node_constraint, gt_schema, gen_schema, typing_predicates)
     elif node_mode is NodeMode.DATATYPE:
         try:
-            node_ok = datatype_category(gt.node_constraint, datatype_mapping) == datatype_category(
-                gen.node_constraint, datatype_mapping
-            )
+            node_ok = datatype_category(gt.node_constraint) == datatype_category(gen.node_constraint)
         except UnmappedDatatypeError:
             node_ok = _nodes_exact(gt.node_constraint, gen.node_constraint, gt_schema, gen_schema, typing_predicates)
     else:
@@ -255,7 +241,6 @@ def evaluate_criteria(
     criteria: Iterable[MatchCriteria] = ALL_CRITERIA,
     oracle: SubclassOracle | None = None,
     *,
-    datatype_mapping: Mapping[Iri, DatatypeCategory] = DEFAULT_DATATYPE_CATEGORIES,
     typing_predicates: tuple[Iri, ...] = DEFAULT_TYPING_PREDICATES,
 ) -> dict[MatchCriteria, EvalReport]:
     """Precision/recall/F1 of a generated schema's start shape against ground
@@ -279,7 +264,7 @@ def evaluate_criteria(
         matched = sum(
             candidate is not None and constraint_matches(
                 gt_constraint, candidate, criterion, oracle, gt_canon, gen_canon,
-                datatype_mapping=datatype_mapping, typing_predicates=typing_predicates,
+                typing_predicates=typing_predicates,
             )
             for gt_constraint, candidate in pairs
         )
@@ -301,13 +286,10 @@ def evaluate_pair(
     criteria: MatchCriteria = MatchCriteria(),
     oracle: SubclassOracle | None = None,
     *,
-    datatype_mapping: Mapping[Iri, DatatypeCategory] = DEFAULT_DATATYPE_CATEGORIES,
     typing_predicates: tuple[Iri, ...] = DEFAULT_TYPING_PREDICATES,
 ) -> EvalReport:
     """:func:`evaluate_criteria` under one criterion."""
-    return evaluate_criteria(
-        gen, gt, (criteria,), oracle, datatype_mapping=datatype_mapping, typing_predicates=typing_predicates,
-    )[criteria]
+    return evaluate_criteria(gen, gt, (criteria,), oracle, typing_predicates=typing_predicates)[criteria]
 
 
 def categorize_errors(

@@ -224,9 +224,6 @@ class Cardinality:
 
 
 EXACTLY_ONE = Cardinality(1, 1)
-OPTIONAL_ONE = Cardinality(0, 1)
-ZERO_OR_MORE = Cardinality(0, None)
-ONE_OR_MORE = Cardinality(1, None)
 
 
 @dataclass(frozen=True)
@@ -252,9 +249,6 @@ class Shape:
             if constraint.predicate in seen:
                 raise ValueError(f"duplicate predicate in shape <{self.label}>: {constraint.predicate}")
             seen.add(constraint.predicate)
-
-    def predicates(self) -> tuple[Iri, ...]:
-        return tuple(c.predicate for c in self.constraints)
 
 
 @dataclass(frozen=True)
@@ -294,8 +288,8 @@ class DatatypeCategory(Enum):
     IRI_CAT = "iri"
 
 
-#: Category table for the benchmark datatypes; extensible via the ``mapping``
-#: argument of :func:`datatype_category`.
+#: Category table for the benchmark datatypes: the one table behind
+#: :func:`datatype_category` and the cardinality model's datatype features.
 DEFAULT_DATATYPE_CATEGORIES: dict[Iri, DatatypeCategory] = {
     Iri(XSD_NS + "dateTime"): DatatypeCategory.DATETIME,
     Iri(XSD_NS + "date"): DatatypeCategory.DATETIME,
@@ -308,21 +302,18 @@ DEFAULT_DATATYPE_CATEGORIES: dict[Iri, DatatypeCategory] = {
 }
 
 
-def datatype_category(
-    nc: NodeConstraint,
-    mapping: Mapping[Iri, DatatypeCategory] = DEFAULT_DATATYPE_CATEGORIES,
-) -> DatatypeCategory:
+def datatype_category(nc: NodeConstraint) -> DatatypeCategory:
     """Coarse category of a node constraint's admissible objects.
 
     IRI-valued constraints (node kind, shape references, all-IRI value sets)
-    bucket as IRI; datatype constraints and literal value sets go through the
-    mapping table.  Raises :class:`UnmappedDatatypeError` for datatypes outside
+    bucket as IRI; datatype constraints and literal value sets go through
+    :data:`DEFAULT_DATATYPE_CATEGORIES`.  Raises :class:`UnmappedDatatypeError` for datatypes outside
     the table and for value sets that mix categories.
     """
     if isinstance(nc, (NodeKindIri, ShapeRef)):
         return DatatypeCategory.IRI_CAT
     if isinstance(nc, DatatypeConstraint):
-        return _lookup_datatype(nc.datatype, mapping)
+        return _lookup_datatype(nc.datatype)
     if isinstance(nc, ValueSet):
         categories = set()
         for value in nc.values:
@@ -332,16 +323,16 @@ def datatype_category(
                 # Plain and language-tagged literals are string-valued.
                 categories.add(DatatypeCategory.STRING)
             else:
-                categories.add(_lookup_datatype(value.datatype, mapping))
+                categories.add(_lookup_datatype(value.datatype))
         if len(categories) != 1:
             raise UnmappedDatatypeError(f"value set spans multiple datatype categories: {sorted(c.value for c in categories)}")
         return categories.pop()
     raise TypeError(f"not a node constraint: {nc!r}")
 
 
-def _lookup_datatype(datatype: Iri, mapping: Mapping[Iri, DatatypeCategory]) -> DatatypeCategory:
+def _lookup_datatype(datatype: Iri) -> DatatypeCategory:
     try:
-        return mapping[datatype]
+        return DEFAULT_DATATYPE_CATEGORIES[datatype]
     except KeyError:
         raise UnmappedDatatypeError(f"datatype not in category mapping: {datatype}") from None
 
@@ -363,11 +354,7 @@ def classes_of(
         shape = schema.shapes.get(nc.label)
         if shape is None:
             raise DanglingShapeRefError(f"shape reference @<{nc.label}> is undefined")
-        typing = set(typing_predicates)
-        for constraint in shape.constraints:
-            if constraint.predicate in typing and isinstance(constraint.node_constraint, ValueSet):
-                return frozenset(constraint.node_constraint.iris())
-        return frozenset()
+        return _shape_typing_classes(shape, typing_predicates)
     return frozenset()
 
 

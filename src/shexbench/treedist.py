@@ -214,35 +214,36 @@ def _zhang_shasha(a: TreeNode, b: TreeNode, costs: EditCostModel) -> int:
     return treedists[-1][-1]
 
 
-def schema_ged(generated: Schema, ground_truth: Schema, costs: EditCostModel = UNIT_COSTS) -> int:
-    """Edit distance between the schema trees of a generated/ground-truth pair."""
-    return _canonical_ged(canonicalize(generated), canonicalize(ground_truth), costs)
+def schema_ged(generated: Schema, ground_truth: Schema) -> int:
+    """Unit-cost edit distance between the schema trees of a
+    generated/ground-truth pair."""
+    return _canonical_ged(canonicalize(generated), canonicalize(ground_truth))
 
 
-def _canonical_ged(gen_canon: Schema, gt_canon: Schema, costs: EditCostModel) -> int:
+def _canonical_ged(gen_canon: Schema, gt_canon: Schema) -> int:
     """``schema_ged`` of a pair already canonical under the default typing predicates."""
     # Both schemas target the same class by construction, so both roots carry
     # the ground truth's focus-class label and never contribute relabel cost.
     root = gt_canon.focus_class.value if gt_canon.focus_class else gt_canon.start_label
-    return tree_edit_distance(_canonical_tree(gen_canon, root), _canonical_tree(gt_canon, root), costs)
+    return tree_edit_distance(_canonical_tree(gen_canon, root), _canonical_tree(gt_canon, root))
 
 
-def nged(generated: Schema, ground_truth: Schema, costs: EditCostModel = UNIT_COSTS) -> float:
-    """Edit distance normalized by 3x the ground-truth constraint count.
+def nged(generated: Schema, ground_truth: Schema) -> float:
+    """Unit-cost edit distance normalized by 3x the ground-truth constraint
+    count, the cost of deleting every ground-truth path.
 
     0 for identical trees, exactly 1 for an empty generated schema, and above
     1 when the generated schema needs more edits than deleting the ground
     truth would.
     """
-    return ged_and_nged(generated, ground_truth, costs)[1]
+    return ged_and_nged(generated, ground_truth)[1]
 
 
-def ged_and_nged(generated: Schema, ground_truth: Schema,
-                 costs: EditCostModel = UNIT_COSTS) -> tuple[int, float]:
+def ged_and_nged(generated: Schema, ground_truth: Schema) -> tuple[int, float]:
     """``schema_ged`` and ``nged`` of one pair from a single tree-distance run."""
     # canonicalize keeps every start-shape constraint, so the raw count is |GT|.
     gt_size = len(ground_truth.start_shape.constraints)
     if gt_size == 0:
         raise EmptyGroundTruthError("ground-truth schema has no constraints")
-    distance = schema_ged(generated, ground_truth, costs)
+    distance = schema_ged(generated, ground_truth)
     return distance, distance / (3 * gt_size)

@@ -144,6 +144,20 @@ class TestExtract:
         assert code != EXIT_CACHE_MISS
         assert all(r["status"] == "error" for r in report["classes"])
 
+    def test_cache_miss_outranks_a_corrupt_cache_file(self, bench):
+        from shexbench.kginfo import cache_key, label_query
+
+        award, museum, airport = WD + "Q4220917", WD + "Q33506", WD + "Q1248784"
+        cmd_extract(bench["manifest"], bench["cache"], "global", classes=["film award", "museum"],
+                    transport_factory=bench["factory"])
+        label_file = bench["cache"] / f"{cache_key(label_query(Iri(award)), 'https://fake.example.org/sparql')}.json"
+        label_file.write_text(label_file.read_text()[:30])
+        code, report = cmd_extract(bench["manifest"], bench["cache"], "global", offline=True,
+                                   transport_factory=bench["factory"])
+        statuses = {r["class_uri"]: r["status"] for r in report["classes"]}
+        assert statuses == {award: "error", museum: "ok", airport: "cache_miss"}
+        assert code == EXIT_CACHE_MISS
+
     def test_local_and_triples_settings(self, bench):
         for setting, key in (("local", "triples"), ("triples", "example_triples")):
             code, report = cmd_extract(

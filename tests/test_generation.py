@@ -125,9 +125,11 @@ class TestStructuredSteps:
         assert "invalid" in client.sent[1][-1]["content"].lower()
 
     def test_retries_exhausted(self):
-        client = ScriptedLlmClient(["junk", "junk", "junk"])
+        client = ScriptedLlmClient(["junk"] * 4)
         with pytest.raises(StructuredOutputFailedError):
-            predict_cardinality_structured(make_record(), client, max_retries=2)
+            predict_cardinality_structured(make_record(), client)
+        # the first request and two re-requests
+        assert len(client.sent) == 3
 
     def test_node_constraint_variants(self):
         client = ScriptedLlmClient(['{"datatype": "xsd:dateTime"}'])
