@@ -333,6 +333,9 @@ def cmd_generate(
     out.mkdir(parents=True, exist_ok=True)
 
     base_client = llm_client or _build_llm_client(stub_dir, provider_url, model, api_key_env)
+    # a stub replay's record is its stub directory; only a run that calls a
+    # model writes per-hash files, which later runs replay with --stub-dir
+    transcripts = None if isinstance(base_client, StubLlmClient) else out / "transcripts"
 
     if cardinality == "llm":
         cardinality_source = None
@@ -350,7 +353,7 @@ def cmd_generate(
     def worker(entry: ManifestEntry) -> dict:
         kg = _kg_client(entry, cache_dir, offline, transport_factory)
         fewshot = _fewshot_for(entry, prompt_setting, fewshot_dir)
-        client = TranscriptRecorder(base_client, out / "transcripts")
+        client = TranscriptRecorder(base_client, transcripts)
         started = time.perf_counter()
         try:
             if prompt_setting is PromptSetting.GLOBAL:

@@ -78,7 +78,8 @@ class StructuredOutputFailedError(RuntimeError):
 
 
 class StubReplyMissingError(LookupError):
-    """The stub directory has no recorded reply for a prompt hash."""
+    """The stub directory has no usable recorded reply for a prompt hash:
+    the file is missing, or it is not a JSON object with a string ``reply``."""
 
 
 class AssemblyError(ValueError):
@@ -135,9 +136,19 @@ class StubLlmClient:
     def send(self, messages: Sequence[Message]) -> str:
         key = prompt_hash(messages)
         path = Path(self.stub_dir) / f"{key}.json"
-        if not path.exists():
-            raise StubReplyMissingError(f"no recorded reply for prompt hash {key}")
-        return json.loads(path.read_text(encoding="utf-8"))["reply"]
+        try:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        except FileNotFoundError:
+            raise StubReplyMissingError(f"no recorded reply for prompt hash {key}") from None
+        try:
+            document = json.loads(data.decode("utf-8"))
+        except ValueError as exc:
+            raise StubReplyMissingError(f"malformed stub file {path}: {exc}") from exc
+        reply = document.get("reply") if isinstance(document, dict) else None
+        if not isinstance(reply, str):
+            raise StubReplyMissingError(f'malformed stub file {path}: not a JSON object with a string "reply"')
+        return reply
 
 
 @dataclass
@@ -156,21 +167,23 @@ class ScriptedLlmClient:
 
 @dataclass
 class TranscriptRecorder:
-    """Wraps a client, persisting every exchange in stub-replayable form.
+    """Wraps a client, keeping every exchange in ``exchanges`` for
+    :meth:`write_sidecar`.
 
-    Each exchange is written to ``directory`` under its prompt hash as it
-    happens, and kept in ``exchanges`` for :meth:`write_sidecar`.
+    With a ``directory``, each exchange is also written there under its prompt
+    hash as it happens, in the form :class:`StubLlmClient` replays.
     """
 
     inner: LlmClient
-    directory: Path
+    directory: Path | None
     exchanges: list[dict] = field(default_factory=list, init=False)
 
     def send(self, messages: Sequence[Message]) -> str:
         reply = self.inner.send(messages)
-        path = Path(self.directory) / f"{prompt_hash(messages)}.json"
         payload = {"messages": list(messages), "reply": reply}
-        atomic_write_text(path, json.dumps(payload, indent=2, ensure_ascii=False))
+        if self.directory is not None:
+            path = Path(self.directory) / f"{prompt_hash(messages)}.json"
+            atomic_write_text(path, json.dumps(payload, indent=2, ensure_ascii=False))
         self.exchanges.append(payload)
         return reply
 
@@ -179,10 +192,6 @@ class TranscriptRecorder:
         atomic_write_text(path, json.dumps(
             {"class_uri": class_uri, "exchanges": self.exchanges}, indent=2, ensure_ascii=False
         ) + "\n")
-
-    @property
-    def stub_dir(self) -> Path:
-        return Path(self.directory)
 
 
 _FENCE_RE = re.compile(r"^```[a-zA-Z]*\n|\n?```\s*$", re.MULTILINE)

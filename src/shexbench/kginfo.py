@@ -442,8 +442,9 @@ class KgClient:
     @staticmethod
     def _read_cache(path: Path) -> dict | None:
         try:
-            with open(path, encoding="utf-8") as handle:
-                return json.load(handle)["results_document"]
+            with open(path, "rb") as handle:
+                data = handle.read()
+            return json.loads(data.decode("utf-8"))["results_document"]
         except FileNotFoundError:
             return None
         except (ValueError, KeyError, TypeError) as exc:

@@ -27,6 +27,7 @@ from shexbench.cli import (
     load_manifest,
     main,
 )
+from shexbench.generate import prompt_hash
 from shexbench.model import Iri, canonicalize
 from shexbench.shexc import parse_shexc
 from support import (
@@ -204,6 +205,8 @@ class TestGenerate:
             assert first == second
 
     def test_transcripts_replay_as_stubs(self, bench):
+        """A replay writes no stubs of its own; its schemas and sidecars are
+        byte-identical to the recording's."""
         generate_stubbed(bench, out_name="recorded")
         stub_dir = bench["tmp"] / "recorded" / "transcripts"
         assert list(stub_dir.glob("*.json"))
@@ -212,11 +215,52 @@ class TestGenerate:
             stub_dir=stub_dir, transport_factory=bench["factory"],
         )
         assert code == EXIT_OK
-        for class_uri in BENCHMARK_CLASSES:
-            slug = class_uri.rsplit("/", 1)[-1]
-            assert (bench["tmp"] / "recorded" / f"{slug}.shex").read_bytes() == (
-                bench["tmp"] / "replayed" / f"{slug}.shex"
-            ).read_bytes()
+        replayed = bench["tmp"] / "replayed"
+        assert not (replayed / "transcripts").exists()
+        names = sorted(path.name for path in replayed.iterdir())
+        assert len(names) == 2 * len(BENCHMARK_CLASSES)
+        for name in names:
+            assert (replayed / name).read_bytes() == (bench["tmp"] / "recorded" / name).read_bytes()
+
+    def test_recording_writes_one_stub_per_exchange(self, bench):
+        generate_stubbed(bench, out_name="recorded")
+        expected = {}
+        for sidecar in (bench["tmp"] / "recorded").glob("*.transcript.json"):
+            for exchange in json.loads(sidecar.read_text(encoding="utf-8"))["exchanges"]:
+                expected[f"{prompt_hash(exchange['messages'])}.json"] = json.dumps(
+                    exchange, indent=2, ensure_ascii=False).encode("utf-8")
+        stub_dir = bench["tmp"] / "recorded" / "transcripts"
+        assert expected
+        assert {path.name: path.read_bytes() for path in stub_dir.iterdir()} == expected
+
+    def test_replay_into_the_recording_leaves_stubs_untouched(self, bench):
+        recorded = bench["tmp"] / "recorded"
+        generate_stubbed(bench, out_name="recorded")
+        stubs = {path: (path.read_bytes(), path.stat().st_mtime_ns) for path in (recorded / "transcripts").iterdir()}
+        code, _ = cmd_generate(
+            bench["manifest"], recorded, bench["cache"], "global",
+            stub_dir=recorded / "transcripts", transport_factory=bench["factory"],
+        )
+        assert code == EXIT_OK
+        assert {path: (path.read_bytes(), path.stat().st_mtime_ns)
+                for path in (recorded / "transcripts").iterdir()} == stubs
+
+    @pytest.mark.parametrize("content", ["{}", "[1, 2]", '{"reply": 3}'])
+    def test_malformed_stub_fails_its_class(self, bench, content):
+        recorded = bench["tmp"] / "recorded"
+        generate_stubbed(bench, out_name="recorded")
+        first = json.loads((recorded / "Q33506.transcript.json").read_text(encoding="utf-8"))["exchanges"][0]
+        stub = recorded / "transcripts" / f"{prompt_hash(first['messages'])}.json"
+        stub.write_text(content, encoding="utf-8")
+        code, report = cmd_generate(
+            bench["manifest"], bench["tmp"] / "replayed", bench["cache"], "global",
+            stub_dir=recorded / "transcripts", transport_factory=bench["factory"],
+        )
+        assert code == EXIT_PARTIAL
+        statuses = {r["class_uri"]: r["status"] for r in report["classes"]}
+        assert statuses == {WD + "Q4220917": "ok", WD + "Q33506": "failed", WD + "Q1248784": "ok"}
+        (failed,) = [r for r in report["classes"] if r["status"] == "failed"]
+        assert f"malformed stub file {stub}" in failed["error"]
 
     def test_missing_credentials_config_error(self, bench, monkeypatch):
         monkeypatch.delenv("SHEXBENCH_API_KEY", raising=False)

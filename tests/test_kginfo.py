@@ -349,6 +349,18 @@ class TestDocumentTable:
             with pytest.raises(MalformedResultsError, match=path.name):
                 fresh.instance_count(AWARD)
 
+    @pytest.mark.parametrize("mangle", [
+        pytest.param(lambda data: data.replace(b"{", b"{\"x\": \"\xff\xfe\", ", 1), id="invalid-utf8"),
+        pytest.param(lambda data: b"\xef\xbb\xbf" + data, id="utf8-bom"),
+    ])
+    def test_undecodable_cache_file_names_the_file(self, endpoint, client, tmp_path, mangle):
+        client.instance_count(AWARD)
+        (path,) = (tmp_path / "cache").glob("*.json")
+        path.write_bytes(mangle(path.read_bytes()))
+        fresh = KgClient(award_endpoint_config(tmp_path / "cache"), transport=endpoint)
+        with pytest.raises(MalformedResultsError, match=path.name):
+            fresh.instance_count(AWARD)
+
 
 class TestSubclass:
     def test_reflexive_without_network(self, endpoint, client):
