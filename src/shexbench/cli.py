@@ -223,10 +223,7 @@ def _triple_groups(client: KgClient, entry: ManifestEntry, frequencies: dict[Iri
                    max_candidates: int | None) -> dict[Iri, list[Triple]]:
     """Example triples per predicate for a triples-setting prompt; the typing
     predicate stays in, its examples show class membership."""
-    candidates = list(frequencies)
-    if max_candidates is not None:
-        candidates = candidates[:max_candidates]
-    return {p: client.triple_examples(entry.class_uri, p) for p in candidates}
+    return {p: client.triple_examples(entry.class_uri, p) for p in list(frequencies)[:max_candidates]}
 
 
 def _warm_entry(client: KgClient, entry: ManifestEntry, setting: PromptSetting,
@@ -243,9 +240,7 @@ def _warm_entry(client: KgClient, entry: ManifestEntry, setting: PromptSetting,
         groups = _triple_groups(client, entry, frequencies, max_candidates)
         counts["example_triples"] = sum(len(triples) for triples in groups.values())
     else:
-        candidates = [p for p in frequencies if p != entry.typing_predicate]
-        if max_candidates is not None:
-            candidates = candidates[:max_candidates]
+        candidates = client.global_candidates(entry.class_uri, max_candidates)
         records = [client.build_global_record(entry.class_uri, predicate) for predicate in candidates]
         counts["records"] = len(records)
     return counts
@@ -379,10 +374,10 @@ def cmd_generate(
                     "seconds": round(time.perf_counter() - started, 3)}
         except CacheMissError as exc:
             return {"class_uri": entry.class_uri.value, "status": "cache_miss", "error": str(exc)}
-        except MalformedResultsError as exc:
+        except (EndpointError, MalformedResultsError) as exc:
             return {"class_uri": entry.class_uri.value, "status": "error", "error": str(exc)}
         except (GenerationFailedError, StructuredOutputFailedError, StubReplyMissingError,
-                AssemblyError, EndpointError, ValueError, RuntimeError) as exc:
+                AssemblyError, ValueError, RuntimeError) as exc:
             log.warning("generation failed for %s: %s", entry.class_uri, exc)
             return {"class_uri": entry.class_uri.value, "status": "failed", "error": str(exc)}
 

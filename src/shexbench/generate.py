@@ -79,7 +79,8 @@ class StructuredOutputFailedError(RuntimeError):
 
 class StubReplyMissingError(LookupError):
     """The stub directory has no usable recorded reply for a prompt hash:
-    the file is missing, or it is not a JSON object with a string ``reply``."""
+    the file is missing or unreadable, or it is not a JSON object with a
+    string ``reply``."""
 
 
 class AssemblyError(ValueError):
@@ -141,6 +142,8 @@ class StubLlmClient:
                 data = handle.read()
         except FileNotFoundError:
             raise StubReplyMissingError(f"no recorded reply for prompt hash {key}") from None
+        except OSError as exc:
+            raise StubReplyMissingError(f"cannot read stub file {path}: {exc}") from exc
         try:
             document = json.loads(data.decode("utf-8"))
         except ValueError as exc:
@@ -305,32 +308,52 @@ NODE_CONSTRAINT_INSTRUCTION = (
 )
 
 
-def _step_messages(prompt: ChatPrompt, instruction: str) -> list[Message]:
-    amended = ChatPrompt(prompt.system, prompt.user + "\n\n" + instruction, prompt.fewshot)
-    return amended.to_messages()
-
-
 #: Re-requests after an invalid structured reply before the step gives up.
 _STRUCTURED_RETRIES = 2
 
 
-def _structured_request(model_cls, messages: list[Message], client: LlmClient):
+def _request_until_parsed(messages: Sequence[Message], client: LlmClient, parse, errors, correction,
+                          attempts: int, fail):
+    """``parse`` of the first reply that parses, over at most ``attempts`` sends.
+
+    Each reply is appended to the transcript; a reply whose ``parse`` raises
+    one of ``errors`` is answered with the user message ``correction(error)``
+    before the next send.  When no send is left, raises ``fail(last error,
+    transcript)``; the error is None when ``attempts`` is below one.
+    """
     transcript = list(messages)
-    for attempt in range(_STRUCTURED_RETRIES + 1):
+    for attempt in range(attempts):
         reply = client.send(transcript)
         transcript.append({"role": "assistant", "content": reply})
         try:
-            return model_cls.model_validate_json(extract_json_object(reply)), transcript
-        except (ValueError, ValidationError) as exc:
-            if attempt == _STRUCTURED_RETRIES:
-                raise StructuredOutputFailedError(
-                    f"reply failed validation after {attempt + 1} attempt(s): {exc}", transcript
-                ) from exc
-            transcript.append({
-                "role": "user",
-                "content": f"The previous reply was invalid: {exc}. Reply again with only the corrected JSON object.",
-            })
-    raise AssertionError("unreachable")
+            return parse(reply)
+        except errors as exc:
+            # no local may keep the error past its handler: a ValidationError
+            # from a model validator holds that validator's exception, whose
+            # traceback reaches this frame by a reference the cycle collector
+            # cannot follow, so a kept error would leak the calling frames
+            if attempt == attempts - 1:
+                raise fail(exc, transcript) from exc
+            transcript.append({"role": "user", "content": correction(exc)})
+    raise fail(None, transcript)
+
+
+def _structured_step(model_cls, instruction: str, record: GlobalPredicateRecord, client: LlmClient,
+                     fewshot: tuple[tuple[str, str], ...]):
+    prompt = build_global_prompt(record, fewshot)
+    messages = ChatPrompt(prompt.system, prompt.user + "\n\n" + instruction, prompt.fewshot).to_messages()
+    return _request_until_parsed(
+        messages, client,
+        parse=lambda reply: model_cls.model_validate_json(extract_json_object(reply)),
+        errors=(ValueError, ValidationError),
+        correction=lambda error: (
+            f"The previous reply was invalid: {error}. Reply again with only the corrected JSON object."
+        ),
+        attempts=_STRUCTURED_RETRIES + 1,
+        fail=lambda error, transcript: StructuredOutputFailedError(
+            f"reply failed validation after {_STRUCTURED_RETRIES + 1} attempt(s): {error}", transcript
+        ),
+    )
 
 
 def predict_cardinality_structured(
@@ -338,9 +361,7 @@ def predict_cardinality_structured(
     client: LlmClient,
     fewshot: tuple[tuple[str, str], ...] = (),
 ) -> StructuredCardinality:
-    messages = _step_messages(build_global_prompt(record, fewshot), CARDINALITY_INSTRUCTION)
-    result, _ = _structured_request(StructuredCardinality, messages, client)
-    return result
+    return _structured_step(StructuredCardinality, CARDINALITY_INSTRUCTION, record, client, fewshot)
 
 
 def predict_node_constraint_structured(
@@ -348,9 +369,15 @@ def predict_node_constraint_structured(
     client: LlmClient,
     fewshot: tuple[tuple[str, str], ...] = (),
 ) -> StructuredNodeConstraint:
-    messages = _step_messages(build_global_prompt(record, fewshot), NODE_CONSTRAINT_INSTRUCTION)
-    result, _ = _structured_request(StructuredNodeConstraint, messages, client)
-    return result
+    return _structured_step(StructuredNodeConstraint, NODE_CONSTRAINT_INSTRUCTION, record, client, fewshot)
+
+
+def _repair_request(error: ShexcParseError) -> str:
+    listing = "\n".join(f"- {d}" for d in error.diagnostics)
+    return (
+        "The ShEx schema failed to parse with the following errors:\n"
+        f"{listing}\nReply with the corrected ShEx schema only."
+    )
 
 
 def generate_end_to_end(
@@ -365,27 +392,14 @@ def generate_end_to_end(
     ``max_repairs`` failed rounds the final diagnostics and the full transcript
     surface in :class:`GenerationFailedError`.
     """
-    transcript: list[Message] = prompt.to_messages()
-    diagnostics: tuple[ParseDiagnostic, ...] = ()
-    for attempt in range(max_repairs + 1):
-        reply = client.send(transcript)
-        transcript.append({"role": "assistant", "content": reply})
-        try:
-            schema = parse_shexc(strip_code_fences(reply))
-            return replace(schema, focus_class=class_iri)
-        except ShexcParseError as exc:
-            diagnostics = exc.diagnostics
-            if attempt == max_repairs:
-                break
-            listing = "\n".join(f"- {d}" for d in diagnostics)
-            transcript.append({
-                "role": "user",
-                "content": (
-                    "The ShEx schema failed to parse with the following errors:\n"
-                    f"{listing}\nReply with the corrected ShEx schema only."
-                ),
-            })
-    raise GenerationFailedError(diagnostics, transcript)
+    return _request_until_parsed(
+        prompt.to_messages(), client,
+        parse=lambda reply: replace(parse_shexc(strip_code_fences(reply)), focus_class=class_iri),
+        errors=ShexcParseError,
+        correction=_repair_request,
+        attempts=max_repairs + 1,
+        fail=lambda error, transcript: GenerationFailedError(error.diagnostics if error else (), transcript),
+    )
 
 
 def _expand_term(text: str) -> Iri:
@@ -512,13 +526,8 @@ def generate_global(
     class.
     """
     source = cardinality_source or LlmCardinalitySource(client, fewshot)
-    frequencies = kg.predicate_frequencies(class_iri)
-    candidates = [p for p in frequencies if p != kg.cfg.typing_predicate]
-    if max_candidates is not None:
-        candidates = candidates[:max_candidates]
-
     parts: list[tuple[Iri, StructuredCardinality, StructuredNodeConstraint]] = []
-    for predicate in candidates:
+    for predicate in kg.global_candidates(class_iri, max_candidates):
         try:
             record = kg.build_global_record(class_iri, predicate)
             cardinality = source.predict(record)

@@ -567,45 +567,32 @@ class KgClient:
     def instance_triples(self, instance: Iri) -> list[Triple]:
         """One-hop triples of an instance, with English labels."""
         rows = self._rows(instance_triples_query(instance))
-        subject_label = self.label_of(instance)
-        triples = []
-        for row in rows:
-            predicate = term_from_binding(row["predicate"])
-            obj = term_from_binding(row["object"])
-            if not isinstance(predicate, Iri):
-                continue
-            triples.append(
-                Triple(
-                    instance,
-                    predicate,
-                    obj,
-                    subject_label=subject_label,
-                    predicate_label=self.label_of(self._labeled_form(predicate)),
-                    object_label=self.label_of(obj) if isinstance(obj, Iri) else None,
-                )
-            )
-        return triples
+        pairs = [(term_from_binding(row["predicate"]), term_from_binding(row["object"])) for row in rows]
+        return self._labelled_triples(
+            instance, [(instance, p, self._labeled_form(p), o) for p, o in pairs if isinstance(p, Iri)])
 
     def triple_examples(self, class_iri: Iri, predicate: Iri, limit: int = 5) -> list[Triple]:
         rows = self._rows(triple_examples_query(class_iri, predicate, self.cfg.typing_predicate, limit))
-        predicate_label = self.label_of(self._labeled_form(predicate))
-        triples = []
-        for row in rows:
-            subject = term_from_binding(row["subject"])
-            obj = term_from_binding(row["object"])
-            if not isinstance(subject, Iri) or isinstance(obj, BlankNode):
-                continue
-            triples.append(
-                Triple(
-                    subject,
-                    predicate,
-                    obj,
-                    subject_label=self.label_of(subject),
-                    predicate_label=predicate_label,
-                    object_label=self.label_of(obj) if isinstance(obj, Iri) else None,
-                )
-            )
-        return triples[:limit]
+        labeled = self._labeled_form(predicate)
+        pairs = [(term_from_binding(row["subject"]), term_from_binding(row["object"])) for row in rows]
+        kept = [(s, predicate, labeled, o) for s, o in pairs if isinstance(s, Iri) and not isinstance(o, BlankNode)]
+        return self._labelled_triples(labeled, kept)[:limit]
+
+    def _labelled_triples(self, first: Iri, rows: list[tuple[Iri, Iri, Iri, Term]]) -> list[Triple]:
+        """Triples with English labels from (subject, predicate, the
+        predicate's labelled form, object) rows.  Each distinct IRI's label is
+        looked up once per call, ``first``'s before any other, even with no
+        rows; literal and blank-node objects get none."""
+        labels: dict[str, str | None] = {}
+
+        def label(term: Iri) -> str | None:
+            if term.value not in labels:
+                labels[term.value] = self.label_of(term)
+            return labels[term.value]
+
+        label(first)
+        return [Triple(s, p, o, label(s), label(form), label(o) if isinstance(o, Iri) else None)
+                for s, p, form, o in rows]
 
     def label_of(self, term: Iri) -> str | None:
         rows = self._rows(label_query(term))
@@ -621,6 +608,13 @@ class KgClient:
         if self.cfg.kg_kind is KgKind.WIKIDATA and predicate.value.startswith(direct_ns):
             return Iri("http://www.wikidata.org/entity/" + predicate.value[len(direct_ns):])
         return predicate
+
+    def global_candidates(self, class_iri: Iri, max_candidates: int | None = None) -> list[Iri]:
+        """The predicates the global setting profiles: the class's predicates by
+        descending frequency without the typing predicate, the first
+        ``max_candidates`` of them (all when None)."""
+        frequencies = self.predicate_frequencies(class_iri)
+        return [p for p in frequencies if p != self.cfg.typing_predicate][:max_candidates]
 
     def property_constraint_classes(self, predicate: Iri, constraint_type: Iri) -> tuple[Iri, ...]:
         if self.cfg.kg_kind is not KgKind.WIKIDATA:
@@ -639,81 +633,69 @@ class KgClient:
     def build_global_record(self, class_iri: Iri, predicate: Iri) -> GlobalPredicateRecord:
         """Compose the per-predicate profile that feeds prompts and features.
 
-        Frequency and the cardinality distribution are required; labels,
-        descriptions, examples, and Wikidata constraint lists are best-effort
-        and tracked through the completeness bitmask.
+        Frequency is required.  The cardinality distribution, object
+        profiles, examples, labels with descriptions, and Wikidata constraint
+        lists are best-effort parts, each tracked by its completeness bits.
         """
         total = self.instance_count(class_iri)
-        frequencies = self.predicate_frequencies(class_iri)
-        used = frequencies.get(predicate, 0)
-        frequency = (used / total) if total else 0.0
+        used = self.predicate_frequencies(class_iri).get(predicate, 0)
         completeness = RecordField.FREQUENCY
+        fields: dict = {}
 
-        cardinality = {}
-        try:
+        def cardinality() -> None:
             histogram = self.cardinality_distribution(class_iri, predicate)
-            cardinality = {k: (v / total if total else 0.0) for k, v in histogram.items()}
-            completeness |= RecordField.CARDINALITY
-        except (EndpointError, CacheMissError) as exc:
-            log.warning("cardinality distribution unavailable for %s / %s: %s", class_iri, predicate, exc)
+            fields["cardinality_distribution"] = {k: (v / total if total else 0.0) for k, v in histogram.items()}
 
-        datatypes: dict[str, float] = {}
-        object_classes: dict[str, float] = {}
-        try:
+        def object_profiles() -> None:
             datatype_hist, class_hist = self.object_profiles(class_iri, predicate)
-            total_objects = sum(datatype_hist.values())
-            datatypes = {k: v / total_objects for k, v in datatype_hist.items()} if total_objects else {}
-            total_classified = sum(class_hist.values())
-            object_classes = {k: v / total_classified for k, v in class_hist.items()} if total_classified else {}
-            completeness |= RecordField.DATATYPES | RecordField.OBJECT_CLASSES
-        except (EndpointError, CacheMissError) as exc:
-            log.warning("object profiles unavailable for %s / %s: %s", class_iri, predicate, exc)
+            fields["datatype_of_objects"] = _shares(datatype_hist)
+            fields["object_class_distribution"] = _shares(class_hist)
 
-        examples: tuple[Triple, ...] = ()
-        try:
-            examples = tuple(self.triple_examples(class_iri, predicate))
-            completeness |= RecordField.EXAMPLES
-        except (EndpointError, CacheMissError) as exc:
-            log.warning("triple examples unavailable for %s / %s: %s", class_iri, predicate, exc)
+        def examples() -> None:
+            fields["triple_examples"] = tuple(self.triple_examples(class_iri, predicate))
 
-        labels: dict[str, str | None] = {"class_label": None, "class_description": None,
-                                         "predicate_label": None, "predicate_description": None}
-        try:
-            labels["class_label"] = self.label_of(class_iri)
-            labels["class_description"] = self.description_of(class_iri)
+        def labels() -> None:
+            fields["class_label"] = self.label_of(class_iri)
+            fields["class_description"] = self.description_of(class_iri)
             labeled_predicate = self._labeled_form(predicate)
-            labels["predicate_label"] = self.label_of(labeled_predicate)
-            labels["predicate_description"] = self.description_of(labeled_predicate)
-            completeness |= RecordField.LABELS
-        except (EndpointError, CacheMissError) as exc:
-            log.warning("labels unavailable for %s / %s: %s", class_iri, predicate, exc)
+            fields["predicate_label"] = self.label_of(labeled_predicate)
+            fields["predicate_description"] = self.description_of(labeled_predicate)
 
-        subject_types: tuple[Iri, ...] | None = None
-        value_types: tuple[Iri, ...] | None = None
+        def constraints() -> None:
+            classes = self.property_constraint_classes
+            fields["subject_type_constraint"] = classes(predicate, WIKIDATA_SUBJECT_TYPE_CONSTRAINT)
+            fields["value_type_constraint"] = classes(predicate, WIKIDATA_VALUE_TYPE_CONSTRAINT)
+
+        # Each part is best-effort: a failed lookup keeps what the part read
+        # before it, leaves the part's completeness bits unset and logs once.
+        parts = [
+            (RecordField.CARDINALITY, "cardinality distribution", cardinality),
+            (RecordField.DATATYPES | RecordField.OBJECT_CLASSES, "object profiles", object_profiles),
+            (RecordField.EXAMPLES, "triple examples", examples),
+            (RecordField.LABELS, "labels", labels),
+        ]
         if self.cfg.kg_kind is KgKind.WIKIDATA:
+            parts.append((RecordField.CONSTRAINTS, "property constraints", constraints))
+        for bits, name, read in parts:
             try:
-                subject_types = self.property_constraint_classes(predicate, WIKIDATA_SUBJECT_TYPE_CONSTRAINT)
-                value_types = self.property_constraint_classes(predicate, WIKIDATA_VALUE_TYPE_CONSTRAINT)
-                completeness |= RecordField.CONSTRAINTS
+                read()
+                completeness |= bits
             except (EndpointError, CacheMissError) as exc:
-                log.warning("property constraints unavailable for %s: %s", predicate, exc)
+                log.warning("%s unavailable for %s / %s: %s", name, class_iri, predicate, exc)
 
         return GlobalPredicateRecord(
             class_uri=class_iri,
             predicate_uri=predicate,
-            class_label=labels["class_label"],
-            class_description=labels["class_description"],
-            predicate_label=labels["predicate_label"],
-            predicate_description=labels["predicate_description"],
-            triple_examples=examples,
-            frequency=min(frequency, 1.0),
-            cardinality_distribution=cardinality,
-            datatype_of_objects=datatypes,
-            object_class_distribution=object_classes,
-            subject_type_constraint=subject_types,
-            value_type_constraint=value_types,
+            frequency=min((used / total) if total else 0.0, 1.0),
             completeness=completeness,
+            **fields,
         )
+
+
+def _shares(histogram: dict[str, int]) -> dict[str, float]:
+    """Each key's share of the histogram's total, in the histogram's order."""
+    total = sum(histogram.values())
+    return {k: v / total for k, v in histogram.items()} if total else {}
 
 
 def _wikidata_id_sort_key(iri: Iri) -> tuple[int, int, str]:

@@ -306,23 +306,24 @@ class _Parser:
             return None
 
     def _parse_iri(self, token: _Token) -> Iri | None:
-        if token.kind == "IRIREF":
-            try:
-                return Iri(token.value[1:-1])
-            except ValueError as exc:
-                self.error(token, str(exc))
-                return None
         if token.kind == "IDENT" and token.value == "a":
             return RDF_TYPE
-        if token.kind == "PNAME":
-            prefix = token.value.split(":", 1)[0]
+        if token.kind == "IRIREF":
+            text = token.value[1:-1]
+        elif token.kind == "PNAME":
+            prefix, local = token.value.split(":", 1)
             if prefix not in self.prefixes:
                 self.error(token, f"undeclared prefix {prefix!r}")
                 return None
-            local = token.value.split(":", 1)[1]
-            return Iri(self.prefixes[prefix] + local)
-        self.error(token, f"expected an IRI, found {token.value!r}")
-        return None
+            text = self.prefixes[prefix] + local
+        else:
+            self.error(token, f"expected an IRI, found {token.value!r}")
+            return None
+        try:
+            return Iri(text)
+        except ValueError as exc:
+            self.error(token, str(exc))
+            return None
 
     def _parse_triple_constraint(
         self, ref_sites: list[tuple[str, _Token]]
@@ -368,6 +369,9 @@ class _Parser:
             if target.kind == "IRIREF":
                 self.advance()
                 label = target.value[1:-1]
+                if not label:
+                    self.error(target, "empty shape label")
+                    return None
                 ref_sites.append((label, target))
                 return ShapeRef(label)
             self.error(target, "expected <Label> after '@'")
@@ -393,45 +397,30 @@ class _Parser:
             if token.kind == "EOF":
                 self.error(opening, "unterminated value set")
                 return None
+            self.advance()
             if token.kind in ("PNAME", "IRIREF"):
-                iri = self._parse_iri(self.advance())
-                if iri is None:
-                    ok = False
-                elif iri in values:
-                    self.error(token, f"duplicate value {token.value} in value set")
-                    ok = False
-                else:
-                    values.append(iri)
+                value = self._parse_iri(token)
             elif token.kind == "STRING":
-                literal = self._parse_literal(self.advance())
-                if literal is None:
-                    ok = False
-                elif literal in values:
-                    self.error(token, "duplicate literal in value set")
-                    ok = False
-                else:
-                    values.append(literal)
+                value = self._parse_literal(token)
             elif token.kind == "NUMBER":
-                self.advance()
-                datatype = _XSD_DECIMAL if "." in token.value else _XSD_INTEGER
-                literal = Literal(token.value, datatype)
-                if literal in values:
-                    self.error(token, f"duplicate value {token.value} in value set")
-                    ok = False
-                else:
-                    values.append(literal)
+                value = Literal(token.value, _XSD_DECIMAL if "." in token.value else _XSD_INTEGER)
             elif token.kind == "IDENT" and token.value in ("true", "false"):
-                self.advance()
-                values.append(Literal(token.value, _XSD_BOOLEAN))
-            elif token.value in ("~", "-", "."):
-                self.advance()
-                self.error(token, f"value-set operator {token.value!r} is outside the supported ShEx subset",
-                           DiagnosticKind.UNSUPPORTED_FEATURE)
+                value = Literal(token.value, _XSD_BOOLEAN)
+            else:
+                if token.value in ("~", "-", "."):
+                    self.error(token, f"value-set operator {token.value!r} is outside the supported ShEx subset",
+                               DiagnosticKind.UNSUPPORTED_FEATURE)
+                else:
+                    self.error(token, f"unexpected token {token.value!r} in value set")
+                value = None
+            if value is None:
+                ok = False
+            elif value in values:
+                quoted = "literal" if token.kind == "STRING" else f"value {token.value}"
+                self.error(token, f"duplicate {quoted} in value set")
                 ok = False
             else:
-                self.advance()
-                self.error(token, f"unexpected token {token.value!r} in value set")
-                ok = False
+                values.append(value)
         if not ok:
             return None
         if not values:
@@ -467,18 +456,20 @@ class _Parser:
         if token.value == "{" and self.peek(1).kind == "NUMBER":
             self.advance()
             low_tok = self.advance()
-            low = int(low_tok.value)
-            high: int | None = low
+            high_tok: _Token | None = low_tok
             if self.peek().value == ",":
                 self.advance()
-                if self.peek().kind == "NUMBER":
-                    high = int(self.advance().value)
-                else:
-                    high = None
+                high_tok = self.advance() if self.peek().kind == "NUMBER" else None
             if self.peek().value == "}":
                 self.advance()
             else:
                 self.error(self.peek(), "expected '}' to close cardinality")
+            for bound in (low_tok, high_tok):
+                if bound is not None and "." in bound.value:
+                    self.error(bound, f"cardinality bound {bound.value} is not an integer")
+                    return Cardinality(1, 1)
+            low = int(low_tok.value)
+            high = int(high_tok.value) if high_tok is not None else None
             if low < 0 or (high is not None and high < low):
                 self.error(low_tok, f"invalid cardinality range {{{low},{high}}}")
                 return Cardinality(1, 1)

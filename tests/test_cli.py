@@ -262,6 +262,37 @@ class TestGenerate:
         (failed,) = [r for r in report["classes"] if r["status"] == "failed"]
         assert f"malformed stub file {stub}" in failed["error"]
 
+    def test_unreadable_stub_fails_its_class(self, bench):
+        recorded = bench["tmp"] / "recorded"
+        generate_stubbed(bench, out_name="recorded")
+        first = json.loads((recorded / "Q33506.transcript.json").read_text(encoding="utf-8"))["exchanges"][0]
+        stub = recorded / "transcripts" / f"{prompt_hash(first['messages'])}.json"
+        stub.unlink()
+        stub.mkdir()
+        code, report = cmd_generate(
+            bench["manifest"], bench["tmp"] / "replayed", bench["cache"], "global",
+            stub_dir=recorded / "transcripts", transport_factory=bench["factory"],
+        )
+        assert code == EXIT_PARTIAL
+        statuses = {r["class_uri"]: r["status"] for r in report["classes"]}
+        assert statuses == {WD + "Q4220917": "ok", WD + "Q33506": "failed", WD + "Q1248784": "ok"}
+        (failed,) = [r for r in report["classes"] if r["status"] == "failed"]
+        assert f"cannot read stub file {stub}" in failed["error"]
+
+    def test_network_failure_is_an_error(self, bench):
+        from shexbench.kginfo import EndpointError
+
+        def broken(cfg):
+            def transport(query):
+                raise EndpointError("connection refused")
+            return transport
+
+        code, report = cmd_generate(bench["manifest"], bench["tmp"] / "net", bench["cache"], "global",
+                                    llm_client=benchmark_rule_client(), transport_factory=broken)
+        assert code == EXIT_NETWORK
+        assert [r["status"] for r in report["classes"]] == ["error"] * 3
+        assert all("connection refused" in r["error"] for r in report["classes"])
+
     def test_missing_credentials_config_error(self, bench, monkeypatch):
         monkeypatch.delenv("SHEXBENCH_API_KEY", raising=False)
         with pytest.raises(ManifestError, match="credential"):
@@ -405,6 +436,16 @@ class TestEvaluate:
         assert doc["invalid"][0]["class_uri"] == WD + "Q33506"
         for metrics in doc["aggregate"].values():
             assert metrics["n"] == 2
+
+    def test_duplicate_value_file_is_invalid(self, bench):
+        generated = self._copy_ground_truth(bench, "duplicates")
+        (generated / "Q33506.shex").write_text(f"<S> {{ <{WDT}P17> [ true true ] }}")
+        code, doc = cmd_evaluate(bench["manifest"], generated, "all")
+        assert code == EXIT_PARSE
+        assert doc["n_valid"] == 2
+        (invalid,) = doc["invalid"]
+        assert invalid["class_uri"] == WD + "Q33506"
+        assert invalid["message"].startswith("line 1 col 56: duplicate value true in value set")
 
     def test_missing_file_is_invalid(self, bench):
         generated = self._copy_ground_truth(bench, "incomplete")

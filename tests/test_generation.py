@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import pytest
 from pydantic import ValidationError
 
 from shexbench.generate import (
+    NODE_CONSTRAINT_INSTRUCTION,
     AssemblyError,
     GenerationFailedError,
     LlmCardinalitySource,
@@ -108,6 +111,9 @@ class TestReplyExtraction:
             extract_json_object("no json here")
 
 
+BAD_BOUNDS = '{"include": true, "min": 2, "max": 1}'
+
+
 class TestStructuredSteps:
     def test_cardinality_passthrough(self):
         client = ScriptedLlmClient(['{"include": true, "min": 1, "max": 1}'])
@@ -130,6 +136,39 @@ class TestStructuredSteps:
             predict_cardinality_structured(make_record(), client)
         # the first request and two re-requests
         assert len(client.sent) == 3
+
+    @pytest.mark.parametrize("replies", [[BAD_BOUNDS, '{"include": true}'], [BAD_BOUNDS] * 3])
+    def test_validator_errors_leave_no_frame_alive(self, replies):
+        """A validator's error inside a ValidationError reaches the caller's
+        frames by a reference the cycle collector cannot follow."""
+        class Marker:
+            pass
+
+        def call():
+            marker = Marker()
+            try:
+                predict_cardinality_structured(make_record(), ScriptedLlmClient(replies))
+            except StructuredOutputFailedError:
+                pass
+            return weakref.ref(marker)
+
+        marker = call()
+        gc.collect()
+        assert marker() is None
+
+    def test_exhausted_transcript_and_message(self):
+        client = ScriptedLlmClient(["junk"] * 3)
+        with pytest.raises(StructuredOutputFailedError) as exc:
+            predict_node_constraint_structured(make_record(), client)
+        correction = ("The previous reply was invalid: reply contains no JSON object. "
+                      "Reply again with only the corrected JSON object.")
+        assert str(exc.value) == "reply failed validation after 3 attempt(s): reply contains no JSON object"
+        assert exc.value.transcript[len(client.sent[0]):] == (
+            {"role": "assistant", "content": "junk"}, {"role": "user", "content": correction},
+            {"role": "assistant", "content": "junk"}, {"role": "user", "content": correction},
+            {"role": "assistant", "content": "junk"},
+        )
+        assert client.sent[0][-1]["content"].endswith(NODE_CONSTRAINT_INSTRUCTION)
 
     def test_node_constraint_variants(self):
         client = ScriptedLlmClient(['{"datatype": "xsd:dateTime"}'])
@@ -168,6 +207,19 @@ class TestEndToEnd:
         assert len(client.sent) == 3
         assert exc.value.diagnostics
         assert sum(1 for m in exc.value.transcript if m["role"] == "assistant") == 3
+
+    @pytest.mark.parametrize("max_repairs, replies", [(0, ["junk"]), (-1, [])])
+    def test_no_repair_budget(self, max_repairs, replies):
+        prompt = ChatPrompt("s", "u")
+        client = ScriptedLlmClient(replies)
+        with pytest.raises(GenerationFailedError) as exc:
+            generate_end_to_end(MUSEUM, prompt, client, max_repairs=max_repairs)
+        assert len(client.sent) == len(replies)
+        assert exc.value.transcript == tuple(prompt.to_messages()) + tuple(
+            {"role": "assistant", "content": reply} for reply in replies)
+        diagnostics = "; ".join(str(d) for d in exc.value.diagnostics)
+        assert bool(diagnostics) == bool(replies)
+        assert str(exc.value) == f"generation failed after {len(replies)} attempt(s): {diagnostics}"
 
 
 class TestAssembly:

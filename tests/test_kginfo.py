@@ -4,6 +4,7 @@ import json
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -362,6 +363,25 @@ class TestDocumentTable:
             fresh.instance_count(AWARD)
 
 
+class TestLabelledTriples:
+    def test_each_label_is_looked_up_once_per_call(self, client, monkeypatch):
+        looked_up = []
+        label_of = client.label_of
+        monkeypatch.setattr(client, "label_of", lambda term: looked_up.append(term) or label_of(term))
+        for predicate in client.predicate_frequencies(AWARD):
+            looked_up.clear()
+            triples = client.triple_examples(AWARD, predicate)
+            iris = {t.subject for t in triples} | {t.object for t in triples if isinstance(t.object, Iri)}
+            assert looked_up[0] == client._labeled_form(predicate)
+            assert sorted(looked_up) == sorted(iris | {client._labeled_form(predicate)})
+        for instance in client.sample_instances(AWARD, 10):
+            looked_up.clear()
+            triples = client.instance_triples(instance)
+            assert looked_up[0] == instance
+            assert len(looked_up) == len(set(looked_up))
+            assert all(t.subject_label == label_of(instance) for t in triples)
+
+
 class TestSubclass:
     def test_reflexive_without_network(self, endpoint, client):
         assert client.is_subclass_of(Iri(WD + "Q6256"), Iri(WD + "Q6256"))
@@ -430,6 +450,42 @@ class TestGlobalRecord:
         rebuilt = KgClient(award_endpoint_config(tmp_path / "cache"), transport=endpoint)
         assert rebuilt.build_global_record(AWARD, COUNTRY_PRED) == record
         assert endpoint.request_count == requests
+
+    # one SPARQL template that fails -> (the record fields its part reads, the part's completeness bits)
+    DEGRADED_PARTS = {
+        "AS ?cardinality": (("cardinality_distribution",), RecordField.CARDINALITY),
+        "BIND (IF(isIRI": (("datatype_of_objects", "object_class_distribution"),
+                           RecordField.DATATYPES | RecordField.OBJECT_CLASSES),
+        "SELECT ?class (COUNT(?object)": (("datatype_of_objects", "object_class_distribution"),
+                                          RecordField.DATATYPES | RecordField.OBJECT_CLASSES),
+        "SELECT ?subject ?object": (("triple_examples",), RecordField.EXAMPLES),
+        "?description": (("class_description", "predicate_label", "predicate_description"), RecordField.LABELS),
+        "prop/P2302>": (("subject_type_constraint", "value_type_constraint"), RecordField.CONSTRAINTS),
+    }
+
+    @pytest.mark.parametrize("template", sorted(DEGRADED_PARTS))
+    def test_failed_part_degrades_only_itself(self, endpoint, client, tmp_path, caplog, template):
+        """A part whose template fails keeps what it read before the failure
+        (the class label, when the class description fails), loses its
+        completeness bits and logs one warning; every other field is kept."""
+        full = client.build_global_record(AWARD, CONFERRED)
+        assert full.completeness == RecordField(127)
+        lost, bits = self.DEGRADED_PARTS[template]
+
+        def failing(query):
+            if template in " ".join(query.split()):
+                raise EndpointError("template down")
+            return endpoint(query)
+
+        degraded_client = KgClient(award_endpoint_config(tmp_path / "other"), transport=failing)
+        with caplog.at_level("WARNING", logger="shexbench.kginfo"):
+            degraded = degraded_client.build_global_record(AWARD, CONFERRED)
+        defaults = GlobalPredicateRecord(AWARD, CONFERRED)
+        assert degraded == replace(full, completeness=full.completeness & ~bits,
+                                   **{name: getattr(defaults, name) for name in lost})
+        assert degraded.class_label == "film award"
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert "template down" in caplog.records[0].getMessage()
 
     def test_examples_capped_at_five(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,8 @@ from __future__ import annotations
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shexbench.model import (
     Cardinality,
@@ -29,6 +31,18 @@ from shexbench.shexc import (
 
 WD = "http://www.wikidata.org/entity/"
 WDT = "http://www.wikidata.org/prop/direct/"
+
+#: Random ShExC texts: an opening, then fragments that include the duplicate,
+#: non-integer and empty values the parser must diagnose.
+SHEXC_TEXTS = st.builds(
+    lambda head, body: " ".join([head, *body]),
+    st.sampled_from(["", "<S> {", "<S> { <p>", "PREFIX ex: <http://example.org/> <S> { ex:p", "PREFIX e: <> <S> {"]),
+    st.lists(st.sampled_from([
+        "start = @<S>", "<S>", "<>", "<p>", "ex:p", "e:", "a", "EXTRA", "CLOSED", "{", "}", "[", "]", ";",
+        "IRI", "@", "@<S>", "@<>", "@en", '"x"', '"x"@en', "^^", "true", "false", "1", "1.5", "-1",
+        "?", "*", "{1}", "{1,}", "{0,2}", "{1.5}", "{1,2.5}", "~", ".", "\n", "%",
+    ]), max_size=20),
+)
 
 
 class TestParseMuseum:
@@ -178,12 +192,38 @@ class TestDiagnostics:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "just some prose", "<S> {", "PREFIX broken", "<S> { <p> [ }", "@@@", "<S> <T>"],
+        ["", "just some prose", "<S> {", "PREFIX broken", "<S> { <p> [ }", "@@@", "<S> <T>",
+         "<S> { <p> [ true true ] }", "<S> { <p> IRI {1.5} }", "<S> { <p> IRI {1,2.5} }", "<S> { <p> @<> }",
+         "PREFIX ex: <>\n<S> { ex: IRI }"],
     )
     def test_parser_is_total(self, text):
         schema, diagnostics = try_parse_shexc(text)
         assert schema is None
         assert diagnostics
+
+    @pytest.mark.parametrize("text, column, message", [
+        ("<S> { <p> [ true true ] }", 18, "duplicate value true in value set"),
+        ("<S> { <p> [ 1 1 ] }", 15, "duplicate value 1 in value set"),
+        ('<S> { <p> [ "a" "a" ] }', 17, "duplicate literal in value set"),
+        ("<S> { <p> [ <a> <a> ] }", 17, "duplicate value <a> in value set"),
+        ("<S> { <p> IRI {1.5} }", 16, "cardinality bound 1.5 is not an integer"),
+        ("<S> { <p> IRI {1,2.5} }", 18, "cardinality bound 2.5 is not an integer"),
+        ("<S> { <p> @<> }", 12, "empty shape label"),
+    ])
+    def test_bad_value_is_a_diagnostic_at_its_token(self, text, column, message):
+        _, diagnostics = try_parse_shexc(text)
+        assert (diagnostics[0].line, diagnostics[0].column, diagnostics[0].message) == (1, column, message)
+
+    @settings(max_examples=500, deadline=None)
+    @given(SHEXC_TEXTS)
+    def test_any_token_sequence_parses_or_is_diagnosed(self, text):
+        try:
+            schema = parse_shexc(text)
+        except ShexcParseError as exc:
+            assert exc.diagnostics
+            assert all(d.line >= 1 and d.column >= 1 for d in exc.diagnostics)
+        else:
+            assert schema.start_shape.constraints
 
 
 class TestSerialize:
