@@ -6,8 +6,8 @@ scores generated schemas against ground truth across matching criteria,
 ``train-cardinality`` fits the cardinality models from cached profiles, and
 ``report`` formats result files into summary tables.
 
-Exit codes: 0 success, 2 configuration, 3 network, 4 parse failures,
-5 partial per-class failures, 6 offline cache miss.
+Exit codes: 0 success, 2 configuration, 3 network or local file error,
+4 parse failures, 5 partial per-class failures, 6 offline cache miss.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .cardml import (
     CardinalityLabel,
@@ -38,6 +38,7 @@ from .generate import (
     HttpLlmClient,
     LlmClient,
     MlCardinalitySource,
+    ProviderError,
     StructuredOutputFailedError,
     StubLlmClient,
     StubReplyMissingError,
@@ -52,6 +53,7 @@ from .kginfo import (
     KgClient,
     KgKind,
     KgSubclassOracle,
+    LocalFileError,
     MalformedResultsError,
     Triple,
     atomic_write_text as _atomic_write,
@@ -66,7 +68,14 @@ from .matching import (  # noqa: F401 - evaluate_pair stays bound for bench/trac
     macro_average,
 )
 from .model import Iri, Schema, canonicalize
-from .prompts import PromptSetting, build_local_prompt, build_triples_prompt, load_fewshot
+from .prompts import (
+    EmptyPredicateSetError,
+    EmptySampleError,
+    PromptSetting,
+    build_local_prompt,
+    build_triples_prompt,
+    load_fewshot,
+)
 from .shexc import ShexcParseError, parse_shexc, serialize_shexc
 from .treedist import ged_and_nged
 
@@ -83,7 +92,12 @@ TransportFactory = Callable[[EndpointConfig], Callable[[str], dict] | None]
 
 
 class ManifestError(ValueError):
-    """The manifest file is missing, malformed, or fails validation."""
+    """A configuration error: the manifest or another input file named on the
+    command line is missing or malformed, or an option is out of range."""
+
+
+class UnreadableSchemaError(Exception):
+    """A generated schema file is missing, unreadable, or not UTF-8."""
 
 
 @dataclass(frozen=True)
@@ -176,13 +190,39 @@ def _kg_client(entry: ManifestEntry, cache_dir: Path | str, offline: bool,
     return KgClient(cfg, transport=transport_factory(cfg) if transport_factory else None)
 
 
-def _exit_code(results: Sequence[dict]) -> int:
+#: The per-class status of each failure a class's work may raise; the first
+#: entry the exception is an instance of decides.  Any other exception is a
+#: programming error and propagates.
+_STATUS_OF: tuple[tuple[type[Exception], str], ...] = (
+    (CacheMissError, "cache_miss"),
+    (EndpointError, "error"),
+    (MalformedResultsError, "error"),
+    (LocalFileError, "error"),
+    (ShexcParseError, "invalid"),
+    (UnreadableSchemaError, "invalid"),
+    (GenerationFailedError, "failed"),
+    (StructuredOutputFailedError, "failed"),
+    (StubReplyMissingError, "failed"),
+    (AssemblyError, "failed"),
+    (EmptySampleError, "failed"),
+    (EmptyPredicateSetError, "failed"),
+    (ProviderError, "failed"),
+)
+_FAILURES = tuple(kind for kind, _ in _STATUS_OF)
+
+#: Each status's exit code, the gravest first.
+_EXIT_OF = (("cache_miss", EXIT_CACHE_MISS), ("error", EXIT_NETWORK), ("failed", EXIT_PARTIAL),
+            ("invalid", EXIT_PARSE))
+
+
+def _status_of(exc: Exception) -> str:
+    return next(status for kind, status in _STATUS_OF if isinstance(exc, kind))
+
+
+def _exit_code(statuses: Iterable[str]) -> int:
     """A command's exit code from its per-class statuses, the gravest first."""
-    statuses = {r["status"] for r in results}
-    for status, code in (("cache_miss", EXIT_CACHE_MISS), ("error", EXIT_NETWORK), ("failed", EXIT_PARTIAL)):
-        if status in statuses:
-            return code
-    return EXIT_OK
+    present = set(statuses)
+    return next((code for status, code in _EXIT_OF if status in present), EXIT_OK)
 
 
 @dataclass
@@ -207,13 +247,35 @@ class ResultRecord:
         return dict(self.__dict__)
 
 
-def _run_per_entry(entries, worker, jobs: int):
+def _run_per_entry(entries, worker, failure, jobs: int) -> list:
+    """``worker(entry)`` for each entry in class-URI order, on ``jobs`` threads.
+
+    A failure named in :data:`_STATUS_OF` becomes ``failure(entry, status,
+    message)`` in place of the worker's result."""
+
+    def run(entry: ManifestEntry):
+        try:
+            return worker(entry)
+        except _FAILURES as exc:
+            return failure(entry, _status_of(exc), str(exc))
+
+    ordered = sorted(entries, key=lambda entry: entry.class_uri.value)
     if jobs <= 1:
-        results = [worker(entry) for entry in entries]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(worker, entries))
-    return sorted(results, key=lambda r: r["class_uri"] if isinstance(r, dict) else r.class_uri)
+        return [run(entry) for entry in ordered]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(run, ordered))
+
+
+def _failure_row(entry: ManifestEntry, status: str, message: str) -> dict:
+    """An extract or generate report's row for a class that failed."""
+    return {"class_uri": entry.class_uri.value, "status": status, "error": message}
+
+
+def _check_counts(samples: int, max_candidates: int | None) -> None:
+    if samples < 1:
+        raise ManifestError(f"--samples must be at least 1, got {samples}")
+    if max_candidates is not None and max_candidates < 1:
+        raise ManifestError(f"--max-candidates must be at least 1, got {max_candidates}")
 
 
 # -- extract ------------------------------------------------------------------
@@ -257,6 +319,7 @@ def cmd_extract(
     jobs: int = 1,
     transport_factory: TransportFactory | None = None,
 ) -> tuple[int, dict]:
+    _check_counts(samples, max_candidates)
     manifest = load_manifest(manifest_path)
     prompt_setting = PromptSetting(setting)
     entries = manifest.select(classes)
@@ -264,20 +327,15 @@ def cmd_extract(
     def worker(entry: ManifestEntry) -> dict:
         client = _kg_client(entry, cache_dir, offline, transport_factory)
         started = time.perf_counter()
-        try:
-            counts = _warm_entry(client, entry, prompt_setting, samples, max_candidates)
-            return {"class_uri": entry.class_uri.value, "status": "ok", "row_counts": counts,
-                    "cache_keys": sorted(client.keys_touched),
-                    "seconds": round(time.perf_counter() - started, 3)}
-        except CacheMissError as exc:
-            return {"class_uri": entry.class_uri.value, "status": "cache_miss", "error": str(exc)}
-        except (EndpointError, ValueError) as exc:
-            return {"class_uri": entry.class_uri.value, "status": "error", "error": str(exc)}
+        counts = _warm_entry(client, entry, prompt_setting, samples, max_candidates)
+        return {"class_uri": entry.class_uri.value, "status": "ok", "row_counts": counts,
+                "cache_keys": sorted(client.keys_touched),
+                "seconds": round(time.perf_counter() - started, 3)}
 
-    results = _run_per_entry(entries, worker, jobs)
+    results = _run_per_entry(entries, worker, _failure_row, jobs)
     report = {"dataset": manifest.dataset_name, "setting": setting, "cache_dir": str(cache_dir),
               "classes": results}
-    return _exit_code(results), report
+    return _exit_code(r["status"] for r in results), report
 
 
 # -- generate -----------------------------------------------------------------
@@ -293,11 +351,20 @@ def _build_llm_client(stub_dir, provider_url, model, api_key_env) -> LlmClient:
     return HttpLlmClient(provider_url=provider_url, model=model, api_key_env=api_key_env)
 
 
-def _fewshot_for(entry: ManifestEntry, setting: PromptSetting, fewshot_dir) -> tuple[tuple[str, str], ...]:
+def _load_fewshots(entries: Sequence[ManifestEntry], setting: PromptSetting,
+                   fewshot_dir) -> dict[KgKind, tuple[tuple[str, str], ...]]:
+    """The few-shot exemplars of each KG kind among ``entries``, read once from
+    ``<fewshot_dir>/<kind>_<setting>.json``; none without ``fewshot_dir``."""
     if not fewshot_dir:
-        return ()
-    path = Path(fewshot_dir) / f"{entry.kg_kind.value}_{setting.value}.json"
-    return load_fewshot(path) if path.exists() else ()
+        return {}
+    fewshots = {}
+    for kind in sorted({entry.kg_kind for entry in entries}, key=lambda kind: kind.value):
+        path = Path(fewshot_dir) / f"{kind.value}_{setting.value}.json"
+        try:
+            fewshots[kind] = load_fewshot(path)
+        except (OSError, ValueError) as exc:
+            raise ManifestError(f"cannot load few-shot file {path}: {exc}") from exc
+    return fewshots
 
 
 def cmd_generate(
@@ -321,11 +388,12 @@ def cmd_generate(
     transport_factory: TransportFactory | None = None,
     llm_client: LlmClient | None = None,
 ) -> tuple[int, dict]:
+    _check_counts(samples, max_candidates)
     manifest = load_manifest(manifest_path)
     prompt_setting = PromptSetting(setting)
     entries = manifest.select(classes)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    fewshots = _load_fewshots(entries, prompt_setting, fewshot_dir)
 
     base_client = llm_client or _build_llm_client(stub_dir, provider_url, model, api_key_env)
     # a stub replay's record is its stub directory; only a run that calls a
@@ -347,45 +415,36 @@ def cmd_generate(
 
     def worker(entry: ManifestEntry) -> dict:
         kg = _kg_client(entry, cache_dir, offline, transport_factory)
-        fewshot = _fewshot_for(entry, prompt_setting, fewshot_dir)
+        fewshot = fewshots.get(entry.kg_kind, ())
         client = TranscriptRecorder(base_client, transcripts)
         started = time.perf_counter()
-        try:
-            if prompt_setting is PromptSetting.GLOBAL:
-                schema = generate_global(
-                    entry.class_uri, kg, client, cardinality_source,
-                    fewshot=fewshot, max_candidates=max_candidates,
-                )
+        if prompt_setting is PromptSetting.GLOBAL:
+            schema = generate_global(
+                entry.class_uri, kg, client, cardinality_source,
+                fewshot=fewshot, max_candidates=max_candidates,
+            )
+        else:
+            if prompt_setting is PromptSetting.LOCAL:
+                instances = kg.sample_instances(entry.class_uri, samples)
+                sampled = [(instance, kg.instance_triples(instance)) for instance in instances]
+                prompt = build_local_prompt(entry.class_uri, sampled, fewshot, entry.label)
             else:
-                if prompt_setting is PromptSetting.LOCAL:
-                    instances = kg.sample_instances(entry.class_uri, samples)
-                    sampled = [(instance, kg.instance_triples(instance)) for instance in instances]
-                    prompt = build_local_prompt(entry.class_uri, sampled, fewshot, entry.label)
-                else:
-                    frequencies = kg.predicate_frequencies(entry.class_uri)
-                    groups = _triple_groups(kg, entry, frequencies, max_candidates)
-                    prompt = build_triples_prompt(entry.class_uri, groups, fewshot, entry.label)
-                schema = generate_end_to_end(entry.class_uri, prompt, client, max_repairs)
-            text = serialize_shexc(schema)
-            _atomic_write(out / f"{entry.slug}.shex", text)
-            client.write_sidecar(out / f"{entry.slug}.transcript.json", entry.class_uri.value)
-            return {"class_uri": entry.class_uri.value, "status": "ok",
-                    "path": str(out / f"{entry.slug}.shex"),
-                    "seconds": round(time.perf_counter() - started, 3)}
-        except CacheMissError as exc:
-            return {"class_uri": entry.class_uri.value, "status": "cache_miss", "error": str(exc)}
-        except (EndpointError, MalformedResultsError) as exc:
-            return {"class_uri": entry.class_uri.value, "status": "error", "error": str(exc)}
-        except (GenerationFailedError, StructuredOutputFailedError, StubReplyMissingError,
-                AssemblyError, ValueError, RuntimeError) as exc:
-            log.warning("generation failed for %s: %s", entry.class_uri, exc)
-            return {"class_uri": entry.class_uri.value, "status": "failed", "error": str(exc)}
+                frequencies = kg.predicate_frequencies(entry.class_uri)
+                groups = _triple_groups(kg, entry, frequencies, max_candidates)
+                prompt = build_triples_prompt(entry.class_uri, groups, fewshot, entry.label)
+            schema = generate_end_to_end(entry.class_uri, prompt, client, max_repairs)
+        text = serialize_shexc(schema)
+        _atomic_write(out / f"{entry.slug}.shex", text)
+        client.write_sidecar(out / f"{entry.slug}.transcript.json", entry.class_uri.value)
+        return {"class_uri": entry.class_uri.value, "status": "ok",
+                "path": str(out / f"{entry.slug}.shex"),
+                "seconds": round(time.perf_counter() - started, 3)}
 
-    results = _run_per_entry(entries, worker, jobs)
+    results = _run_per_entry(entries, worker, _failure_row, jobs)
     report = {"dataset": manifest.dataset_name, "setting": setting, "out_dir": str(out),
               "model_id": model or ("stub" if stub_dir or llm_client else "unknown"),
               "cardinality": cardinality, "classes": results}
-    return _exit_code(results), report
+    return _exit_code(r["status"] for r in results), report
 
 
 # -- evaluate -----------------------------------------------------------------
@@ -449,17 +508,7 @@ def cmd_evaluate(
     def worker(entry: ManifestEntry) -> ResultRecord:
         record = ResultRecord(entry.class_uri.value, entry.label, setting, model_id)
         gt = entry.ground_truth
-        path = generated / f"{entry.slug}.shex"
-        if not path.exists():
-            record.status = "invalid"
-            record.message = f"no generated schema at {path}"
-            return record
-        try:
-            gen = parse_shexc(path.read_text(encoding="utf-8"), focus_class=entry.class_uri)
-        except ShexcParseError as exc:
-            record.status = "invalid"
-            record.message = str(exc)
-            return record
+        gen = parse_shexc(_read_generated(generated / f"{entry.slug}.shex"), focus_class=entry.class_uri)
         oracle = oracle_for(entry)
         started = time.perf_counter()
         reports = evaluate_criteria(gen, gt, criteria_list, oracle, typing_predicates=(entry.typing_predicate,))
@@ -478,13 +527,26 @@ def cmd_evaluate(
         record.timings["evaluate"] = round(time.perf_counter() - started, 4)
         return record
 
-    records = _run_per_entry(entries, worker, jobs)
+    def failure(entry: ManifestEntry, status: str, message: str) -> ResultRecord:
+        return ResultRecord(entry.class_uri.value, entry.label, setting, model_id, status, message)
+
+    records = _run_per_entry(entries, worker, failure, jobs)
     doc = _evaluation_document(manifest, records, criteria_list, setting, model_id)
     rendered = _render_evaluation(doc, fmt)
     if out:
         _atomic_write(Path(out), rendered)
-    exit_code = EXIT_PARSE if any(r.status == "invalid" for r in records) else EXIT_OK
-    return exit_code, doc
+    return _exit_code(r.status for r in records), doc
+
+
+def _read_generated(path: Path) -> str:
+    """The text of a generated schema file; raises :class:`UnreadableSchemaError`
+    for a file that is missing, unreadable or not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise UnreadableSchemaError(f"no generated schema at {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UnreadableSchemaError(f"cannot read generated schema {path}: {exc}") from exc
 
 
 def _evaluation_document(manifest, records, criteria_list, setting, model_id) -> dict:
@@ -577,8 +639,24 @@ def _markdown_grid(doc: dict) -> str:
 # -- report -------------------------------------------------------------------
 
 
+#: The keys of an evaluation document that ``report`` reads.
+_RESULT_KEYS = ("model_id", "setting", "aggregate", "mean_ged", "mean_nged")
+
+
+def _load_results(path: Path | str) -> dict:
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ManifestError(f"cannot read results file {path}: {exc}") from exc
+    if not isinstance(doc, dict) or not all(key in doc for key in _RESULT_KEYS) \
+            or not isinstance(doc["aggregate"], dict):
+        raise ManifestError(f"results file {path} is not an evaluation document: "
+                            f"it needs {', '.join(_RESULT_KEYS)}")
+    return doc
+
+
 def cmd_report(result_paths: Sequence[Path | str], fmt: str = "md") -> tuple[int, str]:
-    docs = [json.loads(Path(p).read_text(encoding="utf-8")) for p in result_paths]
+    docs = [_load_results(p) for p in result_paths]
     if fmt == "csv":
         lines = ["model_id,setting,criteria,precision,recall,f1,ged,nged,n"]
         for doc in docs:
@@ -635,6 +713,8 @@ def cmd_train_cardinality(
     dump_features: Path | str | None = None,
     transport_factory: TransportFactory | None = None,
 ) -> tuple[int, dict]:
+    if sample_n is not None and sample_n < 1:
+        raise ManifestError(f"--sample must be at least 1, got {sample_n}")
     manifest = load_manifest(manifest_path)
     entries = list(manifest.select(classes))
     if sample_n is not None and sample_n < len(entries):
@@ -806,18 +886,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ManifestError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except CacheMissError as exc:
-        print(f"offline cache miss: {exc}", file=sys.stderr)
-        return EXIT_CACHE_MISS
-    except EndpointError as exc:
-        print(f"endpoint error: {exc}", file=sys.stderr)
-        return EXIT_NETWORK
-    except MalformedResultsError as exc:
-        print(f"malformed results: {exc}", file=sys.stderr)
-        return EXIT_NETWORK
-    except ShexcParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except _FAILURES as exc:
+        # a command-wide failure (train-cardinality's cache, an --out write)
+        # exits as one class with that status would
+        status = _status_of(exc)
+        print(f"{status}: {exc}", file=sys.stderr)
+        return _exit_code([status])
 
 
 if __name__ == "__main__":

@@ -87,6 +87,10 @@ class AssemblyError(ValueError):
     """Schema assembly received conflicting or empty parts."""
 
 
+class ProviderError(RuntimeError):
+    """The LLM provider could not be reached or gave no usable reply."""
+
+
 class LlmClient(Protocol):
     def send(self, messages: Sequence[Message]) -> str: ...
 
@@ -113,7 +117,7 @@ class HttpLlmClient:
     def send(self, messages: Sequence[Message]) -> str:
         api_key = os.environ.get(self.api_key_env)
         if not api_key:
-            raise RuntimeError(f"credential environment variable {self.api_key_env} is not set")
+            raise ProviderError(f"credential environment variable {self.api_key_env} is not set")
         try:
             response = requests.post(
                 self.provider_url,
@@ -122,9 +126,12 @@ class HttpLlmClient:
                 timeout=self.request_timeout,
             )
             response.raise_for_status()
-            return response.json()["choices"][0]["message"]["content"]
-        except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
-            raise RuntimeError(f"provider request failed: {exc}") from exc
+            reply = response.json()["choices"][0]["message"]["content"]
+        except (requests.RequestException, KeyError, IndexError, TypeError, ValueError) as exc:
+            raise ProviderError(f"provider request failed: {exc}") from exc
+        if not isinstance(reply, str):
+            raise ProviderError(f"provider reply content is not a string: {reply!r:.80}")
+        return reply
 
 
 @dataclass

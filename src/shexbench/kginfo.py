@@ -11,6 +11,7 @@ results document, so they can be inspected and checked into fixtures.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -36,6 +37,10 @@ class EndpointError(RuntimeError):
 
 class MalformedResultsError(ValueError):
     """The endpoint's response is not a SPARQL JSON results document."""
+
+
+class LocalFileError(OSError):
+    """A local file could not be read or written; the message names it."""
 
 
 class CacheMissError(LookupError):
@@ -318,12 +323,20 @@ def _normalize_query(query: str) -> str:
 
 def atomic_write_text(path: Path | str, text: str) -> None:
     """Replace ``path`` with ``text`` in one rename.  The temp file is named
-    per process and thread, so concurrent writers of one path never share it."""
+    per process and thread, so concurrent writers of one path never share it.
+
+    Raises :class:`LocalFileError` naming ``path`` when the write fails, after
+    removing the temp file."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.tmp{os.getpid()}-{threading.get_ident()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        raise LocalFileError(f"cannot write {path}: {exc}") from exc
 
 
 def cache_key(query: str, endpoint_url: str) -> str:
@@ -332,15 +345,19 @@ def cache_key(query: str, endpoint_url: str) -> str:
 
 
 def term_from_binding(binding: dict) -> Term:
+    """The RDF term of a SPARQL JSON binding; raises
+    :class:`MalformedResultsError` for one that is no valid term."""
     kind = binding.get("type")
     value = binding.get("value", "")
-    if kind == "uri":
-        return Iri(value)
-    if kind == "bnode":
-        return BlankNode(value)
-    datatype = binding.get("datatype")
-    language = binding.get("xml:lang")
-    return Literal(value, Iri(datatype) if datatype else None, language)
+    try:
+        if kind == "uri":
+            return Iri(value)
+        if kind == "bnode":
+            return BlankNode(value)
+        datatype = binding.get("datatype")
+        return Literal(value, Iri(datatype) if datatype else None, binding.get("xml:lang"))
+    except ValueError as exc:
+        raise MalformedResultsError(f"binding is not a valid RDF term: {binding!r}: {exc}") from exc
 
 
 def _int_value(binding: dict) -> int:
@@ -447,6 +464,8 @@ class KgClient:
             return json.loads(data.decode("utf-8"))["results_document"]
         except FileNotFoundError:
             return None
+        except OSError as exc:
+            raise LocalFileError(f"cannot read cache file {path}: {exc}") from exc
         except (ValueError, KeyError, TypeError) as exc:
             raise MalformedResultsError(f"corrupt cache file {path}: {exc}") from exc
 
@@ -683,13 +702,18 @@ class KgClient:
             except (EndpointError, CacheMissError) as exc:
                 log.warning("%s unavailable for %s / %s: %s", name, class_iri, predicate, exc)
 
-        return GlobalPredicateRecord(
-            class_uri=class_iri,
-            predicate_uri=predicate,
-            frequency=min((used / total) if total else 0.0, 1.0),
-            completeness=completeness,
-            **fields,
-        )
+        try:
+            return GlobalPredicateRecord(
+                class_uri=class_iri,
+                predicate_uri=predicate,
+                frequency=min((used / total) if total else 0.0, 1.0),
+                completeness=completeness,
+                **fields,
+            )
+        except ValueError as exc:
+            # the counts come from the endpoint: a share outside [0,1] means
+            # its answers disagree with each other
+            raise MalformedResultsError(f"inconsistent profile of {class_iri} / {predicate}: {exc}") from exc
 
 
 def _shares(histogram: dict[str, int]) -> dict[str, float]:

@@ -74,9 +74,15 @@ class ChatPrompt:
 
 
 def load_fewshot(path: Path | str) -> tuple[tuple[str, str], ...]:
-    """Few-shot exemplars from a JSON file: one {user, assistant} object or a list."""
+    """Few-shot exemplars from a JSON file: one {user, assistant} object or a list.
+
+    Raises OSError for an unreadable file and ValueError for a malformed one.
+    """
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     entries = doc if isinstance(doc, list) else [doc]
+    if not all(isinstance(entry, dict) and isinstance(entry.get("user"), str)
+               and isinstance(entry.get("assistant"), str) for entry in entries):
+        raise ValueError('every exemplar must be an object with string "user" and "assistant"')
     return tuple((entry["user"], entry["assistant"]) for entry in entries)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import codecs
+import errno
 import json
 import os
 import subprocess
@@ -293,6 +294,23 @@ class TestGenerate:
         assert [r["status"] for r in report["classes"]] == ["error"] * 3
         assert all("connection refused" in r["error"] for r in report["classes"])
 
+    def test_provider_failure_fails_each_class(self, bench, monkeypatch):
+        import requests
+
+        from shexbench import generate
+
+        def post(*args, **kwargs):
+            raise requests.ConnectionError("connection refused")
+
+        monkeypatch.setattr(generate.requests, "post", post)
+        monkeypatch.setenv("SHEXBENCH_API_KEY", "test-key")
+        code, report = cmd_generate(bench["manifest"], bench["tmp"] / "live", bench["cache"], "global",
+                                    provider_url="http://localhost:9/v1/chat", model="some-model",
+                                    transport_factory=bench["factory"])
+        assert code == EXIT_PARTIAL
+        assert [r["status"] for r in report["classes"]] == ["failed"] * 3
+        assert all("provider request failed" in r["error"] for r in report["classes"])
+
     def test_missing_credentials_config_error(self, bench, monkeypatch):
         monkeypatch.delenv("SHEXBENCH_API_KEY", raising=False)
         with pytest.raises(ManifestError, match="credential"):
@@ -496,6 +514,25 @@ class TestEvaluate:
         assert code == EXIT_OK and doc["n_valid"] == 3
         assert loads == [oracle_file]
 
+    def test_unreachable_subclass_oracle_is_a_class_error(self, bench):
+        from shexbench.kginfo import EndpointError
+
+        def broken(cfg):
+            def transport(query):
+                raise EndpointError("connection refused")
+            return transport
+
+        generated = self._copy_ground_truth(bench, "other-country")
+        museum = generated / "Q33506.shex"
+        # only a class pair that differs asks the oracle
+        museum.write_text(museum.read_text().replace("wd:Q6256", "wd:Q56061"))
+        code, doc = cmd_evaluate(bench["manifest"], generated, "node=subclass,card=exact",
+                                 cache_dir=bench["tmp"] / "cache", transport_factory=broken)
+        assert code == EXIT_NETWORK
+        statuses = {r["class_uri"]: r["status"] for r in doc["records"]}
+        assert statuses == {WD + "Q4220917": "ok", WD + "Q33506": "error", WD + "Q1248784": "ok"}
+        assert doc["invalid"] == [{"class_uri": WD + "Q33506", "message": "connection refused"}]
+
     @pytest.mark.parametrize(
         "content",
         [None, '{"subclass_of": {', "[]", '{"subclass_of": {"a": "b"}}', '{"value_types": []}'],
@@ -696,6 +733,251 @@ class TestCorruptCacheInGenerate:
         error = next(r["error"] for r in report["classes"] if r["class_uri"] == award)
         assert str(label_file) in error
         assert code == expected_code
+
+
+MUSEUM = WD + "Q33506"
+_READ_FAULTS = ("missing", "directory", "undecodable", "truncated")
+_WRITE_FAULTS = ("directory", "enospc")
+#: The museum's status and the exit code when the museum's own cache file is faulted.
+_CACHE_READ = {"missing": ("cache_miss", EXIT_CACHE_MISS), "directory": ("error", EXIT_NETWORK),
+               "undecodable": ("error", EXIT_NETWORK), "truncated": ("error", EXIT_NETWORK)}
+
+
+def _inject(target: Path, fault: str, monkeypatch) -> None:
+    """Put ``fault`` at ``target``: remove the file, put a directory in its
+    place, make its bytes undecodable, cut it short, or fail the rename onto
+    it as a full disk does."""
+    if fault == "enospc":
+        replace = os.replace
+
+        def full_disk(src, dst, **kwargs):
+            if Path(dst).name == target.name:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return replace(src, dst, **kwargs)
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        return
+    data = target.read_bytes() if target.is_file() else b""
+    target.unlink(missing_ok=True)
+    if fault == "directory":
+        target.mkdir(parents=True)
+    elif fault == "undecodable":
+        target.write_bytes(b"\xff\xfe" + data)
+    elif fault == "truncated":
+        target.write_bytes(data[:30])
+
+
+def _leftover_temp_files(root: Path) -> list[Path]:
+    return [path for path in root.rglob("*") if ".tmp" in path.name]
+
+
+class TestFaultMatrix:
+    """Each fault at each I/O boundary fails only the class whose file it hits,
+    with the status ``cli._STATUS_OF`` gives it, or, where the file belongs to
+    the whole command, ends the command with that status's exit code; no run
+    ends in a traceback or leaves a temp file behind."""
+
+    def _warm(self, bench) -> dict:
+        """A warm cache, a recorded generation of every class, and the clean
+        offline extract report and evaluation to compare faulted runs against."""
+        from shexbench.kginfo import cache_key, frequency_query
+
+        tmp, factory = bench["tmp"], bench["factory"]
+        cmd_extract(bench["manifest"], bench["cache"], "global", transport_factory=factory)
+        code, _ = cmd_generate(bench["manifest"], tmp / "recorded", bench["cache"], "global", offline=True,
+                               llm_client=benchmark_rule_client())
+        assert code == EXIT_OK
+        _, extracted = cmd_extract(bench["manifest"], bench["cache"], "global", offline=True)
+        _, evaluated = cmd_evaluate(bench["manifest"], tmp / "recorded", "all")
+        first = json.loads((tmp / "recorded" / "Q33506.transcript.json").read_text(encoding="utf-8"))["exchanges"][0]
+        # the museum's frequency table is read before any per-predicate lookup
+        # and by no other class
+        frequency = f"{cache_key(frequency_query(Iri(MUSEUM), Iri(WDT + 'P31')), 'https://fake.example.org/sparql')}.json"
+        return {
+            "extract": {r["class_uri"]: {k: v for k, v in r.items() if k != "seconds"} for r in extracted["classes"]},
+            "evaluate": {r["class_uri"]: {k: v for k, v in r.items() if k != "timings"} for r in evaluated["records"]},
+            "cache read": bench["cache"] / frequency,
+            "cache write": tmp / "cold" / frequency,
+            "shex": tmp / "gen" / "Q33506.shex",
+            "sidecar": tmp / "gen" / "Q33506.transcript.json",
+            "stub read": tmp / "recorded" / "transcripts" / f"{prompt_hash(first['messages'])}.json",
+            "generated read": tmp / "recorded" / "Q33506.shex",
+        }
+
+    @pytest.mark.parametrize("command, boundary, fault, status, code, jobs", [
+        *[("extract", "cache read", fault, *_CACHE_READ[fault], 1) for fault in _READ_FAULTS],
+        *[("extract", "cache write", fault, "error", EXIT_NETWORK, 1) for fault in _WRITE_FAULTS],
+        *[("generate", "cache read", fault, *_CACHE_READ[fault], 1) for fault in _READ_FAULTS],
+        *[("generate", boundary, fault, "error", EXIT_NETWORK, 1)
+          for boundary in ("shex", "sidecar") for fault in _WRITE_FAULTS],
+        *[("generate", "stub read", fault, "failed", EXIT_PARTIAL, 1) for fault in _READ_FAULTS],
+        *[("evaluate", "generated read", fault, "invalid", EXIT_PARSE, 1) for fault in _READ_FAULTS],
+        ("generate", "shex", "directory", "error", EXIT_NETWORK, 3),
+    ])
+    def test_fault_fails_only_its_class(self, bench, monkeypatch, command, boundary, fault, status, code, jobs):
+        tmp, factory = bench["tmp"], bench["factory"]
+        warm = self._warm(bench)
+        target = warm[boundary]
+        _inject(target, fault, monkeypatch)
+        if command == "extract":
+            cache = tmp / "cold" if boundary == "cache write" else bench["cache"]
+            got, report = cmd_extract(bench["manifest"], cache, "global", offline=boundary == "cache read",
+                                      jobs=jobs, transport_factory=factory)
+            rows = {r["class_uri"]: r for r in report["classes"]}
+            message = rows[MUSEUM].get("error")
+            for class_uri, row in rows.items():
+                if class_uri != MUSEUM:
+                    assert {k: v for k, v in row.items() if k != "seconds"} == warm["extract"][class_uri]
+        elif command == "generate":
+            got, report = cmd_generate(bench["manifest"], tmp / "gen", bench["cache"], "global", offline=True,
+                                       stub_dir=tmp / "recorded" / "transcripts", jobs=jobs,
+                                       transport_factory=factory)
+            rows = {r["class_uri"]: r for r in report["classes"]}
+            message = rows[MUSEUM].get("error")
+            for class_uri in BENCHMARK_CLASSES:
+                slug = class_uri.rsplit("/", 1)[-1]
+                if class_uri != MUSEUM:
+                    for name in (f"{slug}.shex", f"{slug}.transcript.json"):
+                        assert (tmp / "gen" / name).read_bytes() == (tmp / "recorded" / name).read_bytes()
+        else:
+            got, doc = cmd_evaluate(bench["manifest"], tmp / "recorded", "all", jobs=jobs)
+            rows = {r["class_uri"]: r for r in doc["records"]}
+            message = rows[MUSEUM]["message"]
+            for class_uri, record in rows.items():
+                if class_uri != MUSEUM:
+                    assert {k: v for k, v in record.items() if k != "timings"} == warm["evaluate"][class_uri]
+        assert {uri: row["status"] for uri, row in rows.items()} == {
+            uri: status if uri == MUSEUM else "ok" for uri in BENCHMARK_CLASSES}
+        assert got == code
+        if fault == "missing":
+            assert target.stem in message
+        elif (boundary, fault) != ("generated read", "truncated"):  # a parse error gives positions
+            assert str(target) in message
+        assert _leftover_temp_files(tmp) == []
+
+    @pytest.mark.parametrize("fault", _READ_FAULTS)
+    def test_train_cache_read_fault(self, bench, monkeypatch, capsys, fault):
+        """A cache miss skips the museum's rows, as any offline miss does; any
+        other fault in a cache file ends training with the file named."""
+        tmp = bench["tmp"]
+        target = self._warm(bench)["cache read"]
+        _inject(target, fault, monkeypatch)
+        capsys.readouterr()
+        code = main(["train-cardinality", "--manifest", str(bench["manifest"]), "--cache-dir", str(bench["cache"]),
+                     "--out", str(tmp / "model.json"), "--kind", "dt", "--offline"])
+        captured = capsys.readouterr()
+        if fault == "missing":
+            assert code == EXIT_OK
+            assert set(json.loads(captured.out)["classes"]) == set(BENCHMARK_CLASSES) - {MUSEUM}
+        else:
+            assert code == EXIT_NETWORK
+            assert f"error: cannot read cache file {target}" in captured.err or \
+                f"error: corrupt cache file {target}" in captured.err
+            assert not (tmp / "model.json").exists()
+        assert _leftover_temp_files(tmp) == []
+
+    @pytest.mark.parametrize("fault", _WRITE_FAULTS)
+    @pytest.mark.parametrize("command", ["evaluate --out", "model file"])
+    def test_command_output_write_fault(self, bench, monkeypatch, capsys, command, fault):
+        tmp = bench["tmp"]
+        self._warm(bench)
+        common = ["--manifest", str(bench["manifest"])]
+        if command == "evaluate --out":
+            target = tmp / "evaluation.json"
+            argv = ["evaluate", *common, "--generated-dir", str(tmp / "recorded"), "--out", str(target)]
+        else:
+            target = tmp / "model.json"
+            argv = ["train-cardinality", *common, "--cache-dir", str(bench["cache"]), "--out", str(target),
+                    "--kind", "dt", "--offline"]
+        _inject(target, fault, monkeypatch)
+        assert main(argv) == EXIT_NETWORK
+        assert f"error: cannot write {target}" in capsys.readouterr().err
+        assert not target.is_file()
+        assert _leftover_temp_files(tmp) == []
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_unnamed_exception_propagates(self, bench, monkeypatch, jobs):
+        """A failure ``_STATUS_OF`` does not name is a programming error, not a class status."""
+        from shexbench import cli
+
+        def broken(*args, **kwargs):
+            raise ValueError("programming error")
+
+        monkeypatch.setattr(cli, "generate_global", broken)
+        with pytest.raises(ValueError, match="programming error"):
+            generate_stubbed(bench, jobs=jobs)
+
+
+@pytest.mark.parametrize("statuses, code", [
+    (["ok", "invalid"], EXIT_PARSE),
+    (["invalid", "failed"], EXIT_PARTIAL),
+    (["failed", "error"], EXIT_NETWORK),
+    (["error", "cache_miss", "invalid"], EXIT_CACHE_MISS),
+    (["ok"], EXIT_OK),
+])
+def test_exit_code_ranks_statuses(statuses, code):
+    from shexbench.cli import _exit_code
+
+    assert _exit_code(statuses) == code
+
+
+class TestConfigurationErrors:
+    """Inputs that make every class fail the same way stop the run with exit 2
+    before any class starts."""
+
+    @pytest.mark.parametrize("argv, option", [
+        (["extract", "--samples", "0"], "--samples"),
+        (["extract", "--max-candidates", "-1"], "--max-candidates"),
+        (["extract", "--max-candidates", "0"], "--max-candidates"),
+        (["generate", "--samples", "0", "--stub-dir", "stubs", "--out-dir", "out"], "--samples"),
+        (["generate", "--max-candidates", "0", "--stub-dir", "stubs", "--out-dir", "out"], "--max-candidates"),
+        (["train-cardinality", "--sample", "0", "--out", "model.json"], "--sample"),
+    ])
+    def test_count_below_one(self, bench, capsys, argv, option):
+        cache = bench["tmp"] / "cache"
+        code = main([*argv, "--manifest", str(bench["manifest"]), "--cache-dir", str(cache), "--offline"])
+        assert code == EXIT_CONFIG
+        assert f"configuration error: {option} must be at least 1" in capsys.readouterr().err
+        assert not cache.exists()
+
+    @pytest.mark.parametrize("content", [None, '{"user": "u", "assistant"', '{"user": "u"}', '[{"user": 1, "assistant": "a"}]'],
+                             ids=["missing-file", "truncated", "missing-key", "not-a-string"])
+    def test_unloadable_fewshot_file(self, bench, capsys, content):
+        fewshot_dir = bench["tmp"] / "fewshot"
+        fewshot_dir.mkdir()
+        path = fewshot_dir / "wikidata_global.json"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        code = main(["generate", "--manifest", str(bench["manifest"]), "--cache-dir", str(bench["cache"]),
+                     "--out-dir", str(bench["tmp"] / "out"), "--stub-dir", str(bench["tmp"] / "stubs"),
+                     "--fewshot-dir", str(fewshot_dir), "--offline"])
+        assert code == EXIT_CONFIG
+        assert f"cannot load few-shot file {path}" in capsys.readouterr().err
+        assert not (bench["tmp"] / "out").exists()
+
+    def test_fewshot_file_is_read_once(self, bench, monkeypatch):
+        from shexbench import cli
+
+        fewshot_dir = bench["tmp"] / "fewshot"
+        fewshot_dir.mkdir()
+        (fewshot_dir / "wikidata_global.json").write_text('{"user": "u", "assistant": "a"}', encoding="utf-8")
+        loads = []
+        original = cli.load_fewshot
+        monkeypatch.setattr(cli, "load_fewshot", lambda path: loads.append(path) or original(path))
+        client = benchmark_rule_client()
+        code, _ = generate_stubbed(bench, llm_client=client, fewshot_dir=fewshot_dir, jobs=3)
+        assert code == EXIT_OK
+        assert loads == [fewshot_dir / "wikidata_global.json"]
+
+    @pytest.mark.parametrize("content", [None, '{"model_id": "m"', "[]", '{"model_id": "m", "setting": "s"}'],
+                             ids=["missing-file", "truncated", "not-an-object", "missing-keys"])
+    def test_unreadable_results_file(self, tmp_path, capsys, content):
+        results = tmp_path / "results.json"
+        if content is not None:
+            results.write_text(content, encoding="utf-8")
+        assert main(["report", str(results)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and str(results) in err
 
 
 class TestArguments:

@@ -11,8 +11,10 @@ from shexbench.generate import (
     NODE_CONSTRAINT_INSTRUCTION,
     AssemblyError,
     GenerationFailedError,
+    HttpLlmClient,
     LlmCardinalitySource,
     MinerThresholds,
+    ProviderError,
     ScriptedLlmClient,
     StructuredCardinality,
     StructuredNodeConstraint,
@@ -366,6 +368,35 @@ class TestStubReplay:
     def test_prompt_hash_stable(self):
         messages = [{"role": "user", "content": "x"}]
         assert prompt_hash(messages) == prompt_hash([dict(m) for m in messages])
+
+
+class TestHttpLlmClient:
+    @pytest.mark.parametrize("outcome", ["no-credential", "unreachable", "no-choices", "no-content"])
+    def test_failed_request_is_a_provider_error(self, monkeypatch, outcome):
+        import requests
+
+        from shexbench import generate
+
+        class Response:
+            def raise_for_status(self):
+                pass
+
+            def json(self):
+                return {"choices": []} if outcome == "no-choices" else {"choices": [{"message": {"content": None}}]}
+
+        def post(*args, **kwargs):
+            if outcome == "unreachable":
+                raise requests.ConnectionError("connection refused")
+            return Response()
+
+        monkeypatch.setattr(generate.requests, "post", post)
+        if outcome == "no-credential":
+            monkeypatch.delenv("SHEXBENCH_API_KEY", raising=False)
+        else:
+            monkeypatch.setenv("SHEXBENCH_API_KEY", "test-key")
+        client = HttpLlmClient(provider_url="http://localhost:9/v1/chat", model="some-model")
+        with pytest.raises(ProviderError):
+            client.send([{"role": "user", "content": "hi"}])
 
 
 class TestMiner:

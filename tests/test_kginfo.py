@@ -20,6 +20,7 @@ from shexbench.kginfo import (
     RecordField,
     _RetryableEndpointError,
     cache_key,
+    term_from_binding,
 )
 from shexbench.model import Iri, Literal
 from support import WD, WDT, XSD, FakeEndpoint, award_endpoint_config, build_award_endpoint
@@ -486,6 +487,30 @@ class TestGlobalRecord:
         assert degraded.class_label == "film award"
         assert [r.levelname for r in caplog.records] == ["WARNING"]
         assert "template down" in caplog.records[0].getMessage()
+
+    def test_inconsistent_counts_are_malformed_results(self, endpoint, tmp_path):
+        """More instances with a value than the class has is no valid profile:
+        the endpoint's answers disagree with each other."""
+
+        def inflated(query):
+            doc = json.loads(json.dumps(endpoint(query)))
+            if "AS ?cardinality" in query:
+                for row in doc["results"]["bindings"]:
+                    row["count"]["value"] = str(int(row["count"]["value"]) * 100)
+            return doc
+
+        client = KgClient(award_endpoint_config(tmp_path / "inflated"), transport=inflated)
+        with pytest.raises(MalformedResultsError, match="inconsistent profile"):
+            client.build_global_record(AWARD, CONFERRED)
+
+    @pytest.mark.parametrize("binding", [
+        {"type": "uri", "value": ""},
+        {"type": "uri", "value": "http://example.org/a b"},
+        {"type": "literal", "value": "x", "datatype": XSD + "string", "xml:lang": "en"},
+    ], ids=["empty-iri", "iri-with-space", "datatype-and-language"])
+    def test_binding_that_is_no_term_is_malformed(self, binding):
+        with pytest.raises(MalformedResultsError, match="not a valid RDF term"):
+            term_from_binding(binding)
 
     def test_examples_capped_at_five(self):
         with pytest.raises(ValueError):
