@@ -271,11 +271,13 @@ def _failure_row(entry: ManifestEntry, status: str, message: str) -> dict:
     return {"class_uri": entry.class_uri.value, "status": status, "error": message}
 
 
-def _check_counts(samples: int, max_candidates: int | None) -> None:
+def _check_counts(samples: int, max_candidates: int | None, max_repairs: int = 0) -> None:
     if samples < 1:
         raise ManifestError(f"--samples must be at least 1, got {samples}")
     if max_candidates is not None and max_candidates < 1:
         raise ManifestError(f"--max-candidates must be at least 1, got {max_candidates}")
+    if max_repairs < 0:
+        raise ManifestError(f"--max-repairs must be at least 0, got {max_repairs}")
 
 
 # -- extract ------------------------------------------------------------------
@@ -388,7 +390,7 @@ def cmd_generate(
     transport_factory: TransportFactory | None = None,
     llm_client: LlmClient | None = None,
 ) -> tuple[int, dict]:
-    _check_counts(samples, max_candidates)
+    _check_counts(samples, max_candidates, max_repairs)
     manifest = load_manifest(manifest_path)
     prompt_setting = PromptSetting(setting)
     entries = manifest.select(classes)

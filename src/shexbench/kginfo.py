@@ -6,7 +6,9 @@ touches the network, and a client keeps each parsed document after its first
 read; concurrent misses on the same key collapse to a single request; offline
 mode turns misses into errors instead of requests.  Cache
 files are plain JSON holding the query, a timestamp, and the standard SPARQL
-results document, so they can be inspected and checked into fixtures.
+results document, so they can be inspected and checked into fixtures.  They
+are written compact, on one line (``python -m json.tool <file>`` pretty-prints
+one); files written indented by older versions read the same.
 """
 
 from __future__ import annotations
@@ -321,21 +323,35 @@ def _normalize_query(query: str) -> str:
     return " ".join(query.split())
 
 
+_TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+
+
 def atomic_write_text(path: Path | str, text: str) -> None:
-    """Replace ``path`` with ``text`` in one rename.  The temp file is named
-    per process and thread, so concurrent writers of one path never share it.
+    """Replace ``path`` with ``text`` as UTF-8 in one rename.  The temp file is
+    named per process and thread, so concurrent writers of one path never
+    share it.  The parent directory is created only when it is missing, which
+    the temp file's open reports.
 
     Raises :class:`LocalFileError` naming ``path`` when the write fails, after
     removing the temp file."""
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}-{threading.get_ident()}")
+    path = os.fspath(path)
+    tmp = f"{path}.tmp{os.getpid()}-{threading.get_ident()}"
+    data = memoryview(text.encode("utf-8"))
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(text, encoding="utf-8")
+        try:
+            fd = os.open(tmp, _TEMP_FLAGS, 0o666)
+        except FileNotFoundError:
+            os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+            fd = os.open(tmp, _TEMP_FLAGS, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except OSError as exc:
         with contextlib.suppress(OSError):
-            tmp.unlink(missing_ok=True)
+            os.unlink(tmp)
         raise LocalFileError(f"cannot write {path}: {exc}") from exc
 
 
@@ -360,11 +376,22 @@ def term_from_binding(binding: dict) -> Term:
         raise MalformedResultsError(f"binding is not a valid RDF term: {binding!r}: {exc}") from exc
 
 
-def _int_value(binding: dict) -> int:
+def _bound(row: dict, variable: str) -> dict:
+    """The binding of ``?variable`` in a results row; raises
+    :class:`MalformedResultsError` naming the variable when the row leaves it
+    unbound or its binding carries no value."""
+    binding = row.get(variable) if isinstance(row, dict) else None
+    if not isinstance(binding, dict) or "value" not in binding:
+        raise MalformedResultsError(f"results row has no value for ?{variable}: {row!r}")
+    return binding
+
+
+def _int_value(row: dict, variable: str) -> int:
+    binding = _bound(row, variable)
     try:
         return int(binding["value"])
-    except (KeyError, ValueError) as exc:
-        raise MalformedResultsError(f"expected an integer binding, got {binding!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise MalformedResultsError(f"expected an integer binding for ?{variable}, got {binding!r}") from exc
 
 
 def http_transport(cfg: EndpointConfig) -> Callable[[str], dict]:
@@ -476,7 +503,8 @@ class KgClient:
             "fetched_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "results_document": results,
         }
-        atomic_write_text(path, json.dumps(payload, indent=2, ensure_ascii=False))
+        # compact separators keep json.dumps on its C encoder, which any indent disables
+        atomic_write_text(path, json.dumps(payload, ensure_ascii=False, separators=(",", ":")))
 
     def _fetch(self, query: str) -> dict:
         delays = [ms / 1000.0 for ms in self.cfg.retry_backoff_ms]
@@ -519,27 +547,27 @@ class KgClient:
             rows = self._rows(frequency_query(class_iri, self.cfg.typing_predicate))
             counts = {}
             for row in rows:
-                predicate = term_from_binding(row["predicate"])
+                predicate = term_from_binding(_bound(row, "predicate"))
                 if isinstance(predicate, Iri):
-                    counts[predicate] = _int_value(row["count"])
+                    counts[predicate] = _int_value(row, "count")
             frequencies = dict(sorted(counts.items(), key=lambda item: (-item[1], item[0])))
             self._frequencies[class_iri] = frequencies
         return dict(frequencies)
 
     def instance_count(self, class_iri: Iri) -> int:
         rows = self._rows(instance_count_query(class_iri, self.cfg.typing_predicate))
-        return _int_value(rows[0]["count"]) if rows else 0
+        return _int_value(rows[0], "count") if rows else 0
 
     def cardinality_distribution(self, class_iri: Iri, predicate: Iri) -> dict[int, int]:
         """Instances with exactly k objects for the predicate, for each k >= 1."""
         rows = self._rows(cardinality_query(class_iri, predicate, self.cfg.typing_predicate))
-        histogram = {_int_value(row["cardinality"]): _int_value(row["count"]) for row in rows}
+        histogram = {_int_value(row, "cardinality"): _int_value(row, "count") for row in rows}
         return dict(sorted(histogram.items()))
 
     def count_missing(self, class_iri: Iri, predicate: Iri) -> int:
         """Instances of the class with no objects at all for the predicate."""
         rows = self._rows(missing_query(class_iri, predicate, self.cfg.typing_predicate))
-        return _int_value(rows[0]["count"]) if rows else 0
+        return _int_value(rows[0], "count") if rows else 0
 
     def object_profiles(self, class_iri: Iri, predicate: Iri) -> tuple[dict[str, int], dict[str, int]]:
         """(datatype histogram, object class histogram) for a predicate's objects.
@@ -550,13 +578,13 @@ class KgClient:
         datatype_rows = self._rows(datatype_query(class_iri, predicate, self.cfg.typing_predicate))
         datatypes = {}
         for row in datatype_rows:
-            datatypes[row["kind"]["value"]] = _int_value(row["count"])
+            datatypes[_bound(row, "kind")["value"]] = _int_value(row, "count")
         class_rows = self._rows(object_classes_query(class_iri, predicate, self.cfg.typing_predicate))
         classes = {}
         for row in class_rows:
-            term = term_from_binding(row["class"])
+            term = term_from_binding(_bound(row, "class"))
             if isinstance(term, Iri):
-                classes[term.value] = _int_value(row["count"])
+                classes[term.value] = _int_value(row, "count")
         def by_share(histogram: dict[str, int]) -> dict[str, int]:
             return dict(sorted(histogram.items(), key=lambda item: (-item[1], item[0])))
 
@@ -570,30 +598,32 @@ class KgClient:
             raise ValueError("sample size must be >= 1")
         if self.cfg.kg_kind is KgKind.WIKIDATA:
             rows = self._rows(instances_query(class_iri, self.cfg.typing_predicate, _SAMPLE_POOL_LIMIT))
-            instances = [term_from_binding(r["instance"]) for r in rows]
+            instances = [term_from_binding(_bound(r, "instance")) for r in rows]
             instances = [i for i in instances if isinstance(i, Iri)]
             instances.sort(key=_wikidata_id_sort_key)
             return instances[:n]
         rows = self._rows(instance_richness_query(class_iri, self.cfg.typing_predicate, _SAMPLE_POOL_LIMIT))
         ranked = []
         for row in rows:
-            instance = term_from_binding(row["instance"])
+            instance = term_from_binding(_bound(row, "instance"))
             if isinstance(instance, Iri):
-                ranked.append((-_int_value(row["count"]), instance))
+                ranked.append((-_int_value(row, "count"), instance))
         ranked.sort()
         return [instance for _, instance in ranked[:n]]
 
     def instance_triples(self, instance: Iri) -> list[Triple]:
         """One-hop triples of an instance, with English labels."""
         rows = self._rows(instance_triples_query(instance))
-        pairs = [(term_from_binding(row["predicate"]), term_from_binding(row["object"])) for row in rows]
+        pairs = [(term_from_binding(_bound(row, "predicate")), term_from_binding(_bound(row, "object")))
+                 for row in rows]
         return self._labelled_triples(
             instance, [(instance, p, self._labeled_form(p), o) for p, o in pairs if isinstance(p, Iri)])
 
     def triple_examples(self, class_iri: Iri, predicate: Iri, limit: int = 5) -> list[Triple]:
         rows = self._rows(triple_examples_query(class_iri, predicate, self.cfg.typing_predicate, limit))
         labeled = self._labeled_form(predicate)
-        pairs = [(term_from_binding(row["subject"]), term_from_binding(row["object"])) for row in rows]
+        pairs = [(term_from_binding(_bound(row, "subject")), term_from_binding(_bound(row, "object")))
+                 for row in rows]
         kept = [(s, predicate, labeled, o) for s, o in pairs if isinstance(s, Iri) and not isinstance(o, BlankNode)]
         return self._labelled_triples(labeled, kept)[:limit]
 
@@ -615,11 +645,11 @@ class KgClient:
 
     def label_of(self, term: Iri) -> str | None:
         rows = self._rows(label_query(term))
-        return rows[0]["label"]["value"] if rows else None
+        return _bound(rows[0], "label")["value"] if rows else None
 
     def description_of(self, term: Iri) -> str | None:
         rows = self._rows(description_query(term, self.cfg.description_predicate))
-        return rows[0]["description"]["value"] if rows else None
+        return _bound(rows[0], "description")["value"] if rows else None
 
     def _labeled_form(self, predicate: Iri) -> Iri:
         # Wikidata labels live on the property entity, not the direct-property IRI.
@@ -639,7 +669,7 @@ class KgClient:
         if self.cfg.kg_kind is not KgKind.WIKIDATA:
             return ()
         rows = self._rows(property_constraint_query(self._labeled_form(predicate), constraint_type))
-        classes = [term_from_binding(r["class"]) for r in rows]
+        classes = [term_from_binding(_bound(r, "class")) for r in rows]
         return tuple(sorted(c for c in classes if isinstance(c, Iri)))
 
     def is_subclass_of(self, c: Iri, c_prime: Iri) -> bool:

@@ -736,6 +736,33 @@ class TestCorruptCacheInGenerate:
 
 
 MUSEUM = WD + "Q33506"
+
+
+def test_unbound_result_variable_fails_only_its_class(bench):
+    """A transport whose frequency rows for one class lack ``?count`` fails
+    that class with ``error`` naming the variable; the others are unchanged."""
+    from shexbench.kginfo import frequency_query
+
+    museum_frequencies = " ".join(frequency_query(Iri(MUSEUM), Iri(WDT + "P31")).split())
+
+    def dropping_count(query):
+        doc = bench["endpoint"](query)
+        if " ".join(query.split()) == museum_frequencies:
+            doc = json.loads(json.dumps(doc))
+            for row in doc["results"]["bindings"]:
+                del row["count"]
+        return doc
+
+    _, clean = cmd_extract(bench["manifest"], bench["tmp"] / "clean", "global", transport_factory=bench["factory"])
+    code, report = cmd_extract(bench["manifest"], bench["cache"], "global",
+                               transport_factory=lambda cfg: dropping_count)
+    assert code == EXIT_NETWORK
+    rows = {r["class_uri"]: {k: v for k, v in r.items() if k != "seconds"} for r in report["classes"]}
+    expected = {r["class_uri"]: {k: v for k, v in r.items() if k != "seconds"} for r in clean["classes"]}
+    assert rows[MUSEUM]["status"] == "error"
+    assert "?count" in rows[MUSEUM]["error"]
+    assert {uri: row for uri, row in rows.items() if uri != MUSEUM} == \
+        {uri: row for uri, row in expected.items() if uri != MUSEUM}
 _READ_FAULTS = ("missing", "directory", "undecodable", "truncated")
 _WRITE_FAULTS = ("directory", "enospc")
 #: The museum's status and the exit code when the museum's own cache file is faulted.
@@ -939,6 +966,23 @@ class TestConfigurationErrors:
         assert code == EXIT_CONFIG
         assert f"configuration error: {option} must be at least 1" in capsys.readouterr().err
         assert not cache.exists()
+
+    def test_negative_max_repairs(self, bench, capsys):
+        cache = bench["tmp"] / "cache"
+        code = main(["generate", "--max-repairs", "-1", "--stub-dir", "stubs", "--out-dir", "out",
+                     "--manifest", str(bench["manifest"]), "--cache-dir", str(cache), "--offline"])
+        assert code == EXIT_CONFIG
+        assert "configuration error: --max-repairs must be at least 0, got -1" in capsys.readouterr().err
+        assert not cache.exists()
+
+    def test_negative_max_repairs_makes_no_lookup(self, bench):
+        client = benchmark_rule_client()
+        with pytest.raises(ManifestError, match="--max-repairs"):
+            cmd_generate(bench["manifest"], bench["tmp"] / "gen", bench["cache"], "local", max_repairs=-1,
+                         llm_client=client, transport_factory=bench["factory"])
+        assert bench["endpoint"].request_count == 0
+        assert client.sent == []
+        assert not (bench["tmp"] / "gen").exists()
 
     @pytest.mark.parametrize("content", [None, '{"user": "u", "assistant"', '{"user": "u"}', '[{"user": 1, "assistant": "a"}]'],
                              ids=["missing-file", "truncated", "missing-key", "not-a-string"])

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import errno
 import json
+import os
+import re
 import sys
 import threading
 import time
@@ -16,14 +19,26 @@ from shexbench.kginfo import (
     KgClient,
     KgKind,
     KgSubclassOracle,
+    LocalFileError,
     MalformedResultsError,
     RecordField,
     _RetryableEndpointError,
+    atomic_write_text,
     cache_key,
+    instance_count_query,
     term_from_binding,
 )
 from shexbench.model import Iri, Literal
-from support import WD, WDT, XSD, FakeEndpoint, award_endpoint_config, build_award_endpoint
+from support import (
+    WD,
+    WDT,
+    XSD,
+    FakeEndpoint,
+    award_endpoint_config,
+    build_award_endpoint,
+    build_benchmark_endpoint,
+    write_benchmark_manifest,
+)
 
 AWARD = Iri(WD + "Q4220917")
 COUNTRY_PRED = Iri(WDT + "P17")
@@ -254,6 +269,90 @@ class TestCache:
         client = KgClient(award_endpoint_config(tmp_path), transport=lambda q: {"nope": 1})
         with pytest.raises(MalformedResultsError):
             client.instance_count(AWARD)
+
+
+class TestCacheWriter:
+    def test_cache_file_is_one_line_of_json(self, tmp_path):
+        doc = {"head": {"vars": ["label"]}, "results": {"bindings": [
+            {"label": {"type": "literal", "value": "Musée d'Orsay", "xml:lang": "fr"}}]}}
+        client = KgClient(award_endpoint_config(tmp_path), transport=lambda query: doc)
+        assert client.label_of(AWARD) == "Musée d'Orsay"
+        (path,) = tmp_path.glob("*.json")
+        data = path.read_bytes()
+        assert b"\n" not in data and b": " not in data
+        assert "Musée d'Orsay".encode("utf-8") in data
+        written = json.loads(data)
+        assert list(written) == ["endpoint", "query", "fetched_at", "results_document"]
+        assert written["results_document"] == doc
+        assert KgClient._read_cache(path) == doc
+
+    def test_indented_cache_files_read_the_same(self, tmp_path):
+        """A warm cache rewritten in the indented format older versions wrote
+        gives the same offline records and extract report."""
+        from shexbench.cli import cmd_extract, entry_endpoint_config, load_manifest
+
+        endpoint = build_benchmark_endpoint()
+        manifest = write_benchmark_manifest(tmp_path)
+        cache = tmp_path / "cache"
+        cmd_extract(manifest, cache, "global", transport_factory=lambda cfg: endpoint)
+        requests = endpoint.request_count
+
+        def offline_run():
+            code, report = cmd_extract(manifest, cache, "global", offline=True)
+            records = []
+            for entry in load_manifest(manifest).entries:
+                kg = KgClient(entry_endpoint_config(entry, cache, offline=True))
+                records += [kg.build_global_record(entry.class_uri, p) for p in kg.global_candidates(entry.class_uri)]
+            return code, [{k: v for k, v in row.items() if k != "seconds"} for row in report["classes"]], records
+
+        compact = offline_run()
+        files = sorted(cache.glob("*.json"))
+        for path in files:
+            assert path.read_bytes().count(b"\n") == 0
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            path.write_text(json.dumps(doc, indent=2, ensure_ascii=False), encoding="utf-8")
+        assert offline_run() == compact
+        assert compact[0] == 0 and len(compact[2]) > 0
+        assert endpoint.request_count == requests
+
+    def test_parent_directory_made_only_when_missing(self, tmp_path, monkeypatch):
+        calls = []
+        for name in ("mkdir", "makedirs"):
+            original = getattr(os, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(os, name, counted)
+        target = tmp_path / "a" / "b" / "first.json"
+        atomic_write_text(target, "first")
+        assert target.read_text(encoding="utf-8") == "first"
+        assert calls
+        calls.clear()
+        atomic_write_text(target.with_name("second.json"), "second")
+        atomic_write_text(str(target), "replaced")
+        assert calls == []
+        assert sorted(p.name for p in target.parent.iterdir()) == ["first.json", "second.json"]
+        assert target.read_text(encoding="utf-8") == "replaced"
+
+    @pytest.mark.parametrize("fault", ["directory", "rename enospc", "write enospc"])
+    def test_failed_cache_write_leaves_no_temp_file(self, endpoint, client, tmp_path, monkeypatch, fault):
+        """A directory at the cache path, or a full disk at the temp file's
+        write or at the rename, fails the write naming the file."""
+        query = instance_count_query(AWARD, Iri(WDT + "P31"))
+        target = tmp_path / "cache" / "key.json"
+        if fault == "directory":
+            target.mkdir(parents=True)
+        else:
+            def full_disk(*args, **kwargs):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            monkeypatch.setattr(os, "replace" if fault == "rename enospc" else "write", full_disk)
+        with pytest.raises(LocalFileError, match=re.escape(f"cannot write {target}")):
+            client._write_cache(target, query, endpoint(query))
+        monkeypatch.undo()
+        assert [p.name for p in target.parent.iterdir()] == ([target.name] if fault == "directory" else [])
 
 
 AWARD_PREDICATES = (Iri(WDT + "P31"), COUNTRY_PRED, INCEPTION, WEBSITE, CONFERRED)
