@@ -48,6 +48,7 @@ from .generate import (
 )
 from .kginfo import (
     CacheMissError,
+    CacheStore,
     EndpointConfig,
     EndpointError,
     KgClient,
@@ -183,11 +184,19 @@ def entry_endpoint_config(entry: ManifestEntry, cache_dir: Path | str, offline: 
     )
 
 
+def _cache_stores(entries: Iterable[ManifestEntry]) -> dict[str, CacheStore]:
+    """One cache store per endpoint URL among ``entries``, for one command, so
+    its classes fetch each key once and share the endpoint's in-flight gate."""
+    return {url: CacheStore() for url in {entry.endpoint_url for entry in entries}}
+
+
 def _kg_client(entry: ManifestEntry, cache_dir: Path | str, offline: bool,
-               transport_factory: TransportFactory | None) -> KgClient:
-    """The class's KG client, over ``transport_factory``'s transport when one is given."""
+               transport_factory: TransportFactory | None, stores: dict[str, CacheStore]) -> KgClient:
+    """The class's KG client over its endpoint's store in ``stores``, and over
+    ``transport_factory``'s transport when one is given."""
     cfg = entry_endpoint_config(entry, cache_dir, offline)
-    return KgClient(cfg, transport=transport_factory(cfg) if transport_factory else None)
+    return KgClient(cfg, transport=transport_factory(cfg) if transport_factory else None,
+                    store=stores[entry.endpoint_url])
 
 
 #: The per-class status of each failure a class's work may raise; the first
@@ -325,9 +334,10 @@ def cmd_extract(
     manifest = load_manifest(manifest_path)
     prompt_setting = PromptSetting(setting)
     entries = manifest.select(classes)
+    stores = _cache_stores(entries)
 
     def worker(entry: ManifestEntry) -> dict:
-        client = _kg_client(entry, cache_dir, offline, transport_factory)
+        client = _kg_client(entry, cache_dir, offline, transport_factory, stores)
         started = time.perf_counter()
         counts = _warm_entry(client, entry, prompt_setting, samples, max_candidates)
         return {"class_uri": entry.class_uri.value, "status": "ok", "row_counts": counts,
@@ -396,6 +406,7 @@ def cmd_generate(
     entries = manifest.select(classes)
     out = Path(out_dir)
     fewshots = _load_fewshots(entries, prompt_setting, fewshot_dir)
+    stores = _cache_stores(entries)
 
     base_client = llm_client or _build_llm_client(stub_dir, provider_url, model, api_key_env)
     # a stub replay's record is its stub directory; only a run that calls a
@@ -416,7 +427,7 @@ def cmd_generate(
         raise ManifestError(f"unknown cardinality source {cardinality!r}")
 
     def worker(entry: ManifestEntry) -> dict:
-        kg = _kg_client(entry, cache_dir, offline, transport_factory)
+        kg = _kg_client(entry, cache_dir, offline, transport_factory, stores)
         fewshot = fewshots.get(entry.kg_kind, ())
         client = TranscriptRecorder(base_client, transcripts)
         started = time.perf_counter()
@@ -499,12 +510,13 @@ def cmd_evaluate(
             static_oracle = load_subclass_oracle(subclass_file)
         except (OSError, ValueError) as exc:
             raise ManifestError(f"cannot load --subclass-file {subclass_file}: {exc}") from exc
+    stores = _cache_stores(entries)
 
     def oracle_for(entry: ManifestEntry):
         if static_oracle is not None:
             return static_oracle
         if cache_dir is not None:
-            return KgSubclassOracle(_kg_client(entry, cache_dir, False, transport_factory))
+            return KgSubclassOracle(_kg_client(entry, cache_dir, False, transport_factory, stores))
         return StaticSubclassOracle()
 
     def worker(entry: ManifestEntry) -> ResultRecord:
@@ -723,11 +735,12 @@ def cmd_train_cardinality(
         rng = random.Random(seed)
         entries = sorted(rng.sample(entries, sample_n), key=lambda e: e.class_uri.value)
 
+    stores = _cache_stores(entries)
     rows: list[tuple] = []
     row_classes: list[str] = []
     row_predicates: list[str] = []
     for entry in entries:
-        client = _kg_client(entry, cache_dir, offline, transport_factory)
+        client = _kg_client(entry, cache_dir, offline, transport_factory, stores)
         for constraint in canonicalize(entry.ground_truth).start_shape.constraints:
             try:
                 record = client.build_global_record(entry.class_uri, constraint.predicate)

@@ -2,13 +2,18 @@
 
 Every query goes through a deterministic on-disk cache keyed by the
 whitespace-normalized query text plus the endpoint URL.  A cache hit never
-touches the network, and a client keeps each parsed document after its first
-read; concurrent misses on the same key collapse to a single request; offline
-mode turns misses into errors instead of requests.  Cache
-files are plain JSON holding the query, a timestamp, and the standard SPARQL
-results document, so they can be inspected and checked into fixtures.  They
-are written compact, on one line (``python -m json.tool <file>`` pretty-prints
-one); files written indented by older versions read the same.
+touches the network, and offline mode turns misses into errors instead of
+requests.  The clients of one endpoint within one command share a
+:class:`CacheStore`: concurrent misses on the same key collapse to a single
+request, at most ``_MAX_IN_FLIGHT`` requests run at once, and each parsed
+document of a term lookup (a label, a description, a property constraint, a
+subclass path) is kept for every class.  The documents of the other queries
+(a class's profile, an instance's triples) stay with the client that read
+them and are freed with it.  Cache files are plain JSON holding the query, a timestamp,
+and the standard SPARQL results document, so they can be inspected and
+checked into fixtures.  They are written compact, on one line (``python -m
+json.tool <file>`` pretty-prints one); files written indented by older
+versions read the same.
 """
 
 from __future__ import annotations
@@ -426,7 +431,8 @@ class _RetryableEndpointError(EndpointError):
     """Transient failure (429/5xx); eligible for backoff retries."""
 
 
-#: Requests one client runs at once; a politeness bound on public endpoints.
+#: Requests one endpoint serves at once for one command (one
+#: :class:`CacheStore`); a politeness bound on public endpoints.
 _MAX_IN_FLIGHT = 2
 #: Instances fetched before :meth:`KgClient.sample_instances` ranks them.
 _SAMPLE_POOL_LIMIT = 10000
@@ -434,57 +440,87 @@ _SAMPLE_POOL_LIMIT = 10000
 _SUBCLASS_MAX_DEPTH = 10
 
 
+class CacheStore:
+    """The cache state that the clients of one endpoint share for one command.
+
+    It holds one lock per missed key (so a miss is fetched once however
+    many clients ask for it), the gate that lets at most ``_MAX_IN_FLIGHT``
+    requests run at once, and the parsed documents of the term lookups, read
+    or fetched once for all the clients.  Answers only: a miss is looked up
+    again next time.
+    """
+
+    def __init__(self):
+        self.gate = threading.BoundedSemaphore(_MAX_IN_FLIGHT)
+        self.documents: dict[str, dict] = {}
+        self._key_locks: dict[str, threading.Lock] = {}
+        self._key_locks_guard = threading.Lock()
+
+    def key_lock(self, key: str) -> threading.Lock:
+        with self._key_locks_guard:
+            return self._key_locks.setdefault(key, threading.Lock())
+
+
 class KgClient:
     """Cached SPARQL client plus the extraction operations built on it.
 
     ``transport`` may be replaced by a stub callable ``query -> results doc``
-    for tests and recorded fixtures.  Thread-safe: at most two requests run
-    concurrently and identical cache misses are single-flight.
+    for tests and recorded fixtures.  ``store`` is the endpoint's
+    :class:`CacheStore` for the command; without one the client gets a store
+    of its own.  Thread-safe: at most two requests run concurrently per store
+    (in the CLI, per endpoint and command), and identical cache misses are
+    single-flight across the store's clients.
     """
 
-    def __init__(self, cfg: EndpointConfig, transport: Callable[[str], dict] | None = None):
+    def __init__(self, cfg: EndpointConfig, transport: Callable[[str], dict] | None = None,
+                 store: CacheStore | None = None):
         self.cfg = cfg
         self.keys_touched: set[str] = set()
         self._transport = transport or http_transport(cfg)
-        self._gate = threading.BoundedSemaphore(_MAX_IN_FLIGHT)
-        self._key_locks: dict[str, threading.Lock] = {}
-        self._key_locks_guard = threading.Lock()
-        # Parsed results documents by cache key, and decoded frequency tables
-        # by class.  Only answers are kept: a miss is looked up again next time.
+        self._store = store or CacheStore()
+        # the same text as str(Path(cfg.cache_dir) / name), without a Path per lookup
+        self._cache_prefix = os.fspath(Path(cfg.cache_dir) / "_")[:-1]
+        # Parsed documents of the other queries (a class's profile, an
+        # instance's triples) by cache key, and decoded frequency tables by
+        # class; freed with the client.
         self._documents: dict[str, dict] = {}
         self._frequencies: dict[Iri, dict[Iri, int]] = {}
 
     # -- cache layer ---------------------------------------------------------
 
-    def cached_query(self, query: str) -> dict:
+    def cached_query(self, query: str, shared: bool = False) -> dict:
         """SPARQL JSON results for ``query``, served from the cache when warm.
 
-        Each key's document is read (or fetched) once per client and then
-        served from memory; callers must not mutate it."""
+        Each key's document is read (or fetched) once per client, or once per
+        store when ``shared`` (a term lookup that any class may repeat), and
+        then served from memory; callers must not mutate it."""
         key = cache_key(query, self.cfg.endpoint_url)
         self.keys_touched.add(key)
-        results = self._documents.get(key)
+        store = self._store
+        documents = store.documents if shared else self._documents
+        results = documents.get(key)
         if results is not None:
             return results
-        path = Path(self.cfg.cache_dir) / f"{key}.json"
+        path = self._cache_prefix + key + ".json"
         results = self._read_cache(path)
         if results is None:
             if self.cfg.offline:
                 raise CacheMissError(key, query)
-            with self._key_lock(key):
-                results = self._read_cache(path)
+            with store.key_lock(key):
+                # another client may have read or fetched it while this one waited
+                results = documents.get(key)
                 if results is None:
-                    results = self._fetch(query)
-                    self._write_cache(path, query, results)
-        self._documents[key] = results
+                    results = self._read_cache(path)
+                    if results is None:
+                        results = self._fetch(query)
+                        self._write_cache(path, query, results)
+                    documents[key] = results
+            return results
+        documents[key] = results
         return results
 
-    def _key_lock(self, key: str) -> threading.Lock:
-        with self._key_locks_guard:
-            return self._key_locks.setdefault(key, threading.Lock())
-
     @staticmethod
-    def _read_cache(path: Path) -> dict | None:
+    def _read_cache(path: Path | str) -> dict | None:
         try:
             with open(path, "rb") as handle:
                 data = handle.read()
@@ -496,7 +532,7 @@ class KgClient:
         except (ValueError, KeyError, TypeError) as exc:
             raise MalformedResultsError(f"corrupt cache file {path}: {exc}") from exc
 
-    def _write_cache(self, path: Path, query: str, results: dict) -> None:
+    def _write_cache(self, path: Path | str, query: str, results: dict) -> None:
         payload = {
             "endpoint": self.cfg.endpoint_url,
             "query": query,
@@ -511,7 +547,7 @@ class KgClient:
         attempts = len(delays) + 1
         for attempt in range(attempts):
             try:
-                with self._gate:
+                with self._store.gate:
                     doc = self._transport(query)
                 if not isinstance(doc, dict) or ("results" not in doc and "boolean" not in doc):
                     raise MalformedResultsError(f"not a SPARQL results document: {type(doc).__name__}")
@@ -523,15 +559,15 @@ class KgClient:
                 time.sleep(delays[attempt])
         raise EndpointError("unreachable")
 
-    def _rows(self, query: str) -> list[dict]:
-        doc = self.cached_query(query)
+    def _rows(self, query: str, shared: bool = False) -> list[dict]:
+        doc = self.cached_query(query, shared)
         try:
             return doc["results"]["bindings"]
         except (KeyError, TypeError) as exc:
             raise MalformedResultsError(f"results document has no bindings: {exc}") from exc
 
-    def _ask(self, query: str) -> bool:
-        doc = self.cached_query(query)
+    def _ask(self, query: str, shared: bool = False) -> bool:
+        doc = self.cached_query(query, shared)
         try:
             return bool(doc["boolean"])
         except (KeyError, TypeError) as exc:
@@ -644,11 +680,11 @@ class KgClient:
                 for s, p, form, o in rows]
 
     def label_of(self, term: Iri) -> str | None:
-        rows = self._rows(label_query(term))
+        rows = self._rows(label_query(term), shared=True)
         return _bound(rows[0], "label")["value"] if rows else None
 
     def description_of(self, term: Iri) -> str | None:
-        rows = self._rows(description_query(term, self.cfg.description_predicate))
+        rows = self._rows(description_query(term, self.cfg.description_predicate), shared=True)
         return _bound(rows[0], "description")["value"] if rows else None
 
     def _labeled_form(self, predicate: Iri) -> Iri:
@@ -668,7 +704,7 @@ class KgClient:
     def property_constraint_classes(self, predicate: Iri, constraint_type: Iri) -> tuple[Iri, ...]:
         if self.cfg.kg_kind is not KgKind.WIKIDATA:
             return ()
-        rows = self._rows(property_constraint_query(self._labeled_form(predicate), constraint_type))
+        rows = self._rows(property_constraint_query(self._labeled_form(predicate), constraint_type), shared=True)
         classes = [term_from_binding(_bound(r, "class")) for r in rows]
         return tuple(sorted(c for c in classes if isinstance(c, Iri)))
 
@@ -677,7 +713,8 @@ class KgClient:
         :data:`_SUBCLASS_MAX_DEPTH` steps."""
         if c == c_prime:
             return True
-        return self._ask(subclass_path_query(c, c_prime, self.cfg.subclass_predicate, _SUBCLASS_MAX_DEPTH))
+        return self._ask(subclass_path_query(c, c_prime, self.cfg.subclass_predicate, _SUBCLASS_MAX_DEPTH),
+                         shared=True)
 
     def build_global_record(self, class_iri: Iri, predicate: Iri) -> GlobalPredicateRecord:
         """Compose the per-predicate profile that feeds prompts and features.

@@ -607,6 +607,50 @@ def write_benchmark_manifest(root):
     return path
 
 
+def write_shared_property_benchmark(root, n_classes: int = 8):
+    """A KG and manifest of ``n_classes`` classes whose instances all use the
+    same two properties (country ``P17`` and website ``P856``), so every class
+    looks up the same property labels, descriptions and constraints.
+
+    Returns ``(endpoint, manifest path)``."""
+    import json as _json
+    from pathlib import Path
+
+    from shexbench.model import Iri
+
+    typing = WDT + "P31"
+    countries = [WD + "Q30", WD + "Q183", WD + "Q38"]
+    ep = FakeEndpoint()
+    for country in countries:
+        ep.add_instance(WD + "Q6256", country, [], typing)
+    root = Path(root)
+    (root / "gt").mkdir(parents=True, exist_ok=True)
+    entries = []
+    for index in range(n_classes):
+        class_uri = WD + f"Q90{index:02d}"
+        for member in range(3):
+            ep.add_instance(class_uri, WD + f"Q91{index:02d}{member}", [
+                (WDT + "P17", Iri(countries[(index + member) % 3])),
+                (WDT + "P856", Iri(f"http://example.org/{index}/{member}")),
+            ], typing)
+        ep.labels[class_uri] = f"class {index}"
+        slug = class_uri.rsplit("/", 1)[-1]
+        (root / "gt" / f"{slug}.shex").write_text(
+            "PREFIX wd: <http://www.wikidata.org/entity/>\n"
+            "PREFIX wdt: <http://www.wikidata.org/prop/direct/>\n\n"
+            f"<C{index}> EXTRA wdt:P31 {{\n  wdt:P31 [ wd:{slug} ] ;\n  wdt:P17 IRI ;\n  wdt:P856 IRI *\n}}\n")
+        entries.append({"class_uri": class_uri, "label": f"class {index}", "kg_kind": "wikidata",
+                        "endpoint_url": "https://fake.example.org/sparql", "typing_predicate": typing,
+                        "ground_truth_path": f"gt/{slug}.shex"})
+    ep.labels.update({WD + "P17": "country", WD + "P856": "official website", WD + "Q30": "United States of America",
+                      WD + "Q183": "Germany", WD + "Q38": "Italy"})
+    ep.descriptions.update({WD + "P17": "sovereign state of this item", WD + "P856": "URL of the official website"})
+    ep.property_constraints.update({(WD + "P17", WD + "Q21510865"): [WD + "Q6256"]})
+    path = root / "manifest.json"
+    path.write_text(_json.dumps({"dataset_name": "shared-property", "entries": entries}, indent=2))
+    return ep, path
+
+
 def benchmark_rule_client():
     """Reply tables covering every predicate of the synthetic benchmark KG."""
     return RuleLlmClient(

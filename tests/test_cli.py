@@ -6,7 +6,10 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -25,11 +28,15 @@ from shexbench.cli import (
     cmd_generate,
     cmd_report,
     cmd_train_cardinality,
+    entry_endpoint_config,
     load_manifest,
     main,
+    _warm_entry,
 )
 from shexbench.generate import prompt_hash
+from shexbench.kginfo import _MAX_IN_FLIGHT, CacheStore, KgClient, cache_key, label_query
 from shexbench.model import Iri, canonicalize
+from shexbench.prompts import PromptSetting
 from shexbench.shexc import parse_shexc
 from support import (
     BENCHMARK_CLASSES,
@@ -38,6 +45,7 @@ from support import (
     benchmark_rule_client,
     build_benchmark_endpoint,
     write_benchmark_manifest,
+    write_shared_property_benchmark,
 )
 
 
@@ -794,6 +802,20 @@ def _inject(target: Path, fault: str, monkeypatch) -> None:
         target.write_bytes(data[:30])
 
 
+def _fail_temp_file_open(target: Path, monkeypatch) -> None:
+    """Fail the open of ``target``'s temp file as a directory in its place
+    does.  A directory at a cache file's own path would fail the read that
+    comes before the write."""
+    open_file = os.open
+
+    def opening(path, flags, *args, **kwargs):
+        if os.path.basename(path).startswith(target.name + ".tmp"):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        return open_file(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", opening)
+
+
 def _leftover_temp_files(root: Path) -> list[Path]:
     return [path for path in root.rglob("*") if ".tmp" in path.name]
 
@@ -845,7 +867,10 @@ class TestFaultMatrix:
         tmp, factory = bench["tmp"], bench["factory"]
         warm = self._warm(bench)
         target = warm[boundary]
-        _inject(target, fault, monkeypatch)
+        if (boundary, fault) == ("cache write", "directory"):
+            _fail_temp_file_open(target, monkeypatch)
+        else:
+            _inject(target, fault, monkeypatch)
         if command == "extract":
             cache = tmp / "cold" if boundary == "cache write" else bench["cache"]
             got, report = cmd_extract(bench["manifest"], cache, "global", offline=boundary == "cache read",
@@ -880,6 +905,8 @@ class TestFaultMatrix:
             assert target.stem in message
         elif (boundary, fault) != ("generated read", "truncated"):  # a parse error gives positions
             assert str(target) in message
+        if boundary in ("cache write", "shex", "sidecar"):
+            assert f"cannot write {target}" in message
         assert _leftover_temp_files(tmp) == []
 
     @pytest.mark.parametrize("fault", _READ_FAULTS)
@@ -933,6 +960,171 @@ class TestFaultMatrix:
         monkeypatch.setattr(cli, "generate_global", broken)
         with pytest.raises(ValueError, match="programming error"):
             generate_stubbed(bench, jobs=jobs)
+
+
+SHARED_URL = "https://fake.example.org/sparql"
+
+
+class _CountingTransport:
+    """A thread-safe view of a :class:`FakeEndpoint` that counts the fetches
+    of each normalized query and the peak number of calls in flight.  Every
+    call takes a millisecond, and ``slow_query`` (if any) fifty, so that other
+    classes ask for it while its fetch runs."""
+
+    def __init__(self, endpoint, slow_query: str = ""):
+        self.endpoint = endpoint
+        self.slow = " ".join(slow_query.split())
+        self.fetches: Counter = Counter()
+        self.in_flight = self.peak = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, query: str) -> dict:
+        normalized = " ".join(query.split())
+        with self._lock:
+            self.fetches[normalized] += 1
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            time.sleep(0.05 if normalized == self.slow else 0.001)
+            with self._lock:
+                return self.endpoint(query)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+class TestSingleFlightAcrossClasses:
+    """Under ``--jobs 8`` the classes of one endpoint share one cache store:
+    a key that all 8 classes look up is fetched once, and at most
+    ``_MAX_IN_FLIGHT`` requests reach the endpoint at any time.  A barrier
+    starts every class's lookups together."""
+
+    def _extract(self, tmp_path) -> tuple[_CountingTransport, dict]:
+        endpoint, manifest = write_shared_property_benchmark(tmp_path)
+        transport = _CountingTransport(endpoint, label_query(Iri(WD + "P17")))
+        barrier = threading.Barrier(8)
+
+        def factory(cfg):
+            barrier.wait(timeout=30)
+            return transport
+
+        code, report = cmd_extract(manifest, tmp_path / "cache", "global", jobs=8, transport_factory=factory)
+        assert code == EXIT_OK
+        return transport, report
+
+    def test_jobs_fetch_a_shared_key_once(self, tmp_path):
+        transport, report = self._extract(tmp_path)
+        label_key = cache_key(label_query(Iri(WD + "P17")), SHARED_URL)
+        assert len(report["classes"]) == 8
+        assert all(label_key in row["cache_keys"] for row in report["classes"])
+        assert transport.fetches[transport.slow] == 1
+        assert set(transport.fetches.values()) == {1}
+        assert len(list((tmp_path / "cache").iterdir())) == len(transport.fetches)
+
+    def test_jobs_keep_the_in_flight_gate_per_endpoint(self, tmp_path):
+        transport, _ = self._extract(tmp_path)
+        assert transport.peak == _MAX_IN_FLIGHT
+
+
+def _is_term_lookup(query: str, classes) -> bool:
+    """Whether ``query`` neither selects the instances of one of ``classes``
+    nor lists an instance's triples."""
+    normalized = " ".join(query.split())
+    return "?predicate ?object ." not in normalized and not any(
+        f"<{WDT}P31> <{class_uri}>" in normalized for class_uri in classes)
+
+
+class TestCacheStore:
+    """A command's cache store against independent oracles: a private store
+    per class, and the query texts the endpoint was sent."""
+
+    @pytest.mark.parametrize("setting", ["global", "local", "triples"])
+    def test_cache_keys_equal_a_private_store_per_class(self, tmp_path, setting):
+        endpoint, manifest = write_shared_property_benchmark(tmp_path)
+        transport = _CountingTransport(endpoint)
+        _, report = cmd_extract(manifest, tmp_path / "cache", setting, jobs=8,
+                                transport_factory=lambda cfg: transport)
+        entries = sorted(load_manifest(manifest).entries, key=lambda entry: entry.class_uri.value)
+        assert [row["class_uri"] for row in report["classes"]] == [entry.class_uri.value for entry in entries]
+        for entry, row in zip(entries, report["classes"]):
+            private = KgClient(entry_endpoint_config(entry, tmp_path / "cache", offline=True), transport=endpoint)
+            counts = _warm_entry(private, entry, PromptSetting(setting), 5, None)
+            assert (row["status"], row["row_counts"], row["cache_keys"]) == ("ok", counts, sorted(private.keys_touched))
+
+    def test_records_equal_a_private_store_per_class(self, tmp_path):
+        """8 threads with a short switch interval fill one cold store."""
+        endpoint, manifest = write_shared_property_benchmark(tmp_path)
+        entries = load_manifest(manifest).entries
+        transport = _CountingTransport(endpoint)
+
+        def records(entry, cache, store=None):
+            client = KgClient(entry_endpoint_config(entry, cache), transport=transport, store=store)
+            return [client.build_global_record(entry.class_uri, predicate)
+                    for predicate in client.global_candidates(entry.class_uri)]
+
+        expected = [records(entry, tmp_path / "private") for entry in entries]
+        transport.fetches.clear()
+        store = CacheStore()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                shared = list(pool.map(lambda entry: records(entry, tmp_path / "shared", store), entries, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert shared == expected
+        assert all(len(class_records) == 2 for class_records in shared)
+        assert set(transport.fetches.values()) == {1}
+
+    def test_shared_table_holds_only_term_lookups(self, tmp_path, monkeypatch):
+        from shexbench import cli
+
+        stores = []
+
+        class RecordingStore(CacheStore):
+            def __init__(self):
+                super().__init__()
+                stores.append(self)
+
+        monkeypatch.setattr(cli, "CacheStore", RecordingStore)
+        endpoint, manifest = write_shared_property_benchmark(tmp_path)
+        classes = [entry.class_uri.value for entry in load_manifest(manifest).entries]
+        sent = {}
+        for setting in ("global", "local", "triples"):
+            # a cold cache per setting, so the command reads only what it fetched
+            transport = _CountingTransport(endpoint)
+            cmd_extract(manifest, tmp_path / setting, setting, jobs=4, transport_factory=lambda cfg: transport)
+            (store,) = stores
+            sent[setting] = {cache_key(query, SHARED_URL) for query in transport.fetches
+                             if _is_term_lookup(query, classes)}
+            assert store.documents and set(store.documents) == sent[setting]
+            stores.clear()
+        cmd_train_cardinality(manifest, tmp_path / "global", tmp_path / "model.json", "dt", offline=True)
+        (store,) = stores
+        assert store.documents and set(store.documents) <= sent["global"]
+
+    def test_relative_cache_dir(self, tmp_path, monkeypatch):
+        endpoint, manifest = write_shared_property_benchmark(tmp_path / "kg", n_classes=3)
+        monkeypatch.chdir(tmp_path)
+        transport = _CountingTransport(endpoint)
+        _, absolute = cmd_extract(manifest, tmp_path / "absolute", "global", transport_factory=lambda cfg: transport)
+        code, relative = cmd_extract(manifest, "cache", "global", jobs=2, transport_factory=lambda cfg: transport)
+        assert code == EXIT_OK
+        names = sorted(path.name for path in (tmp_path / "cache").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "absolute").iterdir())
+        code, offline = cmd_extract(manifest, "cache", "global", offline=True)
+        assert code == EXIT_OK
+
+        def rows(report):
+            return [{k: v for k, v in row.items() if k != "seconds"} for row in report["classes"]]
+
+        assert rows(offline) == rows(relative) == rows(absolute)
+        # a corrupt file is named by the path the command was given
+        label = cache_key(label_query(Iri(WD + "P17")), SHARED_URL) + ".json"
+        (tmp_path / "cache" / label).write_text("{")
+        code, corrupt = cmd_extract(manifest, "cache", "global", offline=True)
+        assert code == EXIT_NETWORK
+        assert all(f"corrupt cache file {Path('cache') / label}:" in row["error"] for row in corrupt["classes"])
 
 
 @pytest.mark.parametrize("statuses, code", [

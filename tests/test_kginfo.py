@@ -7,12 +7,15 @@ import re
 import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from shexbench.kginfo import (
     CacheMissError,
+    CacheStore,
     EndpointConfig,
     EndpointError,
     GlobalPredicateRecord,
@@ -26,6 +29,7 @@ from shexbench.kginfo import (
     atomic_write_text,
     cache_key,
     instance_count_query,
+    label_query,
     term_from_binding,
 )
 from shexbench.model import Iri, Literal
@@ -368,7 +372,7 @@ class TestDocumentTable:
         original = KgClient._read_cache
 
         def counting(path):
-            reads.append(path.name)
+            reads.append(Path(path).name)
             return original(path)
 
         monkeypatch.setattr(KgClient, "_read_cache", staticmethod(counting))
@@ -461,6 +465,45 @@ class TestDocumentTable:
         fresh = KgClient(award_endpoint_config(tmp_path / "cache"), transport=endpoint)
         with pytest.raises(MalformedResultsError, match=path.name):
             fresh.instance_count(AWARD)
+
+
+class TestCacheStore:
+    """The documents of term lookups are read once per store; those of the
+    other queries once per client."""
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_reads_per_store_and_per_client(self, endpoint, client, tmp_path, monkeypatch, shared):
+        label, count = client.label_of(COUNTRY_PRED), client.instance_count(AWARD)
+        reads = []
+        original = KgClient._read_cache
+
+        def counting(path):
+            reads.append(Path(path).name)
+            return original(path)
+
+        monkeypatch.setattr(KgClient, "_read_cache", staticmethod(counting))
+        cfg = award_endpoint_config(tmp_path / "cache", offline=True)
+        store = CacheStore() if shared else None
+        clients = [KgClient(cfg, transport=endpoint, store=store) for _ in range(3)]
+        for _ in range(2):
+            assert [(c.label_of(COUNTRY_PRED), c.instance_count(AWARD)) for c in clients] == [(label, count)] * 3
+        label_file = f"{cache_key(label_query(COUNTRY_PRED), cfg.endpoint_url)}.json"
+        count_file = f"{cache_key(instance_count_query(AWARD, cfg.typing_predicate), cfg.endpoint_url)}.json"
+        assert Counter(reads) == {label_file: 1 if shared else 3, count_file: 3}
+
+    @pytest.mark.parametrize("given", ["cache", "./cache/", ".", "a/../cache"])
+    def test_cache_paths_are_spelled_as_pathlib_joins_them(self, endpoint, tmp_path, monkeypatch, given):
+        """Messages name a cache file as earlier versions did."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a").mkdir()
+        for cache_dir in (given, tmp_path / given):
+            cfg = award_endpoint_config(cache_dir)
+            path = Path(cache_dir) / f"{cache_key(label_query(COUNTRY_PRED), cfg.endpoint_url)}.json"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("{")
+            with pytest.raises(MalformedResultsError) as raised:
+                KgClient(cfg, transport=endpoint).label_of(COUNTRY_PRED)
+            assert str(raised.value).startswith(f"corrupt cache file {path}: ")
 
 
 class TestLabelledTriples:
