@@ -13,7 +13,7 @@ import io
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -23,21 +23,6 @@ import numpy as np
 from .errors import EmptyDatasetError
 from .kginfo import GlobalPredicateRecord, atomic_write_text
 from .model import Cardinality, DatatypeCategory, DEFAULT_DATATYPE_CATEGORIES, Iri
-
-FEATURE_NAMES: tuple[str, ...] = (
-    "frequency",
-    "missing_fraction",
-    "exactly_one_fraction",
-    "multi_fraction",
-    "max_observed_count",
-    "mean_count",
-    "distinct_object_ratio",
-    "dt_datetime",
-    "dt_decimal",
-    "dt_string",
-    "dt_iri",
-    "has_value_type_constraint",
-)
 
 
 @dataclass(frozen=True)
@@ -62,6 +47,10 @@ class FeatureVector:
 
     def to_array(self) -> list[float]:
         return [float(getattr(self, name)) for name in FEATURE_NAMES]
+
+
+#: The model's features, in the order of its columns.
+FEATURE_NAMES: tuple[str, ...] = tuple(f.name for f in fields(FeatureVector))
 
 
 class MaxBound(Enum):
@@ -532,26 +521,24 @@ class CardinalityModel:
 def train(
     model_kind: str,
     data: Sequence[tuple[FeatureVector, CardinalityLabel]],
-    params: dict | None = None,
     seed: int = 42,
 ) -> CardinalityModel:
-    """Fit independent min/max classifiers; deterministic under the seed.
+    """Fit min/max classifiers with the kind's parameters; deterministic under the seed.
 
     Single-class targets degrade to constant predictors with a warning rather
     than failing, so tiny benchmark slices still train.
     """
-    model_class, defaults = _model_kind(model_kind)
+    model_class, params = _model_kind(model_kind)
     if not data:
         raise EmptyDatasetError("no training rows")
-    merged = {**defaults, **(params or {})}
     X, y_min, y_max = _design_matrix(data)
 
     models = []
     for name, y in (("min", y_min), ("max", y_max)):
         if len(set(y.tolist())) < 2:
             warnings.warn(f"{name} target is single-class; training a constant predictor", stacklevel=2)
-        models.append(model_class(**merged).fit(X, y))
-    return CardinalityModel(kind=model_kind, min_model=models[0], max_model=models[1], seed=seed, params=merged)
+        models.append(model_class(**params).fit(X, y))
+    return CardinalityModel(kind=model_kind, min_model=models[0], max_model=models[1], seed=seed, params=dict(params))
 
 
 def _design_matrix(

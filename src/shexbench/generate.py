@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Literal as TypingLiteral
 from typing import Protocol, Sequence
 
-import requests
 from pydantic import BaseModel, ConfigDict, Field, ValidationError, field_validator, model_validator
 
 from .kginfo import (
@@ -30,7 +29,9 @@ from .kginfo import (
     EndpointError,
     GlobalPredicateRecord,
     KgClient,
+    NoResponseError,
     atomic_write_text,
+    post,
 )
 from .model import (
     WELL_KNOWN_PREFIXES,
@@ -100,6 +101,12 @@ def prompt_hash(messages: Sequence[Message]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+#: Seconds one provider request may take before it fails.
+_PROVIDER_TIMEOUT_S = 120.0
+#: Sampling temperature of every provider request.
+_TEMPERATURE = 0.0
+
+
 @dataclass
 class HttpLlmClient:
     """Chat-completions client for an OpenAI-style provider endpoint.
@@ -111,26 +118,23 @@ class HttpLlmClient:
     provider_url: str
     model: str
     api_key_env: str = "SHEXBENCH_API_KEY"
-    temperature: float = 0.0
-    request_timeout: float = 120.0
 
     def send(self, messages: Sequence[Message]) -> str:
         api_key = os.environ.get(self.api_key_env)
         if not api_key:
             raise ProviderError(f"credential environment variable {self.api_key_env} is not set")
+        request = {"model": self.model, "messages": list(messages), "temperature": _TEMPERATURE}
         try:
-            response = requests.post(
-                self.provider_url,
-                json={"model": self.model, "messages": list(messages), "temperature": self.temperature},
-                headers={"Authorization": f"Bearer {api_key}"},
-                timeout=self.request_timeout,
-            )
-            response.raise_for_status()
-            reply = response.json()["choices"][0]["message"]["content"]
-        except (requests.RequestException, KeyError, IndexError, TypeError, ValueError) as exc:
+            status, body = post(self.provider_url, json.dumps(request).encode("utf-8"),
+                                {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"},
+                                _PROVIDER_TIMEOUT_S)
+            if status != 200:
+                raise ValueError(f"HTTP {status} from {self.provider_url}: {body.decode('utf-8', 'replace')[:200]}")
+            reply = json.loads(body)["choices"][0]["message"]["content"]
+        except (NoResponseError, KeyError, IndexError, TypeError, ValueError) as exc:
             raise ProviderError(f"provider request failed: {exc}") from exc
         if not isinstance(reply, str):
-            raise ProviderError(f"provider reply content is not a string: {reply!r:.80}")
+            raise ProviderError(f"provider request failed: reply content is not a string: {reply!r:.80}")
         return reply
 
 

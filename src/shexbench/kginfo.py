@@ -20,18 +20,20 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import http.client
 import json
 import logging
 import os
 import re
 import threading
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass, field
 from enum import Enum, IntFlag
 from pathlib import Path
 from typing import Callable, Union
-
-import requests
 
 from .model import RDFS_NS, Iri, Literal
 
@@ -88,8 +90,6 @@ class EndpointConfig:
     kg_kind: KgKind
     typing_predicate: Iri
     cache_dir: Path
-    request_timeout: float = 60.0
-    retry_backoff_ms: tuple[int, ...] = (500, 1000, 2000)
     offline: bool = False
 
     @property
@@ -360,6 +360,28 @@ def atomic_write_text(path: Path | str, text: str) -> None:
         raise LocalFileError(f"cannot write {path}: {exc}") from exc
 
 
+class NoResponseError(OSError):
+    """No HTTP response: the connection or TLS failed, it timed out, or the URL is not http(s)."""
+
+
+def post(url: str, body: bytes, headers: dict[str, str], timeout: float) -> tuple[int, bytes]:
+    """POST ``body`` to ``url``: the status and body of whatever HTTP response
+    arrives, 4xx and 5xx included; each caller maps statuses to its own errors.
+    Raises :class:`NoResponseError` when no response arrives."""
+    try:
+        if urllib.parse.urlsplit(url).scheme.lower() not in ("http", "https"):
+            raise ValueError(f"not an http(s) URL: {url!r}")
+        request = urllib.request.Request(url, data=body, headers=headers, method="POST")
+        try:
+            with urllib.request.urlopen(request, timeout=timeout) as response:
+                return response.status, response.read()
+        except urllib.error.HTTPError as response:
+            with response:
+                return response.code, response.read()
+    except (OSError, http.client.HTTPException, ValueError) as exc:
+        raise NoResponseError(str(exc)) from exc
+
+
 def cache_key(query: str, endpoint_url: str) -> str:
     digest = hashlib.sha256(f"{_normalize_query(query)}\n{endpoint_url}".encode("utf-8")).hexdigest()
     return digest
@@ -400,27 +422,20 @@ def _int_value(row: dict, variable: str) -> int:
 
 
 def http_transport(cfg: EndpointConfig) -> Callable[[str], dict]:
-    """Default transport: POST to the endpoint, expect SPARQL JSON results."""
+    """Default transport: POST the query form-encoded (SPARQL 1.1 Protocol); expect SPARQL JSON results."""
 
     def send(query: str) -> dict:
         try:
-            response = requests.post(
-                cfg.endpoint_url,
-                data={"query": query},
-                headers={
-                    "Accept": "application/sparql-results+json",
-                    "User-Agent": "shexbench/0.1 (schema extraction)",
-                },
-                timeout=cfg.request_timeout,
-            )
-        except requests.RequestException as exc:
+            status, body = post(cfg.endpoint_url, urllib.parse.urlencode({"query": query}).encode("ascii"),
+                                _SPARQL_HEADERS, _SPARQL_TIMEOUT_S)
+        except NoResponseError as exc:
             raise EndpointError(f"request to {cfg.endpoint_url} failed: {exc}") from exc
-        if response.status_code == 429 or response.status_code >= 500:
-            raise _RetryableEndpointError(f"HTTP {response.status_code} from {cfg.endpoint_url}")
-        if response.status_code != 200:
-            raise EndpointError(f"HTTP {response.status_code} from {cfg.endpoint_url}: {response.text[:200]}")
+        if status == 429 or status >= 500:
+            raise _RetryableEndpointError(f"HTTP {status} from {cfg.endpoint_url}")
+        if status != 200:
+            raise EndpointError(f"HTTP {status} from {cfg.endpoint_url}: {body.decode('utf-8', 'replace')[:200]}")
         try:
-            return response.json()
+            return json.loads(body)
         except ValueError as exc:
             raise MalformedResultsError(f"non-JSON response from {cfg.endpoint_url}") from exc
 
@@ -431,6 +446,11 @@ class _RetryableEndpointError(EndpointError):
     """Transient failure (429/5xx); eligible for backoff retries."""
 
 
+#: Seconds one SPARQL request may take before it fails, and its headers.
+_SPARQL_TIMEOUT_S = 60.0
+_SPARQL_HEADERS = {"Accept": "application/sparql-results+json", "User-Agent": "shexbench/0.1 (schema extraction)"}
+#: Seconds slept before each retry of a 429 or 5xx answer: four attempts at most.
+_RETRY_BACKOFF_S = (0.5, 1.0, 2.0)
 #: Requests one endpoint serves at once for one command (one
 #: :class:`CacheStore`); a politeness bound on public endpoints.
 _MAX_IN_FLIGHT = 2
@@ -543,9 +563,7 @@ class KgClient:
         atomic_write_text(path, json.dumps(payload, ensure_ascii=False, separators=(",", ":")))
 
     def _fetch(self, query: str) -> dict:
-        delays = [ms / 1000.0 for ms in self.cfg.retry_backoff_ms]
-        attempts = len(delays) + 1
-        for attempt in range(attempts):
+        for delay in (*_RETRY_BACKOFF_S, None):
             try:
                 with self._store.gate:
                     doc = self._transport(query)
@@ -553,11 +571,10 @@ class KgClient:
                     raise MalformedResultsError(f"not a SPARQL results document: {type(doc).__name__}")
                 return doc
             except _RetryableEndpointError as exc:
-                if attempt == attempts - 1:
+                if delay is None:
                     raise EndpointError(str(exc)) from exc
                 log.warning("retrying after transient endpoint error: %s", exc)
-                time.sleep(delays[attempt])
-        raise EndpointError("unreachable")
+                time.sleep(delay)
 
     def _rows(self, query: str, shared: bool = False) -> list[dict]:
         doc = self.cached_query(query, shared)

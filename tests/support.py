@@ -7,8 +7,11 @@ forest edit distance directly, so it can arbitrate the optimized algorithm.
 
 from __future__ import annotations
 
+import http.server
 import random
 import re
+import socket
+import threading
 
 import numpy as np
 
@@ -500,7 +503,6 @@ def award_endpoint_config(cache_dir, offline=False):
         typing_predicate=Iri(WDT + "P31"),
         cache_dir=cache_dir,
         offline=offline,
-        retry_backoff_ms=(1, 2),
     )
 
 
@@ -582,8 +584,9 @@ PREFIX xsd: <http://www.w3.org/2001/XMLSchema#>
 }
 
 
-def write_benchmark_manifest(root):
-    """Manifest + ground-truth files for the 3-class synthetic benchmark."""
+def write_benchmark_manifest(root, endpoint_url="https://fake.example.org/sparql"):
+    """Manifest + ground-truth files for the 3-class synthetic benchmark, every
+    class at ``endpoint_url``."""
     import json as _json
     from pathlib import Path
 
@@ -598,7 +601,7 @@ def write_benchmark_manifest(root):
             "class_uri": class_uri,
             "label": labels[class_uri],
             "kg_kind": "wikidata",
-            "endpoint_url": "https://fake.example.org/sparql",
+            "endpoint_url": endpoint_url,
             "typing_predicate": WDT + "P31",
             "ground_truth_path": f"gt/{slug}.shex",
         })
@@ -649,6 +652,53 @@ def write_shared_property_benchmark(root, n_classes: int = 8):
     path = root / "manifest.json"
     path.write_text(_json.dumps({"dataset_name": "shared-property", "entries": entries}, indent=2))
     return ep, path
+
+
+class LoopbackServer:
+    """An HTTP server on ``127.0.0.1`` and a free port that answers every POST
+    with the next scripted ``(status, body)`` (the last one repeats) and
+    records each request as ``(path, headers, body)``.
+
+    A context manager: the server runs in a daemon thread until exit."""
+
+    def __init__(self, *answers):
+        self.answers = list(answers)
+        self.requests = []
+        server = self
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):
+                body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+                server.requests.append((self.path, dict(self.headers), body))
+                status, reply = server.answers.pop(0) if len(server.answers) > 1 else server.answers[0]
+                reply = reply.encode("utf-8") if isinstance(reply, str) else reply
+                self.send_response(status)
+                self.send_header("Content-Length", str(len(reply)))
+                self.end_headers()
+                self.wfile.write(reply)
+
+            def log_message(self, format, *args):
+                pass
+
+        self._httpd = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self._httpd.server_address[1]}/sparql"
+
+    def __enter__(self):
+        # a short poll interval so that exit's shutdown returns at once
+        threading.Thread(target=self._httpd.serve_forever, args=(0.01,), daemon=True).start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._httpd.shutdown()
+        self._httpd.server_close()
+
+
+def refused_url():
+    """An ``http`` URL on ``127.0.0.1`` whose port nothing listens on."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}/sparql"
 
 
 def benchmark_rule_client():

@@ -42,6 +42,7 @@ from support import (
     BENCHMARK_CLASSES,
     WD,
     WDT,
+    LoopbackServer,
     benchmark_rule_client,
     build_benchmark_endpoint,
     write_benchmark_manifest,
@@ -303,21 +304,14 @@ class TestGenerate:
         assert all("connection refused" in r["error"] for r in report["classes"])
 
     def test_provider_failure_fails_each_class(self, bench, monkeypatch):
-        import requests
-
-        from shexbench import generate
-
-        def post(*args, **kwargs):
-            raise requests.ConnectionError("connection refused")
-
-        monkeypatch.setattr(generate.requests, "post", post)
         monkeypatch.setenv("SHEXBENCH_API_KEY", "test-key")
-        code, report = cmd_generate(bench["manifest"], bench["tmp"] / "live", bench["cache"], "global",
-                                    provider_url="http://localhost:9/v1/chat", model="some-model",
-                                    transport_factory=bench["factory"])
+        with LoopbackServer((503, "overloaded")) as provider:
+            code, report = cmd_generate(bench["manifest"], bench["tmp"] / "live", bench["cache"], "global",
+                                        provider_url=provider.url, model="some-model",
+                                        transport_factory=bench["factory"])
         assert code == EXIT_PARTIAL
         assert [r["status"] for r in report["classes"]] == ["failed"] * 3
-        assert all("provider request failed" in r["error"] for r in report["classes"])
+        assert all(r["error"].startswith("provider request failed: HTTP 503") for r in report["classes"])
 
     def test_missing_credentials_config_error(self, bench, monkeypatch):
         monkeypatch.delenv("SHEXBENCH_API_KEY", raising=False)

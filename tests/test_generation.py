@@ -44,7 +44,16 @@ from shexbench.model import (
 )
 from shexbench.prompts import ChatPrompt
 from shexbench.shexc import parse_shexc, serialize_shexc
-from support import WD, WDT, XSD, RuleLlmClient, award_endpoint_config, build_award_endpoint
+from support import (
+    WD,
+    WDT,
+    XSD,
+    LoopbackServer,
+    RuleLlmClient,
+    award_endpoint_config,
+    build_award_endpoint,
+    refused_url,
+)
 
 AWARD = Iri(WD + "Q4220917")
 MUSEUM = Iri(WD + "Q33506")
@@ -370,33 +379,54 @@ class TestStubReplay:
         assert prompt_hash(messages) == prompt_hash([dict(m) for m in messages])
 
 
+def _completion(content) -> str:
+    return json.dumps({"choices": [{"message": {"role": "assistant", "content": content}}]})
+
+
 class TestHttpLlmClient:
-    @pytest.mark.parametrize("outcome", ["no-credential", "unreachable", "no-choices", "no-content"])
+    """The provider client against a real HTTP server on the loopback."""
+
+    def test_request_and_reply(self, monkeypatch):
+        monkeypatch.setenv("SHEXBENCH_API_KEY", "test-key")
+        messages = [{"role": "system", "content": "be brief"}, {"role": "user", "content": "héllo"}]
+        with LoopbackServer((200, _completion("<S> { }"))) as server:
+            client = HttpLlmClient(provider_url=server.url, model="some-model")
+            assert client.send(messages) == "<S> { }"
+        ((_, headers, body),) = server.requests
+        assert json.loads(body) == {"model": "some-model", "messages": messages, "temperature": 0.0}
+        assert headers["Authorization"] == "Bearer test-key"
+        assert headers["Content-Type"] == "application/json"
+
+    # each outcome: the server's answer, or a URL that gets none (None: a
+    # port nothing listens on, picked when the test runs)
+    OUTCOMES = {
+        "no-credential": (200, _completion("unused")),
+        "unreachable": None,
+        "bad-url": "localhost:9/v1/chat",
+        "http-401": (401, '{"error": "invalid key"}'),
+        "http-500": (500, "internal error"),
+        "not-json": (200, "<html>busy</html>"),
+        "no-choices": (200, '{"choices": []}'),
+        "no-content": (200, _completion(None)),
+    }
+
+    @pytest.mark.parametrize("outcome", list(OUTCOMES))
     def test_failed_request_is_a_provider_error(self, monkeypatch, outcome):
-        import requests
-
-        from shexbench import generate
-
-        class Response:
-            def raise_for_status(self):
-                pass
-
-            def json(self):
-                return {"choices": []} if outcome == "no-choices" else {"choices": [{"message": {"content": None}}]}
-
-        def post(*args, **kwargs):
-            if outcome == "unreachable":
-                raise requests.ConnectionError("connection refused")
-            return Response()
-
-        monkeypatch.setattr(generate.requests, "post", post)
         if outcome == "no-credential":
             monkeypatch.delenv("SHEXBENCH_API_KEY", raising=False)
         else:
             monkeypatch.setenv("SHEXBENCH_API_KEY", "test-key")
-        client = HttpLlmClient(provider_url="http://localhost:9/v1/chat", model="some-model")
-        with pytest.raises(ProviderError):
-            client.send([{"role": "user", "content": "hi"}])
+        answer = self.OUTCOMES[outcome]
+        with LoopbackServer(answer if isinstance(answer, tuple) else (200, "")) as server:
+            url = server.url if isinstance(answer, tuple) else answer or refused_url()
+            client = HttpLlmClient(provider_url=url, model="some-model")
+            with pytest.raises(ProviderError) as caught:
+                client.send([{"role": "user", "content": "hi"}])
+        if outcome == "no-credential":
+            assert "SHEXBENCH_API_KEY is not set" in str(caught.value)
+            assert not server.requests
+        else:
+            assert str(caught.value).startswith("provider request failed")
 
 
 class TestMiner:

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from shexbench import kginfo
 from shexbench.kginfo import (
     CacheMissError,
     CacheStore,
@@ -28,6 +29,7 @@ from shexbench.kginfo import (
     _RetryableEndpointError,
     atomic_write_text,
     cache_key,
+    http_transport,
     instance_count_query,
     label_query,
     term_from_binding,
@@ -38,9 +40,11 @@ from support import (
     WDT,
     XSD,
     FakeEndpoint,
+    LoopbackServer,
     award_endpoint_config,
     build_award_endpoint,
     build_benchmark_endpoint,
+    refused_url,
     write_benchmark_manifest,
 )
 
@@ -54,6 +58,14 @@ CONFERRED = Iri(WDT + "P1027")
 @pytest.fixture()
 def endpoint():
     return build_award_endpoint()
+
+
+@pytest.fixture()
+def sleeps(monkeypatch):
+    """The retry backoff's sleeps, recorded instead of slept."""
+    slept = []
+    monkeypatch.setattr(kginfo.time, "sleep", slept.append)
+    return slept
 
 
 @pytest.fixture()
@@ -246,7 +258,7 @@ class TestCache:
         assert {"endpoint", "query", "fetched_at", "results_document"} <= set(doc)
         assert cache_key(doc["query"], doc["endpoint"]) == files[0].stem
 
-    def test_retry_then_success(self, tmp_path):
+    def test_retry_then_success(self, tmp_path, sleeps):
         attempts = []
 
         def flaky(query):
@@ -260,19 +272,102 @@ class TestCache:
         client = KgClient(award_endpoint_config(tmp_path), transport=flaky)
         assert client.instance_count(AWARD) == 1
         assert len(attempts) == 3
+        assert sleeps == [0.5, 1.0]
 
-    def test_retries_exhausted(self, tmp_path):
+    def test_retries_exhausted(self, tmp_path, sleeps):
         def always_busy(query):
             raise _RetryableEndpointError("HTTP 429")
 
         client = KgClient(award_endpoint_config(tmp_path), transport=always_busy)
         with pytest.raises(EndpointError):
             client.instance_count(AWARD)
+        assert sleeps == [0.5, 1.0, 2.0]
 
     def test_malformed_document(self, tmp_path):
         client = KgClient(award_endpoint_config(tmp_path), transport=lambda q: {"nope": 1})
         with pytest.raises(MalformedResultsError):
             client.instance_count(AWARD)
+
+
+COUNT_DOC = {"head": {"vars": ["count"]}, "results": {"bindings": [
+    {"count": {"type": "literal", "value": "7", "datatype": XSD + "integer"}}]}}
+
+
+class TestHttpTransport:
+    """The default transport against a real HTTP server on the loopback."""
+
+    def _send(self, tmp_path, url, query="ASK { ?s ?p ?o }"):
+        return http_transport(replace(award_endpoint_config(tmp_path), endpoint_url=url))(query)
+
+    def test_request_is_a_form_encoded_query_post(self, tmp_path):
+        from urllib.parse import parse_qs
+
+        query = "SELECT ?label WHERE { <http://example.org/é> rdfs:label ?label } # a+b&c"
+        with LoopbackServer((200, json.dumps(COUNT_DOC))) as server:
+            assert self._send(tmp_path, server.url, query) == COUNT_DOC
+        ((path, headers, body),) = server.requests
+        assert path == "/sparql"
+        assert headers["Content-Type"] == "application/x-www-form-urlencoded"
+        assert parse_qs(body.decode("ascii"), strict_parsing=True) == {"query": [query]}
+        assert headers["Accept"] == "application/sparql-results+json"
+        assert headers["User-Agent"].startswith("shexbench/0.1")
+
+    def test_client_error_names_status_and_body(self, tmp_path):
+        with LoopbackServer((404, "no such endpoint" + "x" * 300)) as server:
+            with pytest.raises(EndpointError, match=r"HTTP 404 from .*: no such endpoint") as caught:
+                self._send(tmp_path, server.url)
+        assert not isinstance(caught.value, _RetryableEndpointError)
+        assert str(caught.value).endswith("no such endpoint" + "x" * 184)
+
+    @pytest.mark.parametrize("status", [429, 500, 503])
+    def test_busy_or_server_error_is_retryable(self, tmp_path, status):
+        with LoopbackServer((status, "try later")) as server:
+            with pytest.raises(_RetryableEndpointError, match=f"HTTP {status} from"):
+                self._send(tmp_path, server.url)
+
+    def test_non_json_body_is_malformed(self, tmp_path):
+        with LoopbackServer((200, "<html>maintenance</html>")) as server:
+            with pytest.raises(MalformedResultsError, match="non-JSON response"):
+                self._send(tmp_path, server.url)
+
+    @pytest.mark.parametrize("url", [None, "localhost:9/sparql", "file:///dev/null"],
+                             ids=["refused-port", "no-scheme", "file-scheme"])
+    def test_no_response_is_an_endpoint_error(self, tmp_path, url):
+        url = url or refused_url()
+        with pytest.raises(EndpointError, match=f"request to {re.escape(url)} failed: "):
+            self._send(tmp_path, url)
+
+
+class TestRetryOverHttp:
+    """``KgClient``'s backoff over the default transport and a loopback server."""
+
+    def test_busy_then_ok_is_fetched_once(self, tmp_path, sleeps):
+        with LoopbackServer((429, "slow down"), (200, json.dumps(COUNT_DOC))) as server:
+            client = KgClient(replace(award_endpoint_config(tmp_path), endpoint_url=server.url))
+            assert client.instance_count(AWARD) == 7
+        assert len(server.requests) == 2
+        assert sleeps == [0.5]
+        assert len(list(tmp_path.glob("*.json"))) == 1
+
+    def test_unavailable_on_every_attempt_fails_after_four(self, tmp_path, sleeps):
+        with LoopbackServer((503, "unavailable")) as server:
+            client = KgClient(replace(award_endpoint_config(tmp_path), endpoint_url=server.url))
+            with pytest.raises(EndpointError, match="HTTP 503 from"):
+                client.instance_count(AWARD)
+        assert len(server.requests) == 4
+        assert sleeps == [0.5, 1.0, 2.0]
+        assert not list(tmp_path.glob("*.json"))
+
+    def test_extract_reports_an_unavailable_endpoint_per_class(self, tmp_path, sleeps):
+        from shexbench.cli import EXIT_NETWORK, cmd_extract
+
+        with LoopbackServer((503, "unavailable")) as server:
+            manifest = write_benchmark_manifest(tmp_path, endpoint_url=server.url)
+            code, report = cmd_extract(manifest, tmp_path / "cache", "global")
+        assert code == EXIT_NETWORK
+        assert [r["status"] for r in report["classes"]] == ["error"] * 3
+        assert all("HTTP 503 from" in r["error"] for r in report["classes"])
+        assert len(server.requests) == 3 * 4
 
 
 class TestCacheWriter:
