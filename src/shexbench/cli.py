@@ -568,7 +568,17 @@ def _evaluation_document(manifest, records, criteria_list, setting, model_id) ->
     aggregate: dict[str, dict] = {}
     for criterion in criteria_list:
         key = criterion.key()
-        precision, recall, f1 = macro_average([EvalReport(**r.reports[key]) for r in valid]) if valid else (0.0,) * 3
+        if valid:
+            reports = [
+                EvalReport(
+                    r.reports[key]["precision"], r.reports[key]["recall"],
+                    r.reports[key]["f1"], r.reports[key]["matched_count"],
+                )
+                for r in valid
+            ]
+            precision, recall, f1 = macro_average(reports)
+        else:
+            precision = recall = f1 = 0.0
         aggregate[key] = {"precision": precision, "recall": recall, "f1": f1, "n": len(valid)}
     mean_ged = sum(r.ged for r in valid) / len(valid) if valid else 0.0
     mean_nged = sum(r.nged for r in valid) / len(valid) if valid else 0.0

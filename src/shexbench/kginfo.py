@@ -19,6 +19,7 @@ versions read the same.
 from __future__ import annotations
 
 import contextlib
+import gzip
 import hashlib
 import http.client
 import json
@@ -30,6 +31,7 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
+import zlib
 from dataclasses import dataclass, field
 from enum import Enum, IntFlag
 from pathlib import Path
@@ -361,25 +363,44 @@ def atomic_write_text(path: Path | str, text: str) -> None:
 
 
 class NoResponseError(OSError):
-    """No HTTP response: the connection or TLS failed, it timed out, or the URL is not http(s)."""
+    """No HTTP response: the connection or TLS failed, it timed out, the URL
+    is not http(s), or the body could not be read or decoded."""
+
+
+#: An opener for http(s) URLs only that follows no redirect: urllib's
+#: redirect handler turns a POST into a bodiless GET and copies every
+#: request header, ``Authorization`` included, to the target, whatever its
+#: host or scheme.  A 3xx reaches the caller as its status.
+_OPENER = urllib.request.OpenerDirector()
+for _handler in (urllib.request.ProxyHandler(), urllib.request.UnknownHandler(), urllib.request.HTTPHandler(),
+                 urllib.request.HTTPSHandler(), urllib.request.HTTPDefaultErrorHandler(),
+                 urllib.request.HTTPErrorProcessor()):
+    _OPENER.add_handler(_handler)
 
 
 def post(url: str, body: bytes, headers: dict[str, str], timeout: float) -> tuple[int, bytes]:
     """POST ``body`` to ``url``: the status and body of whatever HTTP response
-    arrives, 4xx and 5xx included; each caller maps statuses to its own errors.
-    Raises :class:`NoResponseError` when no response arrives."""
+    arrives, 3xx, 4xx and 5xx included; each caller maps statuses to its own
+    errors.  Asks for a gzip body and returns it decoded.  Raises
+    :class:`NoResponseError` when no response arrives."""
     try:
-        if urllib.parse.urlsplit(url).scheme.lower() not in ("http", "https"):
-            raise ValueError(f"not an http(s) URL: {url!r}")
-        request = urllib.request.Request(url, data=body, headers=headers, method="POST")
+        request = urllib.request.Request(url, data=body, headers={**headers, "Accept-Encoding": "gzip"},
+                                         method="POST")
         try:
-            with urllib.request.urlopen(request, timeout=timeout) as response:
-                return response.status, response.read()
+            with _OPENER.open(request, timeout=timeout) as response:
+                return response.status, _decoded_body(response)
         except urllib.error.HTTPError as response:
             with response:
-                return response.code, response.read()
-    except (OSError, http.client.HTTPException, ValueError) as exc:
+                return response.code, _decoded_body(response)
+    except (OSError, http.client.HTTPException, ValueError, EOFError, zlib.error) as exc:
         raise NoResponseError(str(exc)) from exc
+
+
+def _decoded_body(response) -> bytes:
+    body = response.read()
+    if response.headers.get("Content-Encoding", "").strip().lower() in ("gzip", "x-gzip"):
+        return gzip.decompress(body)
+    return body
 
 
 def cache_key(query: str, endpoint_url: str) -> str:

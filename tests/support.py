@@ -656,8 +656,8 @@ def write_shared_property_benchmark(root, n_classes: int = 8):
 
 class LoopbackServer:
     """An HTTP server on ``127.0.0.1`` and a free port that answers every POST
-    with the next scripted ``(status, body)`` (the last one repeats) and
-    records each request as ``(path, headers, body)``.
+    with the next scripted ``(status, body)`` or ``(status, body, headers)``
+    (the last one repeats) and records each request as ``(path, headers, body)``.
 
     A context manager: the server runs in a daemon thread until exit."""
 
@@ -670,9 +670,11 @@ class LoopbackServer:
             def do_POST(self):
                 body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
                 server.requests.append((self.path, dict(self.headers), body))
-                status, reply = server.answers.pop(0) if len(server.answers) > 1 else server.answers[0]
+                status, reply, *extra = server.answers.pop(0) if len(server.answers) > 1 else server.answers[0]
                 reply = reply.encode("utf-8") if isinstance(reply, str) else reply
                 self.send_response(status)
+                for name, value in (extra[0] if extra else {}).items():
+                    self.send_header(name, value)
                 self.send_header("Content-Length", str(len(reply)))
                 self.end_headers()
                 self.wfile.write(reply)

@@ -397,6 +397,15 @@ class TestHttpLlmClient:
         assert headers["Authorization"] == "Bearer test-key"
         assert headers["Content-Type"] == "application/json"
 
+    def test_redirect_fails_without_sending_the_key_on(self, monkeypatch):
+        monkeypatch.setenv("SHEXBENCH_API_KEY", "test-key")
+        with LoopbackServer((200, _completion("unreached"))) as target:
+            with LoopbackServer((302, "moved", {"Location": target.url})) as server:
+                client = HttpLlmClient(provider_url=server.url, model="some-model")
+                with pytest.raises(ProviderError, match="provider request failed: HTTP 302"):
+                    client.send([{"role": "user", "content": "hi"}])
+        assert not target.requests
+
     # each outcome: the server's answer, or a URL that gets none (None: a
     # port nothing listens on, picked when the test runs)
     OUTCOMES = {

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import errno
+import gzip
 import json
 import os
 import re
@@ -32,6 +33,7 @@ from shexbench.kginfo import (
     http_transport,
     instance_count_query,
     label_query,
+    post,
     term_from_binding,
 )
 from shexbench.model import Iri, Literal
@@ -336,6 +338,36 @@ class TestHttpTransport:
         url = url or refused_url()
         with pytest.raises(EndpointError, match=f"request to {re.escape(url)} failed: "):
             self._send(tmp_path, url)
+
+
+    def test_gzip_body_is_decoded(self, tmp_path):
+        gzipped = gzip.compress(json.dumps(COUNT_DOC).encode("utf-8"))
+        with LoopbackServer((200, gzipped, {"Content-Encoding": "gzip"})) as server:
+            assert self._send(tmp_path, server.url) == COUNT_DOC
+        ((_, headers, _),) = server.requests
+        assert headers["Accept-Encoding"] == "gzip"
+
+    def test_corrupt_gzip_body_is_no_response(self, tmp_path):
+        with LoopbackServer((200, b"\x1f\x8b not gzip", {"Content-Encoding": "gzip"})) as server:
+            with pytest.raises(EndpointError, match=f"request to {re.escape(server.url)} failed: "):
+                self._send(tmp_path, server.url)
+
+
+class TestPost:
+    """``post`` returns a redirect as its status and sends nothing to its target."""
+
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_redirect_is_returned_not_followed(self, status):
+        with LoopbackServer((200, "unreached")) as target:
+            with LoopbackServer((status, "moved", {"Location": target.url})) as server:
+                answer = post(server.url, b"query=x", {"Authorization": "Bearer secret"}, 5.0)
+        assert answer == (status, b"moved")
+        assert len(server.requests) == 1
+        assert not target.requests
+
+    def test_redirect_to_another_scheme_is_returned(self):
+        with LoopbackServer((302, "moved", {"Location": "ftp://127.0.0.1/x"})) as server:
+            assert post(server.url, b"", {}, 5.0) == (302, b"moved")
 
 
 class TestRetryOverHttp:
