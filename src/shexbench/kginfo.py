@@ -442,6 +442,17 @@ def _int_value(row: dict, variable: str) -> int:
         raise MalformedResultsError(f"expected an integer binding for ?{variable}, got {binding!r}") from exc
 
 
+def _datatype_key(row: dict) -> str:
+    """A datatype histogram key: "IRI", "bnode" or a datatype IRI."""
+    kind = _bound(row, "kind")["value"]
+    if kind not in ("IRI", "bnode"):
+        try:
+            Iri(kind)
+        except (TypeError, ValueError) as exc:
+            raise MalformedResultsError(f"?kind binding is neither IRI, bnode nor a datatype IRI: {kind!r}") from exc
+    return kind
+
+
 def http_transport(cfg: EndpointConfig) -> Callable[[str], dict]:
     """Default transport: POST the query form-encoded (SPARQL 1.1 Protocol); expect SPARQL JSON results."""
 
@@ -486,8 +497,9 @@ class CacheStore:
 
     It holds one lock per missed key (so a miss is fetched once however
     many clients ask for it), the gate that lets at most ``_MAX_IN_FLIGHT``
-    requests run at once, and the parsed documents of the term lookups, read
-    or fetched once for all the clients.  Answers only: a miss is looked up
+    requests run at once, the parsed documents of the term lookups, read
+    or fetched once for all the clients, and the cache key of each query
+    text asked, so each is hashed once.  Answers only: a miss is looked up
     again next time.
     """
 
@@ -496,10 +508,16 @@ class CacheStore:
         self.documents: dict[str, dict] = {}
         self._key_locks: dict[str, threading.Lock] = {}
         self._key_locks_guard = threading.Lock()
+        self._keys: dict[str, dict[str, str]] = {}
 
     def key_lock(self, key: str) -> threading.Lock:
         with self._key_locks_guard:
             return self._key_locks.setdefault(key, threading.Lock())
+
+    def keys(self, endpoint_url: str) -> dict[str, str]:
+        """The memo of :func:`cache_key` for ``endpoint_url``: query text -> key."""
+        with self._key_locks_guard:
+            return self._keys.setdefault(endpoint_url, {})
 
 
 class KgClient:
@@ -519,6 +537,7 @@ class KgClient:
         self.keys_touched: set[str] = set()
         self._transport = transport or http_transport(cfg)
         self._store = store or CacheStore()
+        self._keys = self._store.keys(cfg.endpoint_url)
         # the same text as str(Path(cfg.cache_dir) / name), without a Path per lookup
         self._cache_prefix = os.fspath(Path(cfg.cache_dir) / "_")[:-1]
         # Parsed documents of the other queries (a class's profile, an
@@ -535,7 +554,10 @@ class KgClient:
         Each key's document is read (or fetched) once per client, or once per
         store when ``shared`` (a term lookup that any class may repeat), and
         then served from memory; callers must not mutate it."""
-        key = cache_key(query, self.cfg.endpoint_url)
+        key = self._keys.get(query)
+        if key is None:
+            # two threads may both hash a new query; they store the same key
+            key = self._keys[query] = cache_key(query, self.cfg.endpoint_url)
         self.keys_touched.add(key)
         store = self._store
         documents = store.documents if shared else self._documents
@@ -652,7 +674,7 @@ class KgClient:
         datatype_rows = self._rows(datatype_query(class_iri, predicate, self.cfg.typing_predicate))
         datatypes = {}
         for row in datatype_rows:
-            datatypes[_bound(row, "kind")["value"]] = _int_value(row, "count")
+            datatypes[_datatype_key(row)] = _int_value(row, "count")
         class_rows = self._rows(object_classes_query(class_iri, predicate, self.cfg.typing_predicate))
         classes = {}
         for row in class_rows:

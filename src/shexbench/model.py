@@ -8,6 +8,7 @@ are immutable after construction and validate their invariants eagerly.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -41,7 +42,8 @@ WELL_KNOWN_PREFIXES: dict[str, str] = {
     "schema": "http://schema.org/",
     "yago": "http://yago-knowledge.org/resource/",
 }
-_WELL_KNOWN_NAMESPACES = frozenset(WELL_KNOWN_PREFIXES.values())
+
+_WHITESPACE_RE = re.compile(r"\s")
 
 
 @dataclass(frozen=True, order=True)
@@ -53,7 +55,7 @@ class Iri:
     def __post_init__(self) -> None:
         if not self.value:
             raise ValueError("IRI must be non-empty")
-        if re.search(r"\s", self.value):
+        if _WHITESPACE_RE.search(self.value):
             raise ValueError(f"IRI contains whitespace: {self.value!r}")
 
     def local_name(self) -> str:
@@ -103,6 +105,34 @@ def compact_iri(iri: Iri, prefixes: Mapping[str, str]) -> str:
     if best is None:
         return f"<{iri.value}>"
     return f"{best[0]}:{best[1]}"
+
+
+#: IRI strings whose well-known split :func:`well_known_split` remembers.
+_WELL_KNOWN_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=_WELL_KNOWN_CACHE_SIZE)
+def well_known_split(value: str) -> tuple[str, str] | None:
+    """(prefix, local part) of an IRI string under the longest
+    :data:`WELL_KNOWN_PREFIXES` namespace that leaves a valid local part.
+
+    The rule behind both the prompts' compact IRIs and the prefix map of
+    :func:`canonicalize`; memoized, since the same IRIs recur in every
+    schema and prompt of a run.  None when no namespace fits.
+    """
+    best: tuple[str, str] | None = None
+    for prefix, namespace in WELL_KNOWN_PREFIXES.items():
+        if value.startswith(namespace) and (best is None or len(namespace) > len(WELL_KNOWN_PREFIXES[best[0]])):
+            local = value[len(namespace):]
+            if _LOCAL_PART_RE.match(local):
+                best = (prefix, local)
+    return best
+
+
+def compact_well_known(iri: Iri) -> str:
+    """``compact_iri(iri, WELL_KNOWN_PREFIXES)`` through :func:`well_known_split`."""
+    split = well_known_split(iri.value)
+    return f"<{iri.value}>" if split is None else f"{split[0]}:{split[1]}"
 
 
 @dataclass(frozen=True)
@@ -177,7 +207,7 @@ class ShapeRef:
     label: str
 
     def __post_init__(self) -> None:
-        if not self.label or re.search(r"\s", self.label):
+        if not self.label or _WHITESPACE_RE.search(self.label):
             raise ValueError(f"bad shape label: {self.label!r}")
 
 
@@ -242,13 +272,13 @@ class Shape:
     extra_predicates: tuple[Iri, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.label or re.search(r"\s", self.label):
+        if not self.label or _WHITESPACE_RE.search(self.label):
             raise ValueError(f"bad shape label: {self.label!r}")
-        seen: set[Iri] = set()
+        seen: set[str] = set()  # IRI strings: an Iri hashes through Python code
         for constraint in self.constraints:
-            if constraint.predicate in seen:
+            if constraint.predicate.value in seen:
                 raise ValueError(f"duplicate predicate in shape <{self.label}>: {constraint.predicate}")
-            seen.add(constraint.predicate)
+            seen.add(constraint.predicate.value)
 
 
 @dataclass(frozen=True)
@@ -381,7 +411,7 @@ def infer_focus_class(schema: Schema, typing_predicates: Iterable[Iri] = DEFAULT
     return min(classes) if classes else None
 
 
-def _used_namespaces(schema: Schema) -> set[str]:
+def _used_prefixes(schema: Schema) -> set[str]:
     iris: list[Iri] = []
     if schema.focus_class is not None:
         iris.append(schema.focus_class)
@@ -398,20 +428,8 @@ def _used_namespaces(schema: Schema) -> set[str]:
                         iris.append(value)
                     elif value.datatype is not None:
                         iris.append(value.datatype)
-    used: set[str] = set()
-    for iri in iris:
-        for namespace in _candidate_namespaces(iri):
-            used.add(namespace)
-    return used
-
-
-def _candidate_namespaces(iri: Iri) -> list[str]:
-    # Longest declared namespace that both matches and leaves a clean local part.
-    matches = []
-    for namespace in _WELL_KNOWN_NAMESPACES:
-        if iri.value.startswith(namespace) and _LOCAL_PART_RE.match(iri.value[len(namespace):] or "-"):
-            matches.append(namespace)
-    return [max(matches, key=len)] if matches else []
+    splits = (well_known_split(iri.value) for iri in iris)
+    return {split[0] for split in splits if split is not None}
 
 
 def canonicalize(
@@ -449,7 +467,9 @@ def canonicalize(
             nc = ShapeRef(relabel[nc.label])
         elif isinstance(nc, ValueSet):
             nc = ValueSet(tuple(sorted(nc.values, key=value_sort_key)))
-        return replace(constraint, node_constraint=nc)
+        else:
+            return constraint
+        return TripleConstraint(constraint.predicate, nc, constraint.cardinality)
 
     new_shapes: dict[str, Shape] = {}
     for old_label, shape in schema.shapes.items():
@@ -469,6 +489,5 @@ def canonicalize(
         focus = infer_focus_class(canonical, typing)
         canonical = replace(canonical, focus_class=focus)
 
-    used = _used_namespaces(canonical)
-    prefixes = {p: ns for p, ns in sorted(WELL_KNOWN_PREFIXES.items()) if ns in used}
+    prefixes = {p: WELL_KNOWN_PREFIXES[p] for p in sorted(_used_prefixes(canonical))}
     return replace(canonical, prefixes=prefixes)

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .kginfo import GlobalPredicateRecord, RecordField, Triple
-from .model import WELL_KNOWN_PREFIXES, Iri, Literal, compact_iri
+from .model import Iri, Literal, compact_well_known
 
 RDF_LANGSTRING = "http://www.w3.org/1999/02/22-rdf-syntax-ns#langString"
 XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
@@ -86,10 +86,6 @@ def load_fewshot(path: Path | str) -> tuple[tuple[str, str], ...]:
     return tuple((entry["user"], entry["assistant"]) for entry in entries)
 
 
-def _compact(iri: Iri) -> str:
-    return compact_iri(iri, WELL_KNOWN_PREFIXES)
-
-
 def _with_label(text: str, label: str | None) -> str:
     return f"{text} ({label})" if label else text
 
@@ -99,16 +95,16 @@ def _datatype_annotation(term) -> str:
         return "IRI"
     if isinstance(term, Literal):
         if term.language is not None:
-            return _compact(Iri(RDF_LANGSTRING))
+            return compact_well_known(Iri(RDF_LANGSTRING))
         if term.datatype is None:
-            return _compact(Iri(XSD_STRING))
-        return _compact(term.datatype)
+            return compact_well_known(Iri(XSD_STRING))
+        return compact_well_known(term.datatype)
     return "bnode"
 
 
 def _object_text(term, label: str | None) -> str:
     if isinstance(term, Iri):
-        rendered = _with_label(_compact(term), label)
+        rendered = _with_label(compact_well_known(term), label)
     elif isinstance(term, Literal):
         rendered = term.lexical
     else:
@@ -120,8 +116,8 @@ def _triple_line(subject: Iri, subject_label: str | None, predicate: Iri,
                  predicate_label: str | None, objects: list[tuple[object, str | None]]) -> str:
     rendered_objects = ", ".join(_object_text(term, label) for term, label in objects)
     return (
-        f"{_with_label(_compact(subject), subject_label)} "
-        f"{_with_label(_compact(predicate), predicate_label)} "
+        f"{_with_label(compact_well_known(subject), subject_label)} "
+        f"{_with_label(compact_well_known(predicate), predicate_label)} "
         f"[{rendered_objects}]"
     )
 
@@ -220,24 +216,24 @@ def render_datatypes(record: GlobalPredicateRecord) -> str:
     items = sorted(record.datatype_of_objects.items(), key=lambda item: (-item[1], item[0]))
     if len(items) == 1:
         key, _ = items[0]
-        return key if key in ("IRI", "bnode") else _compact(Iri(key))
+        return key if key in ("IRI", "bnode") else compact_well_known(Iri(key))
     rendered = []
     for key, fraction in items:
-        name = key if key in ("IRI", "bnode") else _compact(Iri(key))
+        name = key if key in ("IRI", "bnode") else compact_well_known(Iri(key))
         rendered.append(f"{name} ({_pct(fraction)})")
     return ", ".join(rendered)
 
 
 def render_object_classes(record: GlobalPredicateRecord, limit: int = 10) -> str:
     items = sorted(record.object_class_distribution.items(), key=lambda item: (-item[1], item[0]))
-    return "; ".join(f"{_pct(fraction)} {_compact(Iri(key))}" for key, fraction in items[:limit])
+    return "; ".join(f"{_pct(fraction)} {compact_well_known(Iri(key))}" for key, fraction in items[:limit])
 
 
 def render_example(triple: Triple) -> str:
-    subject = _with_label(_compact(triple.subject), triple.subject_label)
-    predicate = _with_label(_compact(triple.predicate), triple.predicate_label)
+    subject = _with_label(compact_well_known(triple.subject), triple.subject_label)
+    predicate = _with_label(compact_well_known(triple.predicate), triple.predicate_label)
     if isinstance(triple.object, Iri):
-        obj = _with_label(_compact(triple.object), triple.object_label)
+        obj = _with_label(compact_well_known(triple.object), triple.object_label)
     elif isinstance(triple.object, Literal):
         obj = triple.object.lexical
     else:
@@ -246,7 +242,7 @@ def render_example(triple: Triple) -> str:
 
 
 def _constraint_sentence(role: str, classes: tuple[Iri, ...]) -> str:
-    rendered = ", ".join(_compact(c) for c in classes)
+    rendered = ", ".join(compact_well_known(c) for c in classes)
     if role == "subject":
         return (
             "Based on the subject type constraint of Wikidata, the item described by such "

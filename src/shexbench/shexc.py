@@ -14,6 +14,7 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .model import (
     RDF_TYPE,
@@ -70,7 +71,6 @@ _UNSUPPORTED_KEYWORDS = {
 }
 
 _TOKEN_SPEC = [
-    ("WS", r"[ \t\r\f]+"),
     ("NL", r"\n"),
     ("COMMENT", r"#[^\n]*"),
     ("IRIREF", r"<[^<>\"{}|^`\\\s]*>"),
@@ -82,12 +82,15 @@ _TOKEN_SPEC = [
     ("AT", r"@"),
     ("IDENT", r"[A-Za-z_][A-Za-z0-9_\-]*"),
     ("PUNCT", r"[{}\[\];=,?*+()./|~!$&%-]"),
+    # any other character but blanks, reported as unexpected; no token above
+    # starts with a blank, so the leading blanks match the same way either way
+    ("ERR", r"[^ \t\r\f]"),
 ]
-_MASTER_RE = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in _TOKEN_SPEC))
+#: One token, or one unexpected character, after the blanks before it.
+_MASTER_RE = re.compile("[ \t\r\f]*(?:" + "|".join(f"(?P<{name}>{pattern})" for name, pattern in _TOKEN_SPEC) + ")")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     value: str
     line: int
@@ -100,26 +103,19 @@ _EOF = _Token("EOF", "", 0, 0)
 def _tokenize(text: str) -> tuple[list[_Token], list[ParseDiagnostic]]:
     tokens: list[_Token] = []
     diagnostics: list[ParseDiagnostic] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        match = _MASTER_RE.match(text, pos)
-        if match is None:
-            diagnostics.append(ParseDiagnostic(line, col, f"unexpected character {text[pos]!r}"))
-            pos += 1
-            col += 1
-            continue
-        kind = match.lastgroup or ""
-        value = match.group()
+    line, line_start = 1, 0
+    # every match starts where the previous one ended; only trailing blanks match nothing
+    for match in _MASTER_RE.finditer(text):
+        kind = match.lastgroup
         if kind == "NL":
             line += 1
-            col = 1
-        elif kind in ("WS", "COMMENT"):
-            col += len(value)
-        else:
-            tokens.append(_Token(kind, value, line, col))
-            col += len(value)
-        pos = match.end()
-    tokens.append(_Token("EOF", "", line, col))
+            line_start = match.end()
+        elif kind == "ERR":
+            col = match.start(kind) - line_start + 1
+            diagnostics.append(ParseDiagnostic(line, col, f"unexpected character {match[kind]!r}"))
+        elif kind != "COMMENT":
+            tokens.append(_Token(kind, match[kind], line, match.start(kind) - line_start + 1))
+    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
     return tokens, diagnostics
 
 
@@ -488,14 +484,6 @@ def parse_shexc(text: str, focus_class: Iri | None = None) -> Schema:
     if focus_class is not None:
         schema = Schema(schema.prefixes, schema.start_label, schema.shapes, focus_class)
     return schema
-
-
-def try_parse_shexc(text: str) -> tuple[Schema | None, tuple[ParseDiagnostic, ...]]:
-    """Total variant: returns (schema, ()) or (None, diagnostics)."""
-    try:
-        return parse_shexc(text), ()
-    except ShexcParseError as exc:
-        return None, exc.diagnostics
 
 
 def _render_node(nc: NodeConstraint, prefixes: dict[str, str]) -> str:

@@ -12,8 +12,14 @@ import random
 import re
 import socket
 import threading
+from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
+
+from shexbench import shexc
+from shexbench.model import _LOCAL_PART_RE, WELL_KNOWN_PREFIXES, Iri, Schema
+from shexbench.shexc import ParseDiagnostic
 
 
 class PlainTree:
@@ -937,3 +943,92 @@ def reference_evaluate_pair(gen, gt, criteria, oracle=None, *, typing_predicates
         matched_count=matched,
         error_breakdown=ErrorBreakdown(correct, missing, wrong_card, wrong_node, both),
     )
+
+
+# -- ShExC text oracles --------------------------------------------------------
+# The tokenizer and the namespace scan as they were before the one-pass
+# tokenizer and the memoized well-known lookup; kept as the oracles for both.
+
+_TOKEN_SPEC = [
+    ("WS", r"[ \t\r\f]+"),
+    ("NL", r"\n"),
+    ("COMMENT", r"#[^\n]*"),
+    ("IRIREF", r"<[^<>\"{}|^`\\\s]*>"),
+    ("DTCARET", r"\^\^"),
+    ("STRING", r'"(?:[^"\\\n]|\\.)*"'),
+    ("PNAME", r"[A-Za-z][A-Za-z0-9_.\-]*:[A-Za-z0-9_.\-]*|:[A-Za-z0-9_.\-]+"),
+    ("NUMBER", r"[+-]?\d+(?:\.\d+)?"),
+    ("LANGTAG", r"@[A-Za-z]+(?:-[A-Za-z0-9]+)*"),
+    ("AT", r"@"),
+    ("IDENT", r"[A-Za-z_][A-Za-z0-9_\-]*"),
+    ("PUNCT", r"[{}\[\];=,?*+()./|~!$&%-]"),
+]
+_MASTER_RE = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in _TOKEN_SPEC))
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str
+    value: str
+    line: int
+    col: int
+
+
+def reference_tokenize(text: str) -> tuple[list[_Token], list[ParseDiagnostic]]:
+    tokens: list[_Token] = []
+    diagnostics: list[ParseDiagnostic] = []
+    line, col, pos = 1, 1, 0
+    while pos < len(text):
+        match = _MASTER_RE.match(text, pos)
+        if match is None:
+            diagnostics.append(ParseDiagnostic(line, col, f"unexpected character {text[pos]!r}"))
+            pos += 1
+            col += 1
+            continue
+        kind = match.lastgroup or ""
+        value = match.group()
+        if kind == "NL":
+            line += 1
+            col = 1
+        elif kind in ("WS", "COMMENT"):
+            col += len(value)
+        else:
+            tokens.append(_Token(kind, value, line, col))
+            col += len(value)
+        pos = match.end()
+    tokens.append(_Token("EOF", "", line, col))
+    return tokens, diagnostics
+
+
+def reference_parse_outcome(text: str) -> Schema | str:
+    """``parse_shexc(text)`` over :func:`reference_tokenize`: the schema, or
+    the error string."""
+    with mock.patch.object(shexc, "_tokenize", reference_tokenize):
+        return parse_outcome(text)
+
+
+def parse_outcome(text: str) -> Schema | str:
+    try:
+        return shexc.parse_shexc(text)
+    except shexc.ShexcParseError as exc:
+        return str(exc)
+
+
+def try_parse_shexc(text: str) -> tuple[Schema | None, tuple[ParseDiagnostic, ...]]:
+    """Total variant: returns (schema, ()) or (None, diagnostics)."""
+    try:
+        return shexc.parse_shexc(text), ()
+    except shexc.ShexcParseError as exc:
+        return None, exc.diagnostics
+
+
+_WELL_KNOWN_NAMESPACES = frozenset(WELL_KNOWN_PREFIXES.values())
+
+
+def reference_candidate_namespaces(iri: Iri) -> list[str]:
+    # Longest declared namespace that both matches and leaves a clean local part.
+    matches = []
+    for namespace in _WELL_KNOWN_NAMESPACES:
+        if iri.value.startswith(namespace) and _LOCAL_PART_RE.match(iri.value[len(namespace):] or "-"):
+            matches.append(namespace)
+    return [max(matches, key=len)] if matches else []

@@ -737,6 +737,43 @@ class TestCorruptCacheInGenerate:
         assert code == expected_code
 
 
+class TestMalformedDatatypeKey:
+    """A ``?kind`` binding that is neither ``IRI``, ``bnode`` nor an IRI is a
+    malformed results document: it fails its class (generate) or the command
+    (train-cardinality, which has no per-class status) with exit 3 and a
+    message naming the binding, as a corrupt cache file does."""
+
+    def _corrupt_museum_kinds(self, bench) -> None:
+        cmd_extract(bench["manifest"], bench["cache"], "global", transport_factory=bench["factory"])
+        edited = 0
+        for path in bench["cache"].glob("*.json"):
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            if "AS ?kind" in doc["query"] and f"<{MUSEUM}>" in doc["query"]:
+                for row in doc["results_document"]["results"]["bindings"]:
+                    row["kind"]["value"] = "not an iri"
+                path.write_text(json.dumps(doc), encoding="utf-8")
+                edited += 1
+        assert edited
+
+    def test_generate_fails_only_its_class(self, bench):
+        self._corrupt_museum_kinds(bench)
+        code, report = cmd_generate(bench["manifest"], bench["tmp"] / "gen", bench["cache"], "global",
+                                    offline=True, llm_client=benchmark_rule_client())
+        rows = {r["class_uri"]: r for r in report["classes"]}
+        assert {uri: row["status"] for uri, row in rows.items()} == {
+            uri: "error" if uri == MUSEUM else "ok" for uri in BENCHMARK_CLASSES}
+        assert "?kind" in rows[MUSEUM]["error"] and "'not an iri'" in rows[MUSEUM]["error"]
+        assert code == EXIT_NETWORK
+
+    def test_train_exits_with_the_binding_named(self, bench, tmp_path, capsys):
+        self._corrupt_museum_kinds(bench)
+        code = main(["train-cardinality", "--manifest", str(bench["manifest"]), "--cache-dir", str(bench["cache"]),
+                     "--out", str(tmp_path / "model.json"), "--kind", "dt", "--offline"])
+        assert code == EXIT_NETWORK
+        assert "error: ?kind binding is neither IRI, bnode nor a datatype IRI: 'not an iri'" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
+
 MUSEUM = WD + "Q33506"
 
 

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from shexbench import model
 from shexbench.model import (
     DEFAULT_DATATYPE_CATEGORIES,
     RDF_NS,
@@ -25,9 +28,12 @@ from shexbench.model import (
     canonicalize,
     classes_of,
     compact_iri,
+    compact_well_known,
     datatype_category,
     expand_iri,
+    well_known_split,
 )
+from support import reference_candidate_namespaces
 
 WD = "http://www.wikidata.org/entity/"
 WDT = "http://www.wikidata.org/prop/direct/"
@@ -70,6 +76,38 @@ class TestIri:
                 assert compact == f"<{iri.value}>"
             else:
                 assert expand_iri(compact, WELL_KNOWN_PREFIXES) == iri
+
+
+#: IRI strings near the well-known namespaces: a namespace (or a cut or
+#: extended one) followed by a local part that may or may not be clean.
+NEAR_WELL_KNOWN_IRIS = st.builds(
+    lambda namespace, cut, local: namespace[:len(namespace) - cut] + local,
+    st.sampled_from([*WELL_KNOWN_PREFIXES.values(), "http://example.org/", "http://www.wikidata.org/"]),
+    st.integers(0, 3),
+    st.text("aZ09_.-#/:%éprop/directentity", max_size=12),
+).filter(lambda value: value and not any(c.isspace() for c in value))
+
+
+class TestWellKnownOracle:
+    """The memoized well-known lookup against the uncached scans it replaced:
+    ``compact_iri`` over the whole table (prompts) and the longest-namespace
+    scan of ``canonicalize``."""
+
+    @settings(deadline=None)
+    @given(st.one_of(NEAR_WELL_KNOWN_IRIS, st.text(min_size=1).filter(lambda v: not any(c.isspace() for c in v))))
+    def test_agrees_with_uncached_scans(self, value):
+        iri = Iri(value)
+        split = well_known_split(value)
+        assert split == well_known_split.__wrapped__(value)
+        assert compact_well_known(iri) == compact_iri(iri, WELL_KNOWN_PREFIXES)
+        assert ([WELL_KNOWN_PREFIXES[split[0]]] if split else []) == reference_candidate_namespaces(iri)
+        if split is None:
+            assert compact_well_known(iri) == f"<{value}>"
+        else:
+            assert expand_iri(compact_well_known(iri), WELL_KNOWN_PREFIXES) == iri
+
+    def test_cache_is_bounded(self):
+        assert well_known_split.cache_info().maxsize == model._WELL_KNOWN_CACHE_SIZE
 
 
 class TestCardinality:

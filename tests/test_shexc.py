@@ -25,9 +25,10 @@ from shexbench.shexc import (
     ShexcParseError,
     parse_shexc,
     serialize_shexc,
+    _tokenize,
     to_canonical_json,
-    try_parse_shexc,
 )
+from support import parse_outcome, reference_parse_outcome, reference_tokenize, try_parse_shexc
 
 WD = "http://www.wikidata.org/entity/"
 WDT = "http://www.wikidata.org/prop/direct/"
@@ -43,6 +44,54 @@ SHEXC_TEXTS = st.builds(
         "?", "*", "{1}", "{1,}", "{0,2}", "{1.5}", "{1,2.5}", "~", ".", "\n", "%",
     ]), max_size=20),
 )
+
+#: Characters the tokenizer treats differently: blanks and line breaks
+#: (including ones it does not skip), brackets, quotes, escapes, comment and
+#: directive marks, PNAME and number parts, and non-ASCII letters and spaces.
+SHEXC_ALPHABET = "\n \t\r\f\v<>{}[]()\"'\\#@^:;.,=?*+-_~%|/!$&`09aAeEnxzZ\xa0\u2028é§λ"
+#: Random texts over that alphabet, mixed with whole fragments of the subset.
+SHEXC_NOISE = st.one_of(
+    st.text(SHEXC_ALPHABET, max_size=80),
+    st.lists(st.one_of(st.sampled_from([
+        "PREFIX ", "wdt:", "<http://example.org/p>", "IRI", "start = @<S>", '"x\\"y"', "^^xsd:string", "@en-GB",
+        "1.5", "-3", "# note\n", "EXTRA ", "a ",
+    ]), st.text(SHEXC_ALPHABET, max_size=4)), max_size=25).map("".join),
+)
+
+
+class TestTokenizerOracle:
+    """The one-pass tokenizer against the per-token loop it replaced."""
+
+    @staticmethod
+    def _same_as_reference(text):
+        tokens, diagnostics = _tokenize(text)
+        expected_tokens, expected_diagnostics = reference_tokenize(text)
+        assert [tuple(token) for token in tokens] == [(t.kind, t.value, t.line, t.col) for t in expected_tokens]
+        assert diagnostics == expected_diagnostics
+        assert parse_outcome(text) == reference_parse_outcome(text)
+
+    @settings(deadline=None)
+    @given(st.one_of(SHEXC_NOISE, SHEXC_TEXTS))
+    def test_random_text(self, text):
+        self._same_as_reference(text)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_edited_fixtures(self, fixture_texts, data):
+        text = data.draw(st.sampled_from(fixture_texts))
+        start = data.draw(st.integers(0, len(text)))
+        end = data.draw(st.integers(start, min(len(text), start + 40)))
+        self._same_as_reference(text[:start] + data.draw(SHEXC_NOISE) + text[end:])
+
+    def test_fixtures(self, fixture_texts):
+        for text in fixture_texts:
+            self._same_as_reference(text)
+
+    def test_unexpected_character_after_blanks(self):
+        tokens, diagnostics = _tokenize("<S> \t\v {\n \x85")
+        assert [(d.line, d.column, d.message) for d in diagnostics] == [
+            (1, 6, "unexpected character '\\x0b'"), (2, 2, "unexpected character '\\x85'")]
+        assert tokens[-1] == ("EOF", "", 2, 3)
 
 
 class TestParseMuseum:
