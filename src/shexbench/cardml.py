@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyDatasetError
-from .kginfo import GlobalPredicateRecord, atomic_write_text
+from .kginfo import GlobalPredicateRecord, atomic_write_text, decode_json
 from .model import Cardinality, DatatypeCategory, DEFAULT_DATATYPE_CATEGORIES, Iri
 
 
@@ -491,7 +491,7 @@ class CardinalityModel:
     def from_json(cls, text: str) -> "CardinalityModel":
         """Raises ValueError for malformed JSON, an unknown kind, a missing key,
         a malformed tree or feature names other than FEATURE_NAMES."""
-        doc = json.loads(text)
+        doc = decode_json(text)
         try:
             model_class, _ = _model_kind(doc["kind"])
             model = cls(
@@ -593,16 +593,3 @@ def write_feature_csv(
             label.max_class.value,
         ])
     atomic_write_text(path, buffer.getvalue())
-
-
-def read_feature_csv(path: Path | str) -> list[tuple[FeatureVector, CardinalityLabel]]:
-    rows = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        for record in csv.DictReader(handle):
-            values = {name: float(record[name]) for name in FEATURE_NAMES}
-            values["max_observed_count"] = int(values["max_observed_count"])
-            values["has_value_type_constraint"] = bool(values["has_value_type_constraint"])
-            features = FeatureVector(**values)
-            label = CardinalityLabel(int(record["min_class"]), MaxBound(record["max_class"]))
-            rows.append((features, label))
-    return rows

@@ -58,6 +58,7 @@ from .kginfo import (
     MalformedResultsError,
     Triple,
     atomic_write_text as _atomic_write,
+    decode_json,
 )
 from .matching import (  # noqa: F401 - evaluate_pair stays bound for bench/tracer.py to patch
     ALL_CRITERIA,
@@ -137,7 +138,7 @@ def load_manifest(path: Path | str) -> Manifest:
     """Read and validate a manifest, parsing each entry's ground truth once."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = decode_json(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
     entries = []
@@ -474,7 +475,7 @@ def load_subclass_oracle(path: Path | str) -> StaticSubclassOracle:
 
     Raises OSError for an unreadable file and ValueError for a malformed one.
     """
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = decode_json(Path(path).read_text(encoding="utf-8"))
     tables = []
     for key in ("subclass_of", "value_types"):
         table = doc.get(key, {}) if isinstance(doc, dict) else None
@@ -659,7 +660,7 @@ _RESULT_KEYS = ("model_id", "setting", "aggregate", "mean_ged", "mean_nged")
 
 def _load_results(path: Path | str) -> dict:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = decode_json(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise ManifestError(f"cannot read results file {path}: {exc}") from exc
     if not isinstance(doc, dict) or not all(key in doc for key in _RESULT_KEYS) \

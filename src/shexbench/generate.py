@@ -21,8 +21,6 @@ from pathlib import Path
 from typing import Literal as TypingLiteral
 from typing import Protocol, Sequence
 
-from pydantic import BaseModel, ConfigDict, Field, ValidationError, field_validator, model_validator
-
 from .kginfo import (
     CacheMissError,
     EndpointConfig,
@@ -31,6 +29,7 @@ from .kginfo import (
     KgClient,
     NoResponseError,
     atomic_write_text,
+    decode_json,
     post,
 )
 from .model import (
@@ -130,7 +129,7 @@ class HttpLlmClient:
                                 _PROVIDER_TIMEOUT_S)
             if status != 200:
                 raise ValueError(f"HTTP {status} from {self.provider_url}: {body.decode('utf-8', 'replace')[:200]}")
-            reply = json.loads(body)["choices"][0]["message"]["content"]
+            reply = decode_json(body)["choices"][0]["message"]["content"]
         except (NoResponseError, KeyError, IndexError, TypeError, ValueError) as exc:
             raise ProviderError(f"provider request failed: {exc}") from exc
         if not isinstance(reply, str):
@@ -156,27 +155,13 @@ class StubLlmClient:
         except OSError as exc:
             raise StubReplyMissingError(f"cannot read stub file {path}: {exc}") from exc
         try:
-            document = json.loads(data.decode("utf-8"))
+            document = decode_json(data.decode("utf-8"))
         except ValueError as exc:
             raise StubReplyMissingError(f"malformed stub file {path}: {exc}") from exc
         reply = document.get("reply") if isinstance(document, dict) else None
         if not isinstance(reply, str):
             raise StubReplyMissingError(f'malformed stub file {path}: not a JSON object with a string "reply"')
         return reply
-
-
-@dataclass
-class ScriptedLlmClient:
-    """Answers from a fixed reply queue; for tests and fixture recording."""
-
-    replies: Sequence[str]
-    sent: list[list[Message]] = field(default_factory=list)
-
-    def send(self, messages: Sequence[Message]) -> str:
-        self.sent.append(list(messages))
-        if len(self.sent) > len(self.replies):
-            raise StubReplyMissingError("scripted client ran out of replies")
-        return self.replies[len(self.sent) - 1]
 
 
 @dataclass
@@ -245,61 +230,98 @@ def extract_json_object(text: str) -> str:
     raise ValueError("unbalanced JSON object in reply")
 
 
-class StructuredCardinality(BaseModel):
+class StructuredReplyError(ValueError):
+    """A structured reply breaks the reply rules; the message says which."""
+
+
+def _reply_object(text: str, names: tuple[str, ...]) -> dict:
+    """The JSON object of a structured reply, whose keys are all in ``names``."""
+    try:
+        doc = decode_json(text)
+    except ValueError as exc:
+        raise StructuredReplyError(f"invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise StructuredReplyError("the reply is not a JSON object")
+    unknown = [key for key in doc if key not in names]
+    if unknown:
+        raise StructuredReplyError(f"unexpected keys {unknown}, allowed are {list(names)}")
+    return doc
+
+
+@dataclass(frozen=True)
+class StructuredCardinality:
     """Step-one output: include the predicate, and with which bounds.
 
-    ``max`` accepts -1 or null for unbounded; bounds are ignored when
-    ``include`` is false.
+    ``max`` None is unbounded; bounds are ignored when ``include`` is false.
+    The constructor checks nothing: a reply is checked by :meth:`from_json`.
     """
 
-    model_config = ConfigDict(extra="forbid")
-
     include: bool
-    min: int = Field(default=0, ge=0)
+    min: int = 0
     max: int | None = None
 
-    @field_validator("max", mode="before")
     @classmethod
-    def _minus_one_is_unbounded(cls, value):
-        if value == -1:
-            return None
-        return value
-
-    @model_validator(mode="after")
-    def _check_bounds(self):
-        if self.include and self.max is not None and self.max < self.min:
-            raise ValueError(f"max {self.max} < min {self.min}")
-        return self
+    def from_json(cls, text: str) -> StructuredCardinality:
+        """A reply: a JSON object with a boolean ``include``, an integer
+        ``min`` of at least 0 (default 0) and an integer or null ``max``
+        (-1 and null mean unbounded) of at least ``min`` when ``include``
+        is true.  JSON types are strict: ``1`` is no boolean and ``true``,
+        ``1.0`` and ``"1"`` are no integers.  Raises StructuredReplyError."""
+        doc = _reply_object(text, ("include", "min", "max"))
+        include, minimum, maximum = doc.get("include"), doc.get("min", 0), doc.get("max")
+        if not isinstance(include, bool):
+            raise StructuredReplyError('"include" is required and must be true or false')
+        if type(minimum) is not int or minimum < 0:
+            raise StructuredReplyError('"min" must be an integer of at least 0')
+        if maximum is not None and type(maximum) is not int:
+            raise StructuredReplyError('"max" must be an integer or null')
+        if maximum == -1:
+            maximum = None
+        if include:
+            try:
+                Cardinality(minimum, maximum)
+            except ValueError as exc:
+                raise StructuredReplyError(str(exc)) from None
+        return cls(include, minimum, maximum)
 
     def to_cardinality(self) -> Cardinality:
         return Cardinality(self.min, self.max)
 
 
-class StructuredNodeConstraint(BaseModel):
-    """Step-two output: at most one variant; empty means the IRI node kind."""
+@dataclass(frozen=True)
+class StructuredNodeConstraint:
+    """Step-two output: at most one variant; empty means the IRI node kind.
 
-    model_config = ConfigDict(extra="forbid")
+    The constructor checks nothing: a reply is checked by :meth:`from_json`.
+    """
 
     datatype: str | None = None
-    referenced_classes: list[str] | None = Field(default=None, min_length=1)
-    value_list: list[str] | None = Field(default=None, min_length=1)
+    referenced_classes: tuple[str, ...] | None = None
+    value_list: tuple[str, ...] | None = None
     node_kind: TypingLiteral["iri"] | None = None
 
-    @model_validator(mode="after")
-    def _exactly_one_variant(self):
-        populated = [
-            name for name, value in (
-                ("datatype", self.datatype),
-                ("referenced_classes", self.referenced_classes),
-                ("value_list", self.value_list),
-                ("node_kind", self.node_kind),
-            ) if value is not None
-        ]
+    @classmethod
+    def from_json(cls, text: str) -> StructuredNodeConstraint:
+        """A reply: a JSON object with at most one of a string ``datatype``,
+        non-empty lists of strings ``referenced_classes`` and ``value_list``,
+        and ``node_kind`` ``"iri"``; null is an absent key, and ``{}`` means
+        ``node_kind`` ``"iri"``.  Raises StructuredReplyError."""
+        names = ("datatype", "referenced_classes", "value_list", "node_kind")
+        doc = _reply_object(text, names)
+        variants = [doc.get(name) for name in names]
+        datatype, classes, values, node_kind = variants
+        if datatype is not None and not isinstance(datatype, str):
+            raise StructuredReplyError('"datatype" must be a string or null')
+        for name, value in (("referenced_classes", classes), ("value_list", values)):
+            if value is not None and not (isinstance(value, list) and value
+                                          and all(isinstance(item, str) for item in value)):
+                raise StructuredReplyError(f'"{name}" must be a non-empty list of strings or null')
+        if node_kind not in (None, "iri"):
+            raise StructuredReplyError('"node_kind" must be "iri" or null')
+        populated = [name for name, value in zip(names, variants) if value is not None]
         if len(populated) > 1:
-            raise ValueError(f"node constraint variants are mutually exclusive, got {populated}")
-        if not populated:
-            self.node_kind = "iri"
-        return self
+            raise StructuredReplyError(f"node constraint variants are mutually exclusive, got {populated}")
+        return cls(datatype, classes and tuple(classes), values and tuple(values), node_kind if populated else "iri")
 
 
 CARDINALITY_INSTRUCTION = (
@@ -339,10 +361,6 @@ def _request_until_parsed(messages: Sequence[Message], client: LlmClient, parse,
         try:
             return parse(reply)
         except errors as exc:
-            # no local may keep the error past its handler: a ValidationError
-            # from a model validator holds that validator's exception, whose
-            # traceback reaches this frame by a reference the cycle collector
-            # cannot follow, so a kept error would leak the calling frames
             if attempt == attempts - 1:
                 raise fail(exc, transcript) from exc
             transcript.append({"role": "user", "content": correction(exc)})
@@ -355,8 +373,8 @@ def _structured_step(model_cls, instruction: str, record: GlobalPredicateRecord,
     messages = ChatPrompt(prompt.system, prompt.user + "\n\n" + instruction, prompt.fewshot).to_messages()
     return _request_until_parsed(
         messages, client,
-        parse=lambda reply: model_cls.model_validate_json(extract_json_object(reply)),
-        errors=(ValueError, ValidationError),
+        parse=lambda reply: model_cls.from_json(extract_json_object(reply)),
+        errors=ValueError,
         correction=lambda error: (
             f"The previous reply was invalid: {error}. Reply again with only the corrected JSON object."
         ),
@@ -604,6 +622,6 @@ def mine_baseline_schema(
         if dominant_datatype is not None and dominant_datatype[1] >= thresholds.datatype_purity:
             node = StructuredNodeConstraint(datatype=dominant_datatype[0])
         elif dominant_class is not None and dominant_class[1] >= thresholds.class_purity:
-            node = StructuredNodeConstraint(referenced_classes=[dominant_class[0]])
+            node = StructuredNodeConstraint(referenced_classes=(dominant_class[0],))
         parts.append((record.predicate_uri, cardinality, node))
     return assemble_schema(class_iri, parts, cfg)

@@ -403,6 +403,18 @@ def _decoded_body(response) -> bytes:
     return body
 
 
+def decode_json(data: str | bytes):
+    """``json.loads`` for every document the package reads from outside.
+
+    A document nested too deeply for the decoder raises ValueError, as any
+    other malformed document does, not RecursionError.
+    """
+    try:
+        return json.loads(data)
+    except RecursionError:
+        raise ValueError("document nested too deeply for the JSON decoder") from None
+
+
 def cache_key(query: str, endpoint_url: str) -> str:
     digest = hashlib.sha256(f"{_normalize_query(query)}\n{endpoint_url}".encode("utf-8")).hexdigest()
     return digest
@@ -467,7 +479,7 @@ def http_transport(cfg: EndpointConfig) -> Callable[[str], dict]:
         if status != 200:
             raise EndpointError(f"HTTP {status} from {cfg.endpoint_url}: {body.decode('utf-8', 'replace')[:200]}")
         try:
-            return json.loads(body)
+            return decode_json(body)
         except ValueError as exc:
             raise MalformedResultsError(f"non-JSON response from {cfg.endpoint_url}") from exc
 
@@ -587,7 +599,7 @@ class KgClient:
         try:
             with open(path, "rb") as handle:
                 data = handle.read()
-            return json.loads(data.decode("utf-8"))["results_document"]
+            return decode_json(data.decode("utf-8"))["results_document"]
         except FileNotFoundError:
             return None
         except OSError as exc:

@@ -8,13 +8,12 @@ percentages) so prompts are stable cache and stub keys.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .kginfo import GlobalPredicateRecord, RecordField, Triple
+from .kginfo import GlobalPredicateRecord, RecordField, Triple, decode_json
 from .model import Iri, Literal, compact_well_known
 
 RDF_LANGSTRING = "http://www.w3.org/1999/02/22-rdf-syntax-ns#langString"
@@ -78,7 +77,7 @@ def load_fewshot(path: Path | str) -> tuple[tuple[str, str], ...]:
 
     Raises OSError for an unreadable file and ValueError for a malformed one.
     """
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = decode_json(Path(path).read_text(encoding="utf-8"))
     entries = doc if isinstance(doc, list) else [doc]
     if not all(isinstance(entry, dict) and isinstance(entry.get("user"), str)
                and isinstance(entry.get("assistant"), str) for entry in entries):

@@ -7,18 +7,23 @@ forest edit distance directly, so it can arbitrate the optimized algorithm.
 
 from __future__ import annotations
 
+import csv
 import http.server
 import random
 import re
 import socket
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Literal as TypingLiteral
 from unittest import mock
 
 import numpy as np
+from pydantic import BaseModel, ConfigDict, Field, ValidationError, field_validator, model_validator
 
 from shexbench import shexc
-from shexbench.model import _LOCAL_PART_RE, WELL_KNOWN_PREFIXES, Iri, Schema
+from shexbench.cardml import FEATURE_NAMES, CardinalityLabel, FeatureVector, MaxBound
+from shexbench.generate import StubReplyMissingError
+from shexbench.model import _LOCAL_PART_RE, WELL_KNOWN_PREFIXES, Cardinality, Iri, Schema
 from shexbench.shexc import ParseDiagnostic
 
 
@@ -433,6 +438,20 @@ class RuleLlmClient:
         if "occurrence bounds" in record_message:
             return self.cardinality_replies[predicate]
         return self.node_replies[predicate]
+
+
+@dataclass
+class ScriptedLlmClient:
+    """Answers from a fixed reply queue; for tests and fixture recording."""
+
+    replies: list[str]
+    sent: list[list[dict[str, str]]] = field(default_factory=list)
+
+    def send(self, messages):
+        self.sent.append(list(messages))
+        if len(self.sent) > len(self.replies):
+            raise StubReplyMissingError("scripted client ran out of replies")
+        return self.replies[len(self.sent) - 1]
 
 
 def build_award_endpoint():
@@ -1032,3 +1051,89 @@ def reference_candidate_namespaces(iri: Iri) -> list[str]:
         if iri.value.startswith(namespace) and _LOCAL_PART_RE.match(iri.value[len(namespace):] or "-"):
             matches.append(namespace)
     return [max(matches, key=len)] if matches else []
+
+
+def read_feature_csv(path) -> list[tuple[FeatureVector, CardinalityLabel]]:
+    """The rows :func:`shexbench.cardml.write_feature_csv` wrote to ``path``."""
+    rows = []
+    with open(path, newline="", encoding="utf-8") as handle:
+        for record in csv.DictReader(handle):
+            values = {name: float(record[name]) for name in FEATURE_NAMES}
+            values["max_observed_count"] = int(values["max_observed_count"])
+            values["has_value_type_constraint"] = bool(values["has_value_type_constraint"])
+            features = FeatureVector(**values)
+            label = CardinalityLabel(int(record["min_class"]), MaxBound(record["max_class"]))
+            rows.append((features, label))
+    return rows
+
+
+# The pydantic models the structured replies were checked with before the
+# package checked them itself; ``model_validate_json(text, strict=True)`` is
+# the oracle for ``StructuredCardinality.from_json`` and
+# ``StructuredNodeConstraint.from_json``.
+
+class ReferenceStructuredCardinality(BaseModel):
+    """Step-one output: include the predicate, and with which bounds.
+
+    ``max`` accepts -1 or null for unbounded; bounds are ignored when
+    ``include`` is false.
+    """
+
+    model_config = ConfigDict(extra="forbid")
+
+    include: bool
+    min: int = Field(default=0, ge=0)
+    max: int | None = None
+
+    @field_validator("max", mode="before")
+    @classmethod
+    def _minus_one_is_unbounded(cls, value):
+        if value == -1:
+            return None
+        return value
+
+    @model_validator(mode="after")
+    def _check_bounds(self):
+        if self.include and self.max is not None and self.max < self.min:
+            raise ValueError(f"max {self.max} < min {self.min}")
+        return self
+
+    def to_cardinality(self) -> Cardinality:
+        return Cardinality(self.min, self.max)
+
+
+class ReferenceStructuredNodeConstraint(BaseModel):
+    """Step-two output: at most one variant; empty means the IRI node kind."""
+
+    model_config = ConfigDict(extra="forbid")
+
+    datatype: str | None = None
+    referenced_classes: list[str] | None = Field(default=None, min_length=1)
+    value_list: list[str] | None = Field(default=None, min_length=1)
+    node_kind: TypingLiteral["iri"] | None = None
+
+    @model_validator(mode="after")
+    def _exactly_one_variant(self):
+        populated = [
+            name for name, value in (
+                ("datatype", self.datatype),
+                ("referenced_classes", self.referenced_classes),
+                ("value_list", self.value_list),
+                ("node_kind", self.node_kind),
+            ) if value is not None
+        ]
+        if len(populated) > 1:
+            raise ValueError(f"node constraint variants are mutually exclusive, got {populated}")
+        if not populated:
+            self.node_kind = "iri"
+        return self
+
+
+def reference_reply_values(reference: type[BaseModel], text: str) -> tuple | None:
+    """The field values ``reference`` gives the reply ``text`` in strict
+    mode, lists as tuples; None when it rejects the reply."""
+    try:
+        value = reference.model_validate_json(text, strict=True)
+    except ValidationError:
+        return None
+    return tuple(tuple(v) if isinstance(v, list) else v for v in value.model_dump().values())

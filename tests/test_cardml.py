@@ -20,7 +20,6 @@ from shexbench.cardml import (
     evaluate_cardinality_accuracy,
     extract_features,
     predict_cardinality,
-    read_feature_csv,
     train,
     write_feature_csv,
 )
@@ -32,6 +31,7 @@ from support import (
     WDT,
     award_endpoint_config,
     build_award_endpoint,
+    read_feature_csv,
     reference_decision_function,
     reference_gini_split,
     reference_newton_split,

@@ -43,11 +43,16 @@ from support import (
     WD,
     WDT,
     LoopbackServer,
+    ScriptedLlmClient,
     benchmark_rule_client,
     build_benchmark_endpoint,
     write_benchmark_manifest,
     write_shared_property_benchmark,
 )
+
+
+#: A JSON document nested deeper than the decoder's recursion limit.
+_NESTED = "[" * 100_000 + "]" * 100_000
 
 
 @pytest.fixture()
@@ -110,6 +115,14 @@ class TestManifest:
         }))
         with pytest.raises(ManifestError, match="invalid"):
             load_manifest(manifest)
+
+    @pytest.mark.parametrize("content", ['{"entries": [', _NESTED], ids=["truncated", "nested"])
+    def test_unreadable_manifest_is_a_config_error(self, tmp_path, capsys, content):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(content, encoding="utf-8")
+        code = main(["extract", "--manifest", str(manifest), "--cache-dir", str(tmp_path / "cache")])
+        assert code == EXIT_CONFIG
+        assert f"cannot read manifest {manifest}" in capsys.readouterr().err
 
 
 class TestExtract:
@@ -339,8 +352,6 @@ class TestGenerate:
         assert WDT + "P17" not in predicates
 
     def test_triples_offline_replay_after_extract(self, bench):
-        from shexbench.generate import ScriptedLlmClient
-
         cmd_extract(bench["manifest"], bench["cache"], "triples", transport_factory=bench["factory"])
         replies = [e.ground_truth_path.read_text() for e in load_manifest(bench["manifest"]).entries]
         code, report = cmd_generate(
@@ -363,8 +374,6 @@ class TestGenerate:
             assert "no recorded reply" in entry["error"]
 
     def test_local_setting_generation(self, bench, museum_text):
-        from shexbench.generate import ScriptedLlmClient
-
         code, report = cmd_generate(
             bench["manifest"], bench["tmp"] / "local", bench["cache"], "local",
             classes=["museum"], llm_client=ScriptedLlmClient([museum_text]),
@@ -537,8 +546,8 @@ class TestEvaluate:
 
     @pytest.mark.parametrize(
         "content",
-        [None, '{"subclass_of": {', "[]", '{"subclass_of": {"a": "b"}}', '{"value_types": []}'],
-        ids=["missing-file", "truncated", "not-an-object", "parents-not-a-list", "table-not-an-object"],
+        [None, '{"subclass_of": {', "[]", '{"subclass_of": {"a": "b"}}', '{"value_types": []}', _NESTED],
+        ids=["missing-file", "truncated", "not-an-object", "parents-not-a-list", "table-not-an-object", "nested"],
     )
     def test_unloadable_subclass_file_is_a_config_error(self, bench, tmp_path, capsys, content):
         generated = self._copy_ground_truth(bench)
@@ -629,9 +638,10 @@ class TestHybridWiring:
                      "max_model": {"max_depth": 1, "min_leaf": 1, "root": {"leaf": True, "prediction": 1}}}),
          json.dumps({"kind": "dt", "seed": 0, "params": {}, "feature_names": list(FEATURE_NAMES)[::-1],
                      "min_model": {"max_depth": 1, "min_leaf": 1, "root": {"leaf": True, "prediction": 0}},
-                     "max_model": {"max_depth": 1, "min_leaf": 1, "root": {"leaf": True, "prediction": 1}}})],
+                     "max_model": {"max_depth": 1, "min_leaf": 1, "root": {"leaf": True, "prediction": 1}}}),
+         _NESTED],
         ids=["unknown-kind", "missing-key", "truncated", "missing-file", "node-without-leaf",
-             "reversed-feature-names"],
+             "reversed-feature-names", "nested"],
     )
     def test_unloadable_model_file_is_a_config_error(self, bench, tmp_path, content):
         model_file = tmp_path / "model.json"
@@ -802,17 +812,18 @@ def test_unbound_result_variable_fails_only_its_class(bench):
     assert "?count" in rows[MUSEUM]["error"]
     assert {uri: row for uri, row in rows.items() if uri != MUSEUM} == \
         {uri: row for uri, row in expected.items() if uri != MUSEUM}
-_READ_FAULTS = ("missing", "directory", "undecodable", "truncated")
+_READ_FAULTS = ("missing", "directory", "undecodable", "truncated", "nested")
 _WRITE_FAULTS = ("directory", "enospc")
 #: The museum's status and the exit code when the museum's own cache file is faulted.
 _CACHE_READ = {"missing": ("cache_miss", EXIT_CACHE_MISS), "directory": ("error", EXIT_NETWORK),
-               "undecodable": ("error", EXIT_NETWORK), "truncated": ("error", EXIT_NETWORK)}
+               "undecodable": ("error", EXIT_NETWORK), "truncated": ("error", EXIT_NETWORK),
+               "nested": ("error", EXIT_NETWORK)}
 
 
 def _inject(target: Path, fault: str, monkeypatch) -> None:
     """Put ``fault`` at ``target``: remove the file, put a directory in its
-    place, make its bytes undecodable, cut it short, or fail the rename onto
-    it as a full disk does."""
+    place, make its bytes undecodable, cut it short, replace it with a
+    deeply nested JSON array, or fail the rename onto it as a full disk does."""
     if fault == "enospc":
         replace = os.replace
 
@@ -831,6 +842,8 @@ def _inject(target: Path, fault: str, monkeypatch) -> None:
         target.write_bytes(b"\xff\xfe" + data)
     elif fault == "truncated":
         target.write_bytes(data[:30])
+    elif fault == "nested":
+        target.write_text(_NESTED, encoding="utf-8")
 
 
 def _fail_temp_file_open(target: Path, monkeypatch) -> None:
@@ -934,7 +947,7 @@ class TestFaultMatrix:
         assert got == code
         if fault == "missing":
             assert target.stem in message
-        elif (boundary, fault) != ("generated read", "truncated"):  # a parse error gives positions
+        elif boundary != "generated read" or fault not in ("truncated", "nested"):  # a parse error gives positions
             assert str(target) in message
         if boundary in ("cache write", "shex", "sidecar"):
             assert f"cannot write {target}" in message
@@ -1207,8 +1220,9 @@ class TestConfigurationErrors:
         assert client.sent == []
         assert not (bench["tmp"] / "gen").exists()
 
-    @pytest.mark.parametrize("content", [None, '{"user": "u", "assistant"', '{"user": "u"}', '[{"user": 1, "assistant": "a"}]'],
-                             ids=["missing-file", "truncated", "missing-key", "not-a-string"])
+    @pytest.mark.parametrize("content", [None, '{"user": "u", "assistant"', '{"user": "u"}', '[{"user": 1, "assistant": "a"}]',
+                                         _NESTED],
+                             ids=["missing-file", "truncated", "missing-key", "not-a-string", "nested"])
     def test_unloadable_fewshot_file(self, bench, capsys, content):
         fewshot_dir = bench["tmp"] / "fewshot"
         fewshot_dir.mkdir()
@@ -1236,8 +1250,8 @@ class TestConfigurationErrors:
         assert code == EXIT_OK
         assert loads == [fewshot_dir / "wikidata_global.json"]
 
-    @pytest.mark.parametrize("content", [None, '{"model_id": "m"', "[]", '{"model_id": "m", "setting": "s"}'],
-                             ids=["missing-file", "truncated", "not-an-object", "missing-keys"])
+    @pytest.mark.parametrize("content", [None, '{"model_id": "m"', "[]", '{"model_id": "m", "setting": "s"}', _NESTED],
+                             ids=["missing-file", "truncated", "not-an-object", "missing-keys", "nested"])
     def test_unreadable_results_file(self, tmp_path, capsys, content):
         results = tmp_path / "results.json"
         if content is not None:

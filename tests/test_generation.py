@@ -3,9 +3,11 @@ from __future__ import annotations
 import gc
 import json
 import weakref
+from dataclasses import astuple
 
 import pytest
-from pydantic import ValidationError
+from hypothesis import given
+from hypothesis import strategies as st
 
 from shexbench.generate import (
     NODE_CONSTRAINT_INSTRUCTION,
@@ -15,10 +17,10 @@ from shexbench.generate import (
     LlmCardinalitySource,
     MinerThresholds,
     ProviderError,
-    ScriptedLlmClient,
     StructuredCardinality,
     StructuredNodeConstraint,
     StructuredOutputFailedError,
+    StructuredReplyError,
     StubLlmClient,
     StubReplyMissingError,
     TranscriptRecorder,
@@ -49,9 +51,13 @@ from support import (
     WDT,
     XSD,
     LoopbackServer,
+    ReferenceStructuredCardinality,
+    ReferenceStructuredNodeConstraint,
     RuleLlmClient,
+    ScriptedLlmClient,
     award_endpoint_config,
     build_award_endpoint,
+    reference_reply_values,
     refused_url,
 )
 
@@ -76,38 +82,112 @@ def make_record(predicate=WDT + "P17", **overrides):
 
 class TestStructuredModels:
     def test_cardinality_passthrough(self):
-        value = StructuredCardinality.model_validate({"include": True, "min": 1, "max": 1})
+        value = StructuredCardinality.from_json(json.dumps({"include": True, "min": 1, "max": 1}))
         assert (value.min, value.max) == (1, 1)
         assert value.to_cardinality() == Cardinality(1, 1)
 
     def test_minus_one_and_null_mean_unbounded(self):
-        assert StructuredCardinality.model_validate({"include": True, "min": 0, "max": -1}).max is None
-        assert StructuredCardinality.model_validate({"include": True, "min": 0, "max": None}).max is None
+        assert StructuredCardinality.from_json(json.dumps({"include": True, "min": 0, "max": -1})).max is None
+        assert StructuredCardinality.from_json(json.dumps({"include": True, "min": 0, "max": None})).max is None
 
     def test_invalid_bounds_rejected(self):
-        with pytest.raises(ValidationError):
-            StructuredCardinality.model_validate({"include": True, "min": 2, "max": 1})
+        with pytest.raises(StructuredReplyError):
+            StructuredCardinality.from_json(json.dumps({"include": True, "min": 2, "max": 1}))
 
     def test_exclude_ignores_bounds(self):
-        value = StructuredCardinality.model_validate({"include": False, "min": 9, "max": 1})
+        value = StructuredCardinality.from_json(json.dumps({"include": False, "min": 9, "max": 1}))
         assert not value.include
 
     def test_node_constraint_variants(self):
-        datatype = StructuredNodeConstraint.model_validate({"datatype": "xsd:dateTime"})
+        datatype = StructuredNodeConstraint.from_json(json.dumps({"datatype": "xsd:dateTime"}))
         assert datatype.datatype == "xsd:dateTime"
-        classes = StructuredNodeConstraint.model_validate({"referenced_classes": ["wd:Q6256"]})
-        assert classes.referenced_classes == ["wd:Q6256"]
-        values = StructuredNodeConstraint.model_validate({"value_list": ["a", "b"]})
-        assert values.value_list == ["a", "b"]
+        classes = StructuredNodeConstraint.from_json(json.dumps({"referenced_classes": ["wd:Q6256"]}))
+        assert classes.referenced_classes == ("wd:Q6256",)
+        values = StructuredNodeConstraint.from_json(json.dumps({"value_list": ["a", "b"]}))
+        assert values.value_list == ("a", "b")
 
     def test_empty_object_defaults_to_iri(self):
-        assert StructuredNodeConstraint.model_validate({}).node_kind == "iri"
+        assert StructuredNodeConstraint.from_json(json.dumps({})).node_kind == "iri"
 
     def test_mutually_exclusive(self):
-        with pytest.raises(ValidationError):
-            StructuredNodeConstraint.model_validate(
-                {"datatype": "xsd:string", "referenced_classes": ["wd:Q5"]}
-            )
+        with pytest.raises(StructuredReplyError):
+            StructuredNodeConstraint.from_json(json.dumps(
+                {"datatype": "xsd:string", "referenced_classes": ["wd:Q5"]}))
+
+    @pytest.mark.parametrize("reply", [
+        '{"include": 1}', '{"include": "yes"}', '{"include": "true"}', '{"include": true, "min": true}',
+        '{"include": true, "min": 1.0}', '{"include": true, "min": "1"}', '{"include": true, "max": "2"}',
+        '{"include": true, "max": -1.0}',
+    ])
+    def test_cardinality_types_are_strict(self, reply):
+        """pydantic's lax mode coerced each of these; the instructions ask for JSON bools and ints."""
+        with pytest.raises(StructuredReplyError):
+            StructuredCardinality.from_json(reply)
+
+    def test_nulls_are_absent_keys(self):
+        assert StructuredCardinality.from_json('{"include": false, "max": null}') == StructuredCardinality(False)
+        assert StructuredNodeConstraint.from_json('{"datatype": null, "value_list": ["a"]}') == \
+            StructuredNodeConstraint(value_list=("a",))
+
+
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+#: Anything JSON can hold, with the edge values of the reply rules.
+_REPLY_VALUES = st.one_of(
+    st.sampled_from([-1, 0, 1, -1.0, 1.0, 2**64, -(2**70), "iri", "1", "true", "", [], ["a"]]), _ANY_JSON,
+)
+#: Values that are mostly valid for each field.
+_PLAUSIBLE = {
+    "include": st.booleans(),
+    "min": st.integers(-1, 3),
+    "max": st.none() | st.integers(-2, 3),
+    "datatype": st.none() | st.sampled_from(["xsd:string", ""]),
+    "referenced_classes": st.none() | st.lists(st.sampled_from(["wd:Q5", "a", ""]), max_size=2),
+    "value_list": st.none() | st.lists(st.sampled_from(["wd:Q5", "a", ""]), max_size=2),
+    "node_kind": st.none() | st.just("iri"),
+}
+
+
+def _reply_objects(names: tuple[str, ...]):
+    """Objects with every key of ``names`` and mostly valid values, and
+    objects with some of the keys, any JSON values and a key outside them."""
+    noisy = {name: _PLAUSIBLE[name] | _REPLY_VALUES for name in names}
+    return st.fixed_dictionaries({name: _PLAUSIBLE[name] for name in names}) | \
+        st.fixed_dictionaries({}, optional={**noisy, "Include": _REPLY_VALUES})
+
+
+def _values(model, text: str) -> tuple | None:
+    try:
+        return astuple(model.from_json(text))
+    except StructuredReplyError:
+        return None
+
+
+def _typed(values: tuple | None) -> list | None:
+    return None if values is None else [(type(value), value) for value in values]
+
+
+class TestStructuredReplyOracle:
+    """``from_json`` gives the verdict and the values of the pydantic models
+    it replaced, validating in strict mode."""
+
+    @given(_reply_objects(("include", "min", "max")))
+    def test_cardinality_agrees_with_pydantic(self, doc):
+        text = json.dumps(doc)
+        expected = reference_reply_values(ReferenceStructuredCardinality, text)
+        if type(doc.get("max")) is float and doc["max"] == -1:
+            # pydantic's before-validator compares with ==; a float is no integer here
+            expected = None
+        assert _typed(_values(StructuredCardinality, text)) == _typed(expected)
+
+    @given(_reply_objects(("datatype", "referenced_classes", "value_list", "node_kind")))
+    def test_node_constraint_agrees_with_pydantic(self, doc):
+        text = json.dumps(doc)
+        expected = reference_reply_values(ReferenceStructuredNodeConstraint, text)
+        assert _typed(_values(StructuredNodeConstraint, text)) == _typed(expected)
 
 
 class TestReplyExtraction:
@@ -139,7 +219,18 @@ class TestStructuredSteps:
         assert value.max is None
         assert len(client.sent) == 2
         # re-request carries the validation error back to the model
-        assert "invalid" in client.sent[1][-1]["content"].lower()
+        assert client.sent[1][-1]["content"] == (
+            "The previous reply was invalid: cardinality max 1 < min 2. "
+            "Reply again with only the corrected JSON object.")
+
+    def test_deeply_nested_reply_is_corrected(self):
+        nested = '{"include": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        client = ScriptedLlmClient([nested, '{"include": true, "min": 0, "max": null}'])
+        value = predict_cardinality_structured(make_record(), client)
+        assert value == StructuredCardinality(True, 0, None)
+        assert client.sent[1][-1]["content"] == (
+            "The previous reply was invalid: invalid JSON: document nested too deeply for the JSON decoder. "
+            "Reply again with only the corrected JSON object.")
 
     def test_retries_exhausted(self):
         client = ScriptedLlmClient(["junk"] * 4)
@@ -185,7 +276,7 @@ class TestStructuredSteps:
         client = ScriptedLlmClient(['{"datatype": "xsd:dateTime"}'])
         assert predict_node_constraint_structured(make_record(), client).datatype == "xsd:dateTime"
         client = ScriptedLlmClient(['{"referenced_classes": ["wd:Q6256"]}'])
-        assert predict_node_constraint_structured(make_record(), client).referenced_classes == ["wd:Q6256"]
+        assert predict_node_constraint_structured(make_record(), client).referenced_classes == ("wd:Q6256",)
         client = ScriptedLlmClient(["{}"])
         assert predict_node_constraint_structured(make_record(), client).node_kind == "iri"
 
@@ -239,7 +330,7 @@ class TestAssembly:
         parts = [(
             Iri(WDT + "P17"),
             StructuredCardinality(include=True, min=1, max=1),
-            StructuredNodeConstraint(referenced_classes=["wd:Q6256"]),
+            StructuredNodeConstraint(referenced_classes=("wd:Q6256",)),
         )]
         schema = assemble_schema(MUSEUM, parts, cfg)
         start = schema.start_shape
@@ -298,7 +389,7 @@ class TestAssembly:
             (
                 Iri(WDT + "P1552"),
                 StructuredCardinality(include=True, min=0, max=None),
-                StructuredNodeConstraint(value_list=["gold", "silver"]),
+                StructuredNodeConstraint(value_list=("gold", "silver")),
             ),
         ]
         schema = assemble_schema(MUSEUM, parts, cfg)
@@ -415,6 +506,7 @@ class TestHttpLlmClient:
         "http-401": (401, '{"error": "invalid key"}'),
         "http-500": (500, "internal error"),
         "not-json": (200, "<html>busy</html>"),
+        "nested": (200, "[" * 100_000 + "]" * 100_000),
         "no-choices": (200, '{"choices": []}'),
         "no-content": (200, _completion(None)),
     }

@@ -332,6 +332,11 @@ class TestHttpTransport:
             with pytest.raises(MalformedResultsError, match="non-JSON response"):
                 self._send(tmp_path, server.url)
 
+    def test_deeply_nested_body_is_malformed(self, tmp_path):
+        with LoopbackServer((200, "[" * 100_000 + "]" * 100_000)) as server:
+            with pytest.raises(MalformedResultsError, match="non-JSON response"):
+                self._send(tmp_path, server.url)
+
     @pytest.mark.parametrize("url", [None, "localhost:9/sparql", "file:///dev/null"],
                              ids=["refused-port", "no-scheme", "file-scheme"])
     def test_no_response_is_an_endpoint_error(self, tmp_path, url):
