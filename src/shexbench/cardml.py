@@ -162,26 +162,38 @@ def _newton_gain(stats, left, right, n_left: np.ndarray) -> np.ndarray:
     return _newton_score(g_left, h_left) + _newton_score(g_right, h_right) - parent
 
 
-def _best_split(X: np.ndarray, stats: Sequence[np.ndarray], min_leaf: int, gain) -> tuple[int, float] | None:
-    """(feature, threshold) of the best split; None when no split gains.
+def _presort(X: np.ndarray) -> np.ndarray:
+    """(d, n) row indices of the (n, d) matrix X: row f lists X's rows by
+    column f, ties in row order.  A fit sorts once and filters each node's
+    order from its parent's (SLIQ's presorting: Mehta, Agrawal and Rissanen,
+    EDBT 1996); the filter is stable, so a node's order is the one sorting
+    its own rows would give."""
+    return np.argsort(X.T, axis=1, kind="stable")
 
+
+def _best_split(
+    X: np.ndarray, order: np.ndarray, stats: Sequence[np.ndarray], node_stats: Sequence[np.ndarray], min_leaf: int, gain
+) -> tuple[int, float] | None:
+    """(feature, threshold) of the best split of a node; None when no split gains.
+
+    order is the node's (d, m) presorted rows of X (see _presort), stats are
+    per-row over all of X and node_stats are the node's, in row order.
     Candidates lie between distinct adjacent values with at least min_leaf
     rows on each side, and are scanned in (feature, threshold) order: one
     replaces the best so far only when it gains more than the best + 1e-12,
     so ties keep the earliest and training is deterministic.
     """
-    n = len(X)
+    n = order.shape[1]
     if n < 2:
         return None
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.take_along_axis(X, order, axis=0)
-    sums = [np.cumsum(stat[order], axis=0) for stat in stats]
-    n_left = np.arange(1, n)[:, None]
-    gains = gain(stats, [s[:-1] for s in sums], [s[-1] - s[:-1] for s in sums], n_left)
-    usable = ~(xs[1:] <= xs[:-1]) & (n_left >= min_leaf) & (n_left <= n - min_leaf) & (gains > 1e-12)
-    # Transposed so that flat positions follow the scan order.
-    flat_gains = gains.T.ravel()
-    candidates = np.flatnonzero(usable.T.ravel())
+    xs = X.T[np.arange(len(order))[:, None], order]
+    sums = [np.cumsum(stat[order], axis=1) for stat in stats]
+    n_left = np.arange(1, n)
+    gains = gain(node_stats, [s[:, :-1] for s in sums], [s[:, -1:] - s[:, :-1] for s in sums], n_left)
+    usable = ~(xs[:, 1:] <= xs[:, :-1]) & (n_left >= min_leaf) & (n_left <= n - min_leaf) & (gains > 1e-12)
+    # Feature-major, so that flat positions follow the scan order.
+    flat_gains = gains.ravel()
+    candidates = np.flatnonzero(usable.ravel())
     if not len(candidates):
         return None
     # Every replacement beats everything scanned before it, so only strict
@@ -193,26 +205,43 @@ def _best_split(X: np.ndarray, stats: Sequence[np.ndarray], min_leaf: int, gain)
         if flat_gains[position] > flat_gains[best] + 1e-12:
             best = position
     feature, row = divmod(int(best), n - 1)
-    return feature, float((xs[row + 1, feature] + xs[row, feature]) / 2.0)
+    return feature, float((xs[feature, row + 1] + xs[feature, row]) / 2.0)
 
 
-def _grow(X: np.ndarray, stats: Sequence[np.ndarray], max_depth: int, min_leaf: int, leaf, gain) -> dict:
-    """Recursive binary partition to max_depth; leaf(*stats) builds each leaf."""
-    node = leaf(*stats)
-    if max_depth <= 0 or len(X) < 2 * min_leaf:
-        return node
-    split = _best_split(X, stats, min_leaf, gain)
+def _grow(
+    X: np.ndarray,
+    order: np.ndarray,
+    rows: np.ndarray,
+    stats: Sequence[np.ndarray],
+    max_depth: int,
+    min_leaf: int,
+    leaf,
+    gain,
+    step: np.ndarray | None = None,
+) -> dict:
+    """Recursive binary partition of X's rows (ascending, presorted by
+    order) to max_depth; leaf(*node_stats) builds each leaf, and step, when
+    given, gets each leaf's "value" at its rows."""
+    node_stats = [stat[rows] for stat in stats]
+    split = None
+    if max_depth > 0 and len(rows) >= 2 * min_leaf:
+        split = _best_split(X, order, stats, node_stats, min_leaf, gain)
     if split is None:
+        node = leaf(*node_stats)
+        if step is not None:
+            step[rows] = node["value"]
         return node
     feature, threshold = split
-    mask = X[:, feature] <= threshold
-    return {
-        "leaf": False,
-        "feature": feature,
-        "threshold": threshold,
-        "left": _grow(X[mask], [s[mask] for s in stats], max_depth - 1, min_leaf, leaf, gain),
-        "right": _grow(X[~mask], [s[~mask] for s in stats], max_depth - 1, min_leaf, leaf, gain),
-    }
+    goes_left = X[:, feature] <= threshold
+    rows_left = goes_left[rows]
+    order_left = goes_left[order]
+    children = []
+    for row_mask, order_mask in ((rows_left, order_left), (~rows_left, ~order_left)):
+        child_rows = rows[row_mask]
+        # Each feature's row of order keeps the same len(child_rows) entries.
+        child_order = order[order_mask].reshape(len(order), len(child_rows))
+        children.append(_grow(X, child_order, child_rows, stats, max_depth - 1, min_leaf, leaf, gain, step))
+    return {"leaf": False, "feature": feature, "threshold": threshold, "left": children[0], "right": children[1]}
 
 
 # -- flat trees -------------------------------------------------------------------
@@ -333,7 +362,9 @@ class DecisionTreeClassifier:
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeClassifier":
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=int)
-        self.root = _grow(X, (y,), self.max_depth, self.min_leaf, _class_leaf, _gini_gain)
+        self.root = _grow(
+            X, _presort(X), np.arange(len(X)), (y,), self.max_depth, self.min_leaf, _class_leaf, _gini_gain
+        )
         self._forest = _flatten([self.root], "prediction")
         return self
 
@@ -391,16 +422,23 @@ class GradientBoostingClassifier:
         prior = float(np.clip(y.mean(), 1e-6, 1 - 1e-6))
         self.base_score = math.log(prior / (1 - prior))
         scores = np.full(len(y), self.base_score)
+        probabilities = _sigmoid(scores)
+        order, rows = _presort(X), np.arange(len(X))
+        # Each round's tree writes its leaf values at their rows here, so the
+        # round's update needs no walk of the tree.
+        step = np.empty(len(y))
         self.trees = []
         self.train_losses = []
         for _ in range(self.n_rounds):
-            probabilities = _sigmoid(scores)
             gradients = y - probabilities
             hessians = probabilities * (1 - probabilities)
-            tree = _grow(X, (gradients, hessians), self.max_depth, self.min_leaf, _newton_leaf, _newton_gain)
-            scores = scores + self.learning_rate * _apply(_flatten([tree], "value"), X)[:, 0]
+            tree = _grow(
+                X, order, rows, (gradients, hessians), self.max_depth, self.min_leaf, _newton_leaf, _newton_gain, step
+            )
+            scores = scores + self.learning_rate * step
+            probabilities = _sigmoid(scores)
             self.trees.append(tree)
-            self.train_losses.append(_log_loss(y, _sigmoid(scores)))
+            self.train_losses.append(_log_loss(y, probabilities))
         self._forest = _flatten(self.trees, "value")
         return self
 
@@ -440,8 +478,10 @@ class GradientBoostingClassifier:
             learning_rate=doc["learning_rate"],
             min_leaf=doc["min_leaf"],
         )
-        if not _is_number(doc["base_score"]) or not isinstance(doc["trees"], list):
-            raise ValueError("malformed model document: 'base_score' must be a number and 'trees' a list")
+        if not (_is_number(doc["base_score"]) and _is_number(doc["learning_rate"]) and isinstance(doc["trees"], list)):
+            raise ValueError(
+                "malformed model document: 'base_score' and 'learning_rate' must be numbers and 'trees' a list"
+            )
         model._forest = _flatten(doc["trees"], "value")
         model.base_score = doc["base_score"]
         model.trees = list(doc["trees"])

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Protocol
+from typing import Callable, Iterable, Mapping, Protocol
 
 from .errors import EmptyDatasetError
 from .model import (
@@ -171,16 +171,30 @@ def cardinality_loosened(gt: Cardinality, gen: Cardinality) -> bool:
     return gt.max is not None and gt.max <= gen.max
 
 
+#: The class IRIs of a node constraint in one schema, as classes_of gives them.
+_Classes = Callable[[NodeConstraint], frozenset[Iri]]
+
+
+def _class_resolver(schema: Schema, typing_predicates: tuple[Iri, ...]) -> _Classes:
+    """classes_of over schema, resolving each referenced shape's typing classes once."""
+    by_label: dict[str, frozenset[Iri]] = {}
+
+    def classes(nc: NodeConstraint) -> frozenset[Iri]:
+        if not isinstance(nc, ShapeRef):
+            return classes_of(nc, schema, typing_predicates)
+        if nc.label not in by_label:
+            by_label[nc.label] = classes_of(nc, schema, typing_predicates)
+        return by_label[nc.label]
+
+    return classes
+
+
 def _nodes_exact(
-    gt_nc: NodeConstraint,
-    gen_nc: NodeConstraint,
-    gt_schema: Schema,
-    gen_schema: Schema,
-    typing_predicates: tuple[Iri, ...],
+    gt_nc: NodeConstraint, gen_nc: NodeConstraint, gt_classes_of: _Classes, gen_classes_of: _Classes
 ) -> bool:
     if isinstance(gt_nc, ShapeRef) and isinstance(gen_nc, ShapeRef):
         # Labels are arbitrary; references agree when they pin the same classes.
-        return classes_of(gt_nc, gt_schema, typing_predicates) == classes_of(gen_nc, gen_schema, typing_predicates)
+        return gt_classes_of(gt_nc) == gen_classes_of(gen_nc)
     if type(gt_nc) is not type(gen_nc):
         return False
     if isinstance(gt_nc, ValueSet) and isinstance(gen_nc, ValueSet):
@@ -203,13 +217,28 @@ def constraint_matches(
         return False
     if gt_schema is None or gen_schema is None:
         raise ValueError("both schemas are required to resolve shape references")
+    return _same_predicate_matches(
+        gt, gen, criteria, oracle,
+        lambda nc: classes_of(nc, gt_schema, typing_predicates),
+        lambda nc: classes_of(nc, gen_schema, typing_predicates),
+    )
 
+
+def _same_predicate_matches(
+    gt: TripleConstraint,
+    gen: TripleConstraint,
+    criteria: MatchCriteria,
+    oracle: SubclassOracle | None,
+    gt_classes_of: _Classes,
+    gen_classes_of: _Classes,
+) -> bool:
+    """constraint_matches of two constraints on one predicate."""
     node_mode = criteria.node_mode
     if node_mode is NodeMode.SUBCLASS:
         if oracle is None:
             raise OracleUnavailableError("subclass matching requires a subclass oracle")
-        gt_classes = classes_of(gt.node_constraint, gt_schema, typing_predicates)
-        gen_classes = classes_of(gen.node_constraint, gen_schema, typing_predicates)
+        gt_classes = gt_classes_of(gt.node_constraint)
+        gen_classes = gen_classes_of(gen.node_constraint)
         if gt_classes and gen_classes:
             node_ok = any(
                 oracle.is_subclass_of(c, c_prime) for c in gt_classes for c_prime in gen_classes
@@ -219,14 +248,14 @@ def constraint_matches(
                 for c_prime in gen_classes
             )
         else:
-            node_ok = _nodes_exact(gt.node_constraint, gen.node_constraint, gt_schema, gen_schema, typing_predicates)
+            node_ok = _nodes_exact(gt.node_constraint, gen.node_constraint, gt_classes_of, gen_classes_of)
     elif node_mode is NodeMode.DATATYPE:
         try:
             node_ok = datatype_category(gt.node_constraint) == datatype_category(gen.node_constraint)
         except UnmappedDatatypeError:
-            node_ok = _nodes_exact(gt.node_constraint, gen.node_constraint, gt_schema, gen_schema, typing_predicates)
+            node_ok = _nodes_exact(gt.node_constraint, gen.node_constraint, gt_classes_of, gen_classes_of)
     else:
-        node_ok = _nodes_exact(gt.node_constraint, gen.node_constraint, gt_schema, gen_schema, typing_predicates)
+        node_ok = _nodes_exact(gt.node_constraint, gen.node_constraint, gt_classes_of, gen_classes_of)
     if not node_ok:
         return False
 
@@ -258,14 +287,14 @@ def evaluate_criteria(
     gt_canon = canonicalize(gt, typing_predicates)
     gen_count = len(gen_canon.start_shape.constraints)
     pairs = _paired_constraints(gen_canon, gt_canon)
-    breakdown = _breakdown(pairs, gen_canon, gt_canon, typing_predicates)
+    gen_classes_of = _class_resolver(gen_canon, typing_predicates)
+    gt_classes_of = _class_resolver(gt_canon, typing_predicates)
+    breakdown = _breakdown(pairs, gt_classes_of, gen_classes_of)
     reports = {}
     for criterion in criteria:
         matched = sum(
-            candidate is not None and constraint_matches(
-                gt_constraint, candidate, criterion, oracle, gt_canon, gen_canon,
-                typing_predicates=typing_predicates,
-            )
+            candidate is not None
+            and _same_predicate_matches(gt_constraint, candidate, criterion, oracle, gt_classes_of, gen_classes_of)
             for gt_constraint, candidate in pairs
         )
         precision = matched / gen_count if gen_count else 0.0
@@ -313,14 +342,14 @@ def _paired_constraints(gen_canon: Schema, gt_canon: Schema) -> list[tuple[Tripl
     return [(c, gen_by_predicate.get(c.predicate)) for c in gt_canon.start_shape.constraints]
 
 
-def _breakdown(pairs, gen_canon: Schema, gt_canon: Schema, typing_predicates: tuple[Iri, ...]) -> ErrorBreakdown:
+def _breakdown(pairs, gt_classes_of: _Classes, gen_classes_of: _Classes) -> ErrorBreakdown:
     correct = missing = wrong_card = wrong_node = both = 0
     for gt_constraint, candidate in pairs:
         if candidate is None:
             missing += 1
             continue
         node_ok = _nodes_exact(
-            gt_constraint.node_constraint, candidate.node_constraint, gt_canon, gen_canon, typing_predicates
+            gt_constraint.node_constraint, candidate.node_constraint, gt_classes_of, gen_classes_of
         )
         card_ok = gt_constraint.cardinality == candidate.cardinality
         if node_ok and card_ok:

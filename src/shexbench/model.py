@@ -384,7 +384,7 @@ def classes_of(
         shape = schema.shapes.get(nc.label)
         if shape is None:
             raise DanglingShapeRefError(f"shape reference @<{nc.label}> is undefined")
-        return _shape_typing_classes(shape, typing_predicates)
+        return _shape_typing_classes(shape, tuple(typing_predicates))
     return frozenset()
 
 
@@ -397,17 +397,16 @@ def canonical_shape_label(classes: Iterable[Iri]) -> str:
     return "_".join(parts) if parts else "Shape"
 
 
-def _shape_typing_classes(shape: Shape, typing_predicates: Iterable[Iri]) -> frozenset[Iri]:
-    typing = set(typing_predicates)
+def _shape_typing_classes(shape: Shape, typing_predicates: tuple[Iri, ...]) -> frozenset[Iri]:
     for constraint in shape.constraints:
-        if constraint.predicate in typing and isinstance(constraint.node_constraint, ValueSet):
+        if constraint.predicate in typing_predicates and isinstance(constraint.node_constraint, ValueSet):
             return frozenset(constraint.node_constraint.iris())
     return frozenset()
 
 
 def infer_focus_class(schema: Schema, typing_predicates: Iterable[Iri] = DEFAULT_TYPING_PREDICATES) -> Iri | None:
     """First typing class of the start shape, if one is declared."""
-    classes = _shape_typing_classes(schema.start_shape, typing_predicates)
+    classes = _shape_typing_classes(schema.start_shape, tuple(typing_predicates))
     return min(classes) if classes else None
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import http.server
+import math
 import random
 import re
 import socket
@@ -915,6 +916,112 @@ def reference_predict(model, X) -> np.ndarray:
     return (_sigmoid(reference_decision_function(model, X)) >= 0.5).astype(int)
 
 
+def _reference_best_split(X, stats, min_leaf: int, gain):
+    """(feature, threshold) of the best split; None when no split gains.
+
+    Candidates lie between distinct adjacent values with at least min_leaf
+    rows on each side, and are scanned in (feature, threshold) order: one
+    replaces the best so far only when it gains more than the best + 1e-12,
+    so ties keep the earliest and training is deterministic.
+    """
+    n = len(X)
+    if n < 2:
+        return None
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    sums = [np.cumsum(stat[order], axis=0) for stat in stats]
+    n_left = np.arange(1, n)[:, None]
+    gains = gain(stats, [s[:-1] for s in sums], [s[-1] - s[:-1] for s in sums], n_left)
+    usable = ~(xs[1:] <= xs[:-1]) & (n_left >= min_leaf) & (n_left <= n - min_leaf) & (gains > 1e-12)
+    # Transposed so that flat positions follow the scan order.
+    flat_gains = gains.T.ravel()
+    candidates = np.flatnonzero(usable.T.ravel())
+    if not len(candidates):
+        return None
+    # Every replacement beats everything scanned before it, so only strict
+    # running-max records can replace the best; the rule runs on those alone.
+    scanned = flat_gains[candidates]
+    records = candidates[np.r_[True, scanned[1:] > np.maximum.accumulate(scanned)[:-1]]]
+    best = records[0]
+    for position in records[1:]:
+        if flat_gains[position] > flat_gains[best] + 1e-12:
+            best = position
+    feature, row = divmod(int(best), n - 1)
+    return feature, float((xs[row + 1, feature] + xs[row, feature]) / 2.0)
+
+
+def reference_grow(X, stats, max_depth: int, min_leaf: int, leaf, gain) -> dict:
+    """Recursive binary partition to max_depth; leaf(*stats) builds each leaf.
+
+    This is the tree growth both cardinality models used before the fit
+    presorted its matrix once: every node argsorts its own rows again.  It is
+    kept as the oracle for ``cardml._grow``.
+    """
+    node = leaf(*stats)
+    if max_depth <= 0 or len(X) < 2 * min_leaf:
+        return node
+    split = _reference_best_split(X, stats, min_leaf, gain)
+    if split is None:
+        return node
+    feature, threshold = split
+    mask = X[:, feature] <= threshold
+    return {
+        "leaf": False,
+        "feature": feature,
+        "threshold": threshold,
+        "left": reference_grow(X[mask], [s[mask] for s in stats], max_depth - 1, min_leaf, leaf, gain),
+        "right": reference_grow(X[~mask], [s[~mask] for s in stats], max_depth - 1, min_leaf, leaf, gain),
+    }
+
+
+def reference_fit(model, X, y):
+    """A fresh copy of an unfitted decision tree or boosted model, fitted with
+    :func:`reference_grow`; a boosting round adds each row's leaf value, found
+    by walking the new tree, and evaluates the sigmoid twice."""
+    from shexbench import cardml
+
+    X = np.asarray(X, dtype=float)
+    if isinstance(model, cardml.DecisionTreeClassifier):
+        fitted = cardml.DecisionTreeClassifier(max_depth=model.max_depth, min_leaf=model.min_leaf)
+        y = np.asarray(y, dtype=int)
+        fitted.root = reference_grow(X, (y,), model.max_depth, model.min_leaf, cardml._class_leaf, cardml._gini_gain)
+        return fitted
+    y = np.asarray(y, dtype=float)
+    prior = float(np.clip(y.mean(), 1e-6, 1 - 1e-6))
+    base_score = math.log(prior / (1 - prior))
+    scores = np.full(len(y), base_score)
+    trees, losses = [], []
+    for _ in range(model.n_rounds):
+        probabilities = cardml._sigmoid(scores)
+        gradients = y - probabilities
+        hessians = probabilities * (1 - probabilities)
+        tree = reference_grow(
+            X, (gradients, hessians), model.max_depth, model.min_leaf, cardml._newton_leaf, cardml._newton_gain
+        )
+        step = np.array([reference_leaf(tree, row)["value"] for row in X], dtype=float)
+        scores = scores + model.learning_rate * step
+        trees.append(tree)
+        losses.append(cardml._log_loss(y, cardml._sigmoid(scores)))
+    fitted = cardml.GradientBoostingClassifier(
+        n_rounds=model.n_rounds, max_depth=model.max_depth, learning_rate=model.learning_rate, min_leaf=model.min_leaf
+    )
+    fitted.base_score, fitted.trees, fitted.train_losses = base_score, trees, losses
+    return fitted
+
+
+def _reference_nodes_exact(gt_nc, gen_nc, gt_schema, gen_schema, typing_predicates) -> bool:
+    """Exact node agreement, resolving each shape reference's classes anew."""
+    from shexbench.model import ShapeRef, ValueSet, classes_of
+
+    if isinstance(gt_nc, ShapeRef) and isinstance(gen_nc, ShapeRef):
+        return classes_of(gt_nc, gt_schema, typing_predicates) == classes_of(gen_nc, gen_schema, typing_predicates)
+    if type(gt_nc) is not type(gen_nc):
+        return False
+    if isinstance(gt_nc, ValueSet) and isinstance(gen_nc, ValueSet):
+        return set(gt_nc.values) == set(gen_nc.values)
+    return gt_nc == gen_nc
+
+
 def reference_evaluate_pair(gen, gt, criteria, oracle=None, *, typing_predicates):
     """Scores of one criterion, canonicalizing and pairing both schemas anew.
 
@@ -922,7 +1029,7 @@ def reference_evaluate_pair(gen, gt, criteria, oracle=None, *, typing_predicates
     ``matching.evaluate_criteria`` scored every criterion on one pairing; it
     is kept as the oracle for that one-pass path.
     """
-    from shexbench.matching import ErrorBreakdown, EvalReport, _nodes_exact, constraint_matches, f1_score
+    from shexbench.matching import ErrorBreakdown, EvalReport, constraint_matches, f1_score
     from shexbench.model import canonicalize
 
     gen_canon = canonicalize(gen, typing_predicates)
@@ -941,7 +1048,7 @@ def reference_evaluate_pair(gen, gt, criteria, oracle=None, *, typing_predicates
         if candidate is None:
             missing += 1
             continue
-        node_ok = _nodes_exact(
+        node_ok = _reference_nodes_exact(
             gt_constraint.node_constraint, candidate.node_constraint, gt_canon, gen_canon, typing_predicates
         )
         card_ok = gt_constraint.cardinality == candidate.cardinality

@@ -33,6 +33,7 @@ from support import (
     build_award_endpoint,
     read_feature_csv,
     reference_decision_function,
+    reference_fit,
     reference_gini_split,
     reference_newton_split,
     reference_predict,
@@ -189,20 +190,47 @@ def tie_heavy_nodes(draw):
     return X, y, y - p, p * (1 - p), draw(st.integers(0, 3))
 
 
+def _split(X, stats, min_leaf, gain):
+    """cardml._best_split of X's rows as one node, presorted as a fit presorts them."""
+    return cardml._best_split(X, cardml._presort(X), stats, stats, min_leaf, gain)
+
+
 class TestSplitSearch:
     @settings(max_examples=300, deadline=None)
     @given(tie_heavy_nodes())
     def test_matches_loop_reference_for_both_gains(self, node):
         X, y, g, h, min_leaf = node
-        assert cardml._best_split(X, (y,), min_leaf, cardml._gini_gain) == reference_gini_split(X, y, min_leaf)
-        assert cardml._best_split(X, (g, h), min_leaf, cardml._newton_gain) == reference_newton_split(
-            X, g, h, min_leaf
-        )
+        assert _split(X, (y,), min_leaf, cardml._gini_gain) == reference_gini_split(X, y, min_leaf)
+        assert _split(X, (g, h), min_leaf, cardml._newton_gain) == reference_newton_split(X, g, h, min_leaf)
 
     def test_pure_node_has_no_split(self):
         X = np.arange(10, dtype=float).reshape(-1, 1)
         for y in (np.zeros(10, dtype=int), np.ones(10, dtype=int)):
-            assert cardml._best_split(X, (y,), 1, cardml._gini_gain) is None
+            assert _split(X, (y,), 1, cardml._gini_gain) is None
+
+
+def _model_json(model) -> str:
+    kind = "dt" if isinstance(model, DecisionTreeClassifier) else "gb"
+    return CardinalityModel(kind, model, model, seed=0, params={}).to_json()
+
+
+class TestFitOracle:
+    """Fitting on a matrix presorted once, with each boosting round's update
+    taken from its leaves, against the per-node fit it replaced."""
+
+    @settings(deadline=None)
+    @given(tie_heavy_nodes(), st.integers(1, 8), st.integers(0, 5))
+    def test_matches_per_node_fit_byte_for_byte(self, node, max_depth, n_rounds):
+        X, y, _, _, min_leaf = node
+        for model in (
+            DecisionTreeClassifier(max_depth=max_depth, min_leaf=min_leaf),
+            GradientBoostingClassifier(n_rounds=n_rounds, max_depth=max_depth, min_leaf=min_leaf),
+        ):
+            expected = reference_fit(model, X, y)
+            model.fit(X, y)
+            assert _model_json(model).encode() == _model_json(expected).encode()
+            if isinstance(model, GradientBoostingClassifier):
+                assert np.array(model.train_losses).tobytes() == np.array(expected.train_losses).tobytes()
 
 
 @st.composite
@@ -332,11 +360,14 @@ class TestTreeInternals:
             ("gb", lambda model: _first_leaf(model["trees"][-1]).update(value=None)),
             ("gb", lambda model: model["trees"][0].update(leaf="no")),
             ("gb", lambda model: model.update(base_score=None)),
+            ("gb", lambda model: model.update(learning_rate="0.1")),
+            ("gb", lambda model: model.update(learning_rate=True)),
         ],
         ids=["dt-node-without-leaf", "dt-null-root", "dt-split-without-right", "dt-feature-out-of-range",
              "dt-string-threshold", "dt-leaf-without-prediction", "dt-fractional-prediction",
              "dt-boolean-prediction", "dt-prediction-above-one", "gb-node-without-leaf",
-             "gb-leaf-without-value", "gb-non-boolean-leaf", "gb-null-base-score"],
+             "gb-leaf-without-value", "gb-non-boolean-leaf", "gb-null-base-score",
+             "gb-string-learning-rate", "gb-boolean-learning-rate"],
     )
     def test_malformed_tree_is_a_value_error(self, kind, mangle, synthetic_split):
         doc = json.loads(train(kind, synthetic_split[0], seed=42).to_json())

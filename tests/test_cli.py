@@ -654,6 +654,27 @@ class TestHybridWiring:
                 cardinality="gb", model_file=model_file,
             )
 
+    @pytest.mark.parametrize("learning_rate", ["0.1", True], ids=["string", "boolean"])
+    def test_non_numeric_learning_rate_is_a_config_error(self, bench, tmp_path, capsys, learning_rate):
+        """A boosted model whose learning rate is not a number fails to load:
+        exit 2 naming the file, not a traceback once prediction starts."""
+        from shexbench.cardml import train
+        from support import synthetic_cardinality_rows
+
+        generate_stubbed(bench, out_name="recorded")
+        doc = json.loads(train("gb", synthetic_cardinality_rows(60, seed=7), seed=42).to_json())
+        doc["min_model"]["learning_rate"] = learning_rate
+        model_file = tmp_path / "model.json"
+        model_file.write_text(json.dumps(doc))
+        code = main(["generate", "--manifest", str(bench["manifest"]), "--cache-dir", str(bench["cache"]),
+                     "--out-dir", str(bench["tmp"] / "out"), "--offline",
+                     "--stub-dir", str(bench["tmp"] / "recorded" / "transcripts"),
+                     "--cardinality", "gb", "--model-file", str(model_file)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert f"cannot load --model-file {model_file}" in err and "learning_rate" in err
+        assert "Traceback" not in err
+
 
 def _saved(model, tmp_path):
     path = tmp_path / "model.json"
