@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyDatasetError
-from .kginfo import GlobalPredicateRecord, atomic_write_text, decode_json
+from .kginfo import GlobalPredicateRecord, RecordField, atomic_write_text, decode_json
 from .model import Cardinality, DatatypeCategory, DEFAULT_DATATYPE_CATEGORIES, Iri
 
 
@@ -73,6 +73,12 @@ class CardinalityLabel:
             min_class=min(cardinality.min, 1),
             max_class=MaxBound.ONE if cardinality.max == 1 else MaxBound.UNBOUNDED,
         )
+
+
+#: The parts of a record that :func:`extract_features` reads; a record built
+#: with only these gives the same features as a full one.
+FEATURE_FIELDS = (RecordField.FREQUENCY | RecordField.CARDINALITY | RecordField.DATATYPES
+                  | RecordField.OBJECT_CLASSES | RecordField.CONSTRAINTS)
 
 
 def extract_features(record: GlobalPredicateRecord) -> FeatureVector:

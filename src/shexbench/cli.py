@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .cardml import (
+    FEATURE_FIELDS,
     CardinalityLabel,
     CardinalityModel,
     evaluate_cardinality_accuracy,
@@ -125,13 +126,18 @@ class Manifest:
     root: Path
 
     def select(self, classes: Sequence[str] | None) -> tuple[ManifestEntry, ...]:
+        """The entries that ``classes`` name by URI, label or slug, in manifest
+        order (all of them when ``classes`` is empty); a name that matches no
+        entry is a :class:`ManifestError`."""
         if not classes:
             return self.entries
         wanted = set(classes)
-        return tuple(
-            e for e in self.entries
-            if e.class_uri.value in wanted or e.label in wanted or e.slug in wanted
-        )
+        chosen = tuple(e for e in self.entries if wanted & {e.class_uri.value, e.label, e.slug})
+        matched = {name for e in chosen for name in (e.class_uri.value, e.label, e.slug)}
+        unmatched = [name for name in dict.fromkeys(classes) if name not in matched]
+        if unmatched:
+            raise ManifestError("--class names no manifest entry: " + ", ".join(map(repr, unmatched)))
+        return chosen
 
 
 def load_manifest(path: Path | str) -> Manifest:
@@ -744,7 +750,7 @@ def cmd_train_cardinality(
         client = _kg_client(entry, cache_dir, offline, transport_factory, stores)
         for constraint in canonicalize(entry.ground_truth).start_shape.constraints:
             try:
-                record = client.build_global_record(entry.class_uri, constraint.predicate)
+                record = client.build_global_record(entry.class_uri, constraint.predicate, FEATURE_FIELDS)
             except (EndpointError, CacheMissError) as exc:
                 log.warning("skipping %s / %s: %s", entry.class_uri, constraint.predicate, exc)
                 continue

@@ -119,6 +119,11 @@ class RecordField(IntFlag):
     CONSTRAINTS = 64
 
 
+#: Every part of a :class:`GlobalPredicateRecord`, the default of
+#: :meth:`KgClient.build_global_record`.
+ALL_FIELDS = RecordField(sum(RecordField))
+
+
 @dataclass(frozen=True)
 class GlobalPredicateRecord:
     """Aggregated profile of one (class, predicate) pair.
@@ -553,10 +558,12 @@ class KgClient:
         # the same text as str(Path(cfg.cache_dir) / name), without a Path per lookup
         self._cache_prefix = os.fspath(Path(cfg.cache_dir) / "_")[:-1]
         # Parsed documents of the other queries (a class's profile, an
-        # instance's triples) by cache key, and decoded frequency tables by
-        # class; freed with the client.
+        # instance's triples) by cache key, and decoded frequency tables and
+        # instance counts by class; freed with the client.  Only successes
+        # are kept, so a miss raises again.
         self._documents: dict[str, dict] = {}
         self._frequencies: dict[Iri, dict[Iri, int]] = {}
+        self._instance_counts: dict[Iri, int] = {}
 
     # -- cache layer ---------------------------------------------------------
 
@@ -650,6 +657,11 @@ class KgClient:
     def predicate_frequencies(self, class_iri: Iri) -> dict[Iri, int]:
         """Distinct-subject usage count per predicate, descending; a fresh dict
         on every call, decoded once per client."""
+        return dict(self._frequency_table(class_iri))
+
+    def _frequency_table(self, class_iri: Iri) -> dict[Iri, int]:
+        """The client's own table behind :meth:`predicate_frequencies`; callers
+        must not mutate it."""
         frequencies = self._frequencies.get(class_iri)
         if frequencies is None:
             rows = self._rows(frequency_query(class_iri, self.cfg.typing_predicate))
@@ -660,11 +672,15 @@ class KgClient:
                     counts[predicate] = _int_value(row, "count")
             frequencies = dict(sorted(counts.items(), key=lambda item: (-item[1], item[0])))
             self._frequencies[class_iri] = frequencies
-        return dict(frequencies)
+        return frequencies
 
     def instance_count(self, class_iri: Iri) -> int:
-        rows = self._rows(instance_count_query(class_iri, self.cfg.typing_predicate))
-        return _int_value(rows[0], "count") if rows else 0
+        """Instances of the class, counted once per client."""
+        count = self._instance_counts.get(class_iri)
+        if count is None:
+            rows = self._rows(instance_count_query(class_iri, self.cfg.typing_predicate))
+            count = self._instance_counts[class_iri] = _int_value(rows[0], "count") if rows else 0
+        return count
 
     def cardinality_distribution(self, class_iri: Iri, predicate: Iri) -> dict[int, int]:
         """Instances with exactly k objects for the predicate, for each k >= 1."""
@@ -770,7 +786,7 @@ class KgClient:
         """The predicates the global setting profiles: the class's predicates by
         descending frequency without the typing predicate, the first
         ``max_candidates`` of them (all when None)."""
-        frequencies = self.predicate_frequencies(class_iri)
+        frequencies = self._frequency_table(class_iri)
         return [p for p in frequencies if p != self.cfg.typing_predicate][:max_candidates]
 
     def property_constraint_classes(self, predicate: Iri, constraint_type: Iri) -> tuple[Iri, ...]:
@@ -788,41 +804,44 @@ class KgClient:
         return self._ask(subclass_path_query(c, c_prime, self.cfg.subclass_predicate, _SUBCLASS_MAX_DEPTH),
                          shared=True)
 
-    def build_global_record(self, class_iri: Iri, predicate: Iri) -> GlobalPredicateRecord:
+    def build_global_record(self, class_iri: Iri, predicate: Iri,
+                            fields: RecordField = ALL_FIELDS) -> GlobalPredicateRecord:
         """Compose the per-predicate profile that feeds prompts and features.
 
-        Frequency is required.  The cardinality distribution, object
-        profiles, examples, labels with descriptions, and Wikidata constraint
-        lists are best-effort parts, each tracked by its completeness bits.
+        Frequency is required and always built.  The cardinality
+        distribution, object profiles, examples, labels with descriptions,
+        and Wikidata constraint lists are best-effort parts, each tracked by
+        its completeness bits; only the parts with a bit in ``fields`` are
+        looked up, and the others keep their empty defaults.
         """
         total = self.instance_count(class_iri)
-        used = self.predicate_frequencies(class_iri).get(predicate, 0)
+        used = self._frequency_table(class_iri).get(predicate, 0)
         completeness = RecordField.FREQUENCY
-        fields: dict = {}
+        values: dict = {}
 
         def cardinality() -> None:
             histogram = self.cardinality_distribution(class_iri, predicate)
-            fields["cardinality_distribution"] = {k: (v / total if total else 0.0) for k, v in histogram.items()}
+            values["cardinality_distribution"] = {k: (v / total if total else 0.0) for k, v in histogram.items()}
 
         def object_profiles() -> None:
             datatype_hist, class_hist = self.object_profiles(class_iri, predicate)
-            fields["datatype_of_objects"] = _shares(datatype_hist)
-            fields["object_class_distribution"] = _shares(class_hist)
+            values["datatype_of_objects"] = _shares(datatype_hist)
+            values["object_class_distribution"] = _shares(class_hist)
 
         def examples() -> None:
-            fields["triple_examples"] = tuple(self.triple_examples(class_iri, predicate))
+            values["triple_examples"] = tuple(self.triple_examples(class_iri, predicate))
 
         def labels() -> None:
-            fields["class_label"] = self.label_of(class_iri)
-            fields["class_description"] = self.description_of(class_iri)
+            values["class_label"] = self.label_of(class_iri)
+            values["class_description"] = self.description_of(class_iri)
             labeled_predicate = self._labeled_form(predicate)
-            fields["predicate_label"] = self.label_of(labeled_predicate)
-            fields["predicate_description"] = self.description_of(labeled_predicate)
+            values["predicate_label"] = self.label_of(labeled_predicate)
+            values["predicate_description"] = self.description_of(labeled_predicate)
 
         def constraints() -> None:
             classes = self.property_constraint_classes
-            fields["subject_type_constraint"] = classes(predicate, WIKIDATA_SUBJECT_TYPE_CONSTRAINT)
-            fields["value_type_constraint"] = classes(predicate, WIKIDATA_VALUE_TYPE_CONSTRAINT)
+            values["subject_type_constraint"] = classes(predicate, WIKIDATA_SUBJECT_TYPE_CONSTRAINT)
+            values["value_type_constraint"] = classes(predicate, WIKIDATA_VALUE_TYPE_CONSTRAINT)
 
         # Each part is best-effort: a failed lookup keeps what the part read
         # before it, leaves the part's completeness bits unset and logs once.
@@ -835,6 +854,8 @@ class KgClient:
         if self.cfg.kg_kind is KgKind.WIKIDATA:
             parts.append((RecordField.CONSTRAINTS, "property constraints", constraints))
         for bits, name, read in parts:
+            if not bits & fields:
+                continue
             try:
                 read()
                 completeness |= bits
@@ -847,7 +868,7 @@ class KgClient:
                 predicate_uri=predicate,
                 frequency=min((used / total) if total else 0.0, 1.0),
                 completeness=completeness,
-                **fields,
+                **values,
             )
         except ValueError as exc:
             # the counts come from the endpoint: a share outside [0,1] means

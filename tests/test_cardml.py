@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from shexbench import cardml
 from shexbench.cardml import (
+    FEATURE_FIELDS,
     FEATURE_NAMES,
     CardinalityLabel,
     CardinalityModel,
@@ -31,6 +32,7 @@ from support import (
     WDT,
     award_endpoint_config,
     build_award_endpoint,
+    build_benchmark_endpoint,
     read_feature_csv,
     reference_decision_function,
     reference_fit,
@@ -38,6 +40,7 @@ from support import (
     reference_newton_split,
     reference_predict,
     synthetic_cardinality_rows,
+    write_benchmark_manifest,
 )
 
 AWARD = Iri(WD + "Q4220917")
@@ -86,6 +89,31 @@ class TestFeatures:
         rebuilt = KgClient(award_endpoint_config(tmp_path / "c"), transport=endpoint)
         record_again = rebuilt.build_global_record(AWARD, Iri(WDT + "P856"))
         assert extract_features(record) == extract_features(record_again)
+
+    @pytest.mark.parametrize("offline", [False, True], ids=["online", "offline-after-extract"])
+    def test_feature_fields_record_gives_the_full_records_features(self, tmp_path, offline):
+        """Over every (class, ground-truth predicate) of the benchmark KG, as
+        train-cardinality visits them: online, and offline on a cache that a
+        global extract warmed (the typing predicate's parts miss there)."""
+        from shexbench.cli import cmd_extract, entry_endpoint_config, load_manifest
+        from shexbench.model import canonicalize
+
+        endpoint = build_benchmark_endpoint()
+        manifest = write_benchmark_manifest(tmp_path)
+        cache = tmp_path / "cache"
+        if offline:
+            cmd_extract(manifest, cache, "global", transport_factory=lambda cfg: endpoint)
+        pairs = 0
+        for entry in load_manifest(manifest).entries:
+            cfg = entry_endpoint_config(entry, cache, offline)
+            full_client, feature_client = (KgClient(cfg, transport=endpoint) for _ in range(2))
+            for constraint in canonicalize(entry.ground_truth).start_shape.constraints:
+                full = full_client.build_global_record(entry.class_uri, constraint.predicate)
+                partial = feature_client.build_global_record(entry.class_uri, constraint.predicate, FEATURE_FIELDS)
+                assert extract_features(partial) == extract_features(full)
+                assert partial.completeness == full.completeness & FEATURE_FIELDS
+                pairs += 1
+        assert pairs == 12
 
     def test_value_type_flag(self):
         with_constraint = record_with(value_type_constraint=(Iri(WD + "Q6256"),))

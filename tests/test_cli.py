@@ -90,6 +90,12 @@ class TestManifest:
         assert len(manifest.select(["museum"])) == 1
         assert len(manifest.select(["Q33506"])) == 1
         assert len(manifest.select(None)) == 8
+        assert [e.slug for e in manifest.select(["museum", "Q33506", WD + "Q33506"])] == ["Q33506"]
+
+    def test_select_names_every_unmatched_class(self, fixtures_dir):
+        manifest = load_manifest(fixtures_dir / "manifest.json")
+        with pytest.raises(ManifestError, match="^--class names no manifest entry: 'Q0', 'Museum'$"):
+            manifest.select(["Q0", "museum", "Museum", "Q0"])
 
     def test_duplicate_class_rejected(self, tmp_path, fixtures_dir):
         doc = json.loads((fixtures_dir / "manifest.json").read_text())
@@ -591,6 +597,22 @@ class TestReportAndTrain:
         ) + 1e-12
         assert features_path.read_text().startswith("class_uri,predicate_uri,frequency")
 
+    def test_online_train_asks_only_for_what_its_features_read(self, bench, tmp_path):
+        """On a cold cache, train fetches no labels, descriptions or triple
+        examples: its features read none of them."""
+        from shexbench.kginfo import description_query, triple_examples_query
+
+        unread = {template(*args).split("\n", 1)[0] for template, args in [
+            (label_query, (Iri(WD + "Q1"),)),
+            (description_query, (Iri(WD + "Q1"), Iri(WD + "P1"))),
+            (triple_examples_query, (Iri(WD + "Q1"), Iri(WDT + "P1"), Iri(WDT + "P31"))),
+        ]}
+        code, report = cmd_train_cardinality(bench["manifest"], bench["cache"], tmp_path / "model.json", kind="dt",
+                                             transport_factory=bench["factory"])
+        assert code == EXIT_OK and report["rows"] == 12
+        sent = {query.split("\n", 1)[0] for query in bench["endpoint"].request_log}
+        assert sent and not sent & unread
+
     def test_train_sampling_reports_ids(self, bench, tmp_path):
         cmd_extract(bench["manifest"], bench["cache"], "global", transport_factory=bench["factory"])
         code, report = cmd_train_cardinality(
@@ -700,15 +722,17 @@ class TestMainEntry:
 
 class TestCorruptCache:
     def test_train_exits_with_the_corrupt_file_named(self, bench, tmp_path, capsys):
-        from shexbench.kginfo import cache_key, label_query
+        from shexbench.kginfo import frequency_query
 
         cmd_extract(bench["manifest"], bench["cache"], "global", transport_factory=bench["factory"])
-        label_file = bench["cache"] / f"{cache_key(label_query(Iri(WD + 'Q4220917')), 'https://fake.example.org/sparql')}.json"
-        label_file.write_text(label_file.read_text()[:30])
+        # train reads each class's frequency table (its features need it) and no labels
+        query = frequency_query(Iri(WD + "Q4220917"), Iri(WDT + "P31"))
+        frequency_file = bench["cache"] / f"{cache_key(query, 'https://fake.example.org/sparql')}.json"
+        frequency_file.write_text(frequency_file.read_text()[:30])
         code = main(["train-cardinality", "--manifest", str(bench["manifest"]), "--cache-dir", str(bench["cache"]),
                      "--out", str(tmp_path / "model.json"), "--kind", "dt", "--offline"])
         assert code == EXIT_NETWORK
-        assert f"corrupt cache file {label_file}" in capsys.readouterr().err
+        assert f"corrupt cache file {frequency_file}" in capsys.readouterr().err
         assert not (tmp_path / "model.json").exists()
 
 
@@ -1223,6 +1247,37 @@ class TestConfigurationErrors:
         assert code == EXIT_CONFIG
         assert f"configuration error: {option} must be at least 1" in capsys.readouterr().err
         assert not cache.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["extract", "--cache-dir", "cache", "--offline"],
+        ["generate", "--cache-dir", "cache", "--offline", "--stub-dir", "stubs", "--out-dir", "out"],
+        ["evaluate", "--generated-dir", "out", "--cache-dir", "cache", "--out", "eval.json"],
+        ["train-cardinality", "--cache-dir", "cache", "--offline", "--out", "model.json"],
+    ], ids=lambda argv: argv[0])
+    def test_class_that_names_no_entry(self, bench, capsys, monkeypatch, argv):
+        monkeypatch.chdir(bench["tmp"])
+        code = main([*argv, "--manifest", str(bench["manifest"]), "--class", "museum", "--class", "nosuchclass"])
+        assert code == EXIT_CONFIG
+        assert "configuration error: --class names no manifest entry: 'nosuchclass'" in capsys.readouterr().err
+        assert sorted(p.name for p in bench["tmp"].iterdir()) == ["gt", "manifest.json"]
+
+    def test_class_that_names_no_entry_makes_no_lookup(self, bench, tmp_path):
+        commands = [
+            lambda classes: cmd_extract(bench["manifest"], bench["cache"], "global", classes=classes,
+                                        transport_factory=bench["factory"]),
+            lambda classes: cmd_generate(bench["manifest"], tmp_path / "gen", bench["cache"], "global",
+                                         classes=classes, llm_client=benchmark_rule_client(),
+                                         transport_factory=bench["factory"]),
+            lambda classes: cmd_evaluate(bench["manifest"], tmp_path / "gen", "all", classes, cache_dir=bench["cache"],
+                                         transport_factory=bench["factory"]),
+            lambda classes: cmd_train_cardinality(bench["manifest"], bench["cache"], tmp_path / "model.json",
+                                                  classes=classes, transport_factory=bench["factory"]),
+        ]
+        for command in commands:
+            with pytest.raises(ManifestError, match="'Q0', 'no such class'$"):
+                command(["Q0", "museum", "no such class", "Q0"])
+        assert bench["endpoint"].request_count == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gt", "manifest.json"]
 
     def test_negative_max_repairs(self, bench, capsys):
         cache = bench["tmp"] / "cache"

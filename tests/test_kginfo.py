@@ -16,6 +16,7 @@ import pytest
 
 from shexbench import kginfo
 from shexbench.kginfo import (
+    ALL_FIELDS,
     CacheMissError,
     CacheStore,
     EndpointConfig,
@@ -30,6 +31,7 @@ from shexbench.kginfo import (
     _RetryableEndpointError,
     atomic_write_text,
     cache_key,
+    frequency_query,
     http_transport,
     instance_count_query,
     label_query,
@@ -525,10 +527,29 @@ class TestDocumentTable:
         KgClient(award_endpoint_config(cache), transport=endpoint).instance_count(AWARD)
         assert offline.instance_count(AWARD) == 10
 
+    def test_class_tables_are_read_once_per_client(self, client, monkeypatch):
+        """A class's instance count and frequency table are looked up once per
+        client, however many records are built, and no record copies the
+        frequency table."""
+        queries, copies = [], []
+        cached_query, predicate_frequencies = KgClient.cached_query, KgClient.predicate_frequencies
+        monkeypatch.setattr(KgClient, "cached_query",
+                            lambda self, query, shared=False: queries.append(query) or cached_query(self, query, shared))
+        monkeypatch.setattr(KgClient, "predicate_frequencies",
+                            lambda self, class_iri: copies.append(class_iri) or predicate_frequencies(self, class_iri))
+        for _ in range(2):
+            for predicate in AWARD_PREDICATES:
+                client.build_global_record(AWARD, predicate)
+        typing = Iri(WDT + "P31")
+        sent = Counter(queries)
+        assert sent[instance_count_query(AWARD, typing)] == sent[frequency_query(AWARD, typing)] == 1
+        assert copies == []
+        assert client.instance_count(AWARD) == 10
+
     def test_hits_count_as_touched_keys(self, client):
-        client.instance_count(AWARD)
+        client.cardinality_distribution(AWARD, WEBSITE)
         client.keys_touched.clear()
-        client.instance_count(AWARD)
+        client.cardinality_distribution(AWARD, WEBSITE)
         assert len(client.keys_touched) == 1
 
     def test_frequencies_are_a_fresh_dict_per_call(self, client):
@@ -746,6 +767,36 @@ class TestGlobalRecord:
         rebuilt = KgClient(award_endpoint_config(tmp_path / "cache"), transport=endpoint)
         assert rebuilt.build_global_record(AWARD, COUNTRY_PRED) == record
         assert endpoint.request_count == requests
+
+    # each best-effort part's completeness bits -> the record fields it writes
+    PARTS = {
+        RecordField.CARDINALITY: ("cardinality_distribution",),
+        RecordField.DATATYPES | RecordField.OBJECT_CLASSES: ("datatype_of_objects", "object_class_distribution"),
+        RecordField.EXAMPLES: ("triple_examples",),
+        RecordField.LABELS: ("class_label", "class_description", "predicate_label", "predicate_description"),
+        RecordField.CONSTRAINTS: ("subject_type_constraint", "value_type_constraint"),
+    }
+
+    @pytest.mark.parametrize("fields, requests", [
+        (RecordField(0), 2),
+        (RecordField.FREQUENCY, 2),
+        (RecordField.DATATYPES, 4),
+        (RecordField.LABELS | RecordField.CONSTRAINTS, 8),
+        (ALL_FIELDS, 22),
+    ], ids=["none", "frequency", "datatypes", "labels-constraints", "all"])
+    def test_only_the_parts_asked_for_are_built(self, endpoint, client, tmp_path, fields, requests):
+        """Frequency is always built; a part is built when ``fields`` has any
+        of its bits, and then sets all of them; the others keep their
+        defaults and send no request."""
+        full = client.build_global_record(AWARD, CONFERRED)
+        partial_client = KgClient(award_endpoint_config(tmp_path / "partial"), transport=endpoint)
+        before = endpoint.request_count
+        record = partial_client.build_global_record(AWARD, CONFERRED, fields)
+        assert endpoint.request_count - before == requests
+        defaults = GlobalPredicateRecord(AWARD, CONFERRED)
+        skipped = [bits for bits in self.PARTS if not bits & fields]
+        assert record == replace(full, completeness=full.completeness & ~sum(skipped, RecordField(0)),
+                                 **{name: getattr(defaults, name) for bits in skipped for name in self.PARTS[bits]})
 
     # one SPARQL template that fails -> (the record fields its part reads, the part's completeness bits)
     DEGRADED_PARTS = {
