@@ -78,7 +78,7 @@ class CardinalityLabel:
 #: The parts of a record that :func:`extract_features` reads; a record built
 #: with only these gives the same features as a full one.
 FEATURE_FIELDS = (RecordField.FREQUENCY | RecordField.CARDINALITY | RecordField.DATATYPES
-                  | RecordField.OBJECT_CLASSES | RecordField.CONSTRAINTS)
+                  | RecordField.OBJECT_CLASSES | RecordField.VALUE_TYPE_CONSTRAINT)
 
 
 def extract_features(record: GlobalPredicateRecord) -> FeatureVector:

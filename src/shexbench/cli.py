@@ -21,6 +21,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -111,12 +112,18 @@ class ManifestEntry:
     endpoint_url: str
     typing_predicate: Iri
     ground_truth_path: Path
-    #: The parsed ground truth, focused on ``class_uri``.
-    ground_truth: Schema = field(compare=False, repr=False)
 
     @property
     def slug(self) -> str:
         return self.class_uri.local_name()
+
+    @cached_property
+    def ground_truth(self) -> Schema:
+        """The ground truth focused on ``class_uri``, parsed on first read and kept."""
+        try:
+            return parse_shexc(self.ground_truth_path.read_text(encoding="utf-8"), focus_class=self.class_uri)
+        except (OSError, ShexcParseError) as exc:
+            raise ManifestError(f"ground truth {self.ground_truth_path} invalid: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -141,7 +148,7 @@ class Manifest:
 
 
 def load_manifest(path: Path | str) -> Manifest:
-    """Read and validate a manifest, parsing each entry's ground truth once."""
+    """Read and validate a manifest; it reads no ground-truth file."""
     path = Path(path)
     try:
         doc = decode_json(path.read_text(encoding="utf-8"))
@@ -163,17 +170,12 @@ def load_manifest(path: Path | str) -> Manifest:
         except (KeyError, ValueError) as exc:
             problems.append(f"bad entry {raw!r}: {exc}")
             continue
-        class_uri, ground_truth_path = fields["class_uri"], fields["ground_truth_path"]
+        class_uri = fields["class_uri"]
         if class_uri.value in seen:
             problems.append(f"duplicate class_uri {class_uri}")
             continue
         seen.add(class_uri.value)
-        try:
-            ground_truth = parse_shexc(ground_truth_path.read_text(encoding="utf-8"), focus_class=class_uri)
-        except (OSError, ShexcParseError) as exc:
-            problems.append(f"ground truth {ground_truth_path} invalid: {exc}")
-            continue
-        entries.append(ManifestEntry(**fields, ground_truth=ground_truth))
+        entries.append(ManifestEntry(**fields))
     if problems:
         raise ManifestError("; ".join(problems))
     if not entries:
@@ -509,6 +511,8 @@ def cmd_evaluate(
 ) -> tuple[int, dict]:
     manifest = load_manifest(manifest_path)
     entries = manifest.select(classes)
+    # read before any class runs, so a bad ground-truth file stops the command
+    ground_truths = {entry.class_uri: entry.ground_truth for entry in entries}
     criteria_list = _parse_criteria(criteria)
     generated = Path(generated_dir)
     static_oracle = None
@@ -528,7 +532,7 @@ def cmd_evaluate(
 
     def worker(entry: ManifestEntry) -> ResultRecord:
         record = ResultRecord(entry.class_uri.value, entry.label, setting, model_id)
-        gt = entry.ground_truth
+        gt = ground_truths[entry.class_uri]
         gen = parse_shexc(_read_generated(generated / f"{entry.slug}.shex"), focus_class=entry.class_uri)
         oracle = oracle_for(entry)
         started = time.perf_counter()
@@ -741,14 +745,15 @@ def cmd_train_cardinality(
     if sample_n is not None and sample_n < len(entries):
         rng = random.Random(seed)
         entries = sorted(rng.sample(entries, sample_n), key=lambda e: e.class_uri.value)
-
+    # read before any class runs, so a bad ground-truth file stops the command
+    ground_truths = [entry.ground_truth for entry in entries]
     stores = _cache_stores(entries)
     rows: list[tuple] = []
     row_classes: list[str] = []
     row_predicates: list[str] = []
-    for entry in entries:
+    for entry, ground_truth in zip(entries, ground_truths):
         client = _kg_client(entry, cache_dir, offline, transport_factory, stores)
-        for constraint in canonicalize(entry.ground_truth).start_shape.constraints:
+        for constraint in canonicalize(ground_truth).start_shape.constraints:
             try:
                 record = client.build_global_record(entry.class_uri, constraint.predicate, FEATURE_FIELDS)
             except (EndpointError, CacheMissError) as exc:

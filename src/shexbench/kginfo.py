@@ -5,15 +5,15 @@ whitespace-normalized query text plus the endpoint URL.  A cache hit never
 touches the network, and offline mode turns misses into errors instead of
 requests.  The clients of one endpoint within one command share a
 :class:`CacheStore`: concurrent misses on the same key collapse to a single
-request, at most ``_MAX_IN_FLIGHT`` requests run at once, and each parsed
-document of a term lookup (a label, a description, a property constraint, a
-subclass path) is kept for every class.  The documents of the other queries
-(a class's profile, an instance's triples) stay with the client that read
-them and are freed with it.  Cache files are plain JSON holding the query, a timestamp,
-and the standard SPARQL results document, so they can be inspected and
-checked into fixtures.  They are written compact, on one line (``python -m
-json.tool <file>`` pretty-prints one); files written indented by older
-versions read the same.
+request, at most ``_MAX_IN_FLIGHT`` requests run at once, and each term
+lookup (a label, a description, a property constraint, a subclass path) is
+read and decoded once for every class, so a repeat is one table hit.  The
+documents of the other queries (a class's profile, an instance's triples)
+stay with the client that read them and are freed with it.  Cache files are
+plain JSON holding the query, a timestamp, and the standard SPARQL results
+document, so they can be inspected and checked into fixtures.  They are
+written compact, on one line (``python -m json.tool <file>`` pretty-prints
+one); files written indented by older versions read the same.
 """
 
 from __future__ import annotations
@@ -116,7 +116,8 @@ class RecordField(IntFlag):
     OBJECT_CLASSES = 8
     EXAMPLES = 16
     LABELS = 32
-    CONSTRAINTS = 64
+    SUBJECT_TYPE_CONSTRAINT = 64
+    VALUE_TYPE_CONSTRAINT = 128
 
 
 #: Every part of a :class:`GlobalPredicateRecord`, the default of
@@ -514,18 +515,18 @@ class CacheStore:
 
     It holds one lock per missed key (so a miss is fetched once however
     many clients ask for it), the gate that lets at most ``_MAX_IN_FLIGHT``
-    requests run at once, the parsed documents of the term lookups, read
-    or fetched once for all the clients, and the cache key of each query
-    text asked, so each is hashed once.  Answers only: a miss is looked up
-    again next time.
+    requests run at once, and two tables per endpoint URL: the cache key of
+    each query text asked, so each is hashed once, and the decoded answer of
+    each term lookup, so each is read and decoded once for all the clients.
+    Answers only: a miss or a malformed answer is looked up again next time.
     """
 
     def __init__(self):
         self.gate = threading.BoundedSemaphore(_MAX_IN_FLIGHT)
-        self.documents: dict[str, dict] = {}
         self._key_locks: dict[str, threading.Lock] = {}
         self._key_locks_guard = threading.Lock()
         self._keys: dict[str, dict[str, str]] = {}
+        self._lookups: dict[str, dict[str, tuple[str, object]]] = {}
 
     def key_lock(self, key: str) -> threading.Lock:
         with self._key_locks_guard:
@@ -535,6 +536,11 @@ class CacheStore:
         """The memo of :func:`cache_key` for ``endpoint_url``: query text -> key."""
         with self._key_locks_guard:
             return self._keys.setdefault(endpoint_url, {})
+
+    def lookups(self, endpoint_url: str) -> dict[str, tuple[str, object]]:
+        """The term lookups decoded for ``endpoint_url``: query text -> (key, value)."""
+        with self._key_locks_guard:
+            return self._lookups.setdefault(endpoint_url, {})
 
 
 class KgClient:
@@ -555,10 +561,10 @@ class KgClient:
         self._transport = transport or http_transport(cfg)
         self._store = store or CacheStore()
         self._keys = self._store.keys(cfg.endpoint_url)
+        self._lookups = self._store.lookups(cfg.endpoint_url)
         # the same text as str(Path(cfg.cache_dir) / name), without a Path per lookup
         self._cache_prefix = os.fspath(Path(cfg.cache_dir) / "_")[:-1]
-        # Parsed documents of the other queries (a class's profile, an
-        # instance's triples) by cache key, and decoded frequency tables and
+        # Parsed documents by cache key, and decoded frequency tables and
         # instance counts by class; freed with the client.  Only successes
         # are kept, so a miss raises again.
         self._documents: dict[str, dict] = {}
@@ -567,20 +573,17 @@ class KgClient:
 
     # -- cache layer ---------------------------------------------------------
 
-    def cached_query(self, query: str, shared: bool = False) -> dict:
+    def cached_query(self, query: str) -> dict:
         """SPARQL JSON results for ``query``, served from the cache when warm.
 
-        Each key's document is read (or fetched) once per client, or once per
-        store when ``shared`` (a term lookup that any class may repeat), and
-        then served from memory; callers must not mutate it."""
+        Each key's document is read (or fetched) once per client and then
+        served from memory; callers must not mutate it."""
         key = self._keys.get(query)
         if key is None:
             # two threads may both hash a new query; they store the same key
             key = self._keys[query] = cache_key(query, self.cfg.endpoint_url)
         self.keys_touched.add(key)
-        store = self._store
-        documents = store.documents if shared else self._documents
-        results = documents.get(key)
+        results = self._documents.get(key)
         if results is not None:
             return results
         path = self._cache_prefix + key + ".json"
@@ -588,17 +591,17 @@ class KgClient:
         if results is None:
             if self.cfg.offline:
                 raise CacheMissError(key, query)
-            with store.key_lock(key):
+            with self._store.key_lock(key):
                 # another client may have read or fetched it while this one waited
-                results = documents.get(key)
+                results = self._documents.get(key)
                 if results is None:
                     results = self._read_cache(path)
                     if results is None:
                         results = self._fetch(query)
                         self._write_cache(path, query, results)
-                    documents[key] = results
+                    self._documents[key] = results
             return results
-        documents[key] = results
+        self._documents[key] = results
         return results
 
     @staticmethod
@@ -638,19 +641,19 @@ class KgClient:
                 log.warning("retrying after transient endpoint error: %s", exc)
                 time.sleep(delay)
 
-    def _rows(self, query: str, shared: bool = False) -> list[dict]:
-        doc = self.cached_query(query, shared)
-        try:
-            return doc["results"]["bindings"]
-        except (KeyError, TypeError) as exc:
-            raise MalformedResultsError(f"results document has no bindings: {exc}") from exc
+    def _rows(self, query: str) -> list[dict]:
+        return _bindings(self.cached_query(query))
 
-    def _ask(self, query: str, shared: bool = False) -> bool:
-        doc = self.cached_query(query, shared)
-        try:
-            return bool(doc["boolean"])
-        except (KeyError, TypeError) as exc:
-            raise MalformedResultsError("ASK response carries no boolean") from exc
+    def _term_lookup(self, query: str, decode: Callable, *args):
+        """``decode(results, *args)`` of a term lookup any class may repeat, decoded
+        once per store; a repeat touches the key as :meth:`cached_query` does."""
+        hit = self._lookups.get(query)
+        if hit is None:
+            value = decode(self.cached_query(query), *args)
+            hit = self._lookups[query] = (self._keys[query], value)
+        else:
+            self.keys_touched.add(hit[0])
+        return hit[1]
 
     # -- extraction operations ------------------------------------------------
 
@@ -768,12 +771,10 @@ class KgClient:
                 for s, p, form, o in rows]
 
     def label_of(self, term: Iri) -> str | None:
-        rows = self._rows(label_query(term), shared=True)
-        return _bound(rows[0], "label")["value"] if rows else None
+        return self._term_lookup(label_query(term), _first_value, "label")
 
     def description_of(self, term: Iri) -> str | None:
-        rows = self._rows(description_query(term, self.cfg.description_predicate), shared=True)
-        return _bound(rows[0], "description")["value"] if rows else None
+        return self._term_lookup(description_query(term, self.cfg.description_predicate), _first_value, "description")
 
     def _labeled_form(self, predicate: Iri) -> Iri:
         # Wikidata labels live on the property entity, not the direct-property IRI.
@@ -792,17 +793,16 @@ class KgClient:
     def property_constraint_classes(self, predicate: Iri, constraint_type: Iri) -> tuple[Iri, ...]:
         if self.cfg.kg_kind is not KgKind.WIKIDATA:
             return ()
-        rows = self._rows(property_constraint_query(self._labeled_form(predicate), constraint_type), shared=True)
-        classes = [term_from_binding(_bound(r, "class")) for r in rows]
-        return tuple(sorted(c for c in classes if isinstance(c, Iri)))
+        return self._term_lookup(property_constraint_query(self._labeled_form(predicate), constraint_type),
+                                 _sorted_iris, "class")
 
     def is_subclass_of(self, c: Iri, c_prime: Iri) -> bool:
         """Reflexive-transitive subclass test, bounded to
         :data:`_SUBCLASS_MAX_DEPTH` steps."""
         if c == c_prime:
             return True
-        return self._ask(subclass_path_query(c, c_prime, self.cfg.subclass_predicate, _SUBCLASS_MAX_DEPTH),
-                         shared=True)
+        return self._term_lookup(subclass_path_query(c, c_prime, self.cfg.subclass_predicate, _SUBCLASS_MAX_DEPTH),
+                                 _boolean)
 
     def build_global_record(self, class_iri: Iri, predicate: Iri,
                             fields: RecordField = ALL_FIELDS) -> GlobalPredicateRecord:
@@ -810,14 +810,15 @@ class KgClient:
 
         Frequency is required and always built.  The cardinality
         distribution, object profiles, examples, labels with descriptions,
-        and Wikidata constraint lists are best-effort parts, each tracked by
-        its completeness bits; only the parts with a bit in ``fields`` are
-        looked up, and the others keep their empty defaults.
+        and the two Wikidata constraint lists are best-effort parts, each
+        tracked by its completeness bits; only the parts with a bit in
+        ``fields`` are looked up, and the others keep their empty defaults.
         """
         total = self.instance_count(class_iri)
         used = self._frequency_table(class_iri).get(predicate, 0)
         completeness = RecordField.FREQUENCY
         values: dict = {}
+        constraints = self.property_constraint_classes
 
         def cardinality() -> None:
             histogram = self.cardinality_distribution(class_iri, predicate)
@@ -838,10 +839,11 @@ class KgClient:
             values["predicate_label"] = self.label_of(labeled_predicate)
             values["predicate_description"] = self.description_of(labeled_predicate)
 
-        def constraints() -> None:
-            classes = self.property_constraint_classes
-            values["subject_type_constraint"] = classes(predicate, WIKIDATA_SUBJECT_TYPE_CONSTRAINT)
-            values["value_type_constraint"] = classes(predicate, WIKIDATA_VALUE_TYPE_CONSTRAINT)
+        def subject_types() -> None:
+            values["subject_type_constraint"] = constraints(predicate, WIKIDATA_SUBJECT_TYPE_CONSTRAINT)
+
+        def value_types() -> None:
+            values["value_type_constraint"] = constraints(predicate, WIKIDATA_VALUE_TYPE_CONSTRAINT)
 
         # Each part is best-effort: a failed lookup keeps what the part read
         # before it, leaves the part's completeness bits unset and logs once.
@@ -852,7 +854,8 @@ class KgClient:
             (RecordField.LABELS, "labels", labels),
         ]
         if self.cfg.kg_kind is KgKind.WIKIDATA:
-            parts.append((RecordField.CONSTRAINTS, "property constraints", constraints))
+            parts += [(RecordField.SUBJECT_TYPE_CONSTRAINT, "subject-type constraints", subject_types),
+                      (RecordField.VALUE_TYPE_CONSTRAINT, "value-type constraints", value_types)]
         for bits, name, read in parts:
             if not bits & fields:
                 continue
@@ -874,6 +877,30 @@ class KgClient:
             # the counts come from the endpoint: a share outside [0,1] means
             # its answers disagree with each other
             raise MalformedResultsError(f"inconsistent profile of {class_iri} / {predicate}: {exc}") from exc
+
+
+def _bindings(doc: dict) -> list[dict]:
+    try:
+        return doc["results"]["bindings"]
+    except (KeyError, TypeError) as exc:
+        raise MalformedResultsError(f"results document has no bindings: {exc}") from exc
+
+
+def _boolean(doc: dict) -> bool:
+    try:
+        return bool(doc["boolean"])
+    except (KeyError, TypeError) as exc:
+        raise MalformedResultsError("ASK response carries no boolean") from exc
+
+
+def _first_value(doc: dict, variable: str) -> str | None:
+    rows = _bindings(doc)
+    return _bound(rows[0], variable)["value"] if rows else None
+
+
+def _sorted_iris(doc: dict, variable: str) -> tuple[Iri, ...]:
+    terms = [term_from_binding(_bound(row, variable)) for row in _bindings(doc)]
+    return tuple(sorted(term for term in terms if isinstance(term, Iri)))
 
 
 def _shares(histogram: dict[str, int]) -> dict[str, float]:
@@ -899,11 +926,7 @@ class KgSubclassOracle:
         return self._client.is_subclass_of(c, c_prime)
 
     def value_type_classes(self, predicate: Iri) -> frozenset[Iri]:
-        if self._client.cfg.kg_kind is not KgKind.WIKIDATA:
-            return frozenset()
         try:
-            return frozenset(
-                self._client.property_constraint_classes(predicate, WIKIDATA_VALUE_TYPE_CONSTRAINT)
-            )
+            return frozenset(self._client.property_constraint_classes(predicate, WIKIDATA_VALUE_TYPE_CONSTRAINT))
         except (EndpointError, CacheMissError):
             return frozenset()

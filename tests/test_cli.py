@@ -4,6 +4,7 @@ import codecs
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -105,7 +106,7 @@ class TestManifest:
         with pytest.raises(ManifestError, match="duplicate"):
             load_manifest(bad)
 
-    def test_invalid_ground_truth_rejected(self, tmp_path):
+    def test_invalid_ground_truth_rejected_on_first_read(self, tmp_path):
         (tmp_path / "bad.shex").write_text("not a schema")
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({
@@ -119,8 +120,10 @@ class TestManifest:
                 "ground_truth_path": "bad.shex",
             }],
         }))
-        with pytest.raises(ManifestError, match="invalid"):
-            load_manifest(manifest)
+        (entry,) = load_manifest(manifest).entries
+        for _ in range(2):
+            with pytest.raises(ManifestError, match=f"^ground truth {re.escape(str(tmp_path / 'bad.shex'))} invalid: "):
+                entry.ground_truth
 
     @pytest.mark.parametrize("content", ['{"entries": [', _NESTED], ids=["truncated", "nested"])
     def test_unreadable_manifest_is_a_config_error(self, tmp_path, capsys, content):
@@ -737,29 +740,90 @@ class TestCorruptCache:
 
 
 class TestGroundTruthParsing:
-    def test_each_ground_truth_file_is_parsed_once_per_command(self, bench, tmp_path, monkeypatch):
+    """Only ``evaluate`` and ``train-cardinality`` read ground truth: each
+    selected file once, and all of them before any class runs."""
+
+    #: The class that runs last (class-URI order), and one in the middle.
+    LAST, MUSEUM = WD + "Q4220917", WD + "Q33506"
+
+    @pytest.fixture()
+    def parsed(self, monkeypatch):
+        """The texts given to ``cli.parse_shexc``, through which the ground
+        truth and the generated schemas are parsed."""
         from shexbench import cli
 
-        entries = load_manifest(bench["manifest"]).entries
-        ground_truth = Counter(e.ground_truth_path.read_text(encoding="utf-8") for e in entries)
-        parsed = []
+        texts = []
         original = cli.parse_shexc
-        monkeypatch.setattr(cli, "parse_shexc", lambda text, **kwargs: parsed.append(text) or original(text, **kwargs))
+        monkeypatch.setattr(cli, "parse_shexc", lambda text, **kwargs: texts.append(text) or original(text, **kwargs))
+        return texts
 
-        def parses(run):
-            parsed.clear()
-            assert run()[0] == EXIT_OK
-            return Counter(parsed)
+    @staticmethod
+    def _break_ground_truth(bench, keep=()) -> Counter:
+        """Overwrite every ground-truth file but those of ``keep`` with an
+        invalid schema; the kept files' texts."""
+        kept = Counter()
+        for entry in load_manifest(bench["manifest"]).entries:
+            if entry.class_uri.value in keep:
+                kept[entry.ground_truth_path.read_text(encoding="utf-8")] += 1
+            else:
+                entry.ground_truth_path.write_text("not a schema", encoding="utf-8")
+        return kept
 
-        factory = bench["factory"]
-        assert parses(lambda: cmd_extract(bench["manifest"], bench["cache"], "global",
-                                          transport_factory=factory)) == ground_truth
-        assert parses(lambda: generate_stubbed(bench, out_name="gen")) == ground_truth
-        assert parses(lambda: cmd_train_cardinality(bench["manifest"], bench["cache"], tmp_path / "dt.json",
-                                                    kind="dt", offline=True, transport_factory=factory)) == ground_truth
+    def test_extract_and_generate_parse_no_ground_truth(self, bench, parsed):
+        self._break_ground_truth(bench)
+        for setting in ("global", "local", "triples"):
+            assert cmd_extract(bench["manifest"], bench["cache"], setting, transport_factory=bench["factory"])[0] == EXIT_OK
+        assert generate_stubbed(bench)[0] == EXIT_OK
+        assert parsed == []
+
+    def test_evaluate_and_train_parse_each_file_once_before_any_class(self, bench, tmp_path, parsed):
+        ground_truth = self._break_ground_truth(bench, keep=BENCHMARK_CLASSES)
+        assert generate_stubbed(bench, out_name="gen")[0] == EXIT_OK
         generated = Counter(p.read_text(encoding="utf-8") for p in (bench["tmp"] / "gen").glob("*.shex"))
         assert sum(generated.values()) == 3
-        assert parses(lambda: cmd_evaluate(bench["manifest"], bench["tmp"] / "gen", "all")) == ground_truth + generated
+        parsed.clear()
+        assert cmd_train_cardinality(bench["manifest"], bench["cache"], tmp_path / "dt.json", kind="dt",
+                                     offline=True, transport_factory=bench["factory"])[0] == EXIT_OK
+        assert Counter(parsed) == ground_truth
+        parsed.clear()
+        assert cmd_evaluate(bench["manifest"], bench["tmp"] / "gen", "all")[0] == EXIT_OK
+        assert Counter(parsed[:3]) == ground_truth and Counter(parsed) == ground_truth + generated
+
+    def test_class_parses_only_the_selected_file(self, bench, tmp_path, parsed):
+        ground_truth = self._break_ground_truth(bench, keep=[self.MUSEUM])
+        assert generate_stubbed(bench, out_name="gen", classes=["museum"])[0] == EXIT_OK
+        parsed.clear()
+        code, report = cmd_train_cardinality(bench["manifest"], bench["cache"], tmp_path / "dt.json", kind="dt",
+                                             classes=["museum"], offline=True, transport_factory=bench["factory"])
+        assert (code, report["classes"], Counter(parsed)) == (EXIT_OK, [self.MUSEUM], ground_truth)
+        parsed.clear()
+        code, doc = cmd_evaluate(bench["manifest"], bench["tmp"] / "gen", "all", classes=["museum"])
+        assert (code, doc["n_valid"], parsed[0]) == (EXIT_OK, 1, next(iter(ground_truth)))
+        assert len(parsed) == 2
+
+    @pytest.mark.parametrize("fault", ["invalid", "missing"])
+    @pytest.mark.parametrize("command", ["evaluate", "train-cardinality"])
+    def test_bad_file_is_a_config_error_before_any_class(self, bench, tmp_path, capsys, monkeypatch, command, fault):
+        """The last class's file is bad: no class runs and nothing is written."""
+        cmd_extract(bench["manifest"], bench["cache"], "global", transport_factory=bench["factory"])
+        generated = TestEvaluate()._copy_ground_truth(bench)
+        (bad,) = [e.ground_truth_path for e in load_manifest(bench["manifest"]).entries if e.class_uri.value == self.LAST]
+        if fault == "invalid":
+            bad.write_text("not a schema", encoding="utf-8")
+        else:
+            bad.unlink()
+        ran = []
+        monkeypatch.setattr(KgClient, "__init__", lambda *args, **kwargs: ran.append(args))
+        out = tmp_path / "out.json"
+        argv = {
+            "evaluate": ["evaluate", "--generated-dir", str(generated), "--cache-dir", str(bench["cache"])],
+            "train-cardinality": ["train-cardinality", "--cache-dir", str(bench["cache"]), "--kind", "dt", "--offline"],
+        }[command]
+        code = main([*argv, "--manifest", str(bench["manifest"]), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err.startswith(f"configuration error: ground truth {bad} invalid: ")
+        assert (captured.out, ran, out.exists()) == ("", [], False)
 
 
 class TestCorruptCacheInGenerate:
@@ -1186,11 +1250,14 @@ class TestCacheStore:
             (store,) = stores
             sent[setting] = {cache_key(query, SHARED_URL) for query in transport.fetches
                              if _is_term_lookup(query, classes)}
-            assert store.documents and set(store.documents) == sent[setting]
+            table = store.lookups(SHARED_URL)
+            assert table and {key for key, _ in table.values()} == sent[setting]
+            assert all(key == cache_key(query, SHARED_URL) for query, (key, _) in table.items())
             stores.clear()
         cmd_train_cardinality(manifest, tmp_path / "global", tmp_path / "model.json", "dt", offline=True)
         (store,) = stores
-        assert store.documents and set(store.documents) <= sent["global"]
+        table = store.lookups(SHARED_URL)
+        assert table and {key for key, _ in table.values()} <= sent["global"]
 
     def test_relative_cache_dir(self, tmp_path, monkeypatch):
         endpoint, manifest = write_shared_property_benchmark(tmp_path / "kg", n_classes=3)

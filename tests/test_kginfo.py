@@ -13,6 +13,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from shexbench import kginfo
 from shexbench.kginfo import (
@@ -27,6 +29,8 @@ from shexbench.kginfo import (
     KgSubclassOracle,
     LocalFileError,
     MalformedResultsError,
+    WIKIDATA_SUBJECT_TYPE_CONSTRAINT,
+    WIKIDATA_VALUE_TYPE_CONSTRAINT,
     RecordField,
     _RetryableEndpointError,
     atomic_write_text,
@@ -534,7 +538,7 @@ class TestDocumentTable:
         queries, copies = [], []
         cached_query, predicate_frequencies = KgClient.cached_query, KgClient.predicate_frequencies
         monkeypatch.setattr(KgClient, "cached_query",
-                            lambda self, query, shared=False: queries.append(query) or cached_query(self, query, shared))
+                            lambda self, query: queries.append(query) or cached_query(self, query))
         monkeypatch.setattr(KgClient, "predicate_frequencies",
                             lambda self, class_iri: copies.append(class_iri) or predicate_frequencies(self, class_iri))
         for _ in range(2):
@@ -774,16 +778,18 @@ class TestGlobalRecord:
         RecordField.DATATYPES | RecordField.OBJECT_CLASSES: ("datatype_of_objects", "object_class_distribution"),
         RecordField.EXAMPLES: ("triple_examples",),
         RecordField.LABELS: ("class_label", "class_description", "predicate_label", "predicate_description"),
-        RecordField.CONSTRAINTS: ("subject_type_constraint", "value_type_constraint"),
+        RecordField.SUBJECT_TYPE_CONSTRAINT: ("subject_type_constraint",),
+        RecordField.VALUE_TYPE_CONSTRAINT: ("value_type_constraint",),
     }
 
     @pytest.mark.parametrize("fields, requests", [
         (RecordField(0), 2),
         (RecordField.FREQUENCY, 2),
         (RecordField.DATATYPES, 4),
-        (RecordField.LABELS | RecordField.CONSTRAINTS, 8),
+        (RecordField.VALUE_TYPE_CONSTRAINT, 3),
+        (RecordField.LABELS | RecordField.SUBJECT_TYPE_CONSTRAINT | RecordField.VALUE_TYPE_CONSTRAINT, 8),
         (ALL_FIELDS, 22),
-    ], ids=["none", "frequency", "datatypes", "labels-constraints", "all"])
+    ], ids=["none", "frequency", "datatypes", "value-type", "labels-constraints", "all"])
     def test_only_the_parts_asked_for_are_built(self, endpoint, client, tmp_path, fields, requests):
         """Frequency is always built; a part is built when ``fields`` has any
         of its bits, and then sets all of them; the others keep their
@@ -807,7 +813,9 @@ class TestGlobalRecord:
                                           RecordField.DATATYPES | RecordField.OBJECT_CLASSES),
         "SELECT ?subject ?object": (("triple_examples",), RecordField.EXAMPLES),
         "?description": (("class_description", "predicate_label", "predicate_description"), RecordField.LABELS),
-        "prop/P2302>": (("subject_type_constraint", "value_type_constraint"), RecordField.CONSTRAINTS),
+        # the Wikidata subject-type and value-type constraint items
+        "Q21503250>": (("subject_type_constraint",), RecordField.SUBJECT_TYPE_CONSTRAINT),
+        "Q21510865>": (("value_type_constraint",), RecordField.VALUE_TYPE_CONSTRAINT),
     }
 
     @pytest.mark.parametrize("template", sorted(DEGRADED_PARTS))
@@ -816,7 +824,7 @@ class TestGlobalRecord:
         (the class label, when the class description fails), loses its
         completeness bits and logs one warning; every other field is kept."""
         full = client.build_global_record(AWARD, CONFERRED)
-        assert full.completeness == RecordField(127)
+        assert full.completeness == ALL_FIELDS == RecordField(255)
         lost, bits = self.DEGRADED_PARTS[template]
 
         def failing(query):
@@ -875,3 +883,137 @@ class TestOracleAdapter:
         assert oracle.is_subclass_of(Iri(WD + "Q6256"), Iri(WD + "Q56061"))
         assert oracle.value_type_classes(COUNTRY_PRED) == frozenset({Iri(WD + "Q6256")})
         assert oracle.value_type_classes(Iri(WDT + "P9999")) == frozenset()
+
+
+class TestTermTable:
+    """A store's decoded term lookups, one table per endpoint URL: each read
+    and decoded once for all the store's clients; only answers are kept."""
+
+    SUBCLASS = (Iri(WD + "Q6256"), Iri(WD + "Q56061"))
+
+    @staticmethod
+    def _lookups(client) -> list:
+        return [client.label_of(AWARD), client.description_of(AWARD),
+                client.property_constraint_classes(COUNTRY_PRED, WIKIDATA_VALUE_TYPE_CONSTRAINT),
+                client.is_subclass_of(*TestTermTable.SUBCLASS)]
+
+    def test_one_store_keeps_endpoints_apart(self, endpoint, tmp_path):
+        def renamed(query):
+            doc = json.loads(json.dumps(endpoint(query)))
+            for row in doc.get("results", {}).get("bindings", []):
+                for binding in row.values():
+                    if binding["type"] == "literal":
+                        binding["value"] = "other " + binding["value"]
+            return doc
+
+        other_url = "https://other.example.org/sparql"
+        store = CacheStore()
+        here_cfg = award_endpoint_config(tmp_path / "cache")
+        there_cfg = replace(here_cfg, endpoint_url=other_url)
+        expected = self._lookups(KgClient(award_endpoint_config(tmp_path / "reference"), transport=endpoint))
+        for _ in range(2):
+            here = KgClient(here_cfg, transport=endpoint, store=store)
+            there = KgClient(there_cfg, transport=renamed, store=store)
+            assert self._lookups(here) == expected
+            assert self._lookups(there) == ["other film award", "other " + expected[1], *expected[2:]]
+            for cfg, client in ((here_cfg, here), (there_cfg, there)):
+                table = store.lookups(cfg.endpoint_url)
+                assert {key for key, _ in table.values()} == client.keys_touched
+                assert all(key == cache_key(query, cfg.endpoint_url) for query, (key, _) in table.items())
+
+    def test_hit_touches_the_key_and_reads_nothing(self, endpoint, tmp_path, monkeypatch):
+        store = CacheStore()
+        cfg = award_endpoint_config(tmp_path / "cache")
+        first = KgClient(cfg, transport=endpoint, store=store)
+        answers = self._lookups(first)
+        assert len(first.keys_touched) == 4
+        asked = []
+        monkeypatch.setattr(KgClient, "cached_query", lambda self, query: asked.append(query))
+        second = KgClient(cfg, transport=endpoint, store=store)
+        for _ in range(2):
+            assert self._lookups(second) == answers
+        assert asked == []
+        assert second.keys_touched == first.keys_touched
+
+    def test_offline_miss_raises_on_every_ask(self, endpoint, tmp_path):
+        store = CacheStore()
+        cfg = award_endpoint_config(tmp_path / "cache", offline=True)
+        clients = [KgClient(cfg, transport=endpoint, store=store) for _ in range(2)]
+        for _ in range(2):
+            for client in clients:
+                with pytest.raises(CacheMissError):
+                    client.label_of(AWARD)
+        assert store.lookups(cfg.endpoint_url) == {} and endpoint.request_count == 0
+        KgClient(award_endpoint_config(tmp_path / "cache"), transport=endpoint).label_of(AWARD)
+        assert [client.label_of(AWARD) for client in clients] == ["film award"] * 2
+
+    @pytest.mark.parametrize("mangle", [
+        pytest.param(lambda text: text[:40], id="truncated"),
+        pytest.param(lambda text: text.replace('"label":', '"name":'), id="unbound"),
+    ])
+    def test_bad_label_file_raises_on_every_ask(self, endpoint, client, tmp_path, mangle):
+        cfg = award_endpoint_config(tmp_path / "cache", offline=True)
+        assert client.label_of(AWARD) == "film award"
+        path = tmp_path / "cache" / f"{cache_key(label_query(AWARD), cfg.endpoint_url)}.json"
+        path.write_text(mangle(path.read_text()))
+        store = CacheStore()
+        clients = [KgClient(cfg, transport=endpoint, store=store) for _ in range(2)]
+        for _ in range(2):
+            for c in clients:
+                with pytest.raises(MalformedResultsError):
+                    c.label_of(AWARD)
+        assert store.lookups(cfg.endpoint_url) == {}
+
+
+#: Terms the award KG knows, and one it does not.
+_ORACLE_TERMS = (AWARD, COUNTRY_PRED, CONFERRED, Iri(WD + "P17"), Iri(WD + "Q6256"), Iri(WD + "Q56061"),
+                 Iri(WD + "Q1048835"), Iri(WD + "Q43229"), Iri(WD + "Q404"))
+_ORACLE_KINDS = ("label", "description", "subject-type", "value-type", "subclass")
+
+
+class TestTermTableOracle:
+    """Random term lookups by clients sharing one store, against clients that
+    each have a fresh store, over one cold cache directory each.  A term's
+    lookups fail on the endpoint while it is marked down, which both sides
+    must see on every ask."""
+
+    @staticmethod
+    def _ask(client, kind, term, other):
+        try:
+            if kind == "label":
+                return client.label_of(term)
+            if kind == "description":
+                return client.description_of(term)
+            if kind == "subclass":
+                return client.is_subclass_of(term, other)
+            constraint = WIKIDATA_SUBJECT_TYPE_CONSTRAINT if kind == "subject-type" else WIKIDATA_VALUE_TYPE_CONSTRAINT
+            return client.property_constraint_classes(term, constraint)
+        except EndpointError as exc:
+            return type(exc), str(exc)
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from(_ORACLE_KINDS), st.sampled_from(_ORACLE_TERMS),
+                              st.sampled_from(_ORACLE_TERMS), st.booleans()), max_size=25))
+    def test_random_lookups_equal_a_fresh_store_per_client(self, asks):
+        import tempfile
+
+        endpoint = build_award_endpoint()
+        sides = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, store in (("shared", CacheStore()), ("fresh", None)):
+                fetches, down = Counter(), set()
+
+                def transport(query, fetches=fetches, down=down):
+                    fetches[query] += 1
+                    if any(f"<{term}>" in query for term in down):
+                        raise EndpointError("term down")
+                    return endpoint(query)
+
+                cfg = award_endpoint_config(Path(tmp) / name)
+                clients = [KgClient(cfg, transport=transport, store=store) for _ in range(3)]
+                answers = []
+                for index, kind, term, other, is_down in asks:
+                    (down.add if is_down else down.discard)(term)
+                    answers.append(self._ask(clients[index], kind, term, other))
+                sides.append((answers, [client.keys_touched for client in clients], fetches))
+        assert sides[0] == sides[1]
