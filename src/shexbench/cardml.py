@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import warnings
 from dataclasses import dataclass, fields
@@ -21,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyDatasetError
+from .jsonout import indented_json
 from .kginfo import GlobalPredicateRecord, RecordField, atomic_write_text, decode_json
 from .model import Cardinality, DatatypeCategory, DEFAULT_DATATYPE_CATEGORIES, Iri
 
@@ -528,7 +528,7 @@ class CardinalityModel:
             "min_model": self.min_model.to_dict(),
             "max_model": self.max_model.to_dict(),
         }
-        return json.dumps(doc, sort_keys=True, indent=2)
+        return indented_json(doc, sort_keys=True)
 
     def save(self, path: Path | str) -> None:
         atomic_write_text(path, self.to_json())

@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 configuration, 3 network or local file error,
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import random
@@ -62,16 +61,17 @@ from .kginfo import (
     atomic_write_text as _atomic_write,
     decode_json,
 )
+from .jsonout import indented_json
 from .matching import (  # noqa: F401 - evaluate_pair stays bound for bench/tracer.py to patch
     ALL_CRITERIA,
     EvalReport,
     MatchCriteria,
     StaticSubclassOracle,
-    evaluate_criteria,
+    evaluate_canonical,
     evaluate_pair,
     macro_average,
 )
-from .model import Iri, Schema, canonicalize
+from .model import Iri, Schema, canonicalize, typing_classes_agree
 from .prompts import (
     EmptyPredicateSetError,
     EmptySampleError,
@@ -81,7 +81,7 @@ from .prompts import (
     load_fewshot,
 )
 from .shexc import ShexcParseError, parse_shexc, serialize_shexc
-from .treedist import ged_and_nged
+from .treedist import canonical_ged_and_nged
 
 log = logging.getLogger(__name__)
 
@@ -536,7 +536,9 @@ def cmd_evaluate(
         gen = parse_shexc(_read_generated(generated / f"{entry.slug}.shex"), focus_class=entry.class_uri)
         oracle = oracle_for(entry)
         started = time.perf_counter()
-        reports = evaluate_criteria(gen, gt, criteria_list, oracle, typing_predicates=(entry.typing_predicate,))
+        typing = (entry.typing_predicate,)
+        gen_canon, gt_canon = canonicalize(gen, typing), canonicalize(gt, typing)
+        reports = evaluate_canonical(gen_canon, gt_canon, criteria_list, oracle, typing_predicates=typing)
         for criterion, report in reports.items():
             record.reports[criterion.key()] = {
                 "precision": report.precision,
@@ -546,7 +548,8 @@ def cmd_evaluate(
             }
             if record.error_breakdown is None:
                 record.error_breakdown = report.error_breakdown.as_dict()
-        record.ged, record.nged = ged_and_nged(gen, gt)
+        record.ged, record.nged = canonical_ged_and_nged(
+            _default_canonical(gen, gen_canon, typing), _default_canonical(gt, gt_canon, typing))
         record.n_gt_constraints = len(gt.start_shape.constraints)
         record.n_gen_constraints = len(gen.start_shape.constraints)
         record.timings["evaluate"] = round(time.perf_counter() - started, 4)
@@ -561,6 +564,14 @@ def cmd_evaluate(
     if out:
         _atomic_write(Path(out), rendered)
     return _exit_code(r.status for r in records), doc
+
+
+def _default_canonical(schema: Schema, canon: Schema, typing: tuple[Iri, ...]) -> Schema:
+    """``canonicalize(schema)``: ``canon``, its canonical form under
+    ``typing``, when the default typing predicates give the same form."""
+    if typing_classes_agree(schema, typing) and typing_classes_agree(canon, typing):
+        return canon
+    return canonicalize(schema)
 
 
 def _read_generated(path: Path) -> str:
@@ -616,7 +627,7 @@ def _evaluation_document(manifest, records, criteria_list, setting, model_id) ->
 
 def _render_evaluation(doc: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return indented_json(doc, sort_keys=True) + "\n"
     if fmt == "csv":
         lines = ["class_uri,criteria,precision,recall,f1,ged,nged,status"]
         for record in doc["records"]:
@@ -874,7 +885,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 offline=args.offline, samples=args.samples,
                 max_candidates=args.max_candidates, jobs=args.jobs,
             )
-            _emit(json.dumps(report, indent=2) + "\n", args.out)
+            _emit(indented_json(report) + "\n", args.out)
             return code
         if args.command == "generate":
             code, report = cmd_generate(
@@ -885,7 +896,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 max_candidates=args.max_candidates, max_repairs=args.max_repairs,
                 fewshot_dir=args.fewshot_dir, jobs=args.jobs,
             )
-            _emit(json.dumps(report, indent=2) + "\n", args.out)
+            _emit(indented_json(report) + "\n", args.out)
             return code
         if args.command == "evaluate":
             code, doc = cmd_evaluate(
@@ -907,7 +918,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 sample_n=args.sample, seed=args.seed, offline=args.offline,
                 dump_features=args.dump_features,
             )
-            _emit(json.dumps(report, indent=2) + "\n", None)
+            _emit(indented_json(report) + "\n", None)
             return code
         raise ManifestError(f"unknown command {args.command!r}")
     except ManifestError as exc:

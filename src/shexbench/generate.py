@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Literal as TypingLiteral
 from typing import Protocol, Sequence
 
+from .jsonout import indented_json
 from .kginfo import (
     CacheMissError,
     EndpointConfig,
@@ -182,14 +183,14 @@ class TranscriptRecorder:
         payload = {"messages": list(messages), "reply": reply}
         if self.directory is not None:
             path = Path(self.directory) / f"{prompt_hash(messages)}.json"
-            atomic_write_text(path, json.dumps(payload, indent=2, ensure_ascii=False))
+            atomic_write_text(path, indented_json(payload, ensure_ascii=False))
         self.exchanges.append(payload)
         return reply
 
     def write_sidecar(self, path: Path, class_uri: str) -> None:
         """Write every exchange so far to ``path``, attributed to ``class_uri``."""
-        atomic_write_text(path, json.dumps(
-            {"class_uri": class_uri, "exchanges": self.exchanges}, indent=2, ensure_ascii=False
+        atomic_write_text(path, indented_json(
+            {"class_uri": class_uri, "exchanges": self.exchanges}, ensure_ascii=False
         ) + "\n")
 
 

@@ -233,35 +233,41 @@ def _same_predicate_matches(
     gen_classes_of: _Classes,
 ) -> bool:
     """constraint_matches of two constraints on one predicate."""
-    node_mode = criteria.node_mode
-    if node_mode is NodeMode.SUBCLASS:
+    if not _node_matches(criteria.node_mode, gt, gen, oracle, gt_classes_of, gen_classes_of):
+        return False
+    if criteria.cardinality_mode is CardinalityMode.LOOSENED:
+        return cardinality_loosened(gt.cardinality, gen.cardinality)
+    return gt.cardinality == gen.cardinality
+
+
+def _node_matches(
+    mode: NodeMode,
+    gt: TripleConstraint,
+    gen: TripleConstraint,
+    oracle: SubclassOracle | None,
+    gt_classes_of: _Classes,
+    gen_classes_of: _Classes,
+) -> bool:
+    """Whether the node constraints of two constraints on one predicate agree under ``mode``."""
+    if mode is NodeMode.SUBCLASS:
         if oracle is None:
             raise OracleUnavailableError("subclass matching requires a subclass oracle")
         gt_classes = gt_classes_of(gt.node_constraint)
         gen_classes = gen_classes_of(gen.node_constraint)
         if gt_classes and gen_classes:
-            node_ok = any(
+            return any(
                 oracle.is_subclass_of(c, c_prime) for c in gt_classes for c_prime in gen_classes
             ) or any(
                 oracle.is_subclass_of(c, c_prime)
                 for c in oracle.value_type_classes(gt.predicate)
                 for c_prime in gen_classes
             )
-        else:
-            node_ok = _nodes_exact(gt.node_constraint, gen.node_constraint, gt_classes_of, gen_classes_of)
-    elif node_mode is NodeMode.DATATYPE:
+    elif mode is NodeMode.DATATYPE:
         try:
-            node_ok = datatype_category(gt.node_constraint) == datatype_category(gen.node_constraint)
+            return datatype_category(gt.node_constraint) == datatype_category(gen.node_constraint)
         except UnmappedDatatypeError:
-            node_ok = _nodes_exact(gt.node_constraint, gen.node_constraint, gt_classes_of, gen_classes_of)
-    else:
-        node_ok = _nodes_exact(gt.node_constraint, gen.node_constraint, gt_classes_of, gen_classes_of)
-    if not node_ok:
-        return False
-
-    if criteria.cardinality_mode is CardinalityMode.LOOSENED:
-        return cardinality_loosened(gt.cardinality, gen.cardinality)
-    return gt.cardinality == gen.cardinality
+            pass
+    return _nodes_exact(gt.node_constraint, gen.node_constraint, gt_classes_of, gen_classes_of)
 
 
 def evaluate_criteria(
@@ -283,27 +289,72 @@ def evaluate_criteria(
     rather than undefined.  The error breakdown does not depend on the
     criterion, so every report carries the same one.
     """
-    gen_canon = canonicalize(gen, typing_predicates)
-    gt_canon = canonicalize(gt, typing_predicates)
+    return evaluate_canonical(
+        canonicalize(gen, typing_predicates), canonicalize(gt, typing_predicates), criteria, oracle,
+        typing_predicates=typing_predicates,
+    )
+
+
+def evaluate_canonical(
+    gen_canon: Schema,
+    gt_canon: Schema,
+    criteria: Iterable[MatchCriteria] = ALL_CRITERIA,
+    oracle: SubclassOracle | None = None,
+    *,
+    typing_predicates: tuple[Iri, ...] = DEFAULT_TYPING_PREDICATES,
+) -> dict[MatchCriteria, EvalReport]:
+    """:func:`evaluate_criteria` of two schemas already canonical under
+    ``typing_predicates``.
+
+    Each paired constraint gets one node verdict per node mode and one
+    cardinality verdict per cardinality mode the criteria use; each
+    criterion's verdict is the conjunction of its two.  The exact verdicts
+    also give the error breakdown.
+    """
+    criteria = tuple(criteria)
+    node_modes = tuple(dict.fromkeys(c.node_mode for c in criteria if c.node_mode is not NodeMode.EXACT))
+    card_loosened = any(c.cardinality_mode is CardinalityMode.LOOSENED for c in criteria)
     gen_count = len(gen_canon.start_shape.constraints)
     pairs = _paired_constraints(gen_canon, gt_canon)
     gen_classes_of = _class_resolver(gen_canon, typing_predicates)
     gt_classes_of = _class_resolver(gt_canon, typing_predicates)
-    breakdown = _breakdown(pairs, gt_classes_of, gen_classes_of)
-    reports = {}
-    for criterion in criteria:
-        matched = sum(
-            candidate is not None
-            and _same_predicate_matches(gt_constraint, candidate, criterion, oracle, gt_classes_of, gen_classes_of)
-            for gt_constraint, candidate in pairs
+    matched = dict.fromkeys(criteria, 0)
+    correct = missing = wrong_card = wrong_node = both = 0
+    for gt_constraint, candidate in pairs:
+        if candidate is None:
+            missing += 1
+            continue
+        node_exact = _nodes_exact(
+            gt_constraint.node_constraint, candidate.node_constraint, gt_classes_of, gen_classes_of
         )
-        precision = matched / gen_count if gen_count else 0.0
-        recall = matched / len(pairs) if pairs else 0.0
+        card_exact = gt_constraint.cardinality == candidate.cardinality
+        if node_exact and card_exact:
+            correct += 1
+        elif node_exact:
+            wrong_card += 1
+        elif card_exact:
+            wrong_node += 1
+        else:
+            both += 1
+        node_ok = {NodeMode.EXACT: node_exact}
+        for mode in node_modes:
+            node_ok[mode] = _node_matches(mode, gt_constraint, candidate, oracle, gt_classes_of, gen_classes_of)
+        card_ok = {CardinalityMode.EXACT: card_exact}
+        if card_loosened:
+            card_ok[CardinalityMode.LOOSENED] = cardinality_loosened(gt_constraint.cardinality, candidate.cardinality)
+        for criterion in matched:
+            if node_ok[criterion.node_mode] and card_ok[criterion.cardinality_mode]:
+                matched[criterion] += 1
+    breakdown = ErrorBreakdown(correct, missing, wrong_card, wrong_node, both)
+    reports = {}
+    for criterion, count in matched.items():
+        precision = count / gen_count if gen_count else 0.0
+        recall = count / len(pairs) if pairs else 0.0
         reports[criterion] = EvalReport(
             precision=precision,
             recall=recall,
             f1=f1_score(precision, recall),
-            matched_count=matched,
+            matched_count=count,
             error_breakdown=breakdown,
         )
     return reports
@@ -340,27 +391,6 @@ def _paired_constraints(gen_canon: Schema, gt_canon: Schema) -> list[tuple[Tripl
     """Each ground-truth start constraint with the generated one of its predicate, if any."""
     gen_by_predicate = {c.predicate: c for c in gen_canon.start_shape.constraints}
     return [(c, gen_by_predicate.get(c.predicate)) for c in gt_canon.start_shape.constraints]
-
-
-def _breakdown(pairs, gt_classes_of: _Classes, gen_classes_of: _Classes) -> ErrorBreakdown:
-    correct = missing = wrong_card = wrong_node = both = 0
-    for gt_constraint, candidate in pairs:
-        if candidate is None:
-            missing += 1
-            continue
-        node_ok = _nodes_exact(
-            gt_constraint.node_constraint, candidate.node_constraint, gt_classes_of, gen_classes_of
-        )
-        card_ok = gt_constraint.cardinality == candidate.cardinality
-        if node_ok and card_ok:
-            correct += 1
-        elif node_ok:
-            wrong_card += 1
-        elif card_ok:
-            wrong_node += 1
-        else:
-            both += 1
-    return ErrorBreakdown(correct, missing, wrong_card, wrong_node, both)
 
 
 def macro_average(reports: list[EvalReport]) -> tuple[float, float, float]:

@@ -151,11 +151,17 @@ class Literal:
 ValueSetValue = Union[Iri, Literal]
 
 
+#: Characters a ShExC string literal cannot hold raw, and their escapes.  A
+#: raw line feed ends the STRING token, and a raw carriage return becomes a
+#: line feed when the file is read with universal newlines.
+_LITERAL_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"})
+
+
 def render_value(value: ValueSetValue, prefixes: Mapping[str, str] | None = None) -> str:
     """Render a value-set member as ShExC (expanded IRIs when no prefixes given)."""
     if isinstance(value, Iri):
         return compact_iri(value, prefixes) if prefixes is not None else f"<{value.value}>"
-    escaped = value.lexical.replace("\\", "\\\\").replace('"', '\\"')
+    escaped = value.lexical.translate(_LITERAL_ESCAPES)
     text = f'"{escaped}"'
     if value.language is not None:
         return f"{text}@{value.language}"
@@ -402,6 +408,27 @@ def _shape_typing_classes(shape: Shape, typing_predicates: tuple[Iri, ...]) -> f
         if constraint.predicate in typing_predicates and isinstance(constraint.node_constraint, ValueSet):
             return frozenset(constraint.node_constraint.iris())
     return frozenset()
+
+
+def typing_classes_agree(
+    schema: Schema,
+    typing_predicates: Iterable[Iri],
+    other: Iterable[Iri] = DEFAULT_TYPING_PREDICATES,
+) -> bool:
+    """Whether every shape of ``schema`` has the same typing classes under
+    both typing-predicate tuples.
+
+    :func:`canonicalize` reads its typing tuple only through these classes:
+    those of the shapes it relabels, and those of its result's start shape
+    when it infers the focus class.  So when they agree for a schema and for
+    its canonical form under one tuple, that form is its canonical form under
+    the other tuple too.
+    """
+    typing, other = tuple(typing_predicates), tuple(other)
+    return all(
+        _shape_typing_classes(shape, typing) == _shape_typing_classes(shape, other)
+        for shape in schema.shapes.values()
+    )
 
 
 def infer_focus_class(schema: Schema, typing_predicates: Iterable[Iri] = DEFAULT_TYPING_PREDICATES) -> Iri | None:

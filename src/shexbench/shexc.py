@@ -6,17 +6,27 @@ constraints ``predicate nodeConstraint cardinality?`` separated by ';',
 node constraints ``IRI`` / datatype IRI / ``[ v1 v2 ]`` / ``@<Label>``,
 cardinalities ``? * + {m} {m,n} {m,}``, and ``#`` comments.  Everything else
 is reported as a diagnostic; the parser never crashes on any input.
+
+The reader makes one regular-expression pass over the text, which skips
+blanks, line breaks and comments before each token and gives plain
+``(kind, value, offset)`` tuples.  The parser indexes that list directly,
+builds one :class:`Iri` per IRI text, and turns offsets into line and column
+only when it reports diagnostics.  The writer escapes backslash, double
+quote, line feed and carriage return in literals, as the reader unescapes
+them, so every lexical form survives a file.
 """
 
 from __future__ import annotations
 
-import json
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
+from .jsonout import indented_json
 from .model import (
+    DEFAULT_TYPING_PREDICATES,
+    EXACTLY_ONE,
     RDF_TYPE,
     XSD_NS,
     Cardinality,
@@ -30,9 +40,9 @@ from .model import (
     ShapeRef,
     TripleConstraint,
     ValueSet,
+    _shape_typing_classes,
     canonicalize,
     compact_iri,
-    infer_focus_class,
     render_value,
 )
 
@@ -71,8 +81,6 @@ _UNSUPPORTED_KEYWORDS = {
 }
 
 _TOKEN_SPEC = [
-    ("NL", r"\n"),
-    ("COMMENT", r"#[^\n]*"),
     ("IRIREF", r"<[^<>\"{}|^`\\\s]*>"),
     ("DTCARET", r"\^\^"),
     ("STRING", r'"(?:[^"\\\n]|\\.)*"'),
@@ -82,96 +90,126 @@ _TOKEN_SPEC = [
     ("AT", r"@"),
     ("IDENT", r"[A-Za-z_][A-Za-z0-9_\-]*"),
     ("PUNCT", r"[{}\[\];=,?*+()./|~!$&%-]"),
-    # any other character but blanks, reported as unexpected; no token above
-    # starts with a blank, so the leading blanks match the same way either way
-    ("ERR", r"[^ \t\r\f]"),
+    # any other character but blanks and '#', reported as unexpected
+    ("ERR", r"[^ \t\r\f\n#]"),
+    # the end of the text, after the last blanks and comments
+    ("END", r"\Z"),
 ]
-#: One token, or one unexpected character, after the blanks before it.
-_MASTER_RE = re.compile("[ \t\r\f]*(?:" + "|".join(f"(?P<{name}>{pattern})" for name, pattern in _TOKEN_SPEC) + ")")
+#: Blanks, line breaks and whole comments before a token.  A comment runs to
+#: the line break or the end of the text, so a failed match cannot backtrack
+#: into one and read its tail as a token; no token starts with a blank or '#'.
+_SKIP = r"[ \t\r\f\n]*(?:#[^\n]*(?![^\n])[ \t\r\f\n]*)*"
+#: What is skipped, then one token, one unexpected character or the end.
+_MASTER_RE = re.compile(_SKIP + "(?:" + "|".join(f"(?P<{name}>{pattern})" for name, pattern in _TOKEN_SPEC) + ")")
+#: Token kind by group number: no token pattern has a group of its own.
+_KINDS = (None, *(name for name, _ in _TOKEN_SPEC))
+_ERR_GROUP, _END_GROUP = _KINDS.index("ERR"), _KINDS.index("END")
+
+#: A token: kind, text and the offset of its first character.
+_Token = tuple[str, str, int]
 
 
-class _Token(NamedTuple):
-    kind: str
-    value: str
-    line: int
-    col: int
-
-
-_EOF = _Token("EOF", "", 0, 0)
-
-
-def _tokenize(text: str) -> tuple[list[_Token], list[ParseDiagnostic]]:
+def _tokenize(text: str) -> tuple[list[_Token], list[tuple[int, str, DiagnosticKind]]]:
+    """The tokens of ``text``, then two EOF tokens at its end (so that one
+    token of lookahead never runs off the list), and an ``(offset, message,
+    kind)`` diagnostic per unexpected character."""
     tokens: list[_Token] = []
-    diagnostics: list[ParseDiagnostic] = []
-    line, line_start = 1, 0
-    # every match starts where the previous one ended; only trailing blanks match nothing
+    errors: list[tuple[int, str, DiagnosticKind]] = []
+    kinds = _KINDS
+    # every match starts where the previous one ended, until the one at the end
     for match in _MASTER_RE.finditer(text):
-        kind = match.lastgroup
-        if kind == "NL":
-            line += 1
-            line_start = match.end()
-        elif kind == "ERR":
-            col = match.start(kind) - line_start + 1
-            diagnostics.append(ParseDiagnostic(line, col, f"unexpected character {match[kind]!r}"))
-        elif kind != "COMMENT":
-            tokens.append(_Token(kind, match[kind], line, match.start(kind) - line_start + 1))
-    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
-    return tokens, diagnostics
+        group = match.lastindex
+        if group < _ERR_GROUP:
+            tokens.append((kinds[group], match[group], match.start(group)))
+        elif group == _END_GROUP:
+            break
+        else:
+            errors.append((match.start(group), f"unexpected character {match[group]!r}", DiagnosticKind.SYNTAX))
+    end = ("EOF", "", len(text))
+    tokens += (end, end)
+    return tokens, errors
+
+
+def _line_starts(text: str) -> list[int]:
+    """Offset of the first character of each line of ``text``."""
+    return [0, *(match.end() for match in re.finditer("\n", text))]
+
+
+def _line_col(line_starts: list[int], offset: int) -> tuple[int, int]:
+    """1-based line and column of ``offset`` given :func:`_line_starts`."""
+    line = bisect_right(line_starts, offset)
+    return line, offset - line_starts[line - 1] + 1
 
 
 _XSD_INTEGER = Iri(XSD_NS + "integer")
 _XSD_DECIMAL = Iri(XSD_NS + "decimal")
 _XSD_BOOLEAN = Iri(XSD_NS + "boolean")
+_CARDINALITY_TOKENS = {"?": Cardinality(0, 1), "*": Cardinality(0, None), "+": Cardinality(1, None)}
+_ESCAPE_RE = re.compile(r"\\(.)")
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r"}
+
+
+def _unescape(match: re.Match) -> str:
+    return _ESCAPES.get(match[1], match[1])
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens, self.diagnostics = _tokenize(text)
         self.pos = 0
         self.prefixes: dict[str, str] = {}
+        self.iris: dict[str, Iri] = {}
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> _Token:
-        index = self.pos + ahead
-        return self.tokens[index] if index < len(self.tokens) else _EOF
-
     def advance(self) -> _Token:
-        token = self.peek()
-        if token.kind != "EOF":
+        token = self.tokens[self.pos]
+        if token[0] != "EOF":
             self.pos += 1
         return token
 
     def error(self, token: _Token, message: str, kind: DiagnosticKind = DiagnosticKind.SYNTAX) -> None:
-        self.diagnostics.append(ParseDiagnostic(token.line, token.col, message, kind))
+        self.diagnostics.append((token[2], message, kind))
 
     def skip_until(self, *stop_values: str) -> None:
-        while self.peek().kind != "EOF" and self.peek().value not in stop_values:
-            self.advance()
+        tokens = self.tokens
+        while tokens[self.pos][0] != "EOF" and tokens[self.pos][1] not in stop_values:
+            self.pos += 1
+
+    def positioned(self) -> list[ParseDiagnostic]:
+        """The diagnostics so far, with line and column from one newline index."""
+        starts = _line_starts(self.text)
+        return [ParseDiagnostic(*_line_col(starts, offset), message, kind)
+                for offset, message, kind in self.diagnostics]
 
     # -- grammar -----------------------------------------------------------
 
-    def parse(self) -> Schema:
+    def parse(self, focus_class: Iri | None = None) -> Schema:
+        tokens = self.tokens
         start_ref: str | None = None
         shape_order: list[str] = []
         shapes: dict[str, Shape] = {}
         ref_sites: list[tuple[str, _Token]] = []
 
-        while self.peek().kind != "EOF":
-            token = self.peek()
-            word = token.value.lower() if token.kind == "IDENT" else ""
+        while True:
+            token = tokens[self.pos]
+            kind = token[0]
+            if kind == "EOF":
+                break
+            word = token[1].lower() if kind == "IDENT" else ""
             if word == "prefix":
-                self.advance()
+                self.pos += 1
                 self._parse_prefix_decl(token)
             elif word == "start":
-                self.advance()
-                start_ref = self._parse_start_directive(token)
+                self.pos += 1
+                start_ref = self._parse_start_directive()
             elif word in _UNSUPPORTED_KEYWORDS:
-                self.advance()
-                self.error(token, f"'{token.value}' is outside the supported ShEx subset",
+                self.pos += 1
+                self.error(token, f"'{token[1]}' is outside the supported ShEx subset",
                            DiagnosticKind.UNSUPPORTED_FEATURE)
                 self.skip_until("{", "<")
-            elif token.kind == "IRIREF":
+            elif kind == "IRIREF":
                 parsed = self._parse_shape_decl(ref_sites)
                 if parsed is not None:
                     label, shape = parsed
@@ -181,116 +219,119 @@ class _Parser:
                         shapes[label] = shape
                         shape_order.append(label)
             else:
-                self.error(token, f"expected a directive or shape declaration, found {token.value!r}")
-                self.advance()
+                self.error(token, f"expected a directive or shape declaration, found {token[1]!r}")
+                self.pos += 1
 
         if not shapes:
-            self.error(self.peek(), "no shape declarations found")
+            self.error(tokens[self.pos], "no shape declarations found")
         if start_ref is not None and start_ref not in shapes and shapes:
-            self.error(self.tokens[0], f"start shape <{start_ref}> is not declared",
-                       DiagnosticKind.DANGLING_REF)
+            self.error(tokens[0], f"start shape <{start_ref}> is not declared", DiagnosticKind.DANGLING_REF)
             start_ref = None
         for label, site in ref_sites:
             if label not in shapes:
                 self.error(site, f"shape reference @<{label}> is undefined", DiagnosticKind.DANGLING_REF)
 
         if self.diagnostics:
-            raise ShexcParseError(self.diagnostics)
+            raise ShexcParseError(self.positioned())
 
         start = start_ref or shape_order[0]
-        schema = Schema(prefixes=dict(self.prefixes), start_label=start, shapes=shapes)
-        focus = infer_focus_class(schema)
-        if focus is not None:
-            schema = Schema(prefixes=dict(self.prefixes), start_label=start, shapes=shapes, focus_class=focus)
-        return schema
+        if focus_class is None:
+            classes = _shape_typing_classes(shapes[start], DEFAULT_TYPING_PREDICATES)
+            focus_class = min(classes) if classes else None
+        return Schema(prefixes=dict(self.prefixes), start_label=start, shapes=shapes, focus_class=focus_class)
 
     def _parse_prefix_decl(self, at: _Token) -> None:
-        name = self.peek()
-        if name.kind != "PNAME" or not name.value.endswith(":"):
-            self.error(name if name.kind != "EOF" else at, "expected 'prefix:' after PREFIX")
+        name = self.tokens[self.pos]
+        named = name[0] == "PNAME" and name[1].endswith(":")
+        if not named:
+            self.error(name if name[0] != "EOF" else at, "expected 'prefix:' after PREFIX")
             self.skip_until("<")
         else:
-            self.advance()
-        iri = self.peek()
-        if iri.kind != "IRIREF":
-            self.error(iri if iri.kind != "EOF" else at, "expected <iri> in PREFIX declaration")
+            self.pos += 1
+        iri = self.tokens[self.pos]
+        if iri[0] != "IRIREF":
+            self.error(iri if iri[0] != "EOF" else at, "expected <iri> in PREFIX declaration")
             return
-        self.advance()
-        if name.kind == "PNAME" and name.value.endswith(":"):
-            self.prefixes[name.value[:-1]] = iri.value[1:-1]
+        self.pos += 1
+        if named:
+            self.prefixes[name[1][:-1]] = iri[1][1:-1]
 
-    def _parse_start_directive(self, at: _Token) -> str | None:
-        if self.peek().value != "=":
-            self.error(self.peek(), "expected '=' after start")
+    def _parse_start_directive(self) -> str | None:
+        tokens = self.tokens
+        if tokens[self.pos][1] != "=":
+            self.error(tokens[self.pos], "expected '=' after start")
             return None
-        self.advance()
-        if self.peek().kind != "AT" or self.peek(1).kind != "IRIREF":
-            self.error(self.peek(), "expected @<Label> after start =")
+        self.pos += 1
+        if tokens[self.pos][0] != "AT" or tokens[self.pos + 1][0] != "IRIREF":
+            self.error(tokens[self.pos], "expected @<Label> after start =")
             return None
-        self.advance()
-        label = self.advance().value[1:-1]
-        return label
+        self.pos += 2
+        return tokens[self.pos - 1][1][1:-1]
 
     def _parse_shape_decl(self, ref_sites: list[tuple[str, _Token]]) -> tuple[str, Shape] | None:
-        decl = self.advance()
-        label = decl.value[1:-1]
+        tokens = self.tokens
+        decl = tokens[self.pos]
+        self.pos += 1
+        label = decl[1][1:-1]
         if not label:
             self.error(decl, "empty shape label")
             label = "_"
 
         extra: list[Iri] = []
         while True:
-            token = self.peek()
-            if token.kind == "IDENT" and token.value.lower() == "extra":
-                self.advance()
-                while self.peek().kind in ("PNAME", "IRIREF") or (
-                    self.peek().kind == "IDENT" and self.peek().value == "a"
-                ):
-                    predicate = self._parse_iri(self.advance())
+            token = tokens[self.pos]
+            word = token[1].lower() if token[0] == "IDENT" else ""
+            if word == "extra":
+                self.pos += 1
+                while True:
+                    token = tokens[self.pos]
+                    if not (token[0] in ("PNAME", "IRIREF") or (token[0] == "IDENT" and token[1] == "a")):
+                        break
+                    self.pos += 1
+                    predicate = self._parse_iri(token)
                     if predicate is not None:
                         extra.append(predicate)
-            elif token.kind == "IDENT" and token.value.lower() in _UNSUPPORTED_KEYWORDS:
-                self.advance()
-                self.error(token, f"'{token.value}' is outside the supported ShEx subset",
+            elif word in _UNSUPPORTED_KEYWORDS:
+                self.pos += 1
+                self.error(token, f"'{token[1]}' is outside the supported ShEx subset",
                            DiagnosticKind.UNSUPPORTED_FEATURE)
             else:
                 break
 
-        if self.peek().value != "{":
-            self.error(self.peek(), "expected '{' to open the shape body")
+        if tokens[self.pos][1] != "{":
+            self.error(tokens[self.pos], "expected '{' to open the shape body")
             self.skip_until("{", "<")
-            if self.peek().value != "{":
+            if tokens[self.pos][1] != "{":
                 return None
-        self.advance()
+        self.pos += 1
 
         constraints: list[TripleConstraint] = []
-        seen_predicates: set[Iri] = set()
+        seen_predicates: set[str] = set()
         while True:
-            token = self.peek()
-            if token.value == "}":
-                self.advance()
+            token = tokens[self.pos]
+            if token[1] == "}":
+                self.pos += 1
                 break
-            if token.kind == "EOF":
+            if token[0] == "EOF":
                 self.error(token, f"unexpected end of input inside shape <{label}>")
                 break
-            parsed = self._parse_triple_constraint(ref_sites)
-            if parsed is None:
+            constraint = self._parse_triple_constraint(ref_sites)
+            if constraint is None:
                 self.skip_until(";", "}")
+            elif constraint.predicate.value in seen_predicates:
+                self.error(token, f"duplicate predicate {constraint.predicate} in shape <{label}>",
+                           DiagnosticKind.DUPLICATE_PREDICATE)
             else:
-                constraint, site = parsed
-                if constraint.predicate in seen_predicates:
-                    self.error(site, f"duplicate predicate {constraint.predicate} in shape <{label}>",
-                               DiagnosticKind.DUPLICATE_PREDICATE)
-                else:
-                    seen_predicates.add(constraint.predicate)
-                    constraints.append(constraint)
-            if self.peek().value == ";":
-                self.advance()
-            elif self.peek().value != "}" and self.peek().kind != "EOF":
-                self.error(self.peek(), f"expected ';' or '}}' after constraint, found {self.peek().value!r}")
+                seen_predicates.add(constraint.predicate.value)
+                constraints.append(constraint)
+            token = tokens[self.pos]
+            if token[1] == ";":
+                self.pos += 1
+            elif token[1] != "}" and token[0] != "EOF":
+                self.error(token, f"expected ';' or '}}' after constraint, found {token[1]!r}")
                 self.skip_until(";", "}")
-                if self.peek().value == ";":
-                    self.advance()
+                if tokens[self.pos][1] == ";":
+                    self.pos += 1
 
         if not constraints:
             self.error(decl, f"shape <{label}> declares no constraints")
@@ -302,69 +343,75 @@ class _Parser:
             return None
 
     def _parse_iri(self, token: _Token) -> Iri | None:
-        if token.kind == "IDENT" and token.value == "a":
-            return RDF_TYPE
-        if token.kind == "IRIREF":
-            text = token.value[1:-1]
-        elif token.kind == "PNAME":
-            prefix, local = token.value.split(":", 1)
-            if prefix not in self.prefixes:
+        kind, value = token[0], token[1]
+        if kind == "IRIREF":
+            text = value[1:-1]
+        elif kind == "PNAME":
+            prefix, _, local = value.partition(":")
+            namespace = self.prefixes.get(prefix)
+            if namespace is None:
                 self.error(token, f"undeclared prefix {prefix!r}")
                 return None
-            text = self.prefixes[prefix] + local
+            text = namespace + local
+        elif kind == "IDENT" and value == "a":
+            return RDF_TYPE
         else:
-            self.error(token, f"expected an IRI, found {token.value!r}")
+            self.error(token, f"expected an IRI, found {value!r}")
             return None
-        try:
-            return Iri(text)
-        except ValueError as exc:
-            self.error(token, str(exc))
-            return None
+        iri = self.iris.get(text)
+        if iri is None:
+            try:
+                iri = self.iris[text] = Iri(text)
+            except ValueError as exc:
+                self.error(token, str(exc))
+                return None
+        return iri
 
-    def _parse_triple_constraint(
-        self, ref_sites: list[tuple[str, _Token]]
-    ) -> tuple[TripleConstraint, _Token] | None:
-        site = self.peek()
-        if site.kind not in ("PNAME", "IRIREF") and not (site.kind == "IDENT" and site.value == "a"):
-            self.error(site, f"expected a predicate, found {site.value!r}")
+    def _parse_triple_constraint(self, ref_sites: list[tuple[str, _Token]]) -> TripleConstraint | None:
+        site = self.tokens[self.pos]
+        if site[0] not in ("PNAME", "IRIREF") and not (site[0] == "IDENT" and site[1] == "a"):
+            self.error(site, f"expected a predicate, found {site[1]!r}")
             return None
-        predicate = self._parse_iri(self.advance())
+        self.pos += 1
+        predicate = self._parse_iri(site)
         if predicate is None:
             return None
         node = self._parse_node_constraint(ref_sites)
         if node is None:
             return None
         cardinality = self._parse_cardinality()
-        trailing = self.peek()
-        if trailing.kind == "IDENT" and trailing.value.lower() in _UNSUPPORTED_KEYWORDS:
-            self.error(trailing, f"'{trailing.value}' is outside the supported ShEx subset",
+        trailing = self.tokens[self.pos]
+        if trailing[0] == "IDENT" and trailing[1].lower() in _UNSUPPORTED_KEYWORDS:
+            self.error(trailing, f"'{trailing[1]}' is outside the supported ShEx subset",
                        DiagnosticKind.UNSUPPORTED_FEATURE)
             return None
-        return TripleConstraint(predicate, node, cardinality), site
+        return TripleConstraint(predicate, node, cardinality)
 
     def _parse_node_constraint(self, ref_sites: list[tuple[str, _Token]]) -> NodeConstraint | None:
-        token = self.peek()
-        if token.kind == "IDENT":
-            word = token.value.lower()
+        token = self.tokens[self.pos]
+        kind, value = token[0], token[1]
+        if kind == "PNAME" or kind == "IRIREF":
+            self.pos += 1
+            datatype = self._parse_iri(token)
+            return DatatypeConstraint(datatype) if datatype is not None else None
+        if kind == "IDENT":
+            word = value.lower()
             if word == "iri":
-                self.advance()
+                self.pos += 1
                 return NodeKindIri()
             if word in _UNSUPPORTED_KEYWORDS:
-                self.advance()
-                self.error(token, f"node constraint '{token.value}' is outside the supported ShEx subset",
+                self.pos += 1
+                self.error(token, f"node constraint '{value}' is outside the supported ShEx subset",
                            DiagnosticKind.UNSUPPORTED_FEATURE)
                 return None
-            self.error(token, f"expected a node constraint, found {token.value!r}")
+            self.error(token, f"expected a node constraint, found {value!r}")
             return None
-        if token.kind in ("PNAME", "IRIREF"):
-            datatype = self._parse_iri(self.advance())
-            return DatatypeConstraint(datatype) if datatype is not None else None
-        if token.kind == "AT":
-            self.advance()
-            target = self.peek()
-            if target.kind == "IRIREF":
-                self.advance()
-                label = target.value[1:-1]
+        if kind == "AT":
+            self.pos += 1
+            target = self.tokens[self.pos]
+            if target[0] == "IRIREF":
+                self.pos += 1
+                label = target[1][1:-1]
                 if not label:
                     self.error(target, "empty shape label")
                     return None
@@ -372,47 +419,50 @@ class _Parser:
                 return ShapeRef(label)
             self.error(target, "expected <Label> after '@'")
             return None
-        if token.value == "[":
-            return self._parse_value_set(self.advance())
-        if token.value in (".", "(", "~"):
-            self.advance()
-            self.error(token, f"node constraint {token.value!r} is outside the supported ShEx subset",
+        if value == "[":
+            self.pos += 1
+            return self._parse_value_set(token)
+        if value in (".", "(", "~"):
+            self.pos += 1
+            self.error(token, f"node constraint {value!r} is outside the supported ShEx subset",
                        DiagnosticKind.UNSUPPORTED_FEATURE)
             return None
-        self.error(token, f"expected a node constraint, found {token.value!r}")
+        self.error(token, f"expected a node constraint, found {value!r}")
         return None
 
     def _parse_value_set(self, opening: _Token) -> ValueSet | None:
+        tokens = self.tokens
         values = []
         ok = True
         while True:
-            token = self.peek()
-            if token.value == "]":
-                self.advance()
+            token = tokens[self.pos]
+            kind, text = token[0], token[1]
+            if text == "]":
+                self.pos += 1
                 break
-            if token.kind == "EOF":
+            if kind == "EOF":
                 self.error(opening, "unterminated value set")
                 return None
-            self.advance()
-            if token.kind in ("PNAME", "IRIREF"):
+            self.pos += 1
+            if kind == "PNAME" or kind == "IRIREF":
                 value = self._parse_iri(token)
-            elif token.kind == "STRING":
+            elif kind == "STRING":
                 value = self._parse_literal(token)
-            elif token.kind == "NUMBER":
-                value = Literal(token.value, _XSD_DECIMAL if "." in token.value else _XSD_INTEGER)
-            elif token.kind == "IDENT" and token.value in ("true", "false"):
-                value = Literal(token.value, _XSD_BOOLEAN)
+            elif kind == "NUMBER":
+                value = Literal(text, _XSD_DECIMAL if "." in text else _XSD_INTEGER)
+            elif kind == "IDENT" and text in ("true", "false"):
+                value = Literal(text, _XSD_BOOLEAN)
             else:
-                if token.value in ("~", "-", "."):
-                    self.error(token, f"value-set operator {token.value!r} is outside the supported ShEx subset",
+                if text in ("~", "-", "."):
+                    self.error(token, f"value-set operator {text!r} is outside the supported ShEx subset",
                                DiagnosticKind.UNSUPPORTED_FEATURE)
                 else:
-                    self.error(token, f"unexpected token {token.value!r} in value set")
+                    self.error(token, f"unexpected token {text!r} in value set")
                 value = None
             if value is None:
                 ok = False
             elif value in values:
-                quoted = "literal" if token.kind == "STRING" else f"value {token.value}"
+                quoted = "literal" if kind == "STRING" else f"value {text}"
                 self.error(token, f"duplicate {quoted} in value set")
                 ok = False
             else:
@@ -425,13 +475,15 @@ class _Parser:
         return ValueSet(tuple(values))
 
     def _parse_literal(self, token: _Token) -> Literal | None:
-        raw = token.value[1:-1]
-        lexical = re.sub(r"\\(.)", lambda m: {"n": "\n", "t": "\t", "r": "\r"}.get(m.group(1), m.group(1)), raw)
-        if self.peek().kind == "LANGTAG":
-            lang = self.advance().value[1:]
-            return Literal(lexical, language=lang)
-        if self.peek().kind == "DTCARET":
-            self.advance()
+        lexical = token[1][1:-1]
+        if "\\" in lexical:
+            lexical = _ESCAPE_RE.sub(_unescape, lexical)
+        following = self.tokens[self.pos]
+        if following[0] == "LANGTAG":
+            self.pos += 1
+            return Literal(lexical, language=following[1][1:])
+        if following[0] == "DTCARET":
+            self.pos += 1
             datatype = self._parse_iri(self.advance())
             if datatype is None:
                 return None
@@ -439,38 +491,35 @@ class _Parser:
         return Literal(lexical)
 
     def _parse_cardinality(self) -> Cardinality:
-        token = self.peek()
-        if token.value == "?":
-            self.advance()
-            return Cardinality(0, 1)
-        if token.value == "*":
-            self.advance()
-            return Cardinality(0, None)
-        if token.value == "+":
-            self.advance()
-            return Cardinality(1, None)
-        if token.value == "{" and self.peek(1).kind == "NUMBER":
-            self.advance()
-            low_tok = self.advance()
+        tokens = self.tokens
+        token = tokens[self.pos]
+        value = token[1]
+        shorthand = _CARDINALITY_TOKENS.get(value)
+        if shorthand is not None:
+            self.pos += 1
+            return shorthand
+        if value == "{" and tokens[self.pos + 1][0] == "NUMBER":
+            low_tok = tokens[self.pos + 1]
+            self.pos += 2
             high_tok: _Token | None = low_tok
-            if self.peek().value == ",":
-                self.advance()
-                high_tok = self.advance() if self.peek().kind == "NUMBER" else None
-            if self.peek().value == "}":
-                self.advance()
+            if tokens[self.pos][1] == ",":
+                self.pos += 1
+                high_tok = self.advance() if tokens[self.pos][0] == "NUMBER" else None
+            if tokens[self.pos][1] == "}":
+                self.pos += 1
             else:
-                self.error(self.peek(), "expected '}' to close cardinality")
+                self.error(tokens[self.pos], "expected '}' to close cardinality")
             for bound in (low_tok, high_tok):
-                if bound is not None and "." in bound.value:
-                    self.error(bound, f"cardinality bound {bound.value} is not an integer")
-                    return Cardinality(1, 1)
-            low = int(low_tok.value)
-            high = int(high_tok.value) if high_tok is not None else None
+                if bound is not None and "." in bound[1]:
+                    self.error(bound, f"cardinality bound {bound[1]} is not an integer")
+                    return EXACTLY_ONE
+            low = int(low_tok[1])
+            high = int(high_tok[1]) if high_tok is not None else None
             if low < 0 or (high is not None and high < low):
                 self.error(low_tok, f"invalid cardinality range {{{low},{high}}}")
-                return Cardinality(1, 1)
+                return EXACTLY_ONE
             return Cardinality(low, high)
-        return Cardinality(1, 1)
+        return EXACTLY_ONE
 
 
 def parse_shexc(text: str, focus_class: Iri | None = None) -> Schema:
@@ -480,10 +529,7 @@ def parse_shexc(text: str, focus_class: Iri | None = None) -> Schema:
     source is not valid subset ShExC.  ``focus_class`` overrides the class
     inferred from the start shape's typing constraint.
     """
-    schema = _Parser(text).parse()
-    if focus_class is not None:
-        schema = Schema(schema.prefixes, schema.start_label, schema.shapes, focus_class)
-    return schema
+    return _Parser(text).parse(focus_class)
 
 
 def _render_node(nc: NodeConstraint, prefixes: dict[str, str]) -> str:
@@ -579,4 +625,4 @@ def to_canonical_json(schema: Schema) -> str:
         "start": canon.start_label,
         "shapes": shapes,
     }
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return indented_json(doc, sort_keys=True, ensure_ascii=False) + "\n"

@@ -241,9 +241,14 @@ def nged(generated: Schema, ground_truth: Schema) -> float:
 
 def ged_and_nged(generated: Schema, ground_truth: Schema) -> tuple[int, float]:
     """``schema_ged`` and ``nged`` of one pair from a single tree-distance run."""
-    # canonicalize keeps every start-shape constraint, so the raw count is |GT|.
-    gt_size = len(ground_truth.start_shape.constraints)
+    return canonical_ged_and_nged(canonicalize(generated), canonicalize(ground_truth))
+
+
+def canonical_ged_and_nged(gen_canon: Schema, gt_canon: Schema) -> tuple[int, float]:
+    """:func:`ged_and_nged` of a pair already canonical under the default typing predicates."""
+    # canonicalize keeps every start-shape constraint, so the count is |GT|.
+    gt_size = len(gt_canon.start_shape.constraints)
     if gt_size == 0:
         raise EmptyGroundTruthError("ground-truth schema has no constraints")
-    distance = schema_ged(generated, ground_truth)
+    distance = _canonical_ged(gen_canon, gt_canon)
     return distance, distance / (3 * gt_size)

@@ -16,7 +16,6 @@ import socket
 import threading
 from dataclasses import dataclass, field
 from typing import Literal as TypingLiteral
-from unittest import mock
 
 import numpy as np
 from pydantic import BaseModel, ConfigDict, Field, ValidationError, field_validator, model_validator
@@ -26,6 +25,9 @@ from shexbench.cardml import FEATURE_NAMES, CardinalityLabel, FeatureVector, Max
 from shexbench.generate import StubReplyMissingError
 from shexbench.model import _LOCAL_PART_RE, WELL_KNOWN_PREFIXES, Cardinality, Iri, Schema
 from shexbench.shexc import ParseDiagnostic
+
+# the reader before offset tokens, verbatim: the oracle for the whole reader
+from reference_shexc import reference_parse_outcome  # noqa: F401
 
 
 class PlainTree:
@@ -683,12 +685,14 @@ def write_shared_property_benchmark(root, n_classes: int = 8):
 class LoopbackServer:
     """An HTTP server on ``127.0.0.1`` and a free port that answers every POST
     with the next scripted ``(status, body)`` or ``(status, body, headers)``
-    (the last one repeats) and records each request as ``(path, headers, body)``.
+    (the last one repeats), or else with what ``answer(path, headers, body)``
+    returns in that form, and records each request as ``(path, headers, body)``.
 
     A context manager: the server runs in a daemon thread until exit."""
 
-    def __init__(self, *answers):
+    def __init__(self, *answers, answer=None):
         self.answers = list(answers)
+        self.answer = answer
         self.requests = []
         server = self
 
@@ -696,7 +700,10 @@ class LoopbackServer:
             def do_POST(self):
                 body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
                 server.requests.append((self.path, dict(self.headers), body))
-                status, reply, *extra = server.answers.pop(0) if len(server.answers) > 1 else server.answers[0]
+                if server.answer is not None:
+                    status, reply, *extra = server.answer(self.path, dict(self.headers), body)
+                else:
+                    status, reply, *extra = server.answers.pop(0) if len(server.answers) > 1 else server.answers[0]
                 reply = reply.encode("utf-8") if isinstance(reply, str) else reply
                 self.send_response(status)
                 for name, value in (extra[0] if extra else {}).items():
@@ -719,6 +726,22 @@ class LoopbackServer:
     def __exit__(self, *exc_info):
         self._httpd.shutdown()
         self._httpd.server_close()
+
+
+def sparql_answer(endpoint):
+    """A :class:`LoopbackServer` answer: ``endpoint``'s SPARQL JSON results for
+    the form-encoded query of each request, one request at a time."""
+    import json as _json
+    from urllib.parse import parse_qs
+
+    lock = threading.Lock()
+
+    def answer(path, headers, body):
+        (query,) = parse_qs(body.decode("ascii"), strict_parsing=True)["query"]
+        with lock:
+            return 200, _json.dumps(endpoint(query))
+
+    return answer
 
 
 def refused_url():
@@ -1124,13 +1147,6 @@ def reference_tokenize(text: str) -> tuple[list[_Token], list[ParseDiagnostic]]:
         pos = match.end()
     tokens.append(_Token("EOF", "", line, col))
     return tokens, diagnostics
-
-
-def reference_parse_outcome(text: str) -> Schema | str:
-    """``parse_shexc(text)`` over :func:`reference_tokenize`: the schema, or
-    the error string."""
-    with mock.patch.object(shexc, "_tokenize", reference_tokenize):
-        return parse_outcome(text)
 
 
 def parse_outcome(text: str) -> Schema | str:

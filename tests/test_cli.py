@@ -447,10 +447,11 @@ class TestEvaluate:
         code, doc = cmd_evaluate(bench["manifest"], bench["tmp"] / "gen", "all")
         assert code == EXIT_OK and doc["n_valid"] == 3
 
-    def test_at_most_four_canonicalizations_per_class(self, bench, monkeypatch):
+    @staticmethod
+    def _record_canonicalizations(monkeypatch) -> list:
+        """The schemas given to ``canonicalize`` through every module's binding, as they come."""
         from shexbench import cardml, cli, generate, matching, model, shexc, treedist
 
-        generate_stubbed(bench, out_name="gen")
         calls = []
         for module in (cli, cardml, generate, matching, model, shexc, treedist):
             if "canonicalize" in vars(module):
@@ -458,11 +459,57 @@ class TestEvaluate:
                 monkeypatch.setattr(module, "canonicalize",
                                     lambda *args, _original=original, **kwargs:
                                     calls.append(args[0]) or _original(*args, **kwargs))
+        return calls
+
+    def test_at_most_four_canonicalizations_per_class(self, bench, monkeypatch):
+        generate_stubbed(bench, out_name="gen")
+        calls = self._record_canonicalizations(monkeypatch)
         code, doc = cmd_evaluate(bench["manifest"], bench["tmp"] / "gen", "all")
         assert code == EXIT_OK and doc["n_valid"] == 3
         per_class = Counter(schema.focus_class for schema in calls)
         assert set(per_class) == {Iri(uri) for uri in BENCHMARK_CLASSES}
         assert max(per_class.values()) <= 4, per_class
+
+    def test_two_canonicalizations_per_class_whose_typing_classes_agree(self, bench, monkeypatch):
+        """Every shape is typed through wdt:P31 alone, so the entry's typing
+        predicate and the default ones give one canonical form, which scoring
+        and GED share."""
+        generate_stubbed(bench, out_name="gen")
+        calls = self._record_canonicalizations(monkeypatch)
+        code, doc = cmd_evaluate(bench["manifest"], bench["tmp"] / "gen", "all")
+        assert code == EXIT_OK and doc["n_valid"] == 3
+        assert Counter(schema.focus_class for schema in calls) == {Iri(uri): 2 for uri in BENCHMARK_CLASSES}
+
+    def test_four_canonicalizations_when_typing_classes_differ(self, bench, monkeypatch):
+        """Each class is scored against its own ground truth.  The museum's
+        start shape is typed through rdf:type before wdt:P31, with another
+        class: the default typing predicates read rdf:type, the entry's reads
+        wdt:P31, so GED canonicalizes both museum schemas again, and every
+        score is still ``evaluate_criteria``'s and ``ged_and_nged``'s."""
+        from shexbench.matching import StaticSubclassOracle, evaluate_criteria
+        from shexbench.treedist import ged_and_nged
+
+        museum = load_manifest(bench["manifest"]).select(["museum"])[0]
+        museum.ground_truth_path.write_text(
+            "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>\n"
+            + museum.ground_truth_path.read_text().replace("{\n  wdt:P31 [ wd:Q33506 ]",
+                                                           "{\n  rdf:type [ wd:Q5 ] ;\n  wdt:P31 [ wd:Q33506 ]", 1))
+        generated = self._copy_ground_truth(bench)
+        calls = self._record_canonicalizations(monkeypatch)
+        code, doc = cmd_evaluate(bench["manifest"], generated, "all")
+        monkeypatch.undo()
+        assert code == EXIT_OK and doc["n_valid"] == 3
+        assert Counter(schema.focus_class for schema in calls) == {
+            Iri(uri): 4 if uri == museum.class_uri.value else 2 for uri in BENCHMARK_CLASSES}
+        for record in doc["records"]:
+            entry = load_manifest(bench["manifest"]).select([record["class_uri"]])[0]
+            gen = parse_shexc((generated / f"{entry.slug}.shex").read_text(), focus_class=entry.class_uri)
+            gt = entry.ground_truth
+            assert [record["ged"], record["nged"]] == list(ged_and_nged(gen, gt))
+            reports = evaluate_criteria(gen, gt, oracle=StaticSubclassOracle(),
+                                        typing_predicates=(entry.typing_predicate,))
+            assert {key: report["matched_count"] for key, report in record["reports"].items()} == {
+                criteria.key(): report.matched_count for criteria, report in reports.items()}
 
     def test_invalid_file_flagged_and_excluded(self, bench):
         generated = self._copy_ground_truth(bench, "broken")
@@ -1177,6 +1224,56 @@ class TestSingleFlightAcrossClasses:
     def test_jobs_keep_the_in_flight_gate_per_endpoint(self, tmp_path):
         transport, _ = self._extract(tmp_path)
         assert transport.peak == _MAX_IN_FLIGHT
+
+
+class TestTwoProcessesOnOneCache:
+    """Two ``extract --jobs 4`` processes share one cache directory and one
+    SPARQL endpoint on the loopback.  Each cache write is an atomic rename of
+    a temp file named per process and thread, so the pair leaves the cache a
+    single process leaves."""
+
+    @staticmethod
+    def _start(manifest, cache, *options):
+        here = Path(__file__).resolve().parent
+        env = {**os.environ, "PYTHONPATH": str(here.parent / "src")}
+        return subprocess.Popen(
+            [sys.executable, "-m", "shexbench.cli", "extract", "--manifest", str(manifest),
+             "--cache-dir", str(cache), "--jobs", "4", *options],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+    @staticmethod
+    def _finish(process) -> dict:
+        out, err = process.communicate(timeout=120)
+        assert process.returncode == EXIT_OK, err.decode("utf-8", "replace")
+        return {row["class_uri"]: row["cache_keys"] for row in json.loads(out)["classes"]}
+
+    @staticmethod
+    def _documents(cache) -> dict:
+        documents = {}
+        for path in cache.iterdir():
+            document = json.loads(path.read_text(encoding="utf-8"))
+            del document["fetched_at"]
+            documents[path.name] = document
+        return documents
+
+    def test_two_processes_leave_the_cache_of_one(self, tmp_path):
+        from support import sparql_answer
+
+        endpoint, manifest = write_shared_property_benchmark(tmp_path)
+        with LoopbackServer(answer=sparql_answer(endpoint)) as server:
+            doc = json.loads(manifest.read_text())
+            for entry in doc["entries"]:
+                entry["endpoint_url"] = server.url
+            manifest.write_text(json.dumps(doc))
+            expected = self._finish(self._start(manifest, tmp_path / "single"))
+            first, second = (self._start(manifest, tmp_path / "shared") for _ in range(2))
+            assert self._finish(first) == self._finish(second) == expected
+        assert not [path.name for path in (tmp_path / "shared").iterdir() if ".tmp" in path.name]
+        replayed = self._finish(self._start(manifest, tmp_path / "shared", "--offline"))
+        assert replayed == expected
+        stored = {path.name for path in (tmp_path / "shared").iterdir()}
+        assert stored == {f"{key}.json" for keys in replayed.values() for key in keys}
+        assert self._documents(tmp_path / "shared") == self._documents(tmp_path / "single")
 
 
 def _is_term_lookup(query: str, classes) -> bool:

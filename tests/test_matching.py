@@ -413,3 +413,30 @@ class TestOnePassScoring:
         subset = (ALL_CRITERIA[3], ALL_CRITERIA[0])
         assert list(evaluate_criteria(museum_schema, museum_schema, subset, StaticSubclassOracle())) == list(subset)
         assert evaluate_criteria(museum_schema, museum_schema, ()) == {}
+
+
+class TestOneCanonicalFormPerSchema:
+    """``evaluate`` canonicalizes each schema once, under the entry's typing
+    predicates, and reuses that form for GED when the default typing
+    predicates would give the same one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_schemas(), st.sampled_from(TYPINGS))
+    def test_reused_form_is_the_default_canonical_form(self, schema, typing):
+        from shexbench.cli import _default_canonical
+        from shexbench.model import canonicalize
+
+        assert _default_canonical(schema, canonicalize(schema, typing), typing) == canonicalize(schema)
+
+    def test_forms_are_reused_exactly_when_typing_classes_agree(self):
+        from shexbench.model import canonicalize, typing_classes_agree
+
+        p31 = Iri(WDT + "P31")
+        typed = Shape("S", (TripleConstraint(p31, ValueSet((Iri(WD + "Q5"),))),))
+        # wdt:P31 alone, the default tuple's first predicate: both tuples read it
+        assert typing_classes_agree(Schema({}, "S", {"S": typed}), (p31,))
+        # rdf:type listed first names another class: the default tuple reads it, (wdt:P31,) does not
+        both = Shape("S", (TripleConstraint(RDF_TYPE, ValueSet((Iri(WD + "Q6256"),))), *typed.constraints))
+        schema = Schema({}, "S", {"S": both})
+        assert not typing_classes_agree(schema, (p31,))
+        assert canonicalize(schema, (p31,)) != canonicalize(schema)

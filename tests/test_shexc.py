@@ -22,6 +22,7 @@ from shexbench.model import (
 )
 from shexbench.shexc import (
     DiagnosticKind,
+    ParseDiagnostic,
     ShexcParseError,
     parse_shexc,
     serialize_shexc,
@@ -59,15 +60,27 @@ SHEXC_NOISE = st.one_of(
 )
 
 
+def _line_col(text, offset):
+    """1-based line and column of ``offset``, counted from the text itself."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
 class TestTokenizerOracle:
-    """The one-pass tokenizer against the per-token loop it replaced."""
+    """The one-pass tokenizer against the per-token loop it replaced, and the
+    whole reader against a verbatim copy of the reader before offset tokens.
+
+    Tokens carry offsets and end in two EOF tokens; each is compared through
+    the line and column its offset names."""
 
     @staticmethod
     def _same_as_reference(text):
-        tokens, diagnostics = _tokenize(text)
+        tokens, errors = _tokenize(text)
         expected_tokens, expected_diagnostics = reference_tokenize(text)
-        assert [tuple(token) for token in tokens] == [(t.kind, t.value, t.line, t.col) for t in expected_tokens]
-        assert diagnostics == expected_diagnostics
+        assert tokens[-2] == tokens[-1] == ("EOF", "", len(text))
+        assert [(kind, value, *_line_col(text, offset)) for kind, value, offset in tokens[:-1]] == [
+            (t.kind, t.value, t.line, t.col) for t in expected_tokens]
+        assert [ParseDiagnostic(*_line_col(text, offset), message, kind) for offset, message, kind in errors] == (
+            expected_diagnostics)
         assert parse_outcome(text) == reference_parse_outcome(text)
 
     @settings(deadline=None)
@@ -88,10 +101,16 @@ class TestTokenizerOracle:
             self._same_as_reference(text)
 
     def test_unexpected_character_after_blanks(self):
-        tokens, diagnostics = _tokenize("<S> \t\v {\n \x85")
-        assert [(d.line, d.column, d.message) for d in diagnostics] == [
+        text = "<S> \t\v {\n \x85"
+        tokens, errors = _tokenize(text)
+        assert [(*_line_col(text, offset), message) for offset, message, _ in errors] == [
             (1, 6, "unexpected character '\\x0b'"), (2, 2, "unexpected character '\\x85'")]
-        assert tokens[-1] == ("EOF", "", 2, 3)
+        kind, value, offset = tokens[-1]
+        assert (kind, value, *_line_col(text, offset)) == ("EOF", "", 2, 3)
+
+    @pytest.mark.parametrize("text", ["<S> { <p> IRI } # trailing note", "# only a note", "<S> #note\n{", "   \n\t"])
+    def test_comment_or_blanks_at_the_end_give_no_token(self, text):
+        self._same_as_reference(text)
 
 
 class TestParseMuseum:
@@ -303,6 +322,46 @@ class TestSerialize:
             parse_shexc(serialize_shexc(parse_shexc(text)))
         elapsed = time.perf_counter() - start
         assert elapsed / len(texts) < 0.05
+
+
+#: Language tags the reader accepts after a string.
+LANG_TAGS = st.from_regex(r"[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8}){0,2}", fullmatch=True)
+#: Literals with any lexical form: plain, language-tagged and datatyped.
+LITERALS = st.one_of(
+    st.builds(Literal, st.text()),
+    st.builds(lambda lexical, language: Literal(lexical, language=language), st.text(), LANG_TAGS),
+    st.builds(Literal, st.text(), st.sampled_from(
+        [Iri(XSD_NS + "string"), Iri(XSD_NS + "integer"), Iri("http://example.org/vocab#custom")])),
+)
+
+
+class TestLiteralRoundTrip:
+    """Every lexical form survives serialize, a file write and a read as
+    ``evaluate`` reads generated files (UTF-8, universal newlines)."""
+
+    @staticmethod
+    def _through_a_file(schema, directory):
+        from shexbench.kginfo import atomic_write_text
+
+        path = directory / "schema.shex"
+        atomic_write_text(path, serialize_shexc(schema))
+        return parse_shexc(path.read_text(encoding="utf-8"))
+
+    @staticmethod
+    def _schema(values):
+        constraint = TripleConstraint(Iri("http://example.org/p"), ValueSet(tuple(values)))
+        return Schema({}, "S", {"S": Shape("S", (constraint,))})
+
+    @settings(deadline=None)
+    @given(st.lists(LITERALS, min_size=1, max_size=3, unique=True))
+    def test_any_lexical_form(self, tmp_path_factory, values):
+        schema = self._schema(values)
+        assert self._through_a_file(schema, tmp_path_factory.mktemp("literal")) == canonicalize(schema)
+
+    @pytest.mark.parametrize("lexical", ["a\nb", "a\rb"])
+    def test_line_break(self, tmp_path, lexical):
+        schema = self._schema([Literal(lexical)])
+        assert self._through_a_file(schema, tmp_path) == canonicalize(schema)
 
 
 class TestCanonicalJson:
