@@ -71,7 +71,7 @@ from .matching import (  # noqa: F401 - evaluate_pair stays bound for bench/trac
     evaluate_pair,
     macro_average,
 )
-from .model import Iri, Schema, canonicalize, typing_classes_agree
+from .model import Iri, Schema, canonicalize, default_canonical
 from .prompts import (
     EmptyPredicateSetError,
     EmptySampleError,
@@ -549,7 +549,7 @@ def cmd_evaluate(
             if record.error_breakdown is None:
                 record.error_breakdown = report.error_breakdown.as_dict()
         record.ged, record.nged = canonical_ged_and_nged(
-            _default_canonical(gen, gen_canon, typing), _default_canonical(gt, gt_canon, typing))
+            default_canonical(gen, gen_canon, typing), default_canonical(gt, gt_canon, typing))
         record.n_gt_constraints = len(gt.start_shape.constraints)
         record.n_gen_constraints = len(gen.start_shape.constraints)
         record.timings["evaluate"] = round(time.perf_counter() - started, 4)
@@ -564,14 +564,6 @@ def cmd_evaluate(
     if out:
         _atomic_write(Path(out), rendered)
     return _exit_code(r.status for r in records), doc
-
-
-def _default_canonical(schema: Schema, canon: Schema, typing: tuple[Iri, ...]) -> Schema:
-    """``canonicalize(schema)``: ``canon``, its canonical form under
-    ``typing``, when the default typing predicates give the same form."""
-    if typing_classes_agree(schema, typing) and typing_classes_agree(canon, typing):
-        return canon
-    return canonicalize(schema)
 
 
 def _read_generated(path: Path) -> str:

@@ -1,128 +1,14 @@
 """The one JSON writer for output files and reports.
 
-:func:`indented_json` gives what ``json.dumps(obj, indent=2, sort_keys=...,
-ensure_ascii=...)`` gives, byte for byte, NaN and infinities and non-string
-keys included.  ``json.dumps`` with an indent runs the standard library's
-pure-Python encoder, a generator per container; this writer appends to one
-list and leaves strings to the C string encoder.  Circular structures are
-not detected; nothing the package writes has one.
+Every indented JSON file and report the package writes goes through
+:func:`indented_json`, so their layout is set in one place.
 """
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring, encode_basestring_ascii
-
-_INFINITY = float("inf")
-
-
-def _float(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == _INFINITY:
-        return "Infinity"
-    if value == -_INFINITY:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
-
-
-def _null(value: None) -> str:
-    return "null"
-
-
-#: Text of a scalar by its exact type, per string encoder; a subclass of
-#: these, or a container, takes the general path in :func:`_write`.
-_ASCII_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _float, bool: _bool, type(None): _null}
-_UNICODE_SCALARS = {**_ASCII_SCALARS, str: encode_basestring}
+import json
 
 
 def indented_json(obj, *, sort_keys: bool = False, ensure_ascii: bool = True) -> str:
     """``json.dumps(obj, indent=2, sort_keys=sort_keys, ensure_ascii=ensure_ascii)``."""
-    parts: list[str] = []
-    _write(obj, parts, "\n", _ASCII_SCALARS if ensure_ascii else _UNICODE_SCALARS, sort_keys)
-    return "".join(parts)
-
-
-def _scalar(value, scalars: dict) -> str | None:
-    """The JSON text of a string, number, boolean or None; None for anything else."""
-    if isinstance(value, str):
-        return scalars[str](value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float(value)
-    return None
-
-
-def _key(key) -> str:
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-def _write(obj, parts: list[str], newline: str, scalars: dict, sort_keys: bool) -> None:
-    """Append the text of ``obj`` at the indent that ``newline`` ends in."""
-    text = _scalar(obj, scalars)
-    if text is not None:
-        parts.append(text)
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            parts.append("[]")
-            return
-        inner = newline + "  "
-        separator = "[" + inner
-        for item in obj:
-            write = scalars.get(type(item))
-            if write is not None:
-                parts.append(separator + write(item))
-            else:
-                parts.append(separator)
-                text = _scalar(item, scalars)
-                if text is None:
-                    _write(item, parts, inner, scalars, sort_keys)
-                else:
-                    parts.append(text)
-            separator = "," + inner
-        parts.append(newline + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
-            return
-        inner = newline + "  "
-        separator = "{" + inner
-        encode = scalars[str]
-        for key, value in sorted(obj.items()) if sort_keys else obj.items():
-            head = separator + encode(key if type(key) is str else _key(key)) + ": "
-            write = scalars.get(type(value))
-            if write is not None:
-                parts.append(head + write(value))
-            else:
-                parts.append(head)
-                text = _scalar(value, scalars)
-                if text is None:
-                    _write(value, parts, inner, scalars, sort_keys)
-                else:
-                    parts.append(text)
-            separator = "," + inner
-        parts.append(newline + "}")
-    else:
-        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+    return json.dumps(obj, indent=2, sort_keys=sort_keys, ensure_ascii=ensure_ascii)

@@ -410,31 +410,24 @@ def _shape_typing_classes(shape: Shape, typing_predicates: tuple[Iri, ...]) -> f
     return frozenset()
 
 
-def typing_classes_agree(
-    schema: Schema,
-    typing_predicates: Iterable[Iri],
-    other: Iterable[Iri] = DEFAULT_TYPING_PREDICATES,
-) -> bool:
+def _typing_classes_agree(schema: Schema, typing: tuple[Iri, ...]) -> bool:
     """Whether every shape of ``schema`` has the same typing classes under
-    both typing-predicate tuples.
-
-    :func:`canonicalize` reads its typing tuple only through these classes:
-    those of the shapes it relabels, and those of its result's start shape
-    when it infers the focus class.  So when they agree for a schema and for
-    its canonical form under one tuple, that form is its canonical form under
-    the other tuple too.
-    """
-    typing, other = tuple(typing_predicates), tuple(other)
+    ``typing`` and under :data:`DEFAULT_TYPING_PREDICATES`."""
     return all(
-        _shape_typing_classes(shape, typing) == _shape_typing_classes(shape, other)
+        _shape_typing_classes(shape, typing) == _shape_typing_classes(shape, DEFAULT_TYPING_PREDICATES)
         for shape in schema.shapes.values()
     )
 
 
+def shape_focus_class(shape: Shape, typing_predicates: tuple[Iri, ...] = DEFAULT_TYPING_PREDICATES) -> Iri | None:
+    """First typing class of ``shape``, if one is declared."""
+    classes = _shape_typing_classes(shape, typing_predicates)
+    return min(classes) if classes else None
+
+
 def infer_focus_class(schema: Schema, typing_predicates: Iterable[Iri] = DEFAULT_TYPING_PREDICATES) -> Iri | None:
     """First typing class of the start shape, if one is declared."""
-    classes = _shape_typing_classes(schema.start_shape, tuple(typing_predicates))
-    return min(classes) if classes else None
+    return shape_focus_class(schema.start_shape, tuple(typing_predicates))
 
 
 def _used_prefixes(schema: Schema) -> set[str]:
@@ -517,3 +510,18 @@ def canonicalize(
 
     prefixes = {p: WELL_KNOWN_PREFIXES[p] for p in sorted(_used_prefixes(canonical))}
     return replace(canonical, prefixes=prefixes)
+
+
+def default_canonical(schema: Schema, canon: Schema, typing: tuple[Iri, ...]) -> Schema:
+    """``canonicalize(schema)``, reusing ``canon``, the canonical form of
+    ``schema`` under ``typing``, when the default typing predicates give the
+    same form.
+
+    :func:`canonicalize` reads its typing tuple only through the typing
+    classes of the shapes it relabels and of its result's start shape.  So
+    when those classes agree under both tuples for ``schema`` and for
+    ``canon``, ``canon`` is the default canonical form too.
+    """
+    if _typing_classes_agree(schema, typing) and _typing_classes_agree(canon, typing):
+        return canon
+    return canonicalize(schema)

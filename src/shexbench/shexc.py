@@ -25,7 +25,6 @@ from enum import Enum
 
 from .jsonout import indented_json
 from .model import (
-    DEFAULT_TYPING_PREDICATES,
     EXACTLY_ONE,
     RDF_TYPE,
     XSD_NS,
@@ -40,10 +39,10 @@ from .model import (
     ShapeRef,
     TripleConstraint,
     ValueSet,
-    _shape_typing_classes,
     canonicalize,
     compact_iri,
     render_value,
+    shape_focus_class,
 )
 
 
@@ -236,8 +235,7 @@ class _Parser:
 
         start = start_ref or shape_order[0]
         if focus_class is None:
-            classes = _shape_typing_classes(shapes[start], DEFAULT_TYPING_PREDICATES)
-            focus_class = min(classes) if classes else None
+            focus_class = shape_focus_class(shapes[start])
         return Schema(prefixes=dict(self.prefixes), start_label=start, shapes=shapes, focus_class=focus_class)
 
     def _parse_prefix_decl(self, at: _Token) -> None:

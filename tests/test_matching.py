@@ -423,20 +423,22 @@ class TestOneCanonicalFormPerSchema:
     @settings(max_examples=300, deadline=None)
     @given(small_schemas(), st.sampled_from(TYPINGS))
     def test_reused_form_is_the_default_canonical_form(self, schema, typing):
-        from shexbench.cli import _default_canonical
-        from shexbench.model import canonicalize
+        from shexbench.model import canonicalize, default_canonical
 
-        assert _default_canonical(schema, canonicalize(schema, typing), typing) == canonicalize(schema)
+        assert default_canonical(schema, canonicalize(schema, typing), typing) == canonicalize(schema)
 
     def test_forms_are_reused_exactly_when_typing_classes_agree(self):
-        from shexbench.model import canonicalize, typing_classes_agree
+        from shexbench.model import canonicalize, default_canonical
 
         p31 = Iri(WDT + "P31")
         typed = Shape("S", (TripleConstraint(p31, ValueSet((Iri(WD + "Q5"),))),))
         # wdt:P31 alone, the default tuple's first predicate: both tuples read it
-        assert typing_classes_agree(Schema({}, "S", {"S": typed}), (p31,))
+        schema = Schema({}, "S", {"S": typed})
+        canon = canonicalize(schema, (p31,))
+        assert default_canonical(schema, canon, (p31,)) is canon
         # rdf:type listed first names another class: the default tuple reads it, (wdt:P31,) does not
         both = Shape("S", (TripleConstraint(RDF_TYPE, ValueSet((Iri(WD + "Q6256"),))), *typed.constraints))
         schema = Schema({}, "S", {"S": both})
-        assert not typing_classes_agree(schema, (p31,))
-        assert canonicalize(schema, (p31,)) != canonicalize(schema)
+        canon = canonicalize(schema, (p31,))
+        assert canon != canonicalize(schema)
+        assert default_canonical(schema, canon, (p31,)) == canonicalize(schema)
