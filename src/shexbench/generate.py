@@ -32,6 +32,7 @@ from .kginfo import (
     atomic_write_text,
     decode_json,
     post,
+    read_small_file,
 )
 from .model import (
     WELL_KNOWN_PREFIXES,
@@ -145,12 +146,15 @@ class StubLlmClient:
 
     stub_dir: Path
 
+    def __post_init__(self) -> None:
+        # the same text as str(Path(stub_dir) / name), without a Path per send
+        self._path_prefix = os.fspath(Path(self.stub_dir) / "_")[:-1]
+
     def send(self, messages: Sequence[Message]) -> str:
         key = prompt_hash(messages)
-        path = Path(self.stub_dir) / f"{key}.json"
+        path = f"{self._path_prefix}{key}.json"
         try:
-            with open(path, "rb") as handle:
-                data = handle.read()
+            data = read_small_file(path)
         except FileNotFoundError:
             raise StubReplyMissingError(f"no recorded reply for prompt hash {key}") from None
         except OSError as exc:
@@ -368,9 +372,7 @@ def _request_until_parsed(messages: Sequence[Message], client: LlmClient, parse,
     raise fail(None, transcript)
 
 
-def _structured_step(model_cls, instruction: str, record: GlobalPredicateRecord, client: LlmClient,
-                     fewshot: tuple[tuple[str, str], ...]):
-    prompt = build_global_prompt(record, fewshot)
+def _structured_step(model_cls, instruction: str, prompt: ChatPrompt, client: LlmClient):
     messages = ChatPrompt(prompt.system, prompt.user + "\n\n" + instruction, prompt.fewshot).to_messages()
     return _request_until_parsed(
         messages, client,
@@ -390,16 +392,25 @@ def predict_cardinality_structured(
     record: GlobalPredicateRecord,
     client: LlmClient,
     fewshot: tuple[tuple[str, str], ...] = (),
+    *,
+    prompt: ChatPrompt | None = None,
 ) -> StructuredCardinality:
-    return _structured_step(StructuredCardinality, CARDINALITY_INSTRUCTION, record, client, fewshot)
+    """Step one for the record; ``prompt``, when given, is the record's
+    :func:`build_global_prompt` already rendered with ``fewshot``."""
+    prompt = prompt or build_global_prompt(record, fewshot)
+    return _structured_step(StructuredCardinality, CARDINALITY_INSTRUCTION, prompt, client)
 
 
 def predict_node_constraint_structured(
     record: GlobalPredicateRecord,
     client: LlmClient,
     fewshot: tuple[tuple[str, str], ...] = (),
+    *,
+    prompt: ChatPrompt | None = None,
 ) -> StructuredNodeConstraint:
-    return _structured_step(StructuredNodeConstraint, NODE_CONSTRAINT_INSTRUCTION, record, client, fewshot)
+    """Step two for the record; ``prompt`` as for :func:`predict_cardinality_structured`."""
+    prompt = prompt or build_global_prompt(record, fewshot)
+    return _structured_step(StructuredNodeConstraint, NODE_CONSTRAINT_INSTRUCTION, prompt, client)
 
 
 def _repair_request(error: ShexcParseError) -> str:
@@ -551,19 +562,27 @@ def generate_global(
     """Two-step structured generation over the class's candidate predicates.
 
     Candidates come from the predicate frequency profile (typing predicate
-    excluded - it is added back as the schema's typing constraint).  Failures
-    on individual predicates are logged and skipped rather than aborting the
+    excluded - it is added back as the schema's typing constraint).  Each
+    record's prompt is rendered once, at the first step that needs it, and
+    both LLM steps append their instruction to it; with a trained
+    ``cardinality_source`` that is the node-constraint step.  Failures on
+    individual predicates are logged and skipped rather than aborting the
     class.
     """
-    source = cardinality_source or LlmCardinalitySource(client, fewshot)
     parts: list[tuple[Iri, StructuredCardinality, StructuredNodeConstraint]] = []
     for predicate in kg.global_candidates(class_iri, max_candidates):
         try:
             record = kg.build_global_record(class_iri, predicate)
-            cardinality = source.predict(record)
+            prompt = None
+            if cardinality_source is None:
+                prompt = build_global_prompt(record, fewshot)
+                cardinality = predict_cardinality_structured(record, client, fewshot, prompt=prompt)
+            else:
+                cardinality = cardinality_source.predict(record)
             if not cardinality.include:
                 continue
-            node = predict_node_constraint_structured(record, client, fewshot)
+            prompt = prompt or build_global_prompt(record, fewshot)
+            node = predict_node_constraint_structured(record, client, fewshot, prompt=prompt)
             parts.append((predicate, cardinality, node))
         except (StructuredOutputFailedError, EndpointError, CacheMissError, IncompleteRecordError) as exc:
             log.warning("skipping predicate %s for %s: %s", predicate, class_iri, exc)

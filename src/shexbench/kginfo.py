@@ -9,11 +9,14 @@ request, at most ``_MAX_IN_FLIGHT`` requests run at once, and each term
 lookup (a label, a description, a property constraint, a subclass path) is
 read and decoded once for every class, so a repeat is one table hit.  The
 documents of the other queries (a class's profile, an instance's triples)
-stay with the client that read them and are freed with it.  Cache files are
-plain JSON holding the query, a timestamp, and the standard SPARQL results
-document, so they can be inspected and checked into fixtures.  They are
-written compact, on one line (``python -m json.tool <file>`` pretty-prints
-one); files written indented by older versions read the same.
+stay with the client that read them and are freed with it.  The store also
+keeps one :class:`Iri` per IRI text its clients decode, so each IRI's
+whitespace check runs once per command.  Cache files are plain JSON holding
+the query, a timestamp, and the standard SPARQL results document, so they
+can be inspected and checked into fixtures.  They are written compact, on one
+line (``python -m json.tool <file>`` pretty-prints one); files written
+indented by older versions read the same.  Cache files, like recorded LLM
+replies, are read by :func:`read_small_file` with raw ``os`` calls.
 """
 
 from __future__ import annotations
@@ -123,6 +126,16 @@ class RecordField(IntFlag):
 #: Every part of a :class:`GlobalPredicateRecord`, the default of
 #: :meth:`KgClient.build_global_record`.
 ALL_FIELDS = RecordField(sum(RecordField))
+
+#: The completeness bits of a record's parts as plain ints, so that building a
+#: record does no flag arithmetic; the record gets its RecordField once.
+_FREQUENCY_BITS = int(RecordField.FREQUENCY)
+_CARDINALITY_BITS = int(RecordField.CARDINALITY)
+_OBJECT_PROFILE_BITS = int(RecordField.DATATYPES | RecordField.OBJECT_CLASSES)
+_EXAMPLES_BITS = int(RecordField.EXAMPLES)
+_LABELS_BITS = int(RecordField.LABELS)
+_SUBJECT_TYPE_BITS = int(RecordField.SUBJECT_TYPE_CONSTRAINT)
+_VALUE_TYPE_BITS = int(RecordField.VALUE_TYPE_CONSTRAINT)
 
 
 @dataclass(frozen=True)
@@ -368,6 +381,28 @@ def atomic_write_text(path: Path | str, text: str) -> None:
         raise LocalFileError(f"cannot write {path}: {exc}") from exc
 
 
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
+#: Bytes asked for by each read of :func:`read_small_file`; a cache file or a
+#: recorded reply is about a kilobyte, so one read holds it.
+_READ_CHUNK = 64 * 1024
+
+
+def read_small_file(path: Path | str) -> bytes:
+    """The bytes of the file at ``path``, read with raw ``os`` calls, without
+    the buffered-file layer of :func:`open`: a cache file or a recorded reply
+    is read once, whole, and never seeked.  Raises :class:`OSError` as
+    ``open`` and ``read`` do (``FileNotFoundError`` for a missing file, the
+    read's error for a directory)."""
+    fd = os.open(path, _READ_FLAGS)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_CHUNK):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
 class NoResponseError(OSError):
     """No HTTP response: the connection or TLS failed, it timed out, the URL
     is not http(s), or the body could not be read or decoded."""
@@ -426,19 +461,30 @@ def cache_key(query: str, endpoint_url: str) -> str:
     return digest
 
 
-def term_from_binding(binding: dict) -> Term:
+class IriTable(dict):
+    """IRI text -> its :class:`Iri`, built and checked on first use.  A text
+    that is no IRI raises ValueError and is not stored, so it raises again on
+    every use."""
+
+    def __missing__(self, value: str) -> Iri:
+        iri = self[value] = Iri(value)
+        return iri
+
+
+def term_from_binding(binding: dict, iris: IriTable | None = None) -> Term:
     """The RDF term of a SPARQL JSON binding; raises
-    :class:`MalformedResultsError` for one that is no valid term."""
+    :class:`MalformedResultsError` for one that is no valid term.  With
+    ``iris``, the binding's IRIs come from that table."""
     kind = binding.get("type")
     value = binding.get("value", "")
     try:
         if kind == "uri":
-            return Iri(value)
+            return Iri(value) if iris is None else iris[value]
         if kind == "bnode":
             return BlankNode(value)
         datatype = binding.get("datatype")
         return Literal(value, Iri(datatype) if datatype else None, binding.get("xml:lang"))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise MalformedResultsError(f"binding is not a valid RDF term: {binding!r}: {exc}") from exc
 
 
@@ -515,14 +561,16 @@ class CacheStore:
 
     It holds one lock per missed key (so a miss is fetched once however
     many clients ask for it), the gate that lets at most ``_MAX_IN_FLIGHT``
-    requests run at once, and two tables per endpoint URL: the cache key of
-    each query text asked, so each is hashed once, and the decoded answer of
-    each term lookup, so each is read and decoded once for all the clients.
+    requests run at once, the :class:`IriTable` its clients decode ``uri``
+    bindings through, and two tables per endpoint URL: the cache key of each
+    query text asked, so each is hashed once, and the decoded answer of each
+    term lookup, so each is read and decoded once for all the clients.
     Answers only: a miss or a malformed answer is looked up again next time.
     """
 
     def __init__(self):
         self.gate = threading.BoundedSemaphore(_MAX_IN_FLIGHT)
+        self.iris = IriTable()
         self._key_locks: dict[str, threading.Lock] = {}
         self._key_locks_guard = threading.Lock()
         self._keys: dict[str, dict[str, str]] = {}
@@ -562,6 +610,8 @@ class KgClient:
         self._store = store or CacheStore()
         self._keys = self._store.keys(cfg.endpoint_url)
         self._lookups = self._store.lookups(cfg.endpoint_url)
+        self._iris = self._store.iris
+        self._labeled_forms: dict[Iri, Iri] = {}
         # the same text as str(Path(cfg.cache_dir) / name), without a Path per lookup
         self._cache_prefix = os.fspath(Path(cfg.cache_dir) / "_")[:-1]
         # Parsed documents by cache key, and decoded frequency tables and
@@ -607,13 +657,13 @@ class KgClient:
     @staticmethod
     def _read_cache(path: Path | str) -> dict | None:
         try:
-            with open(path, "rb") as handle:
-                data = handle.read()
-            return decode_json(data.decode("utf-8"))["results_document"]
+            data = read_small_file(path)
         except FileNotFoundError:
             return None
         except OSError as exc:
             raise LocalFileError(f"cannot read cache file {path}: {exc}") from exc
+        try:
+            return decode_json(data.decode("utf-8"))["results_document"]
         except (ValueError, KeyError, TypeError) as exc:
             raise MalformedResultsError(f"corrupt cache file {path}: {exc}") from exc
 
@@ -670,7 +720,7 @@ class KgClient:
             rows = self._rows(frequency_query(class_iri, self.cfg.typing_predicate))
             counts = {}
             for row in rows:
-                predicate = term_from_binding(_bound(row, "predicate"))
+                predicate = term_from_binding(_bound(row, "predicate"), self._iris)
                 if isinstance(predicate, Iri):
                     counts[predicate] = _int_value(row, "count")
             frequencies = dict(sorted(counts.items(), key=lambda item: (-item[1], item[0])))
@@ -709,7 +759,7 @@ class KgClient:
         class_rows = self._rows(object_classes_query(class_iri, predicate, self.cfg.typing_predicate))
         classes = {}
         for row in class_rows:
-            term = term_from_binding(_bound(row, "class"))
+            term = term_from_binding(_bound(row, "class"), self._iris)
             if isinstance(term, Iri):
                 classes[term.value] = _int_value(row, "count")
         def by_share(histogram: dict[str, int]) -> dict[str, int]:
@@ -725,14 +775,14 @@ class KgClient:
             raise ValueError("sample size must be >= 1")
         if self.cfg.kg_kind is KgKind.WIKIDATA:
             rows = self._rows(instances_query(class_iri, self.cfg.typing_predicate, _SAMPLE_POOL_LIMIT))
-            instances = [term_from_binding(_bound(r, "instance")) for r in rows]
+            instances = [term_from_binding(_bound(r, "instance"), self._iris) for r in rows]
             instances = [i for i in instances if isinstance(i, Iri)]
             instances.sort(key=_wikidata_id_sort_key)
             return instances[:n]
         rows = self._rows(instance_richness_query(class_iri, self.cfg.typing_predicate, _SAMPLE_POOL_LIMIT))
         ranked = []
         for row in rows:
-            instance = term_from_binding(_bound(row, "instance"))
+            instance = term_from_binding(_bound(row, "instance"), self._iris)
             if isinstance(instance, Iri):
                 ranked.append((-_int_value(row, "count"), instance))
         ranked.sort()
@@ -741,7 +791,8 @@ class KgClient:
     def instance_triples(self, instance: Iri) -> list[Triple]:
         """One-hop triples of an instance, with English labels."""
         rows = self._rows(instance_triples_query(instance))
-        pairs = [(term_from_binding(_bound(row, "predicate")), term_from_binding(_bound(row, "object")))
+        iris = self._iris
+        pairs = [(term_from_binding(_bound(row, "predicate"), iris), term_from_binding(_bound(row, "object"), iris))
                  for row in rows]
         return self._labelled_triples(
             instance, [(instance, p, self._labeled_form(p), o) for p, o in pairs if isinstance(p, Iri)])
@@ -749,7 +800,8 @@ class KgClient:
     def triple_examples(self, class_iri: Iri, predicate: Iri, limit: int = 5) -> list[Triple]:
         rows = self._rows(triple_examples_query(class_iri, predicate, self.cfg.typing_predicate, limit))
         labeled = self._labeled_form(predicate)
-        pairs = [(term_from_binding(_bound(row, "subject")), term_from_binding(_bound(row, "object")))
+        iris = self._iris
+        pairs = [(term_from_binding(_bound(row, "subject"), iris), term_from_binding(_bound(row, "object"), iris))
                  for row in rows]
         kept = [(s, predicate, labeled, o) for s, o in pairs if isinstance(s, Iri) and not isinstance(o, BlankNode)]
         return self._labelled_triples(labeled, kept)[:limit]
@@ -777,11 +829,16 @@ class KgClient:
         return self._term_lookup(description_query(term, self.cfg.description_predicate), _first_value, "description")
 
     def _labeled_form(self, predicate: Iri) -> Iri:
-        # Wikidata labels live on the property entity, not the direct-property IRI.
-        direct_ns = "http://www.wikidata.org/prop/direct/"
-        if self.cfg.kg_kind is KgKind.WIKIDATA and predicate.value.startswith(direct_ns):
-            return Iri("http://www.wikidata.org/entity/" + predicate.value[len(direct_ns):])
-        return predicate
+        """The IRI that carries the predicate's label, worked out once per client."""
+        form = self._labeled_forms.get(predicate)
+        if form is None:
+            form = predicate
+            # Wikidata labels live on the property entity, not the direct-property IRI.
+            direct_ns = "http://www.wikidata.org/prop/direct/"
+            if self.cfg.kg_kind is KgKind.WIKIDATA and predicate.value.startswith(direct_ns):
+                form = self._iris["http://www.wikidata.org/entity/" + predicate.value[len(direct_ns):]]
+            self._labeled_forms[predicate] = form
+        return form
 
     def global_candidates(self, class_iri: Iri, max_candidates: int | None = None) -> list[Iri]:
         """The predicates the global setting profiles: the class's predicates by
@@ -794,7 +851,7 @@ class KgClient:
         if self.cfg.kg_kind is not KgKind.WIKIDATA:
             return ()
         return self._term_lookup(property_constraint_query(self._labeled_form(predicate), constraint_type),
-                                 _sorted_iris, "class")
+                                 _sorted_iris, "class", self._iris)
 
     def is_subclass_of(self, c: Iri, c_prime: Iri) -> bool:
         """Reflexive-transitive subclass test, bounded to
@@ -816,7 +873,8 @@ class KgClient:
         """
         total = self.instance_count(class_iri)
         used = self._frequency_table(class_iri).get(predicate, 0)
-        completeness = RecordField.FREQUENCY
+        fields = int(fields)
+        completeness = _FREQUENCY_BITS
         values: dict = {}
         constraints = self.property_constraint_classes
 
@@ -848,14 +906,14 @@ class KgClient:
         # Each part is best-effort: a failed lookup keeps what the part read
         # before it, leaves the part's completeness bits unset and logs once.
         parts = [
-            (RecordField.CARDINALITY, "cardinality distribution", cardinality),
-            (RecordField.DATATYPES | RecordField.OBJECT_CLASSES, "object profiles", object_profiles),
-            (RecordField.EXAMPLES, "triple examples", examples),
-            (RecordField.LABELS, "labels", labels),
+            (_CARDINALITY_BITS, "cardinality distribution", cardinality),
+            (_OBJECT_PROFILE_BITS, "object profiles", object_profiles),
+            (_EXAMPLES_BITS, "triple examples", examples),
+            (_LABELS_BITS, "labels", labels),
         ]
         if self.cfg.kg_kind is KgKind.WIKIDATA:
-            parts += [(RecordField.SUBJECT_TYPE_CONSTRAINT, "subject-type constraints", subject_types),
-                      (RecordField.VALUE_TYPE_CONSTRAINT, "value-type constraints", value_types)]
+            parts += [(_SUBJECT_TYPE_BITS, "subject-type constraints", subject_types),
+                      (_VALUE_TYPE_BITS, "value-type constraints", value_types)]
         for bits, name, read in parts:
             if not bits & fields:
                 continue
@@ -870,7 +928,7 @@ class KgClient:
                 class_uri=class_iri,
                 predicate_uri=predicate,
                 frequency=min((used / total) if total else 0.0, 1.0),
-                completeness=completeness,
+                completeness=RecordField(completeness),
                 **values,
             )
         except ValueError as exc:
@@ -898,8 +956,8 @@ def _first_value(doc: dict, variable: str) -> str | None:
     return _bound(rows[0], variable)["value"] if rows else None
 
 
-def _sorted_iris(doc: dict, variable: str) -> tuple[Iri, ...]:
-    terms = [term_from_binding(_bound(row, variable)) for row in _bindings(doc)]
+def _sorted_iris(doc: dict, variable: str, iris: IriTable) -> tuple[Iri, ...]:
+    terms = [term_from_binding(_bound(row, variable), iris) for row in _bindings(doc)]
     return tuple(sorted(term for term in terms if isinstance(term, Iri)))
 
 

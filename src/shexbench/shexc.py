@@ -79,6 +79,10 @@ _UNSUPPORTED_KEYWORDS = {
     "totaldigits", "fractiondigits",
 }
 
+#: Unsupported directives that end with one IRI: recovery resumes after it,
+#: so the IRI is not read as a shape label.
+_IRI_DIRECTIVES = {"base", "import"}
+
 _TOKEN_SPEC = [
     ("IRIREF", r"<[^<>\"{}|^`\\\s]*>"),
     ("DTCARET", r"\^\^"),
@@ -171,9 +175,14 @@ class _Parser:
     def error(self, token: _Token, message: str, kind: DiagnosticKind = DiagnosticKind.SYNTAX) -> None:
         self.diagnostics.append((token[2], message, kind))
 
-    def skip_until(self, *stop_values: str) -> None:
+    def skip_until(self, *stop_values: str, at_iri: bool = False) -> None:
+        """Skip to the end, to a token whose value is in ``stop_values`` or,
+        with ``at_iri``, to an IRI token (whose value is the whole ``<...>``)."""
         tokens = self.tokens
-        while tokens[self.pos][0] != "EOF" and tokens[self.pos][1] not in stop_values:
+        while True:
+            kind, value, _ = tokens[self.pos]
+            if kind == "EOF" or value in stop_values or (at_iri and kind == "IRIREF"):
+                return
             self.pos += 1
 
     def positioned(self) -> list[ParseDiagnostic]:
@@ -207,7 +216,10 @@ class _Parser:
                 self.pos += 1
                 self.error(token, f"'{token[1]}' is outside the supported ShEx subset",
                            DiagnosticKind.UNSUPPORTED_FEATURE)
-                self.skip_until("{", "<")
+                if word in _IRI_DIRECTIVES and tokens[self.pos][0] == "IRIREF":
+                    self.pos += 1
+                else:
+                    self.skip_until("{", at_iri=True)
             elif kind == "IRIREF":
                 parsed = self._parse_shape_decl(ref_sites)
                 if parsed is not None:
@@ -243,7 +255,7 @@ class _Parser:
         named = name[0] == "PNAME" and name[1].endswith(":")
         if not named:
             self.error(name if name[0] != "EOF" else at, "expected 'prefix:' after PREFIX")
-            self.skip_until("<")
+            self.skip_until(at_iri=True)
         else:
             self.pos += 1
         iri = self.tokens[self.pos]
@@ -298,7 +310,7 @@ class _Parser:
 
         if tokens[self.pos][1] != "{":
             self.error(tokens[self.pos], "expected '{' to open the shape body")
-            self.skip_until("{", "<")
+            self.skip_until("{", at_iri=True)
             if tokens[self.pos][1] != "{":
                 return None
         self.pos += 1

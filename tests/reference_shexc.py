@@ -1,7 +1,9 @@
 """The ShExC reader as it was before the offset-token reader: a verbatim copy
 of ``shexbench.shexc`` from its imports through ``parse_shexc`` (the writer
 left out, the model import made absolute and the writer's imports dropped),
-kept as the oracle for the reader that replaced it.
+kept as the oracle for the reader that replaced it.  One change since: its
+error recovery stops at IRI tokens and skips the IRI of ``BASE`` and
+``IMPORT``, as the reader's does.
 
 Its diagnostics are its own classes; compare outcomes through
 ``reference_parse_outcome``, which gives the schema or the error string.
@@ -140,8 +142,10 @@ class _Parser:
     def error(self, token: _Token, message: str, kind: DiagnosticKind = DiagnosticKind.SYNTAX) -> None:
         self.diagnostics.append(ParseDiagnostic(token.line, token.col, message, kind))
 
-    def skip_until(self, *stop_values: str) -> None:
-        while self.peek().kind != "EOF" and self.peek().value not in stop_values:
+    def skip_until(self, *stop_values: str, at_iri: bool = False) -> None:
+        while self.peek().kind != "EOF" and self.peek().value not in stop_values and not (
+            at_iri and self.peek().kind == "IRIREF"
+        ):
             self.advance()
 
     # -- grammar -----------------------------------------------------------
@@ -165,7 +169,10 @@ class _Parser:
                 self.advance()
                 self.error(token, f"'{token.value}' is outside the supported ShEx subset",
                            DiagnosticKind.UNSUPPORTED_FEATURE)
-                self.skip_until("{", "<")
+                if word in ("base", "import") and self.peek().kind == "IRIREF":
+                    self.advance()
+                else:
+                    self.skip_until("{", at_iri=True)
             elif token.kind == "IRIREF":
                 parsed = self._parse_shape_decl(ref_sites)
                 if parsed is not None:
@@ -203,7 +210,7 @@ class _Parser:
         name = self.peek()
         if name.kind != "PNAME" or not name.value.endswith(":"):
             self.error(name if name.kind != "EOF" else at, "expected 'prefix:' after PREFIX")
-            self.skip_until("<")
+            self.skip_until(at_iri=True)
         else:
             self.advance()
         iri = self.peek()
@@ -253,7 +260,7 @@ class _Parser:
 
         if self.peek().value != "{":
             self.error(self.peek(), "expected '{' to open the shape body")
-            self.skip_until("{", "<")
+            self.skip_until("{", at_iri=True)
             if self.peek().value != "{":
                 return None
         self.advance()

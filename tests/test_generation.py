@@ -3,14 +3,19 @@ from __future__ import annotations
 import gc
 import json
 import weakref
+from collections import Counter
 from dataclasses import astuple
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from shexbench import generate
+from shexbench.cardml import train
 from shexbench.generate import (
+    CARDINALITY_INSTRUCTION,
     NODE_CONSTRAINT_INSTRUCTION,
+    MlCardinalitySource,
     AssemblyError,
     GenerationFailedError,
     HttpLlmClient,
@@ -34,7 +39,7 @@ from shexbench.generate import (
     prompt_hash,
     strip_code_fences,
 )
-from shexbench.kginfo import GlobalPredicateRecord, KgClient, RecordField
+from shexbench.kginfo import EndpointError, GlobalPredicateRecord, KgClient, RecordField
 from shexbench.model import (
     Cardinality,
     DatatypeConstraint,
@@ -44,7 +49,7 @@ from shexbench.model import (
     ValueSet,
     canonicalize,
 )
-from shexbench.prompts import ChatPrompt
+from shexbench.prompts import ChatPrompt, build_global_prompt
 from shexbench.shexc import parse_shexc, serialize_shexc
 from support import (
     WD,
@@ -59,6 +64,7 @@ from support import (
     build_award_endpoint,
     reference_reply_values,
     refused_url,
+    synthetic_cardinality_rows,
 )
 
 AWARD = Iri(WD + "Q4220917")
@@ -450,6 +456,72 @@ class TestGenerateGlobal:
         predicates = {c.predicate.value for c in schema.start_shape.constraints}
         assert WDT + "P17" not in predicates
         assert WDT + "P571" in predicates
+
+
+class TestOnePromptPerRecord:
+    """Each record's global prompt is rendered once, at the first step that
+    needs it, and both LLM steps build on that one prompt."""
+
+    @staticmethod
+    def _count_prompts(monkeypatch) -> Counter:
+        built = Counter()
+        original = generate.build_global_prompt
+
+        def counting(record, fewshot=()):
+            built[record.predicate_uri.value] += 1
+            return original(record, fewshot)
+
+        monkeypatch.setattr(generate, "build_global_prompt", counting)
+        return built
+
+    @staticmethod
+    def _trained_source() -> MlCardinalitySource:
+        return MlCardinalitySource(train("dt", synthetic_cardinality_rows(200, seed=7), seed=42))
+
+    @staticmethod
+    def _node_client() -> RuleLlmClient:
+        """The rule client, with a node reply for P856 too: a trained source includes every predicate."""
+        client = award_rule_client()
+        client.node_replies[WDT + "P856"] = "{}"
+        return client
+
+    def test_llm_steps_share_one_prompt(self, award_kg, monkeypatch):
+        built = self._count_prompts(monkeypatch)
+        client = award_rule_client()
+        generate_global(AWARD, award_kg, client)
+        candidates = [p.value for p in award_kg.global_candidates(AWARD)]
+        assert built == dict.fromkeys(candidates, 1)
+        # P856 is rejected at step one, so the other three reach step two
+        assert len(client.sent) == 2 * len(candidates) - 1
+        expected = {p: build_global_prompt(award_kg.build_global_record(AWARD, Iri(p))).user for p in candidates}
+        for messages in client.sent:
+            user, instruction = messages[-1]["content"].rsplit("\n\n", 1)
+            assert user in expected.values()
+            assert instruction in (CARDINALITY_INSTRUCTION, NODE_CONSTRAINT_INSTRUCTION)
+
+    def test_trained_cardinality_logs_as_before(self, tmp_path, caplog, monkeypatch):
+        """With a trained source the prompt is rendered at the node step.  With
+        the cardinality part down, the source still predicts first; the
+        prompt then finds the record incomplete."""
+        built = self._count_prompts(monkeypatch)
+        endpoint = build_award_endpoint()
+
+        def failing(query):
+            if "?cardinality" in query and f"<{WDT}P571>" in query:
+                raise EndpointError("template down")
+            return endpoint(query)
+
+        kg = KgClient(award_endpoint_config(tmp_path), transport=failing)
+        client = self._node_client()
+        with caplog.at_level("WARNING"):
+            generate_global(AWARD, kg, client, self._trained_source())
+        assert built == dict.fromkeys((p.value for p in kg.global_candidates(AWARD)), 1)
+        assert all(NODE_CONSTRAINT_INSTRUCTION in m[-1]["content"] for m in client.sent)
+        assert [(r.name, r.getMessage()) for r in caplog.records] == [
+            ("shexbench.kginfo", f"cardinality distribution unavailable for {AWARD} / {WDT}P571: template down"),
+            ("shexbench.generate", f"skipping predicate {WDT}P571 for {AWARD}: "
+                                   "record is missing required fields: cardinality_distribution"),
+        ]
 
 
 class TestStubReplay:

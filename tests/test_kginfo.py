@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from shexbench import kginfo
+from shexbench.generate import StubLlmClient, StubReplyMissingError, prompt_hash
 from shexbench.kginfo import (
     ALL_FIELDS,
     CacheMissError,
@@ -24,6 +25,7 @@ from shexbench.kginfo import (
     EndpointConfig,
     EndpointError,
     GlobalPredicateRecord,
+    IriTable,
     KgClient,
     KgKind,
     KgSubclassOracle,
@@ -38,8 +40,10 @@ from shexbench.kginfo import (
     frequency_query,
     http_transport,
     instance_count_query,
+    instance_triples_query,
     label_query,
     post,
+    read_small_file,
     term_from_binding,
 )
 from shexbench.model import Iri, Literal
@@ -500,6 +504,49 @@ class TestCacheWriter:
 AWARD_PREDICATES = (Iri(WDT + "P31"), COUNTRY_PRED, INCEPTION, WEBSITE, CONFERRED)
 
 
+class TestReadSmallFile:
+    """The one raw reader of cache files and recorded replies."""
+
+    @settings(deadline=None)
+    @given(st.one_of(st.integers(0, 3 * 64 * 1024 + 512),
+                     st.sampled_from([1, 64 * 1024 - 1, 64 * 1024, 64 * 1024 + 1, 2 * 64 * 1024, 3 * 64 * 1024 + 1])),
+           st.integers(0, 2**32))
+    def test_reads_what_path_read_bytes_reads(self, size, seed):
+        import random
+        import tempfile
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "file.json"
+            path.write_bytes(random.Random(seed).randbytes(size))
+            assert read_small_file(path) == read_small_file(str(path)) == path.read_bytes()
+
+    def test_directory_at_a_cache_path_names_the_path(self, endpoint, tmp_path):
+        cfg = award_endpoint_config(tmp_path / "cache", offline=True)
+        path = tmp_path / "cache" / f"{cache_key(instance_count_query(AWARD, cfg.typing_predicate), cfg.endpoint_url)}.json"
+        path.mkdir(parents=True)
+        with pytest.raises(LocalFileError, match=f"cannot read cache file {re.escape(str(path))}: "):
+            KgClient(cfg, transport=endpoint).instance_count(AWARD)
+
+    def test_directory_at_a_stub_path_is_a_missing_reply(self, tmp_path):
+        messages = [{"role": "user", "content": "anything"}]
+        path = tmp_path / f"{prompt_hash(messages)}.json"
+        path.mkdir()
+        with pytest.raises(StubReplyMissingError, match=f"cannot read stub file {re.escape(str(path))}: "):
+            StubLlmClient(tmp_path).send(messages)
+
+    def test_truncated_cache_file_is_malformed(self, endpoint, client, tmp_path):
+        client.instance_count(AWARD)
+        (path,) = (tmp_path / "cache").glob("*.json")
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(MalformedResultsError, match=f"corrupt cache file {re.escape(str(path))}: "):
+            KgClient._read_cache(str(path))
+
+    def test_missing_cache_file_is_a_miss(self, endpoint, client, tmp_path):
+        assert KgClient._read_cache(str(tmp_path / "cache" / "missing.json")) is None
+        assert client.instance_count(AWARD) == 10
+        assert endpoint.request_count == 1
+
+
 class TestDocumentTable:
     """Each client reads and parses a cache file once; misses are not remembered."""
 
@@ -861,10 +908,16 @@ class TestGlobalRecord:
         {"type": "uri", "value": ""},
         {"type": "uri", "value": "http://example.org/a b"},
         {"type": "literal", "value": "x", "datatype": XSD + "string", "xml:lang": "en"},
-    ], ids=["empty-iri", "iri-with-space", "datatype-and-language"])
+        {"type": "uri", "value": []},
+        {"type": "uri", "value": ["http://example.org/a"]},
+        {"type": "literal", "value": "x", "datatype": 5},
+    ], ids=["empty-iri", "iri-with-space", "datatype-and-language", "empty-list-iri", "list-iri", "int-datatype"])
     def test_binding_that_is_no_term_is_malformed(self, binding):
-        with pytest.raises(MalformedResultsError, match="not a valid RDF term"):
-            term_from_binding(binding)
+        iris = IriTable()
+        for table in (None, iris, iris):
+            with pytest.raises(MalformedResultsError, match="not a valid RDF term"):
+                term_from_binding(binding, table)
+        assert iris == {}
 
     def test_examples_capped_at_five(self):
         with pytest.raises(ValueError):
@@ -1016,4 +1069,72 @@ class TestTermTableOracle:
                     (down.add if is_down else down.discard)(term)
                     answers.append(self._ask(clients[index], kind, term, other))
                 sides.append((answers, [client.keys_touched for client in clients], fetches))
+        assert sides[0] == sides[1]
+
+
+class TestIriTable:
+    """A store decodes each IRI text to one Iri for all its clients; a text
+    that is no IRI is never stored."""
+
+    def test_clients_of_a_store_share_one_iri_per_text(self, endpoint, tmp_path):
+        store = CacheStore()
+        cfg = award_endpoint_config(tmp_path / "cache")
+        first, second = (KgClient(cfg, transport=endpoint, store=store) for _ in range(2))
+        triples = first.instance_triples(Iri(WD + "Q1000"))
+        assert second.instance_triples(Iri(WD + "Q1000")) == triples
+        for triple in triples:
+            assert store.iris[triple.predicate.value] is triple.predicate
+        assert first._labeled_form(COUNTRY_PRED) is store.iris[WD + "P17"] is second._labeled_form(COUNTRY_PRED)
+
+    def test_uri_with_whitespace_raises_on_every_ask(self, endpoint, tmp_path):
+        bad = "http://example.org/a b"
+        query = instance_triples_query(Iri(WD + "Q1000"))
+
+        def transport(asked):
+            doc = endpoint(asked)
+            if asked == query:
+                doc = json.loads(json.dumps(doc))
+                doc["results"]["bindings"][0]["predicate"]["value"] = bad
+            return doc
+
+        store = CacheStore()
+        clients = [KgClient(award_endpoint_config(tmp_path / "cache"), transport=transport, store=store)
+                   for _ in range(2)]
+        for _ in range(2):
+            for client in clients:
+                with pytest.raises(MalformedResultsError, match="IRI contains whitespace"):
+                    client.instance_triples(Iri(WD + "Q1000"))
+        assert bad not in store.iris
+
+
+_ORACLE_INSTANCES = (*(Iri(WD + f"Q10{i:02d}") for i in range(0, 10, 3)), Iri(WD + "Q860"), Iri(WD + "Q404"))
+_ORACLE_PREDICATES = (COUNTRY_PRED, INCEPTION, WEBSITE, CONFERRED, Iri(WDT + "P31"), Iri(WDT + "P9999"))
+
+
+class TestIriTableOracle:
+    """Random profile reads by clients sharing one store, and so one IRI
+    table, against clients that each have a fresh store."""
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from(("triples", "examples", "record")),
+                              st.sampled_from(_ORACLE_INSTANCES), st.sampled_from(_ORACLE_PREDICATES)), max_size=10))
+    def test_random_profiles_equal_a_fresh_store_per_client(self, asks):
+        import tempfile
+
+        endpoint = build_award_endpoint()
+        sides = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, store in (("shared", CacheStore()), ("fresh", None)):
+                cfg = award_endpoint_config(Path(tmp) / name)
+                clients = [KgClient(cfg, transport=endpoint, store=store) for _ in range(3)]
+                answers = []
+                for index, kind, instance, predicate in asks:
+                    client = clients[index]
+                    if kind == "triples":
+                        answers.append(client.instance_triples(instance))
+                    elif kind == "examples":
+                        answers.append(client.triple_examples(AWARD, predicate))
+                    else:
+                        answers.append(client.build_global_record(AWARD, predicate))
+                sides.append((answers, [client.keys_touched for client in clients]))
         assert sides[0] == sides[1]

@@ -230,6 +230,22 @@ class TestDiagnostics:
             assert schema is None
             assert any(d.kind is DiagnosticKind.UNSUPPORTED_FEATURE for d in diagnostics), text
 
+    @pytest.mark.parametrize("text, expected", [
+        ("PREFIX ex <http://example.org/>\n<S> { <http://example.org/p> IRI }",
+         ["line 1 col 8: expected 'prefix:' after PREFIX"]),
+        ("IMPORT <http://example.org/x>\n<S> { <http://example.org/p> IRI }",
+         ["line 1 col 1: 'IMPORT' is outside the supported ShEx subset"]),
+        ("BASE <http://example.org/>\nABSTRACT <S> { <http://example.org/p> IRI }",
+         ["line 1 col 1: 'BASE' is outside the supported ShEx subset",
+          "line 2 col 1: 'ABSTRACT' is outside the supported ShEx subset"]),
+        ("PREFIX ex <http://example.org/>\n<S> { <http://example.org/p> IRI ; <http://example.org/p> IRI }",
+         ["line 1 col 8: expected 'prefix:' after PREFIX",
+          "line 2 col 36: duplicate predicate http://example.org/p in shape <S>"]),
+    ], ids=["prefix-without-colon", "import", "base-then-abstract", "prefix-then-shape-error"])
+    def test_recovery_resumes_at_the_next_declaration(self, text, expected):
+        _, diagnostics = try_parse_shexc(text)
+        assert [str(d) for d in diagnostics] == expected
+
     def test_junk_token_position(self):
         good = "<S> {\n  <http://example.org/p> IRI\n}"
         bad = "<S> {\n  <http://example.org/p> %% IRI\n}"
