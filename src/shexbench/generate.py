@@ -388,28 +388,13 @@ def _structured_step(model_cls, instruction: str, prompt: ChatPrompt, client: Ll
     )
 
 
-def predict_cardinality_structured(
-    record: GlobalPredicateRecord,
-    client: LlmClient,
-    fewshot: tuple[tuple[str, str], ...] = (),
-    *,
-    prompt: ChatPrompt | None = None,
-) -> StructuredCardinality:
-    """Step one for the record; ``prompt``, when given, is the record's
-    :func:`build_global_prompt` already rendered with ``fewshot``."""
-    prompt = prompt or build_global_prompt(record, fewshot)
+def predict_cardinality_structured(prompt: ChatPrompt, client: LlmClient) -> StructuredCardinality:
+    """Step one for a record, given its :func:`build_global_prompt`."""
     return _structured_step(StructuredCardinality, CARDINALITY_INSTRUCTION, prompt, client)
 
 
-def predict_node_constraint_structured(
-    record: GlobalPredicateRecord,
-    client: LlmClient,
-    fewshot: tuple[tuple[str, str], ...] = (),
-    *,
-    prompt: ChatPrompt | None = None,
-) -> StructuredNodeConstraint:
-    """Step two for the record; ``prompt`` as for :func:`predict_cardinality_structured`."""
-    prompt = prompt or build_global_prompt(record, fewshot)
+def predict_node_constraint_structured(prompt: ChatPrompt, client: LlmClient) -> StructuredNodeConstraint:
+    """Step two for a record, given its :func:`build_global_prompt`."""
     return _structured_step(StructuredNodeConstraint, NODE_CONSTRAINT_INSTRUCTION, prompt, client)
 
 
@@ -523,18 +508,9 @@ def assemble_schema(
 
 
 class CardinalitySource(Protocol):
-    """Pluggable step-one implementation (LLM or a trained model)."""
+    """Pluggable step-one implementation: a trained model in place of the LLM step."""
 
     def predict(self, record: GlobalPredicateRecord) -> StructuredCardinality: ...
-
-
-@dataclass
-class LlmCardinalitySource:
-    client: LlmClient
-    fewshot: tuple[tuple[str, str], ...] = ()
-
-    def predict(self, record: GlobalPredicateRecord) -> StructuredCardinality:
-        return predict_cardinality_structured(record, self.client, self.fewshot)
 
 
 @dataclass
@@ -576,13 +552,12 @@ def generate_global(
             prompt = None
             if cardinality_source is None:
                 prompt = build_global_prompt(record, fewshot)
-                cardinality = predict_cardinality_structured(record, client, fewshot, prompt=prompt)
+                cardinality = predict_cardinality_structured(prompt, client)
             else:
                 cardinality = cardinality_source.predict(record)
             if not cardinality.include:
                 continue
-            prompt = prompt or build_global_prompt(record, fewshot)
-            node = predict_node_constraint_structured(record, client, fewshot, prompt=prompt)
+            node = predict_node_constraint_structured(prompt or build_global_prompt(record, fewshot), client)
             parts.append((predicate, cardinality, node))
         except (StructuredOutputFailedError, EndpointError, CacheMissError, IncompleteRecordError) as exc:
             log.warning("skipping predicate %s for %s: %s", predicate, class_iri, exc)

@@ -611,7 +611,6 @@ class KgClient:
         self._keys = self._store.keys(cfg.endpoint_url)
         self._lookups = self._store.lookups(cfg.endpoint_url)
         self._iris = self._store.iris
-        self._labeled_forms: dict[Iri, Iri] = {}
         # the same text as str(Path(cfg.cache_dir) / name), without a Path per lookup
         self._cache_prefix = os.fspath(Path(cfg.cache_dir) / "_")[:-1]
         # Parsed documents by cache key, and decoded frequency tables and
@@ -829,16 +828,11 @@ class KgClient:
         return self._term_lookup(description_query(term, self.cfg.description_predicate), _first_value, "description")
 
     def _labeled_form(self, predicate: Iri) -> Iri:
-        """The IRI that carries the predicate's label, worked out once per client."""
-        form = self._labeled_forms.get(predicate)
-        if form is None:
-            form = predicate
-            # Wikidata labels live on the property entity, not the direct-property IRI.
-            direct_ns = "http://www.wikidata.org/prop/direct/"
-            if self.cfg.kg_kind is KgKind.WIKIDATA and predicate.value.startswith(direct_ns):
-                form = self._iris["http://www.wikidata.org/entity/" + predicate.value[len(direct_ns):]]
-            self._labeled_forms[predicate] = form
-        return form
+        # Wikidata labels live on the property entity, not the direct-property IRI.
+        direct_ns = "http://www.wikidata.org/prop/direct/"
+        if self.cfg.kg_kind is KgKind.WIKIDATA and predicate.value.startswith(direct_ns):
+            return self._iris["http://www.wikidata.org/entity/" + predicate.value[len(direct_ns):]]
+        return predicate
 
     def global_candidates(self, class_iri: Iri, max_candidates: int | None = None) -> list[Iri]:
         """The predicates the global setting profiles: the class's predicates by

@@ -185,6 +185,17 @@ class _Parser:
                 return
             self.pos += 1
 
+    def skip_to_shape_body(self) -> None:
+        """Skip to the end, to the next ``{``, or to the next shape declaration
+        (an IRI followed by ``{``), so that a shape whose ``{`` is missing
+        gives one diagnostic and the next shape is read as its own."""
+        tokens = self.tokens
+        while True:
+            kind, value, _ = tokens[self.pos]
+            if kind == "EOF" or value == "{" or (kind == "IRIREF" and tokens[self.pos + 1][1] == "{"):
+                return
+            self.pos += 1
+
     def positioned(self) -> list[ParseDiagnostic]:
         """The diagnostics so far, with line and column from one newline index."""
         starts = _line_starts(self.text)
@@ -310,7 +321,7 @@ class _Parser:
 
         if tokens[self.pos][1] != "{":
             self.error(tokens[self.pos], "expected '{' to open the shape body")
-            self.skip_until("{", at_iri=True)
+            self.skip_to_shape_body()
             if tokens[self.pos][1] != "{":
                 return None
         self.pos += 1

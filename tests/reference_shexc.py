@@ -2,8 +2,9 @@
 of ``shexbench.shexc`` from its imports through ``parse_shexc`` (the writer
 left out, the model import made absolute and the writer's imports dropped),
 kept as the oracle for the reader that replaced it.  One change since: its
-error recovery stops at IRI tokens and skips the IRI of ``BASE`` and
-``IMPORT``, as the reader's does.
+error recovery stops at IRI tokens, skips the IRI of ``BASE`` and
+``IMPORT``, and after a missing ``{`` resumes at the next shape
+declaration, as the reader's does.
 
 Its diagnostics are its own classes; compare outcomes through
 ``reference_parse_outcome``, which gives the schema or the error string.
@@ -148,6 +149,12 @@ class _Parser:
         ):
             self.advance()
 
+    def skip_to_shape_body(self) -> None:
+        while self.peek().kind != "EOF" and self.peek().value != "{" and not (
+            self.peek().kind == "IRIREF" and self.peek(1).value == "{"
+        ):
+            self.advance()
+
     # -- grammar -----------------------------------------------------------
 
     def parse(self) -> Schema:
@@ -260,7 +267,7 @@ class _Parser:
 
         if self.peek().value != "{":
             self.error(self.peek(), "expected '{' to open the shape body")
-            self.skip_until("{", at_iri=True)
+            self.skip_to_shape_body()
             if self.peek().value != "{":
                 return None
         self.advance()

@@ -19,7 +19,6 @@ from shexbench.generate import (
     AssemblyError,
     GenerationFailedError,
     HttpLlmClient,
-    LlmCardinalitySource,
     MinerThresholds,
     ProviderError,
     StructuredCardinality,
@@ -214,14 +213,14 @@ BAD_BOUNDS = '{"include": true, "min": 2, "max": 1}'
 class TestStructuredSteps:
     def test_cardinality_passthrough(self):
         client = ScriptedLlmClient(['{"include": true, "min": 1, "max": 1}'])
-        value = predict_cardinality_structured(make_record(), client)
+        value = predict_cardinality_structured(build_global_prompt(make_record()), client)
         assert (value.include, value.min, value.max) == (True, 1, 1)
 
     def test_invalid_then_valid_triggers_rerequest(self):
         client = ScriptedLlmClient(
             ['{"include": true, "min": 2, "max": 1}', '{"include": true, "min": 0, "max": null}']
         )
-        value = predict_cardinality_structured(make_record(), client)
+        value = predict_cardinality_structured(build_global_prompt(make_record()), client)
         assert value.max is None
         assert len(client.sent) == 2
         # re-request carries the validation error back to the model
@@ -232,7 +231,7 @@ class TestStructuredSteps:
     def test_deeply_nested_reply_is_corrected(self):
         nested = '{"include": ' + "[" * 100_000 + "]" * 100_000 + "}"
         client = ScriptedLlmClient([nested, '{"include": true, "min": 0, "max": null}'])
-        value = predict_cardinality_structured(make_record(), client)
+        value = predict_cardinality_structured(build_global_prompt(make_record()), client)
         assert value == StructuredCardinality(True, 0, None)
         assert client.sent[1][-1]["content"] == (
             "The previous reply was invalid: invalid JSON: document nested too deeply for the JSON decoder. "
@@ -241,7 +240,7 @@ class TestStructuredSteps:
     def test_retries_exhausted(self):
         client = ScriptedLlmClient(["junk"] * 4)
         with pytest.raises(StructuredOutputFailedError):
-            predict_cardinality_structured(make_record(), client)
+            predict_cardinality_structured(build_global_prompt(make_record()), client)
         # the first request and two re-requests
         assert len(client.sent) == 3
 
@@ -255,7 +254,7 @@ class TestStructuredSteps:
         def call():
             marker = Marker()
             try:
-                predict_cardinality_structured(make_record(), ScriptedLlmClient(replies))
+                predict_cardinality_structured(build_global_prompt(make_record()), ScriptedLlmClient(replies))
             except StructuredOutputFailedError:
                 pass
             return weakref.ref(marker)
@@ -267,7 +266,7 @@ class TestStructuredSteps:
     def test_exhausted_transcript_and_message(self):
         client = ScriptedLlmClient(["junk"] * 3)
         with pytest.raises(StructuredOutputFailedError) as exc:
-            predict_node_constraint_structured(make_record(), client)
+            predict_node_constraint_structured(build_global_prompt(make_record()), client)
         correction = ("The previous reply was invalid: reply contains no JSON object. "
                       "Reply again with only the corrected JSON object.")
         assert str(exc.value) == "reply failed validation after 3 attempt(s): reply contains no JSON object"
@@ -279,12 +278,13 @@ class TestStructuredSteps:
         assert client.sent[0][-1]["content"].endswith(NODE_CONSTRAINT_INSTRUCTION)
 
     def test_node_constraint_variants(self):
+        prompt = build_global_prompt(make_record())
         client = ScriptedLlmClient(['{"datatype": "xsd:dateTime"}'])
-        assert predict_node_constraint_structured(make_record(), client).datatype == "xsd:dateTime"
+        assert predict_node_constraint_structured(prompt, client).datatype == "xsd:dateTime"
         client = ScriptedLlmClient(['{"referenced_classes": ["wd:Q6256"]}'])
-        assert predict_node_constraint_structured(make_record(), client).referenced_classes == ("wd:Q6256",)
+        assert predict_node_constraint_structured(prompt, client).referenced_classes == ("wd:Q6256",)
         client = ScriptedLlmClient(["{}"])
-        assert predict_node_constraint_structured(make_record(), client).node_kind == "iri"
+        assert predict_node_constraint_structured(prompt, client).node_kind == "iri"
 
 
 class TestEndToEnd:

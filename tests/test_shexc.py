@@ -241,7 +241,12 @@ class TestDiagnostics:
         ("PREFIX ex <http://example.org/>\n<S> { <http://example.org/p> IRI ; <http://example.org/p> IRI }",
          ["line 1 col 8: expected 'prefix:' after PREFIX",
           "line 2 col 36: duplicate predicate http://example.org/p in shape <S>"]),
-    ], ids=["prefix-without-colon", "import", "base-then-abstract", "prefix-then-shape-error"])
+        ("<S>\n <http://example.org/p> IRI ;\n <http://example.org/q> IRI\n}",
+         ["line 2 col 2: expected '{' to open the shape body", "line 4 col 2: no shape declarations found"]),
+        ("<S>\n <http://example.org/p> IRI\n}\n<T> { <http://example.org/p> IRI }",
+         ["line 2 col 2: expected '{' to open the shape body"]),
+    ], ids=["prefix-without-colon", "import", "base-then-abstract", "prefix-then-shape-error",
+            "shape-without-brace", "shape-without-brace-then-shape"])
     def test_recovery_resumes_at_the_next_declaration(self, text, expected):
         _, diagnostics = try_parse_shexc(text)
         assert [str(d) for d in diagnostics] == expected
