@@ -71,7 +71,7 @@ from .matching import (  # noqa: F401 - evaluate_pair stays bound for bench/trac
     evaluate_pair,
     macro_average,
 )
-from .model import Iri, Schema, canonicalize, default_canonical
+from .model import Iri, Schema, canonicalize
 from .prompts import (
     EmptyPredicateSetError,
     EmptySampleError,
@@ -548,8 +548,7 @@ def cmd_evaluate(
             }
             if record.error_breakdown is None:
                 record.error_breakdown = report.error_breakdown.as_dict()
-        record.ged, record.nged = canonical_ged_and_nged(
-            default_canonical(gen, gen_canon, typing), default_canonical(gt, gt_canon, typing))
+        record.ged, record.nged = canonical_ged_and_nged(gen_canon, gt_canon)
         record.n_gt_constraints = len(gt.start_shape.constraints)
         record.n_gen_constraints = len(gen.start_shape.constraints)
         record.timings["evaluate"] = round(time.perf_counter() - started, 4)

@@ -437,22 +437,21 @@ def _expand_term(text: str) -> Iri:
 
 def _node_constraint_from_structured(
     structured: StructuredNodeConstraint,
-    typing_predicate: Iri,
-    shapes: dict[str, Shape],
+    labels: dict[tuple[Iri, ...], str],
 ) -> NodeConstraint:
     if structured.datatype is not None:
         return DatatypeConstraint(_expand_term(structured.datatype))
     if structured.referenced_classes is not None:
         classes = tuple(sorted({_expand_term(c) for c in structured.referenced_classes}))
-        label = canonical_shape_label(classes)
-        shapes.setdefault(
-            label,
-            Shape(
-                label,
-                (TripleConstraint(typing_predicate, ValueSet(classes), Cardinality(1, 1)),),
-                (typing_predicate,),
-            ),
-        )
+        label = labels.get(classes)
+        if label is None:
+            # distinct class sets may share a local name: each gets a label of
+            # its own here, and canonicalize settles the final ones
+            label = base = canonical_shape_label(classes)
+            suffix = 2
+            while label in labels.values():
+                label, suffix = f"{base}_{suffix}", suffix + 1
+            labels[classes] = label
         return ShapeRef(label)
     if structured.value_list is not None:
         values = []
@@ -476,7 +475,10 @@ def assemble_schema(
     one-constraint typing shapes.
     """
     typing_predicate = cfg.typing_predicate
-    shapes: dict[str, Shape] = {}
+    start_label = canonical_shape_label([class_iri])
+    # the label of each referenced class set; a part that references exactly
+    # the focus class references the start shape
+    labels = {(class_iri,): start_label}
     constraints: list[TripleConstraint] = [
         TripleConstraint(typing_predicate, ValueSet((class_iri,)), Cardinality(1, 1))
     ]
@@ -487,21 +489,19 @@ def assemble_schema(
         if predicate in seen:
             raise AssemblyError(f"duplicate predicate in parts: {predicate}")
         seen.add(predicate)
-        node = _node_constraint_from_structured(structured_node, typing_predicate, shapes)
+        node = _node_constraint_from_structured(structured_node, labels)
         constraints.append(TripleConstraint(predicate, node, cardinality.to_cardinality()))
     if len(constraints) == 1:
         raise AssemblyError("no parts to assemble after exclusions")
 
-    start_label = canonical_shape_label([class_iri])
-    # a part may reference exactly the focus class; the start shape then
-    # doubles as the referenced shape (same typing class set, same label)
-    shapes.pop(start_label, None)
-    all_shapes = {start_label: Shape(start_label, tuple(constraints), (typing_predicate,))}
-    all_shapes.update(shapes)
+    shapes = {start_label: Shape(start_label, tuple(constraints), (typing_predicate,))}
+    for classes, label in labels.items():
+        typing = TripleConstraint(typing_predicate, ValueSet(classes), Cardinality(1, 1))
+        shapes.setdefault(label, Shape(label, (typing,), (typing_predicate,)))
     schema = Schema(
         prefixes=dict(WELL_KNOWN_PREFIXES),
         start_label=start_label,
-        shapes=all_shapes,
+        shapes=shapes,
         focus_class=class_iri,
     )
     return canonicalize(schema)

@@ -7,16 +7,17 @@ requests.  The clients of one endpoint within one command share a
 :class:`CacheStore`: concurrent misses on the same key collapse to a single
 request, at most ``_MAX_IN_FLIGHT`` requests run at once, and each term
 lookup (a label, a description, a property constraint, a subclass path) is
-read and decoded once for every class, so a repeat is one table hit.  The
-documents of the other queries (a class's profile, an instance's triples)
-stay with the client that read them and are freed with it.  The store also
-keeps one :class:`Iri` per IRI text its clients decode, so each IRI's
-whitespace check runs once per command.  Cache files are plain JSON holding
-the query, a timestamp, and the standard SPARQL results document, so they
-can be inspected and checked into fixtures.  They are written compact, on one
-line (``python -m json.tool <file>`` pretty-prints one); files written
-indented by older versions read the same.  Cache files, like recorded LLM
-replies, are read by :func:`read_small_file` with raw ``os`` calls.
+read and decoded once for every class, so a repeat is one table hit.  A
+client decodes each class's frequency table and instance count once; every
+other query is asked once per class, so its file is read when asked and
+nothing of it is kept.  The store also keeps one :class:`Iri` per IRI text
+its clients decode, so each IRI's whitespace check runs once per command.
+Cache files are plain JSON holding the query, a timestamp, and the standard
+SPARQL results document, so they can be inspected and checked into fixtures.
+They are written compact, on one line (``python -m json.tool <file>``
+pretty-prints one); files written indented by older versions read the same.
+Cache files, like recorded LLM replies, are read by :func:`read_small_file`
+with raw ``os`` calls.
 """
 
 from __future__ import annotations
@@ -613,44 +614,35 @@ class KgClient:
         self._iris = self._store.iris
         # the same text as str(Path(cfg.cache_dir) / name), without a Path per lookup
         self._cache_prefix = os.fspath(Path(cfg.cache_dir) / "_")[:-1]
-        # Parsed documents by cache key, and decoded frequency tables and
-        # instance counts by class; freed with the client.  Only successes
-        # are kept, so a miss raises again.
-        self._documents: dict[str, dict] = {}
+        # Decoded frequency tables and instance counts by class; freed with
+        # the client.  Only successes are kept, so a miss raises again.
         self._frequencies: dict[Iri, dict[Iri, int]] = {}
         self._instance_counts: dict[Iri, int] = {}
 
     # -- cache layer ---------------------------------------------------------
 
     def cached_query(self, query: str) -> dict:
-        """SPARQL JSON results for ``query``, served from the cache when warm.
+        """SPARQL JSON results for ``query``, read from the cache file when warm.
 
-        Each key's document is read (or fetched) once per client and then
-        served from memory; callers must not mutate it."""
+        Every call reads the file (or fetches on a miss); the repeats a command
+        makes are served by the client's class tables and the store's term
+        lookups instead."""
         key = self._keys.get(query)
         if key is None:
             # two threads may both hash a new query; they store the same key
             key = self._keys[query] = cache_key(query, self.cfg.endpoint_url)
         self.keys_touched.add(key)
-        results = self._documents.get(key)
-        if results is not None:
-            return results
         path = self._cache_prefix + key + ".json"
         results = self._read_cache(path)
         if results is None:
             if self.cfg.offline:
                 raise CacheMissError(key, query)
             with self._store.key_lock(key):
-                # another client may have read or fetched it while this one waited
-                results = self._documents.get(key)
+                # another client may have fetched it while this one waited
+                results = self._read_cache(path)
                 if results is None:
-                    results = self._read_cache(path)
-                    if results is None:
-                        results = self._fetch(query)
-                        self._write_cache(path, query, results)
-                    self._documents[key] = results
-            return results
-        self._documents[key] = results
+                    results = self._fetch(query)
+                    self._write_cache(path, query, results)
         return results
 
     @staticmethod

@@ -217,23 +217,9 @@ def constraint_matches(
         return False
     if gt_schema is None or gen_schema is None:
         raise ValueError("both schemas are required to resolve shape references")
-    return _same_predicate_matches(
-        gt, gen, criteria, oracle,
-        lambda nc: classes_of(nc, gt_schema, typing_predicates),
-        lambda nc: classes_of(nc, gen_schema, typing_predicates),
-    )
-
-
-def _same_predicate_matches(
-    gt: TripleConstraint,
-    gen: TripleConstraint,
-    criteria: MatchCriteria,
-    oracle: SubclassOracle | None,
-    gt_classes_of: _Classes,
-    gen_classes_of: _Classes,
-) -> bool:
-    """constraint_matches of two constraints on one predicate."""
-    if not _node_matches(criteria.node_mode, gt, gen, oracle, gt_classes_of, gen_classes_of):
+    if not _node_matches(criteria.node_mode, gt, gen, oracle,
+                         lambda nc: classes_of(nc, gt_schema, typing_predicates),
+                         lambda nc: classes_of(nc, gen_schema, typing_predicates)):
         return False
     if criteria.cardinality_mode is CardinalityMode.LOOSENED:
         return cardinality_loosened(gt.cardinality, gen.cardinality)

@@ -404,19 +404,14 @@ def canonical_shape_label(classes: Iterable[Iri]) -> str:
 
 
 def _shape_typing_classes(shape: Shape, typing_predicates: tuple[Iri, ...]) -> frozenset[Iri]:
-    for constraint in shape.constraints:
-        if constraint.predicate in typing_predicates and isinstance(constraint.node_constraint, ValueSet):
-            return frozenset(constraint.node_constraint.iris())
-    return frozenset()
-
-
-def _typing_classes_agree(schema: Schema, typing: tuple[Iri, ...]) -> bool:
-    """Whether every shape of ``schema`` has the same typing classes under
-    ``typing`` and under :data:`DEFAULT_TYPING_PREDICATES`."""
-    return all(
-        _shape_typing_classes(shape, typing) == _shape_typing_classes(shape, DEFAULT_TYPING_PREDICATES)
-        for shape in schema.shapes.values()
-    )
+    """The classes of the shape's typing value set whose predicate sorts first,
+    the first such set in a predicate-sorted shape, so the order the
+    constraints are listed in does not matter."""
+    typed = [c for c in shape.constraints
+             if c.predicate in typing_predicates and isinstance(c.node_constraint, ValueSet)]
+    if not typed:
+        return frozenset()
+    return frozenset(min(typed, key=lambda c: c.predicate).node_constraint.iris())
 
 
 def shape_focus_class(shape: Shape, typing_predicates: tuple[Iri, ...] = DEFAULT_TYPING_PREDICATES) -> Iri | None:
@@ -510,18 +505,3 @@ def canonicalize(
 
     prefixes = {p: WELL_KNOWN_PREFIXES[p] for p in sorted(_used_prefixes(canonical))}
     return replace(canonical, prefixes=prefixes)
-
-
-def default_canonical(schema: Schema, canon: Schema, typing: tuple[Iri, ...]) -> Schema:
-    """``canonicalize(schema)``, reusing ``canon``, the canonical form of
-    ``schema`` under ``typing``, when the default typing predicates give the
-    same form.
-
-    :func:`canonicalize` reads its typing tuple only through the typing
-    classes of the shapes it relabels and of its result's start shape.  So
-    when those classes agree under both tuples for ``schema`` and for
-    ``canon``, ``canon`` is the default canonical form too.
-    """
-    if _typing_classes_agree(schema, typing) and _typing_classes_agree(canon, typing):
-        return canon
-    return canonicalize(schema)

@@ -41,12 +41,6 @@ class PromptSetting(Enum):
     GLOBAL = "global"
     TRIPLES = "triples"
 
-    @property
-    def output_is_shex(self) -> bool:
-        """Local and triples settings ask for a full ShEx script; the global
-        setting asks for structured constraint output instead."""
-        return self is not PromptSetting.GLOBAL
-
 
 SYSTEM_PROMPT = (
     "You are a skilled knowledge engineer with deep expertise in writing ShEx "

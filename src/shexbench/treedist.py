@@ -221,7 +221,7 @@ def schema_ged(generated: Schema, ground_truth: Schema) -> int:
 
 
 def _canonical_ged(gen_canon: Schema, gt_canon: Schema) -> int:
-    """``schema_ged`` of a pair already canonical under the default typing predicates."""
+    """``schema_ged`` of a pair already canonical under one typing tuple."""
     # Both schemas target the same class by construction, so both roots carry
     # the ground truth's focus-class label and never contribute relabel cost.
     root = gt_canon.focus_class.value if gt_canon.focus_class else gt_canon.start_label
@@ -245,7 +245,13 @@ def ged_and_nged(generated: Schema, ground_truth: Schema) -> tuple[int, float]:
 
 
 def canonical_ged_and_nged(gen_canon: Schema, gt_canon: Schema) -> tuple[int, float]:
-    """:func:`ged_and_nged` of a pair already canonical under the default typing predicates."""
+    """:func:`ged_and_nged` of a pair already canonical under one typing tuple.
+
+    Any tuple gives the same result: the two trees share their root and read
+    the start shape's constraints, which every canonical form sorts by
+    predicate, and the default typing classes of each referenced shape,
+    which do not depend on the tuple; only the shape labels, which no tree
+    shows, do."""
     # canonicalize keeps every start-shape constraint, so the count is |GT|.
     gt_size = len(gt_canon.start_shape.constraints)
     if gt_size == 0:

@@ -461,15 +461,6 @@ class TestEvaluate:
                                     calls.append(args[0]) or _original(*args, **kwargs))
         return calls
 
-    def test_at_most_four_canonicalizations_per_class(self, bench, monkeypatch):
-        generate_stubbed(bench, out_name="gen")
-        calls = self._record_canonicalizations(monkeypatch)
-        code, doc = cmd_evaluate(bench["manifest"], bench["tmp"] / "gen", "all")
-        assert code == EXIT_OK and doc["n_valid"] == 3
-        per_class = Counter(schema.focus_class for schema in calls)
-        assert set(per_class) == {Iri(uri) for uri in BENCHMARK_CLASSES}
-        assert max(per_class.values()) <= 4, per_class
-
     def test_two_canonicalizations_per_class_whose_typing_classes_agree(self, bench, monkeypatch):
         """Every shape is typed through wdt:P31 alone, so the entry's typing
         predicate and the default ones give one canonical form, which scoring
@@ -480,11 +471,11 @@ class TestEvaluate:
         assert code == EXIT_OK and doc["n_valid"] == 3
         assert Counter(schema.focus_class for schema in calls) == {Iri(uri): 2 for uri in BENCHMARK_CLASSES}
 
-    def test_four_canonicalizations_when_typing_classes_differ(self, bench, monkeypatch):
+    def test_two_canonicalizations_when_typing_classes_differ(self, bench, monkeypatch):
         """Each class is scored against its own ground truth.  The museum's
         start shape is typed through rdf:type before wdt:P31, with another
         class: the default typing predicates read rdf:type, the entry's reads
-        wdt:P31, so GED canonicalizes both museum schemas again, and every
+        wdt:P31.  GED still reuses the forms scoring canonicalized, and every
         score is still ``evaluate_criteria``'s and ``ged_and_nged``'s."""
         from shexbench.matching import StaticSubclassOracle, evaluate_criteria
         from shexbench.treedist import ged_and_nged
@@ -499,8 +490,7 @@ class TestEvaluate:
         code, doc = cmd_evaluate(bench["manifest"], generated, "all")
         monkeypatch.undo()
         assert code == EXIT_OK and doc["n_valid"] == 3
-        assert Counter(schema.focus_class for schema in calls) == {
-            Iri(uri): 4 if uri == museum.class_uri.value else 2 for uri in BENCHMARK_CLASSES}
+        assert Counter(schema.focus_class for schema in calls) == {Iri(uri): 2 for uri in BENCHMARK_CLASSES}
         for record in doc["records"]:
             entry = load_manifest(bench["manifest"]).select([record["class_uri"]])[0]
             gen = parse_shexc((generated / f"{entry.slug}.shex").read_text(), focus_class=entry.class_uri)

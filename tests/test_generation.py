@@ -4,10 +4,10 @@ import gc
 import json
 import weakref
 from collections import Counter
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from shexbench import generate
@@ -38,8 +38,9 @@ from shexbench.generate import (
     prompt_hash,
     strip_code_fences,
 )
-from shexbench.kginfo import EndpointError, GlobalPredicateRecord, KgClient, RecordField
+from shexbench.kginfo import EndpointError, GlobalPredicateRecord, KgClient, KgKind, RecordField
 from shexbench.model import (
+    RDF_TYPE,
     Cardinality,
     DatatypeConstraint,
     Iri,
@@ -47,6 +48,7 @@ from shexbench.model import (
     ShapeRef,
     ValueSet,
     canonicalize,
+    classes_of,
 )
 from shexbench.prompts import ChatPrompt, build_global_prompt
 from shexbench.shexc import parse_shexc, serialize_shexc
@@ -68,6 +70,8 @@ from support import (
 
 AWARD = Iri(WD + "Q4220917")
 MUSEUM = Iri(WD + "Q33506")
+SCHEMA = "http://schema.org/"
+YAGO = "http://yago-knowledge.org/resource/"
 
 
 def make_record(predicate=WDT + "P17", **overrides):
@@ -179,6 +183,7 @@ class TestStructuredReplyOracle:
     """``from_json`` gives the verdict and the values of the pydantic models
     it replaced, validating in strict mode."""
 
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(_reply_objects(("include", "min", "max")))
     def test_cardinality_agrees_with_pydantic(self, doc):
         text = json.dumps(doc)
@@ -188,6 +193,7 @@ class TestStructuredReplyOracle:
             expected = None
         assert _typed(_values(StructuredCardinality, text)) == _typed(expected)
 
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(_reply_objects(("datatype", "referenced_classes", "value_list", "node_kind")))
     def test_node_constraint_agrees_with_pydantic(self, doc):
         text = json.dumps(doc)
@@ -350,6 +356,27 @@ class TestAssembly:
         assert referenced.constraints[0].node_constraint == ValueSet((Iri(WD + "Q6256"),))
         parsed = parse_shexc(serialize_shexc(schema))
         assert parsed == canonicalize(schema)
+
+    def test_class_sets_sharing_a_local_name_stay_apart(self, tmp_path):
+        """schema:Person and yago:Person are both 'Person', and yago:Book
+        shares the focus class's name; each keeps a shape of its own."""
+        cfg = replace(award_endpoint_config(tmp_path), kg_kind=KgKind.YAGO, typing_predicate=RDF_TYPE)
+        book = Iri(SCHEMA + "Book")
+        parts = [
+            (Iri(SCHEMA + predicate), StructuredCardinality(include=True, min=0, max=None),
+             StructuredNodeConstraint(referenced_classes=(referenced,)))
+            for predicate, referenced in (("author", "schema:Person"), ("editor", "yago:Person"),
+                                          ("exampleOfWork", "yago:Book"), ("workExample", "schema:Book"))
+        ]
+        schema = assemble_schema(book, parts, cfg)
+        by_pred = {c.predicate.value.removeprefix(SCHEMA): c.node_constraint for c in schema.start_shape.constraints}
+        assert (schema.start_label, by_pred["workExample"]) == ("Book", ShapeRef("Book"))
+        referenced = {name: classes_of(by_pred[name], schema, (RDF_TYPE,))
+                      for name in ("author", "editor", "exampleOfWork")}
+        assert referenced == {"author": {Iri(SCHEMA + "Person")}, "editor": {Iri(YAGO + "Person")},
+                              "exampleOfWork": {Iri(YAGO + "Book")}}
+        assert set(schema.shapes) == {"Book", "Book_2", "Person", "Person_2"}
+        assert parse_shexc(serialize_shexc(schema)) == canonicalize(schema)
 
     def test_single_node_kind_part(self, tmp_path):
         cfg = award_endpoint_config(tmp_path)

@@ -4,7 +4,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shexbench.errors import EmptyDatasetError
@@ -415,30 +415,17 @@ class TestOnePassScoring:
         assert evaluate_criteria(museum_schema, museum_schema, ()) == {}
 
 
-class TestOneCanonicalFormPerSchema:
+class TestGedFromAnyCanonicalForm:
     """``evaluate`` canonicalizes each schema once, under the entry's typing
-    predicates, and reuses that form for GED when the default typing
-    predicates would give the same one."""
+    predicates, and measures GED on those forms: the trees show no shape
+    label, so the canonical forms under any typing tuple give ``ged_and_nged``."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(small_schemas(), st.sampled_from(TYPINGS))
-    def test_reused_form_is_the_default_canonical_form(self, schema, typing):
-        from shexbench.model import canonicalize, default_canonical
+    @settings(deadline=None)
+    @given(small_schemas(), small_schemas(), st.sampled_from(TYPINGS))
+    def test_ged_from_any_typing_canonical_form(self, generated, gt, typing):
+        from shexbench.model import canonicalize
+        from shexbench.treedist import canonical_ged_and_nged, ged_and_nged
 
-        assert default_canonical(schema, canonicalize(schema, typing), typing) == canonicalize(schema)
-
-    def test_forms_are_reused_exactly_when_typing_classes_agree(self):
-        from shexbench.model import canonicalize, default_canonical
-
-        p31 = Iri(WDT + "P31")
-        typed = Shape("S", (TripleConstraint(p31, ValueSet((Iri(WD + "Q5"),))),))
-        # wdt:P31 alone, the default tuple's first predicate: both tuples read it
-        schema = Schema({}, "S", {"S": typed})
-        canon = canonicalize(schema, (p31,))
-        assert default_canonical(schema, canon, (p31,)) is canon
-        # rdf:type listed first names another class: the default tuple reads it, (wdt:P31,) does not
-        both = Shape("S", (TripleConstraint(RDF_TYPE, ValueSet((Iri(WD + "Q6256"),))), *typed.constraints))
-        schema = Schema({}, "S", {"S": both})
-        canon = canonicalize(schema, (p31,))
-        assert canon != canonicalize(schema)
-        assert default_canonical(schema, canon, (p31,)) == canonicalize(schema)
+        assume(gt.start_shape.constraints)
+        forms = canonicalize(generated, typing), canonicalize(gt, typing)
+        assert canonical_ged_and_nged(*forms) == ged_and_nged(generated, gt)

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import re
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -241,6 +244,44 @@ class TestCanonicalize:
         canon = canonicalize(schema)
         assert set(canon.shapes) == {"Q5", "Q5_2"}
         assert canonicalize(canon) == canon
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_typing_set_whose_predicate_sorts_first_names_the_shape(self, reverse):
+        """rdf:type sorts before wdt:P31, so its class names the start shape
+        and is the focus, in whichever order the constraints come."""
+        constraints = (tc(WDT + "P31", ValueSet((Iri(WD + "Q6"),))), tc(RDF_NS + "type", ValueSet((Iri(WD + "Q5"),))),
+                       tc("http://example.org/p", NodeKindIri()))
+        schema = Schema({}, "S", {"S": Shape("S", constraints[::-1] if reverse else constraints)})
+        canon = canonicalize(schema)
+        assert (canon.start_label, canon.focus_class) == ("Q5", Iri(WD + "Q5"))
+        assert canonicalize(canon) == canon
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_idempotent_and_order_independent_with_two_typing_constraints(self, data):
+        typings = [Iri(WDT + "P31"), Iri(RDF_NS + "type")]
+        pool = [Iri(WD + q) for q in ("Q5", "Q6", "Q515", "Q6256")]
+        predicates = [Iri(WDT + p) for p in ("P17", "P50", "P131")]
+
+        def typed(label, extra):
+            constraints = [TripleConstraint(p, ValueSet(tuple(data.draw(
+                st.lists(st.sampled_from(pool), min_size=1, max_size=2, unique=True))))) for p in typings]
+            return Shape(label, tuple(data.draw(st.permutations(constraints + extra))))
+
+        refs = {f"R{i}": typed(f"R{i}", []) for i in range(data.draw(st.integers(0, 2)))}
+        nodes = [NodeKindIri(), *map(ShapeRef, refs)]
+        extra = [TripleConstraint(p, data.draw(st.sampled_from(nodes))) for p in predicates]
+        schema = Schema({}, "S", {"S": typed("S", extra), **refs})
+        reordered = replace(schema, shapes={label: replace(shape, constraints=shape.constraints[::-1])
+                                            for label, shape in schema.shapes.items()})
+        typing = data.draw(st.sampled_from([tuple(typings), typings[:1], typings[1:]]))
+        canon = canonicalize(schema, typing)
+        assert canonicalize(canon, typing) == canon
+        assert canonicalize(reordered, typing) == canon
+        # the focus and the start label come from the same typing value set
+        classes = classes_of(ShapeRef(canon.start_label), canon, typing)
+        assert canon.focus_class == min(classes)
+        assert re.fullmatch(re.escape(canonical_shape_label(classes)) + r"(_\d+)?", canon.start_label)
 
     def test_canonical_shape_label(self):
         assert canonical_shape_label([Iri(WD + "Q6256")]) == "Q6256"

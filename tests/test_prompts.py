@@ -9,7 +9,6 @@ from shexbench.prompts import (
     EmptyPredicateSetError,
     EmptySampleError,
     IncompleteRecordError,
-    PromptSetting,
     SYSTEM_PROMPT,
     build_global_prompt,
     build_local_prompt,
@@ -135,13 +134,6 @@ class TestGlobalPrompt:
         first = build_global_prompt(client.build_global_record(AWARD, Iri(WDT + "P17")))
         second = build_global_prompt(client.build_global_record(AWARD, Iri(WDT + "P1027")))
         assert first.user != second.user
-
-
-class TestSettings:
-    def test_output_kinds(self):
-        assert PromptSetting.LOCAL.output_is_shex
-        assert PromptSetting.TRIPLES.output_is_shex
-        assert not PromptSetting.GLOBAL.output_is_shex
 
 
 def test_load_fewshot(tmp_path):
