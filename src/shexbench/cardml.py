@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -143,6 +143,12 @@ def _dominant_category(datatypes: dict[str, float]) -> DatatypeCategory | None:
 # -- shared tree machinery -----------------------------------------------------
 # Both models split by the exact greedy search of XGBoost (Chen & Guestrin,
 # KDD 2016) over cumulative sums of per-row statistics: y for Gini, g and h for Newton.
+# The search has a static half and a per-round half.  What depends only on a
+# node's rows is worked out once per fit and row set: the node's candidates
+# (_split_candidates, the boundaries between distinct adjacent values) and,
+# per split it takes, its children's rows and orders (_NodeTable).  A boosting
+# round, whose gradients are new, redoes only the prefix sums and the gains
+# at those candidates (_choose_split).
 
 def _gini(p: np.ndarray | float) -> np.ndarray | float:
     return 1.0 - p * p - (1.0 - p) * (1.0 - p)
@@ -177,41 +183,110 @@ def _presort(X: np.ndarray) -> np.ndarray:
     return np.argsort(X.T, axis=1, kind="stable")
 
 
-def _best_split(
-    X: np.ndarray, order: np.ndarray, stats: Sequence[np.ndarray], node_stats: Sequence[np.ndarray], min_leaf: int, gain
-) -> tuple[int, float] | None:
-    """(feature, threshold) of the best split of a node; None when no split gains.
+class _Candidates(NamedTuple):
+    """A node's legal splits in (feature, threshold) scan order: split i puts
+    the first n_left[i] rows of order[feature[i]] left, those up to
+    position row[i], and splits at threshold[i]."""
 
-    order is the node's (d, m) presorted rows of X (see _presort), stats are
-    per-row over all of X and node_stats are the node's, in row order.
-    Candidates lie between distinct adjacent values with at least min_leaf
-    rows on each side, and are scanned in (feature, threshold) order: one
-    replaces the best so far only when it gains more than the best + 1e-12,
-    so ties keep the earliest and training is deterministic.
-    """
+    feature: np.ndarray
+    row: np.ndarray
+    n_left: np.ndarray
+    threshold: np.ndarray
+
+
+def _split_candidates(X: np.ndarray, order: np.ndarray, min_leaf: int) -> _Candidates:
+    """The static half of the split search: every boundary between distinct
+    adjacent values of order's (d, m) presorted rows of X with at least
+    min_leaf rows on each side; a threshold lies halfway between the two values."""
     n = order.shape[1]
-    if n < 2:
-        return None
     xs = X.T[np.arange(len(order))[:, None], order]
-    sums = [np.cumsum(stat[order], axis=1) for stat in stats]
     n_left = np.arange(1, n)
-    gains = gain(node_stats, [s[:, :-1] for s in sums], [s[:, -1:] - s[:, :-1] for s in sums], n_left)
-    usable = ~(xs[:, 1:] <= xs[:, :-1]) & (n_left >= min_leaf) & (n_left <= n - min_leaf) & (gains > 1e-12)
-    # Feature-major, so that flat positions follow the scan order.
-    flat_gains = gains.ravel()
-    candidates = np.flatnonzero(usable.ravel())
-    if not len(candidates):
+    legal = ~(xs[:, 1:] <= xs[:, :-1]) & (n_left >= min_leaf) & (n_left <= n - min_leaf)
+    # Row-major, so candidates follow the feature-major scan order.
+    feature, row = np.nonzero(legal)
+    return _Candidates(feature, row, row + 1, (xs[feature, row + 1] + xs[feature, row]) / 2.0)
+
+
+def _choose_split(
+    candidates: _Candidates, order: np.ndarray, stats: Sequence[np.ndarray], node_stats: Sequence[np.ndarray], gain
+) -> int | None:
+    """The per-round half of the split search: the index of the best of
+    candidates, None when none gains more than 1e-12.
+
+    stats are per-row over all of X and node_stats are the node's, in row
+    order.  The prefix sums run over each feature's whole order, so every
+    sum is the one a full scan adds up; gains are computed at the candidates
+    only.  A candidate replaces the best so far only when it gains more than
+    the best + 1e-12, so ties keep the earliest and training is deterministic.
+    """
+    if not len(candidates.row):
+        return None
+    left, right = [], []
+    for stat in stats:
+        sums = stat[order].cumsum(axis=1)
+        left.append(sums[candidates.feature, candidates.row])
+        right.append(sums[candidates.feature, -1] - left[-1])
+    gains = gain(node_stats, left, right, candidates.n_left)
+    gaining = np.flatnonzero(gains > 1e-12)
+    if not len(gaining):
         return None
     # Every replacement beats everything scanned before it, so only strict
     # running-max records can replace the best; the rule runs on those alone.
-    scanned = flat_gains[candidates]
-    records = candidates[np.r_[True, scanned[1:] > np.maximum.accumulate(scanned)[:-1]]]
-    best = records[0]
-    for position in records[1:]:
-        if flat_gains[position] > flat_gains[best] + 1e-12:
+    scanned = gains[gaining]
+    best = gaining[0]
+    for position in gaining[1:][scanned[1:] > np.maximum.accumulate(scanned)[:-1]]:
+        if gains[position] > gains[best] + 1e-12:
             best = position
-    feature, row = divmod(int(best), n - 1)
-    return feature, float((xs[feature, row + 1] + xs[feature, row]) / 2.0)
+    return int(best)
+
+
+def _best_split(
+    X: np.ndarray, order: np.ndarray, stats: Sequence[np.ndarray], node_stats: Sequence[np.ndarray], min_leaf: int, gain
+) -> tuple[int, float] | None:
+    """(feature, threshold) of the best split of a node whose presorted rows
+    are order (see _presort); None when no split gains."""
+    candidates = _split_candidates(X, order, min_leaf)
+    best = _choose_split(candidates, order, stats, node_stats, gain)
+    if best is None:
+        return None
+    return int(candidates.feature[best]), float(candidates.threshold[best])
+
+
+class _NodeTable:
+    """One fit's record of the nodes it searched, keyed by the node's rows
+    (rows.tobytes()): each node's candidates, and for each split it took,
+    the two children's (rows, order).  Boosting trees share row sets from
+    round to round, so a recurring node redoes only the per-round half.
+    After each tree, next_round drops the nodes that tree did not visit, so
+    the table never holds more than two trees' nodes."""
+
+    def __init__(self) -> None:
+        self.previous: dict[bytes, tuple[_Candidates, dict]] = {}
+        self.current: dict[bytes, tuple[_Candidates, dict]] = {}
+
+    def node(self, X: np.ndarray, order: np.ndarray, rows: np.ndarray, min_leaf: int) -> tuple[_Candidates, dict]:
+        key = rows.tobytes()
+        node = self.previous.get(key)
+        if node is None:
+            node = _split_candidates(X, order, min_leaf), {}
+        self.current[key] = node
+        return node
+
+    def next_round(self) -> None:
+        self.previous, self.current = self.current, {}
+
+
+def _children(X: np.ndarray, order: np.ndarray, rows: np.ndarray, feature: int, threshold: float) -> list:
+    """(rows, order) of the left and right child of a split."""
+    goes_left = X[:, feature] <= threshold
+    rows_left = goes_left[rows]
+    order_left = goes_left[order]
+    children = []
+    for row_mask, order_mask in ((rows_left, order_left), (~rows_left, ~order_left)):
+        child_rows = rows[row_mask]
+        # Each feature's row of order keeps the same len(child_rows) entries.
+        children.append((child_rows, order[order_mask].reshape(len(order), len(child_rows))))
+    return children
 
 
 def _grow(
@@ -223,31 +298,30 @@ def _grow(
     min_leaf: int,
     leaf,
     gain,
+    table: _NodeTable,
     step: np.ndarray | None = None,
 ) -> dict:
     """Recursive binary partition of X's rows (ascending, presorted by
-    order) to max_depth; leaf(*node_stats) builds each leaf, and step, when
-    given, gets each leaf's "value" at its rows."""
+    order) to max_depth; leaf(*node_stats) builds each leaf, table is the
+    fit's _NodeTable, and step, when given, gets each leaf's "value" at its rows."""
     node_stats = [stat[rows] for stat in stats]
-    split = None
+    best = None
     if max_depth > 0 and len(rows) >= 2 * min_leaf:
-        split = _best_split(X, order, stats, node_stats, min_leaf, gain)
-    if split is None:
+        candidates, splits = table.node(X, order, rows, min_leaf)
+        best = _choose_split(candidates, order, stats, node_stats, gain)
+    if best is None:
         node = leaf(*node_stats)
         if step is not None:
             step[rows] = node["value"]
         return node
-    feature, threshold = split
-    goes_left = X[:, feature] <= threshold
-    rows_left = goes_left[rows]
-    order_left = goes_left[order]
-    children = []
-    for row_mask, order_mask in ((rows_left, order_left), (~rows_left, ~order_left)):
-        child_rows = rows[row_mask]
-        # Each feature's row of order keeps the same len(child_rows) entries.
-        child_order = order[order_mask].reshape(len(order), len(child_rows))
-        children.append(_grow(X, child_order, child_rows, stats, max_depth - 1, min_leaf, leaf, gain, step))
-    return {"leaf": False, "feature": feature, "threshold": threshold, "left": children[0], "right": children[1]}
+    feature, threshold = int(candidates.feature[best]), float(candidates.threshold[best])
+    if best not in splits:
+        splits[best] = _children(X, order, rows, feature, threshold)
+    left, right = (
+        _grow(X, child_order, child_rows, stats, max_depth - 1, min_leaf, leaf, gain, table, step)
+        for child_rows, child_order in splits[best]
+    )
+    return {"leaf": False, "feature": feature, "threshold": threshold, "left": left, "right": right}
 
 
 # -- flat trees -------------------------------------------------------------------
@@ -369,7 +443,8 @@ class DecisionTreeClassifier:
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=int)
         self.root = _grow(
-            X, _presort(X), np.arange(len(X)), (y,), self.max_depth, self.min_leaf, _class_leaf, _gini_gain
+            X, _presort(X), np.arange(len(X)), (y,), self.max_depth, self.min_leaf, _class_leaf, _gini_gain,
+            _NodeTable(),
         )
         self._forest = _flatten([self.root], "prediction")
         return self
@@ -433,14 +508,17 @@ class GradientBoostingClassifier:
         # Each round's tree writes its leaf values at their rows here, so the
         # round's update needs no walk of the tree.
         step = np.empty(len(y))
+        table = _NodeTable()
         self.trees = []
         self.train_losses = []
         for _ in range(self.n_rounds):
             gradients = y - probabilities
             hessians = probabilities * (1 - probabilities)
             tree = _grow(
-                X, order, rows, (gradients, hessians), self.max_depth, self.min_leaf, _newton_leaf, _newton_gain, step
+                X, order, rows, (gradients, hessians), self.max_depth, self.min_leaf, _newton_leaf, _newton_gain,
+                table, step,
             )
+            table.next_round()
             scores = scores + self.learning_rate * step
             probabilities = _sigmoid(scores)
             self.trees.append(tree)

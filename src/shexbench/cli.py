@@ -26,6 +26,7 @@ from typing import Callable, Iterable, Sequence
 
 from .cardml import (
     FEATURE_FIELDS,
+    MODEL_KINDS,
     CardinalityLabel,
     CardinalityModel,
     evaluate_cardinality_accuracy,
@@ -740,6 +741,8 @@ def cmd_train_cardinality(
     dump_features: Path | str | None = None,
     transport_factory: TransportFactory | None = None,
 ) -> tuple[int, dict]:
+    if kind not in MODEL_KINDS:
+        raise ManifestError(f"unknown model kind {kind!r} (expected one of {', '.join(MODEL_KINDS)})")
     if sample_n is not None and sample_n < 1:
         raise ManifestError(f"--sample must be at least 1, got {sample_n}")
     manifest = load_manifest(manifest_path)
@@ -846,7 +849,7 @@ def build_parser() -> argparse.ArgumentParser:
     train_cmd = sub.add_parser("train-cardinality", help="fit cardinality models from cached profiles")
     _add_common(train_cmd, jobs=False)
     train_cmd.add_argument("--cache-dir", required=True)
-    train_cmd.add_argument("--kind", choices=["dt", "gb"], default="gb")
+    train_cmd.add_argument("--kind", choices=list(MODEL_KINDS), default="gb")
     train_cmd.add_argument("--out", required=True, help="model file to write")
     train_cmd.add_argument("--seed", type=int, default=42)
     train_cmd.add_argument("--sample", type=int, default=None, help="train on a seeded sample of N classes")

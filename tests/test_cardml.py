@@ -262,6 +262,74 @@ class TestFitOracle:
 
 
 @st.composite
+def few_level_matrices(draw):
+    """A feature matrix whose every column takes values from its own 2-5
+    levels, with labels: boosting rounds on it split the same few row sets
+    again and again, so a node's row set recurs, vanishes and recurs."""
+    n = draw(st.integers(2, 30))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        levels = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]), min_size=2, max_size=5, unique=True))
+        columns.append(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    return np.array(columns).T, y
+
+
+class TestNodeTable:
+    """A fit's table of per-node split candidates and children, reused across
+    boosting rounds, against the per-node fit that recomputes them."""
+
+    @settings(deadline=None)
+    @given(few_level_matrices(), st.integers(10, 40), st.integers(1, 4), st.integers(0, 3))
+    def test_boosting_rounds_match_per_node_fit_byte_for_byte(self, matrix, n_rounds, max_depth, min_leaf):
+        X, y = matrix
+        model = GradientBoostingClassifier(n_rounds=n_rounds, max_depth=max_depth, min_leaf=min_leaf)
+        expected = reference_fit(model, X, y)
+        model.fit(X, y)
+        assert _model_json(model).encode() == _model_json(expected).encode()
+        assert np.array(model.train_losses).tobytes() == np.array(expected.train_losses).tobytes()
+
+    @pytest.mark.parametrize("model_class", [DecisionTreeClassifier, GradientBoostingClassifier])
+    def test_refit_equals_a_fresh_fit(self, model_class):
+        """A and B have the same row count, so their nodes share row sets;
+        the fresh fit on B runs first, before any fit on A."""
+        rng = np.random.default_rng(11)
+        fits = []
+        for column in (1, 2):
+            X = rng.integers(0, 4, (60, 3)).astype(float)
+            fits.append((X, (X[:, column] + rng.random(60) > 2).astype(int)))
+        fresh = model_class(max_depth=3, min_leaf=1).fit(*fits[1])
+        refitted = model_class(max_depth=3, min_leaf=1)
+        for X, y in fits:
+            refitted.fit(X, y)
+        assert _model_json(refitted) == _model_json(fresh)
+        if model_class is GradientBoostingClassifier:
+            assert refitted.train_losses == fresh.train_losses
+
+    def test_boosting_holds_at_most_two_trees_of_nodes(self, monkeypatch, synthetic_split):
+        sizes, reused = [], []
+
+        class RecordingTable(cardml._NodeTable):
+            def node(self, X, order, rows, min_leaf):
+                reused.append(rows.tobytes() in self.previous)
+                return super().node(X, order, rows, min_leaf)
+
+            def next_round(self):
+                sizes.append(len(self.previous.keys() | self.current.keys()))
+                super().next_round()
+
+        monkeypatch.setattr(cardml, "_NodeTable", RecordingTable)
+        X = np.array([features.to_array() for features, _ in synthetic_split[0]])
+        y = np.array([label.min_class for _, label in synthetic_split[0]])
+        max_depth = 3
+        GradientBoostingClassifier(n_rounds=50, max_depth=max_depth).fit(X, y)
+        assert len(sizes) == 50
+        # A tree searches at most its 2 ** max_depth - 1 nodes above max_depth.
+        assert max(sizes) <= 2 * (2 ** max_depth - 1)
+        assert any(reused)
+
+
+@st.composite
 def fitted_tie_heavy_models(draw):
     """A decision tree or boosted model fitted on a tie-heavy node's matrix
     and labels, with that matrix."""

@@ -5,6 +5,7 @@ import errno
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -1246,15 +1247,19 @@ class TestTwoProcessesOnOneCache:
             documents[path.name] = document
         return documents
 
+    @staticmethod
+    def _point_at(manifest, server) -> None:
+        doc = json.loads(manifest.read_text())
+        for entry in doc["entries"]:
+            entry["endpoint_url"] = server.url
+        manifest.write_text(json.dumps(doc))
+
     def test_two_processes_leave_the_cache_of_one(self, tmp_path):
         from support import sparql_answer
 
         endpoint, manifest = write_shared_property_benchmark(tmp_path)
         with LoopbackServer(answer=sparql_answer(endpoint)) as server:
-            doc = json.loads(manifest.read_text())
-            for entry in doc["entries"]:
-                entry["endpoint_url"] = server.url
-            manifest.write_text(json.dumps(doc))
+            self._point_at(manifest, server)
             expected = self._finish(self._start(manifest, tmp_path / "single"))
             first, second = (self._start(manifest, tmp_path / "shared") for _ in range(2))
             assert self._finish(first) == self._finish(second) == expected
@@ -1264,6 +1269,41 @@ class TestTwoProcessesOnOneCache:
         stored = {path.name for path in (tmp_path / "shared").iterdir()}
         assert stored == {f"{key}.json" for keys in replayed.values() for key in keys}
         assert self._documents(tmp_path / "shared") == self._documents(tmp_path / "single")
+
+    def test_a_killed_process_leaves_a_cache_the_other_and_a_replay_can_use(self, tmp_path):
+        """One of the two is SIGKILLed once the first cache file appears.  The
+        other still finishes, and an offline replay reads finished cache files
+        only, never a temp file the killed process left behind."""
+        from support import sparql_answer
+
+        endpoint, manifest = write_shared_property_benchmark(tmp_path)
+        cache = tmp_path / "shared"
+        with LoopbackServer(answer=sparql_answer(endpoint)) as server:
+            self._point_at(manifest, server)
+            killed, survivor = (self._start(manifest, cache) for _ in range(2))
+            deadline = time.monotonic() + 60
+            while not (cache.is_dir() and any(path.suffix == ".json" for path in cache.iterdir())):
+                assert killed.poll() is None and time.monotonic() < deadline
+                time.sleep(0.001)
+            killed.kill()
+            killed.communicate(timeout=60)
+            assert killed.returncode == -signal.SIGKILL
+            written = self._finish(survivor)
+        # What a kill halfway through the write of a key that no other process
+        # wrote leaves: half a document in a temp file, and no cache file.
+        finished = min(path for path in cache.iterdir() if path.suffix == ".json")
+        data = finished.read_bytes()
+        finished.with_name(f"{finished.name}.tmp{killed.pid}-1").write_bytes(data[:len(data) // 2])
+        finished.unlink()
+        temps = {path.name for path in cache.iterdir() if ".tmp" in path.name}
+        assert all(f".tmp{killed.pid}-" in name for name in temps)
+        replay = self._start(manifest, cache, "--offline")
+        out, err = replay.communicate(timeout=120)
+        rows = json.loads(out)["classes"]
+        assert {row["status"] for row in rows} <= {"ok", "cache_miss"}, err.decode("utf-8", "replace")
+        assert replay.returncode == (EXIT_OK if all(row["status"] == "ok" for row in rows) else EXIT_CACHE_MISS)
+        assert set(written) == {row["class_uri"] for row in rows}
+        assert {path.name for path in cache.iterdir() if ".tmp" in path.name} == temps
 
 
 def _is_term_lookup(query: str, classes) -> bool:
@@ -1431,6 +1471,18 @@ class TestConfigurationErrors:
             with pytest.raises(ManifestError, match="'Q0', 'no such class'$"):
                 command(["Q0", "museum", "no such class", "Q0"])
         assert bench["endpoint"].request_count == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gt", "manifest.json"]
+
+    def test_unknown_model_kind_reads_nothing(self, bench, tmp_path, monkeypatch):
+        from shexbench import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("read before the kind was checked")
+
+        monkeypatch.setattr(cli, "parse_shexc", refuse)
+        with pytest.raises(ManifestError, match=r"^unknown model kind 'rf' \(expected one of dt, gb\)$"):
+            cmd_train_cardinality(bench["manifest"], bench["cache"], tmp_path / "model.json", kind="rf",
+                                  transport_factory=lambda cfg: refuse)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["gt", "manifest.json"]
 
     def test_negative_max_repairs(self, bench, capsys):
