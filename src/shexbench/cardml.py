@@ -146,9 +146,9 @@ def _dominant_category(datatypes: dict[str, float]) -> DatatypeCategory | None:
 # The search has a static half and a per-round half.  What depends only on a
 # node's rows is worked out once per fit and row set: the node's candidates
 # (_split_candidates, the boundaries between distinct adjacent values) and,
-# per split it takes, its children's rows and orders (_NodeTable).  A boosting
-# round, whose gradients are new, redoes only the prefix sums and the gains
-# at those candidates (_choose_split).
+# for the split it last took, its children's rows and orders (_NodeTable).
+# A boosting round, whose gradients are new, redoes only the prefix sums and
+# the gains at those candidates (_choose_split).
 
 def _gini(p: np.ndarray | float) -> np.ndarray | float:
     return 1.0 - p * p - (1.0 - p) * (1.0 - p)
@@ -240,35 +240,36 @@ def _choose_split(
     return int(best)
 
 
-def _best_split(
-    X: np.ndarray, order: np.ndarray, stats: Sequence[np.ndarray], node_stats: Sequence[np.ndarray], min_leaf: int, gain
-) -> tuple[int, float] | None:
-    """(feature, threshold) of the best split of a node whose presorted rows
-    are order (see _presort); None when no split gains."""
-    candidates = _split_candidates(X, order, min_leaf)
-    best = _choose_split(candidates, order, stats, node_stats, gain)
-    if best is None:
-        return None
-    return int(candidates.feature[best]), float(candidates.threshold[best])
+class _Node:
+    """A searched node: its candidates; split, the index of the candidate it
+    last split at (None before its first split); and that split's two
+    (rows, order) children."""
+
+    __slots__ = ("candidates", "split", "children")
+
+    def __init__(self, candidates: _Candidates) -> None:
+        self.candidates = candidates
+        self.split: int | None = None
+        self.children: list = []
 
 
 class _NodeTable:
-    """One fit's record of the nodes it searched, keyed by the node's rows
-    (rows.tobytes()): each node's candidates, and for each split it took,
-    the two children's (rows, order).  Boosting trees share row sets from
-    round to round, so a recurring node redoes only the per-round half.
-    After each tree, next_round drops the nodes that tree did not visit, so
-    the table never holds more than two trees' nodes."""
+    """One fit's searched nodes, keyed by the node's rows (rows.tobytes()).
+    Boosting trees share row sets from round to round, so a recurring node
+    redoes only the per-round half, and its children too when it splits where
+    it did last.  After each tree, next_round drops the nodes that tree did
+    not visit, so the table never holds more than two trees' nodes, each with
+    one split's children."""
 
     def __init__(self) -> None:
-        self.previous: dict[bytes, tuple[_Candidates, dict]] = {}
-        self.current: dict[bytes, tuple[_Candidates, dict]] = {}
+        self.previous: dict[bytes, _Node] = {}
+        self.current: dict[bytes, _Node] = {}
 
-    def node(self, X: np.ndarray, order: np.ndarray, rows: np.ndarray, min_leaf: int) -> tuple[_Candidates, dict]:
+    def node(self, X: np.ndarray, order: np.ndarray, rows: np.ndarray, min_leaf: int) -> _Node:
         key = rows.tobytes()
         node = self.previous.get(key)
         if node is None:
-            node = _split_candidates(X, order, min_leaf), {}
+            node = _Node(_split_candidates(X, order, min_leaf))
         self.current[key] = node
         return node
 
@@ -307,19 +308,19 @@ def _grow(
     node_stats = [stat[rows] for stat in stats]
     best = None
     if max_depth > 0 and len(rows) >= 2 * min_leaf:
-        candidates, splits = table.node(X, order, rows, min_leaf)
-        best = _choose_split(candidates, order, stats, node_stats, gain)
+        searched = table.node(X, order, rows, min_leaf)
+        best = _choose_split(searched.candidates, order, stats, node_stats, gain)
     if best is None:
         node = leaf(*node_stats)
         if step is not None:
             step[rows] = node["value"]
         return node
-    feature, threshold = int(candidates.feature[best]), float(candidates.threshold[best])
-    if best not in splits:
-        splits[best] = _children(X, order, rows, feature, threshold)
+    feature, threshold = int(searched.candidates.feature[best]), float(searched.candidates.threshold[best])
+    if searched.split != best:
+        searched.split, searched.children = best, _children(X, order, rows, feature, threshold)
     left, right = (
         _grow(X, child_order, child_rows, stats, max_depth - 1, min_leaf, leaf, gain, table, step)
-        for child_rows, child_order in splits[best]
+        for child_rows, child_order in searched.children
     )
     return {"leaf": False, "feature": feature, "threshold": threshold, "left": left, "right": right}
 

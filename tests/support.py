@@ -844,7 +844,8 @@ def reference_gini_split(X, y, min_leaf: int):
     """The per-threshold loop scan for the largest Gini decrease.
 
     This is the split search the decision tree used before the vectorized
-    ``cardml._best_split``; it is kept as the oracle for that fast path.
+    one (``cardml._split_candidates`` and ``cardml._choose_split``); it is
+    kept as the oracle for that fast path.
     """
     n = len(y)
     parent = _reference_gini(float(y.sum()), n)
@@ -878,8 +879,8 @@ def reference_newton_split(X, g, h, min_leaf: int):
     """The per-threshold loop scan for the largest Newton gain.
 
     This is the split search the boosted regression trees used before the
-    vectorized ``cardml._best_split``; it is kept as the oracle for that
-    fast path.
+    vectorized one (``cardml._split_candidates`` and ``cardml._choose_split``);
+    it is kept as the oracle for that fast path.
     """
     n = len(g)
     parent_gain = _reference_newton(float(g.sum()), float(h.sum()))

@@ -219,8 +219,15 @@ def tie_heavy_nodes(draw):
 
 
 def _split(X, stats, min_leaf, gain):
-    """cardml._best_split of X's rows as one node, presorted as a fit presorts them."""
-    return cardml._best_split(X, cardml._presort(X), stats, stats, min_leaf, gain)
+    """(feature, threshold) of the best split of X's rows as one node, presorted
+    as a fit presorts them, by both halves of the split search; None when no
+    split gains."""
+    order = cardml._presort(X)
+    candidates = cardml._split_candidates(X, order, min_leaf)
+    best = cardml._choose_split(candidates, order, stats, stats, gain)
+    if best is None:
+        return None
+    return int(candidates.feature[best]), float(candidates.threshold[best])
 
 
 class TestSplitSearch:
@@ -306,8 +313,11 @@ class TestNodeTable:
         if model_class is GradientBoostingClassifier:
             assert refitted.train_losses == fresh.train_losses
 
-    def test_boosting_holds_at_most_two_trees_of_nodes(self, monkeypatch, synthetic_split):
-        sizes, reused = [], []
+    def test_boosting_holds_at_most_two_trees_of_nodes(self, monkeypatch):
+        """On continuous features with random labels the root recurs every
+        round but its best split moves, so a node that kept every split's
+        children would hold more and more of them."""
+        sizes, children, reused, resplits = [], [], [], []
 
         class RecordingTable(cardml._NodeTable):
             def node(self, X, order, rows, min_leaf):
@@ -315,18 +325,31 @@ class TestNodeTable:
                 return super().node(X, order, rows, min_leaf)
 
             def next_round(self):
-                sizes.append(len(self.previous.keys() | self.current.keys()))
+                # previous and current share the nodes that recur.
+                held = {id(node): node for node in [*self.previous.values(), *self.current.values()]}
+                sizes.append(len(held))
+                children.append(sum(len(node.children) for node in held.values()))
                 super().next_round()
 
+        def recording_children(*args):
+            resplits.append(reused[-1])
+            return children_of(*args)
+
+        children_of = cardml._children
         monkeypatch.setattr(cardml, "_NodeTable", RecordingTable)
-        X = np.array([features.to_array() for features, _ in synthetic_split[0]])
-        y = np.array([label.min_class for _, label in synthetic_split[0]])
+        monkeypatch.setattr(cardml, "_children", recording_children)
+        rng = np.random.default_rng(11)
+        X, y = rng.random((60, 3)), rng.integers(0, 2, 60)
         max_depth = 3
-        GradientBoostingClassifier(n_rounds=50, max_depth=max_depth).fit(X, y)
+        GradientBoostingClassifier(n_rounds=50, max_depth=max_depth, min_leaf=1).fit(X, y)
         assert len(sizes) == 50
-        # A tree searches at most its 2 ** max_depth - 1 nodes above max_depth.
+        # A tree searches at most its 2 ** max_depth - 1 nodes above max_depth,
+        # and each node holds the (rows, order) children of one split.
         assert max(sizes) <= 2 * (2 ** max_depth - 1)
+        assert all(held <= 2 * size for held, size in zip(children, sizes))
         assert any(reused)
+        # Recurring nodes did split where they had not split before.
+        assert sum(resplits) > 10
 
 
 @st.composite
