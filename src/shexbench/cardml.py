@@ -701,20 +701,16 @@ def evaluate_cardinality_accuracy(
 def write_feature_csv(
     rows: Sequence[tuple[FeatureVector, CardinalityLabel]],
     path: Path | str,
-    class_uris: Sequence[str] | None = None,
-    predicates: Sequence[str] | None = None,
+    class_uris: Sequence[str],
+    predicates: Sequence[str],
 ) -> None:
-    """Feature table with a documented header: identifiers, features, labels.
+    """Feature table with a documented header: identifiers, features, labels;
+    ``class_uris`` and ``predicates`` name each row's class and predicate.
     Renamed into place, so a failed write leaves an earlier file unchanged."""
     buffer = io.StringIO(newline="")
     writer = csv.writer(buffer)
     writer.writerow(["class_uri", "predicate_uri", *FEATURE_NAMES, "min_class", "max_class"])
     for index, (features, label) in enumerate(rows):
-        writer.writerow([
-            class_uris[index] if class_uris else "",
-            predicates[index] if predicates else "",
-            *features.to_array(),
-            label.min_class,
-            label.max_class.value,
-        ])
+        writer.writerow([class_uris[index], predicates[index], *features.to_array(),
+                         label.min_class, label.max_class.value])
     atomic_write_text(path, buffer.getvalue())

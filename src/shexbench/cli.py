@@ -13,6 +13,8 @@ Exit codes: 0 success, 2 configuration, 3 network or local file error,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import logging
 import os
 import random
@@ -39,7 +41,6 @@ from .generate import (
     GenerationFailedError,
     HttpLlmClient,
     LlmClient,
-    MlCardinalitySource,
     ProviderError,
     StructuredOutputFailedError,
     StubLlmClient,
@@ -148,6 +149,10 @@ class Manifest:
         return chosen
 
 
+#: The string fields of a manifest entry.
+_ENTRY_FIELDS = ("class_uri", "label", "kg_kind", "endpoint_url", "typing_predicate", "ground_truth_path")
+
+
 def load_manifest(path: Path | str) -> Manifest:
     """Read and validate a manifest; it reads no ground-truth file."""
     path = Path(path)
@@ -155,10 +160,22 @@ def load_manifest(path: Path | str) -> Manifest:
         doc = decode_json(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ManifestError(f"manifest {path} is not a JSON object")
+    raw_entries = doc.get("entries", [])
+    if not isinstance(raw_entries, list) or not all(isinstance(raw, dict) for raw in raw_entries):
+        raise ManifestError(f'manifest {path}: "entries" must be a list of objects')
+    dataset_name = doc.get("dataset_name", path.stem)
+    if not isinstance(dataset_name, str):
+        raise ManifestError(f'manifest {path}: "dataset_name" must be a string')
     entries = []
     problems = []
     seen: set[str] = set()
-    for raw in doc.get("entries", []):
+    for raw in raw_entries:
+        not_strings = [name for name in _ENTRY_FIELDS if name in raw and not isinstance(raw[name], str)]
+        if not_strings:
+            problems.append(f"bad entry {raw!r}: {', '.join(not_strings)} must be strings")
+            continue
         try:
             fields = dict(
                 class_uri=Iri(raw["class_uri"]),
@@ -181,7 +198,7 @@ def load_manifest(path: Path | str) -> Manifest:
         raise ManifestError("; ".join(problems))
     if not entries:
         raise ManifestError(f"manifest {path} has no entries")
-    return Manifest(doc.get("dataset_name", path.stem), tuple(entries), path.parent)
+    return Manifest(dataset_name, tuple(entries), path.parent)
 
 
 def entry_endpoint_config(entry: ManifestEntry, cache_dir: Path | str, offline: bool = False) -> EndpointConfig:
@@ -399,7 +416,6 @@ def cmd_generate(
     provider_url: str | None = None,
     model: str | None = None,
     api_key_env: str = "SHEXBENCH_API_KEY",
-    cardinality: str = "llm",
     model_file: Path | str | None = None,
     offline: bool = False,
     samples: int = 5,
@@ -413,6 +429,14 @@ def cmd_generate(
     _check_counts(samples, max_candidates, max_repairs)
     manifest = load_manifest(manifest_path)
     prompt_setting = PromptSetting(setting)
+    cardinality_model = None
+    if model_file:
+        if prompt_setting is not PromptSetting.GLOBAL:
+            raise ManifestError(f"--model-file needs --setting global, got --setting {setting}")
+        try:
+            cardinality_model = CardinalityModel.load(model_file)
+        except (OSError, ValueError) as exc:
+            raise ManifestError(f"cannot load --model-file {model_file}: {exc}") from exc
     entries = manifest.select(classes)
     out = Path(out_dir)
     fewshots = _load_fewshots(entries, prompt_setting, fewshot_dir)
@@ -423,19 +447,6 @@ def cmd_generate(
     # model writes per-hash files, which later runs replay with --stub-dir
     transcripts = None if isinstance(base_client, StubLlmClient) else out / "transcripts"
 
-    if cardinality == "llm":
-        cardinality_source = None
-    elif cardinality in ("dt", "gb"):
-        if not model_file:
-            raise ManifestError(f"--cardinality {cardinality} requires --model-file")
-        try:
-            cardinality_model = CardinalityModel.load(model_file)
-        except (OSError, ValueError) as exc:
-            raise ManifestError(f"cannot load --model-file {model_file}: {exc}") from exc
-        cardinality_source = MlCardinalitySource(cardinality_model)
-    else:
-        raise ManifestError(f"unknown cardinality source {cardinality!r}")
-
     def worker(entry: ManifestEntry) -> dict:
         kg = _kg_client(entry, cache_dir, offline, transport_factory, stores)
         fewshot = fewshots.get(entry.kg_kind, ())
@@ -443,7 +454,7 @@ def cmd_generate(
         started = time.perf_counter()
         if prompt_setting is PromptSetting.GLOBAL:
             schema = generate_global(
-                entry.class_uri, kg, client, cardinality_source,
+                entry.class_uri, kg, client, cardinality_model,
                 fewshot=fewshot, max_candidates=max_candidates,
             )
         else:
@@ -466,7 +477,7 @@ def cmd_generate(
     results = _run_per_entry(entries, worker, _failure_row, jobs)
     report = {"dataset": manifest.dataset_name, "setting": setting, "out_dir": str(out),
               "model_id": model or ("stub" if stub_dir or llm_client else "unknown"),
-              "cardinality": cardinality, "classes": results}
+              "cardinality": cardinality_model.kind if cardinality_model else "llm", "classes": results}
     return _exit_code(r["status"] for r in results), report
 
 
@@ -621,20 +632,28 @@ def _render_evaluation(doc: dict, fmt: str) -> str:
     if fmt == "json":
         return indented_json(doc, sort_keys=True) + "\n"
     if fmt == "csv":
-        lines = ["class_uri,criteria,precision,recall,f1,ged,nged,status"]
+        rows = []
         for record in doc["records"]:
             for key, metrics in sorted(record["reports"].items()):
-                lines.append(
-                    f"{record['class_uri']},{key},{metrics['precision']:.6f},"
-                    f"{metrics['recall']:.6f},{metrics['f1']:.6f},"
-                    f"{record['ged']},{record['nged']:.6f},{record['status']}"
-                )
+                rows.append([record["class_uri"], key, f"{metrics['precision']:.6f}",
+                             f"{metrics['recall']:.6f}", f"{metrics['f1']:.6f}",
+                             record["ged"], f"{record['nged']:.6f}", record["status"]])
             if not record["reports"]:
-                lines.append(f"{record['class_uri']},,,,,,,{record['status']}")
-        return "\n".join(lines) + "\n"
+                rows.append([record["class_uri"], "", "", "", "", "", "", record["status"]])
+        return _csv_text(["class_uri", "criteria", "precision", "recall", "f1", "ged", "nged", "status"], rows)
     if fmt == "md":
         return _markdown_grid(doc)
     raise ManifestError(f"unknown format {fmt!r}")
+
+
+def _csv_text(header: list[str], rows: Iterable[list]) -> str:
+    """``header`` and ``rows`` as CSV with line-feed line ends, fields quoted
+    where they hold a comma or a quote."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
 def _markdown_grid(doc: dict) -> str:
@@ -686,15 +705,12 @@ def _load_results(path: Path | str) -> dict:
 def cmd_report(result_paths: Sequence[Path | str], fmt: str = "md") -> tuple[int, str]:
     docs = [_load_results(p) for p in result_paths]
     if fmt == "csv":
-        lines = ["model_id,setting,criteria,precision,recall,f1,ged,nged,n"]
-        for doc in docs:
-            for key, metrics in sorted(doc["aggregate"].items()):
-                lines.append(
-                    f"{doc['model_id']},{doc['setting']},{key},{metrics['precision']:.6f},"
-                    f"{metrics['recall']:.6f},{metrics['f1']:.6f},{doc['mean_ged']:.4f},"
-                    f"{doc['mean_nged']:.6f},{metrics['n']}"
-                )
-        return EXIT_OK, "\n".join(lines) + "\n"
+        rows = [[doc["model_id"], doc["setting"], key, f"{metrics['precision']:.6f}",
+                 f"{metrics['recall']:.6f}", f"{metrics['f1']:.6f}", f"{doc['mean_ged']:.4f}",
+                 f"{doc['mean_nged']:.6f}", metrics["n"]]
+                for doc in docs for key, metrics in sorted(doc["aggregate"].items())]
+        header = ["model_id", "setting", "criteria", "precision", "recall", "f1", "ged", "nged", "n"]
+        return EXIT_OK, _csv_text(header, rows)
 
     lines = [
         "| Model | Setting | P | R | F1 | GED | NGED | N |",
@@ -758,6 +774,13 @@ def cmd_train_cardinality(
     row_predicates: list[str] = []
     for entry, ground_truth in zip(entries, ground_truths):
         client = _kg_client(entry, cache_dir, offline, transport_factory, stores)
+        try:
+            # every row of the class reads these; one failure skips the class
+            client.instance_count(entry.class_uri)
+            client.predicate_frequencies(entry.class_uri)
+        except (EndpointError, CacheMissError) as exc:
+            log.warning("skipping %s: %s", entry.class_uri, exc)
+            continue
         for constraint in canonicalize(ground_truth).start_shape.constraints:
             try:
                 record = client.build_global_record(entry.class_uri, constraint.predicate, FEATURE_FIELDS)
@@ -821,8 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--provider-url")
     generate.add_argument("--model")
     generate.add_argument("--api-key-env", default="SHEXBENCH_API_KEY")
-    generate.add_argument("--cardinality", choices=["llm", "dt", "gb"], default="llm")
-    generate.add_argument("--model-file")
+    generate.add_argument("--model-file", help="trained cardinality model for the global setting's first step")
     generate.add_argument("--samples", type=int, default=5)
     generate.add_argument("--max-candidates", type=int, default=None)
     generate.add_argument("--max-repairs", type=int, default=2)
@@ -885,8 +907,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             code, report = cmd_generate(
                 args.manifest, args.out_dir, args.cache_dir, args.setting, args.classes,
                 stub_dir=args.stub_dir, provider_url=args.provider_url, model=args.model,
-                api_key_env=args.api_key_env, cardinality=args.cardinality,
-                model_file=args.model_file, offline=args.offline, samples=args.samples,
+                api_key_env=args.api_key_env, model_file=args.model_file,
+                offline=args.offline, samples=args.samples,
                 max_candidates=args.max_candidates, max_repairs=args.max_repairs,
                 fewshot_dir=args.fewshot_dir, jobs=args.jobs,
             )

@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Literal as TypingLiteral
 from typing import Protocol, Sequence
 
+from .cardml import CardinalityModel, extract_features, predict_cardinality
 from .jsonout import indented_json
 from .kginfo import (
     CacheMissError,
@@ -430,7 +431,7 @@ def generate_end_to_end(
 
 def _expand_term(text: str) -> Iri:
     try:
-        return expand_iri(text.strip(), WELL_KNOWN_PREFIXES)
+        return expand_iri(text.strip())
     except ValueError as exc:
         raise AssemblyError(str(exc)) from exc
 
@@ -507,30 +508,11 @@ def assemble_schema(
     return canonicalize(schema)
 
 
-class CardinalitySource(Protocol):
-    """Pluggable step-one implementation: a trained model in place of the LLM step."""
-
-    def predict(self, record: GlobalPredicateRecord) -> StructuredCardinality: ...
-
-
-@dataclass
-class MlCardinalitySource:
-    """Swaps the trained cardinality model into the global pipeline."""
-
-    model: "CardinalityModel"  # noqa: F821 - imported lazily to avoid a cycle
-
-    def predict(self, record: GlobalPredicateRecord) -> StructuredCardinality:
-        from .cardml import extract_features, predict_cardinality
-
-        cardinality = predict_cardinality(self.model, extract_features(record))
-        return StructuredCardinality(include=True, min=cardinality.min, max=cardinality.max)
-
-
 def generate_global(
     class_iri: Iri,
     kg: KgClient,
     client: LlmClient,
-    cardinality_source: CardinalitySource | None = None,
+    cardinality_model: CardinalityModel | None = None,
     *,
     fewshot: tuple[tuple[str, str], ...] = (),
     max_candidates: int | None = None,
@@ -541,20 +523,24 @@ def generate_global(
     excluded - it is added back as the schema's typing constraint).  Each
     record's prompt is rendered once, at the first step that needs it, and
     both LLM steps append their instruction to it; with a trained
-    ``cardinality_source`` that is the node-constraint step.  Failures on
-    individual predicates are logged and skipped rather than aborting the
-    class.
+    ``cardinality_model`` in place of step one that is the node-constraint
+    step.  Failures on individual predicates are logged and skipped rather
+    than aborting the class; a failed class-level lookup (the candidates or
+    the instance count) fails the class.
     """
     parts: list[tuple[Iri, StructuredCardinality, StructuredNodeConstraint]] = []
-    for predicate in kg.global_candidates(class_iri, max_candidates):
+    candidates = kg.global_candidates(class_iri, max_candidates)
+    kg.instance_count(class_iri)
+    for predicate in candidates:
         try:
             record = kg.build_global_record(class_iri, predicate)
             prompt = None
-            if cardinality_source is None:
+            if cardinality_model is None:
                 prompt = build_global_prompt(record, fewshot)
                 cardinality = predict_cardinality_structured(prompt, client)
             else:
-                cardinality = cardinality_source.predict(record)
+                bounds = predict_cardinality(cardinality_model, extract_features(record))
+                cardinality = StructuredCardinality(include=True, min=bounds.min, max=bounds.max)
             if not cardinality.include:
                 continue
             node = predict_node_constraint_structured(prompt or build_global_prompt(record, fewshot), client)

@@ -139,6 +139,15 @@ _SUBJECT_TYPE_BITS = int(RecordField.SUBJECT_TYPE_CONSTRAINT)
 _VALUE_TYPE_BITS = int(RecordField.VALUE_TYPE_CONSTRAINT)
 
 
+#: Example triples a :class:`GlobalPredicateRecord` keeps, and the most
+#: :meth:`KgClient.triple_examples` asks for.
+TRIPLE_EXAMPLES = 5
+#: Instances fetched before :meth:`KgClient.sample_instances` ranks them.
+_SAMPLE_POOL_LIMIT = 10000
+#: Longest subclass chain :meth:`KgClient.is_subclass_of` follows.
+_SUBCLASS_MAX_DEPTH = 10
+
+
 @dataclass(frozen=True)
 class GlobalPredicateRecord:
     """Aggregated profile of one (class, predicate) pair.
@@ -164,8 +173,8 @@ class GlobalPredicateRecord:
     completeness: RecordField = RecordField(0)
 
     def __post_init__(self) -> None:
-        if len(self.triple_examples) > 5:
-            raise ValueError("at most 5 triple examples are kept")
+        if len(self.triple_examples) > TRIPLE_EXAMPLES:
+            raise ValueError(f"at most {TRIPLE_EXAMPLES} triple examples are kept")
         if not 0.0 <= self.frequency <= 1.0 + 1e-9:
             raise ValueError(f"frequency outside [0,1]: {self.frequency}")
         for mapping in (self.cardinality_distribution, self.datatype_of_objects, self.object_class_distribution):
@@ -243,17 +252,17 @@ def instance_count_query(class_iri: Iri, typing_predicate: Iri) -> str:
     )
 
 
-def instances_query(class_iri: Iri, typing_predicate: Iri, limit: int) -> str:
+def instances_query(class_iri: Iri, typing_predicate: Iri) -> str:
     return (
         "SELECT DISTINCT ?instance\n"
         "WHERE {\n"
         f"  ?instance <{typing_predicate}> <{class_iri}> .\n"
         "}\n"
-        f"LIMIT {limit}"
+        f"LIMIT {_SAMPLE_POOL_LIMIT}"
     )
 
 
-def instance_richness_query(class_iri: Iri, typing_predicate: Iri, limit: int) -> str:
+def instance_richness_query(class_iri: Iri, typing_predicate: Iri) -> str:
     return (
         "SELECT ?instance (COUNT(DISTINCT ?predicate) AS ?count)\n"
         "WHERE {\n"
@@ -262,7 +271,7 @@ def instance_richness_query(class_iri: Iri, typing_predicate: Iri, limit: int) -
         "}\n"
         "GROUP BY ?instance\n"
         "ORDER BY DESC(?count)\n"
-        f"LIMIT {limit}"
+        f"LIMIT {_SAMPLE_POOL_LIMIT}"
     )
 
 
@@ -276,7 +285,7 @@ def instance_triples_query(instance: Iri) -> str:
     )
 
 
-def triple_examples_query(class_iri: Iri, predicate: Iri, typing_predicate: Iri, limit: int = 5) -> str:
+def triple_examples_query(class_iri: Iri, predicate: Iri, typing_predicate: Iri) -> str:
     return (
         "SELECT ?subject ?object\n"
         "WHERE {\n"
@@ -284,7 +293,7 @@ def triple_examples_query(class_iri: Iri, predicate: Iri, typing_predicate: Iri,
         f"           <{predicate}> ?object .\n"
         "}\n"
         "ORDER BY ?subject ?object\n"
-        f"LIMIT {limit}"
+        f"LIMIT {TRIPLE_EXAMPLES}"
     )
 
 
@@ -339,8 +348,8 @@ def property_constraint_query(property_entity: Iri, constraint_type: Iri) -> str
     )
 
 
-def subclass_path_query(c: Iri, c_prime: Iri, subclass_predicate: Iri, depth: int) -> str:
-    path = "/".join(f"(<{subclass_predicate}>?)" for _ in range(max(depth, 1)))
+def subclass_path_query(c: Iri, c_prime: Iri, subclass_predicate: Iri) -> str:
+    path = "/".join(f"(<{subclass_predicate}>?)" for _ in range(_SUBCLASS_MAX_DEPTH))
     return f"ASK {{\n  <{c}> {path} <{c_prime}> .\n}}"
 
 
@@ -551,10 +560,6 @@ _RETRY_BACKOFF_S = (0.5, 1.0, 2.0)
 #: Requests one endpoint serves at once for one command (one
 #: :class:`CacheStore`); a politeness bound on public endpoints.
 _MAX_IN_FLIGHT = 2
-#: Instances fetched before :meth:`KgClient.sample_instances` ranks them.
-_SAMPLE_POOL_LIMIT = 10000
-#: Longest subclass chain :meth:`KgClient.is_subclass_of` follows.
-_SUBCLASS_MAX_DEPTH = 10
 
 
 class CacheStore:
@@ -765,12 +770,12 @@ class KgClient:
         if n < 1:
             raise ValueError("sample size must be >= 1")
         if self.cfg.kg_kind is KgKind.WIKIDATA:
-            rows = self._rows(instances_query(class_iri, self.cfg.typing_predicate, _SAMPLE_POOL_LIMIT))
+            rows = self._rows(instances_query(class_iri, self.cfg.typing_predicate))
             instances = [term_from_binding(_bound(r, "instance"), self._iris) for r in rows]
             instances = [i for i in instances if isinstance(i, Iri)]
             instances.sort(key=_wikidata_id_sort_key)
             return instances[:n]
-        rows = self._rows(instance_richness_query(class_iri, self.cfg.typing_predicate, _SAMPLE_POOL_LIMIT))
+        rows = self._rows(instance_richness_query(class_iri, self.cfg.typing_predicate))
         ranked = []
         for row in rows:
             instance = term_from_binding(_bound(row, "instance"), self._iris)
@@ -788,14 +793,14 @@ class KgClient:
         return self._labelled_triples(
             instance, [(instance, p, self._labeled_form(p), o) for p, o in pairs if isinstance(p, Iri)])
 
-    def triple_examples(self, class_iri: Iri, predicate: Iri, limit: int = 5) -> list[Triple]:
-        rows = self._rows(triple_examples_query(class_iri, predicate, self.cfg.typing_predicate, limit))
+    def triple_examples(self, class_iri: Iri, predicate: Iri) -> list[Triple]:
+        rows = self._rows(triple_examples_query(class_iri, predicate, self.cfg.typing_predicate))
         labeled = self._labeled_form(predicate)
         iris = self._iris
         pairs = [(term_from_binding(_bound(row, "subject"), iris), term_from_binding(_bound(row, "object"), iris))
                  for row in rows]
         kept = [(s, predicate, labeled, o) for s, o in pairs if isinstance(s, Iri) and not isinstance(o, BlankNode)]
-        return self._labelled_triples(labeled, kept)[:limit]
+        return self._labelled_triples(labeled, kept)[:TRIPLE_EXAMPLES]
 
     def _labelled_triples(self, first: Iri, rows: list[tuple[Iri, Iri, Iri, Term]]) -> list[Triple]:
         """Triples with English labels from (subject, predicate, the
@@ -844,7 +849,7 @@ class KgClient:
         :data:`_SUBCLASS_MAX_DEPTH` steps."""
         if c == c_prime:
             return True
-        return self._term_lookup(subclass_path_query(c, c_prime, self.cfg.subclass_predicate, _SUBCLASS_MAX_DEPTH),
+        return self._term_lookup(subclass_path_query(c, c_prime, self.cfg.subclass_predicate),
                                  _boolean)
 
     def build_global_record(self, class_iri: Iri, predicate: Iri,

@@ -206,17 +206,16 @@ def constraint_matches(
     gt: TripleConstraint,
     gen: TripleConstraint,
     criteria: MatchCriteria,
-    oracle: SubclassOracle | None = None,
-    gt_schema: Schema | None = None,
-    gen_schema: Schema | None = None,
+    oracle: SubclassOracle | None,
+    gt_schema: Schema,
+    gen_schema: Schema,
     *,
     typing_predicates: tuple[Iri, ...] = DEFAULT_TYPING_PREDICATES,
 ) -> bool:
-    """Decide whether a generated constraint satisfies a ground-truth one."""
+    """Decide whether a generated constraint satisfies a ground-truth one; the
+    two schemas resolve the constraints' shape references."""
     if gt.predicate != gen.predicate:
         return False
-    if gt_schema is None or gen_schema is None:
-        raise ValueError("both schemas are required to resolve shape references")
     if not _node_matches(criteria.node_mode, gt, gen, oracle,
                          lambda nc: classes_of(nc, gt_schema, typing_predicates),
                          lambda nc: classes_of(nc, gen_schema, typing_predicates)):

@@ -12,7 +12,7 @@ import functools
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 
 class UnmappedDatatypeError(KeyError):
@@ -77,34 +77,17 @@ RDF_TYPE = Iri(RDF_NS + "type")
 DEFAULT_TYPING_PREDICATES: tuple[Iri, ...] = (WIKIDATA_TYPING_PREDICATE, RDF_TYPE)
 
 
-def expand_iri(text: str, prefixes: Mapping[str, str]) -> Iri:
-    """Expand a prefixed name against ``prefixes``; absolute IRIs pass through."""
+def expand_iri(text: str) -> Iri:
+    """Expand a prefixed name against :data:`WELL_KNOWN_PREFIXES`; absolute IRIs pass through."""
     if "://" in text:
         return Iri(text)
     prefix, colon, local = text.partition(":")
-    if colon and prefix in prefixes:
-        return Iri(prefixes[prefix] + local)
+    if colon and prefix in WELL_KNOWN_PREFIXES:
+        return Iri(WELL_KNOWN_PREFIXES[prefix] + local)
     raise ValueError(f"cannot expand {text!r}: unknown prefix")
 
 
 _LOCAL_PART_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.\-]*$")
-
-
-def compact_iri(iri: Iri, prefixes: Mapping[str, str]) -> str:
-    """Compact an IRI to prefix:local when a declared namespace matches.
-
-    Falls back to ``<iri>`` so the result is always valid ShExC.  Compaction is
-    longest-namespace-wins, which makes expand(compact(x)) == x.
-    """
-    best: tuple[str, str] | None = None
-    for prefix, namespace in prefixes.items():
-        if iri.value.startswith(namespace):
-            local = iri.value[len(namespace):]
-            if _LOCAL_PART_RE.match(local) and (best is None or len(namespace) > len(prefixes[best[0]])):
-                best = (prefix, local)
-    if best is None:
-        return f"<{iri.value}>"
-    return f"{best[0]}:{best[1]}"
 
 
 #: IRI strings whose well-known split :func:`well_known_split` remembers.
@@ -130,7 +113,9 @@ def well_known_split(value: str) -> tuple[str, str] | None:
 
 
 def compact_well_known(iri: Iri) -> str:
-    """``compact_iri(iri, WELL_KNOWN_PREFIXES)`` through :func:`well_known_split`."""
+    """``prefix:local`` under the longest :data:`WELL_KNOWN_PREFIXES` namespace
+    that leaves a valid local part, else ``<iri>``; always valid ShExC, and
+    :func:`expand_iri` gives ``iri`` back."""
     split = well_known_split(iri.value)
     return f"<{iri.value}>" if split is None else f"{split[0]}:{split[1]}"
 
@@ -157,16 +142,17 @@ ValueSetValue = Union[Iri, Literal]
 _LITERAL_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"})
 
 
-def render_value(value: ValueSetValue, prefixes: Mapping[str, str] | None = None) -> str:
-    """Render a value-set member as ShExC (expanded IRIs when no prefixes given)."""
+def render_value(value: ValueSetValue, compact: bool = False) -> str:
+    """Render a value-set member as ShExC, with IRIs compacted by
+    :func:`compact_well_known` when ``compact`` is true and expanded otherwise."""
     if isinstance(value, Iri):
-        return compact_iri(value, prefixes) if prefixes is not None else f"<{value.value}>"
+        return compact_well_known(value) if compact else f"<{value.value}>"
     escaped = value.lexical.translate(_LITERAL_ESCAPES)
     text = f'"{escaped}"'
     if value.language is not None:
         return f"{text}@{value.language}"
     if value.datatype is not None:
-        dt = compact_iri(value.datatype, prefixes) if prefixes is not None else f"<{value.datatype.value}>"
+        dt = compact_well_known(value.datatype) if compact else f"<{value.datatype.value}>"
         return f"{text}^^{dt}"
     return text
 

@@ -217,9 +217,14 @@ def render_datatypes(record: GlobalPredicateRecord) -> str:
     return ", ".join(rendered)
 
 
-def render_object_classes(record: GlobalPredicateRecord, limit: int = 10) -> str:
+#: Object classes a global prompt lists, the most frequent first.
+_OBJECT_CLASSES_SHOWN = 10
+
+
+def render_object_classes(record: GlobalPredicateRecord) -> str:
     items = sorted(record.object_class_distribution.items(), key=lambda item: (-item[1], item[0]))
-    return "; ".join(f"{_pct(fraction)} {compact_well_known(Iri(key))}" for key, fraction in items[:limit])
+    return "; ".join(f"{_pct(fraction)} {compact_well_known(Iri(key))}"
+                     for key, fraction in items[:_OBJECT_CLASSES_SHOWN])
 
 
 def render_example(triple: Triple) -> str:

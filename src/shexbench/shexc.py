@@ -40,7 +40,7 @@ from .model import (
     TripleConstraint,
     ValueSet,
     canonicalize,
-    compact_iri,
+    compact_well_known,
     render_value,
     shape_focus_class,
 )
@@ -553,13 +553,13 @@ def parse_shexc(text: str, focus_class: Iri | None = None) -> Schema:
     return _Parser(text).parse(focus_class)
 
 
-def _render_node(nc: NodeConstraint, prefixes: dict[str, str]) -> str:
+def _render_node(nc: NodeConstraint) -> str:
     if isinstance(nc, NodeKindIri):
         return "IRI"
     if isinstance(nc, DatatypeConstraint):
-        return compact_iri(nc.datatype, prefixes)
+        return compact_well_known(nc.datatype)
     if isinstance(nc, ValueSet):
-        return "[ " + " ".join(render_value(v, prefixes) for v in nc.values) + " ]"
+        return "[ " + " ".join(render_value(v, compact=True) for v in nc.values) + " ]"
     if isinstance(nc, ShapeRef):
         return f"@<{nc.label}>"
     raise TypeError(f"not a node constraint: {nc!r}")
@@ -582,12 +582,11 @@ def serialize_shexc(schema: Schema) -> str:
     for shape in canon.shapes.values():
         head = f"<{shape.label}>"
         if shape.extra_predicates:
-            head += " EXTRA " + " ".join(compact_iri(p, canon.prefixes) for p in shape.extra_predicates)
+            head += " EXTRA " + " ".join(compact_well_known(p) for p in shape.extra_predicates)
         lines.append(head + " {")
         last = len(shape.constraints) - 1
         for index, constraint in enumerate(shape.constraints):
-            parts = [compact_iri(constraint.predicate, canon.prefixes),
-                     _render_node(constraint.node_constraint, canon.prefixes)]
+            parts = [compact_well_known(constraint.predicate), _render_node(constraint.node_constraint)]
             token = constraint.cardinality.token()
             if token:
                 parts.append(token)

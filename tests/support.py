@@ -23,7 +23,19 @@ from pydantic import BaseModel, ConfigDict, Field, ValidationError, field_valida
 from shexbench import shexc
 from shexbench.cardml import FEATURE_NAMES, CardinalityLabel, FeatureVector, MaxBound
 from shexbench.generate import StubReplyMissingError
-from shexbench.model import _LOCAL_PART_RE, WELL_KNOWN_PREFIXES, Cardinality, Iri, Schema
+from shexbench.model import (
+    _LITERAL_ESCAPES,
+    _LOCAL_PART_RE,
+    WELL_KNOWN_PREFIXES,
+    Cardinality,
+    DatatypeConstraint,
+    Iri,
+    NodeKindIri,
+    Schema,
+    ShapeRef,
+    ValueSet,
+    canonicalize,
+)
 from shexbench.shexc import ParseDiagnostic
 
 # the reader before offset tokens, verbatim: the oracle for the whole reader
@@ -1175,6 +1187,72 @@ def reference_candidate_namespaces(iri: Iri) -> list[str]:
         if iri.value.startswith(namespace) and _LOCAL_PART_RE.match(iri.value[len(namespace):] or "-"):
             matches.append(namespace)
     return [max(matches, key=len)] if matches else []
+
+
+def reference_compact_iri(iri: Iri, prefixes) -> str:
+    """``model.compact_iri``, the serializer's IRI compactor before it
+    compacted through ``compact_well_known``, verbatim."""
+    best: tuple[str, str] | None = None
+    for prefix, namespace in prefixes.items():
+        if iri.value.startswith(namespace):
+            local = iri.value[len(namespace):]
+            if _LOCAL_PART_RE.match(local) and (best is None or len(namespace) > len(prefixes[best[0]])):
+                best = (prefix, local)
+    if best is None:
+        return f"<{iri.value}>"
+    return f"{best[0]}:{best[1]}"
+
+
+def _reference_render_value(value, prefixes) -> str:
+    if isinstance(value, Iri):
+        return reference_compact_iri(value, prefixes)
+    escaped = value.lexical.translate(_LITERAL_ESCAPES)
+    text = f'"{escaped}"'
+    if value.language is not None:
+        return f"{text}@{value.language}"
+    if value.datatype is not None:
+        return f"{text}^^{reference_compact_iri(value.datatype, prefixes)}"
+    return text
+
+
+def _reference_render_node(nc, prefixes) -> str:
+    if isinstance(nc, NodeKindIri):
+        return "IRI"
+    if isinstance(nc, DatatypeConstraint):
+        return reference_compact_iri(nc.datatype, prefixes)
+    if isinstance(nc, ValueSet):
+        return "[ " + " ".join(_reference_render_value(v, prefixes) for v in nc.values) + " ]"
+    if isinstance(nc, ShapeRef):
+        return f"@<{nc.label}>"
+    raise TypeError(f"not a node constraint: {nc!r}")
+
+
+def reference_serialize_shexc(schema: Schema) -> str:
+    """``shexc.serialize_shexc`` as it was when it compacted each IRI over the
+    canonical form's own prefix map, verbatim: the oracle for the writer."""
+    canon = canonicalize(schema)
+    for shape in canon.shapes.values():
+        if not shape.constraints:
+            raise ValueError(f"cannot serialize shape <{shape.label}> with no constraints")
+    lines = [f"PREFIX {prefix}: <{namespace}>" for prefix, namespace in canon.prefixes.items()]
+    if lines:
+        lines.append("")
+    for shape in canon.shapes.values():
+        head = f"<{shape.label}>"
+        if shape.extra_predicates:
+            head += " EXTRA " + " ".join(reference_compact_iri(p, canon.prefixes) for p in shape.extra_predicates)
+        lines.append(head + " {")
+        last = len(shape.constraints) - 1
+        for index, constraint in enumerate(shape.constraints):
+            parts = [reference_compact_iri(constraint.predicate, canon.prefixes),
+                     _reference_render_node(constraint.node_constraint, canon.prefixes)]
+            token = constraint.cardinality.token()
+            if token:
+                parts.append(token)
+            lines.append("  " + " ".join(parts) + (" ;" if index < last else ""))
+        lines.append("}")
+        lines.append("")
+    return "\n".join(lines)
 
 
 def read_feature_csv(path) -> list[tuple[FeatureVector, CardinalityLabel]]:

@@ -11,7 +11,7 @@ import pytest
 
 from shexbench.cardml import CardinalityModel, evaluate_cardinality_accuracy, train
 from shexbench.cli import cmd_extract, cmd_generate, load_manifest
-from shexbench.generate import MlCardinalitySource, generate_global
+from shexbench.generate import generate_global
 from shexbench.kginfo import KgClient
 from shexbench.matching import (
     ALL_CRITERIA,
@@ -273,9 +273,7 @@ def test_criterion_11_hybrid_wiring(tmp_path):
 
         kg = KgClient(entry_endpoint_config(entry, cache, offline=True), transport=endpoint)
         llm_schema = generate_global(entry.class_uri, kg, benchmark_rule_client())
-        ml_schema = generate_global(
-            entry.class_uri, kg, benchmark_rule_client(), MlCardinalitySource(model)
-        )
+        ml_schema = generate_global(entry.class_uri, kg, benchmark_rule_client(), model)
         llm_constraints = {c.predicate: c for c in llm_schema.start_shape.constraints}
         ml_constraints = {c.predicate: c for c in ml_schema.start_shape.constraints}
         assert set(llm_constraints) == set(ml_constraints)

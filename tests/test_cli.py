@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import codecs
+import csv
 import errno
+import io
 import json
 import os
 import re
@@ -36,7 +38,8 @@ from shexbench.cli import (
     _warm_entry,
 )
 from shexbench.generate import prompt_hash
-from shexbench.kginfo import _MAX_IN_FLIGHT, CacheStore, KgClient, cache_key, label_query
+from shexbench.kginfo import _MAX_IN_FLIGHT, CacheStore, KgClient, cache_key, instance_count_query, label_query
+from shexbench.matching import ALL_CRITERIA
 from shexbench.model import Iri, canonicalize
 from shexbench.prompts import PromptSetting
 from shexbench.shexc import parse_shexc
@@ -126,13 +129,28 @@ class TestManifest:
             with pytest.raises(ManifestError, match=f"^ground truth {re.escape(str(tmp_path / 'bad.shex'))} invalid: "):
                 entry.ground_truth
 
-    @pytest.mark.parametrize("content", ['{"entries": [', _NESTED], ids=["truncated", "nested"])
-    def test_unreadable_manifest_is_a_config_error(self, tmp_path, capsys, content):
+    @pytest.mark.parametrize("content, message", [
+        ('{"entries": [', "cannot read manifest {manifest}"),
+        (_NESTED, "cannot read manifest {manifest}"),
+        ("[1, 2]", "manifest {manifest} is not a JSON object"),
+        ('{"entries": ["x"]}', 'manifest {manifest}: "entries" must be a list of objects'),
+        ('{"entries": {"class_uri": "x"}}', 'manifest {manifest}: "entries" must be a list of objects'),
+        ('{"dataset_name": 1, "entries": []}', 'manifest {manifest}: "dataset_name" must be a string'),
+        (json.dumps({"entries": [{"class_uri": WD + "Q1", "kg_kind": "wikidata", "endpoint_url": "x",
+                                  "typing_predicate": WDT + "P31", "ground_truth_path": 5}]}),
+         "ground_truth_path must be strings"),
+        (json.dumps({"entries": [{"class_uri": ["x"], "label": None, "kg_kind": "wikidata", "endpoint_url": "x",
+                                  "typing_predicate": WDT + "P31", "ground_truth_path": "a.shex"}]}),
+         "class_uri, label must be strings"),
+    ], ids=["truncated", "nested", "not-an-object", "entry-not-an-object", "entries-not-a-list",
+            "dataset-name-not-a-string", "path-not-a-string", "uri-and-label-not-strings"])
+    def test_unreadable_manifest_is_a_config_error(self, tmp_path, capsys, content, message):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(content, encoding="utf-8")
         code = main(["extract", "--manifest", str(manifest), "--cache-dir", str(tmp_path / "cache")])
+        err = capsys.readouterr().err
         assert code == EXIT_CONFIG
-        assert f"cannot read manifest {manifest}" in capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message.format(manifest=manifest) in err
 
 
 class TestExtract:
@@ -621,6 +639,25 @@ class TestReportAndTrain:
         code, csv_text = cmd_report([results], fmt="csv")
         assert csv_text.splitlines()[0].startswith("model_id,setting,criteria")
 
+    def test_csv_rows_have_the_header_length(self, bench, tmp_path):
+        """Criteria keys hold a comma and a model id may hold a comma and a
+        quote: both CSV outputs quote them, so every row parses to the
+        header's fields and the id reads back as written."""
+        generated = TestEvaluate()._copy_ground_truth(bench)
+        (generated / "Q33506.shex").unlink()  # a row with no reports
+        model_id = 'a,"b'
+        results = tmp_path / "eval.json"
+        cmd_evaluate(bench["manifest"], generated, "all", out=results, model_id=model_id)
+        cmd_evaluate(bench["manifest"], generated, "all", out=tmp_path / "eval.csv", fmt="csv")
+        _, report_text = cmd_report([results], fmt="csv")
+        for text in ((tmp_path / "eval.csv").read_text(encoding="utf-8"), report_text):
+            assert "\r" not in text
+            header, *rows = csv.reader(io.StringIO(text))
+            assert rows and all(len(row) == len(header) for row in rows)
+        evaluation = list(csv.DictReader(io.StringIO((tmp_path / "eval.csv").read_text(encoding="utf-8"))))
+        assert {row["criteria"] for row in evaluation} == {c.key() for c in ALL_CRITERIA} | {""}
+        assert {row["model_id"] for row in csv.DictReader(io.StringIO(report_text))} == {model_id}
+
     def test_train_cardinality(self, bench, tmp_path):
         cmd_extract(bench["manifest"], bench["cache"], "global", transport_factory=bench["factory"])
         model_path = tmp_path / "model.json"
@@ -674,7 +711,7 @@ class TestHybridWiring:
         code, _ = cmd_generate(
             bench["manifest"], bench["tmp"] / "ml_run", bench["cache"], "global",
             llm_client=benchmark_rule_client(), transport_factory=bench["factory"],
-            cardinality="dt", model_file=_saved(model, tmp_path),
+            model_file=_saved(model, tmp_path),
         )
         assert code == EXIT_OK
         differences = 0
@@ -714,7 +751,7 @@ class TestHybridWiring:
             cmd_generate(
                 bench["manifest"], bench["tmp"] / "ml_run", bench["cache"], "global",
                 llm_client=benchmark_rule_client(), transport_factory=bench["factory"],
-                cardinality="gb", model_file=model_file,
+                model_file=model_file,
             )
 
     @pytest.mark.parametrize("learning_rate", ["0.1", True], ids=["string", "boolean"])
@@ -732,11 +769,50 @@ class TestHybridWiring:
         code = main(["generate", "--manifest", str(bench["manifest"]), "--cache-dir", str(bench["cache"]),
                      "--out-dir", str(bench["tmp"] / "out"), "--offline",
                      "--stub-dir", str(bench["tmp"] / "recorded" / "transcripts"),
-                     "--cardinality", "gb", "--model-file", str(model_file)])
+                     "--model-file", str(model_file)])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert f"cannot load --model-file {model_file}" in err and "learning_rate" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["dt", "gb"])
+    def test_the_model_file_kind_is_the_reported_cardinality(self, bench, tmp_path, kind):
+        from shexbench.cardml import train
+        from support import synthetic_cardinality_rows
+
+        model_file = _saved(train(kind, synthetic_cardinality_rows(60, seed=7), seed=42), tmp_path)
+        code, report = generate_stubbed(bench, out_name="ml_run", model_file=model_file)
+        assert (code, report["cardinality"]) == (EXIT_OK, kind)
+        _, report = generate_stubbed(bench, out_name="llm_run")
+        assert report["cardinality"] == "llm"
+
+    @pytest.mark.parametrize("setting", ["local", "triples"])
+    def test_model_file_needs_the_global_setting(self, bench, tmp_path, capsys, setting):
+        """A trained model replaces the global setting's first step only: with
+        another setting the command stops before any lookup or request."""
+        from shexbench.cardml import train
+        from support import synthetic_cardinality_rows
+
+        model_file = _saved(train("dt", synthetic_cardinality_rows(60, seed=7), seed=42), tmp_path)
+        client = benchmark_rule_client()
+        with pytest.raises(ManifestError, match=f"^--model-file needs --setting global, got --setting {setting}$"):
+            cmd_generate(bench["manifest"], tmp_path / "out", bench["cache"], setting, llm_client=client,
+                         transport_factory=bench["factory"], model_file=model_file)
+        assert (bench["endpoint"].request_count, client.sent) == (0, [])
+        code = main(["generate", "--manifest", str(bench["manifest"]), "--cache-dir", str(bench["cache"]),
+                     "--out-dir", str(tmp_path / "out"), "--offline", "--stub-dir", str(tmp_path),
+                     "--setting", setting, "--model-file", str(model_file)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (f"configuration error: --model-file needs --setting global, "
+                                           f"got --setting {setting}\n")
+        assert not bench["cache"].exists() and not (tmp_path / "out").exists()
+
+    def test_cardinality_option_is_gone(self, bench, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--manifest", str(bench["manifest"]), "--cache-dir", str(bench["cache"]),
+                  "--out-dir", str(tmp_path / "out"), "--stub-dir", str(tmp_path), "--cardinality", "gb"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --cardinality gb" in capsys.readouterr().err
 
 
 def _saved(model, tmp_path):
@@ -892,6 +968,38 @@ class TestCorruptCacheInGenerate:
         error = next(r["error"] for r in report["classes"] if r["class_uri"] == award)
         assert str(label_file) in error
         assert code == expected_code
+
+
+class TestClassLevelLookupFailsOnce:
+    """A class's instance count is read once, before its predicates: offline,
+    with that cache file gone, generate reports one ``cache_miss`` for the
+    class and train skips the class with one warning."""
+
+    @staticmethod
+    def _forget_award_count(bench) -> None:
+        cmd_extract(bench["manifest"], bench["cache"], "global", transport_factory=bench["factory"])
+        query = instance_count_query(Iri(WD + "Q4220917"), Iri(WDT + "P31"))
+        (bench["cache"] / f"{cache_key(query, 'https://fake.example.org/sparql')}.json").unlink()
+
+    def test_generate(self, bench, caplog):
+        self._forget_award_count(bench)
+        client = benchmark_rule_client()
+        code, report = cmd_generate(bench["manifest"], bench["tmp"] / "gen", bench["cache"], "global",
+                                    classes=["film award"], offline=True, llm_client=client,
+                                    transport_factory=bench["factory"])
+        assert (code, [r["status"] for r in report["classes"]]) == (EXIT_CACHE_MISS, ["cache_miss"])
+        assert client.sent == []
+        assert not [r for r in caplog.records if r.levelname == "WARNING"]
+
+    def test_train(self, bench, tmp_path, caplog):
+        self._forget_award_count(bench)
+        with caplog.at_level("WARNING"):
+            code, report = cmd_train_cardinality(bench["manifest"], bench["cache"], tmp_path / "m.json", kind="dt",
+                                                 offline=True, transport_factory=bench["factory"])
+        assert code == EXIT_OK
+        assert report["classes"] == [WD + "Q1248784", WD + "Q33506"]
+        (warning,) = [r.getMessage() for r in caplog.records if "Q4220917" in r.getMessage()]
+        assert warning.startswith(f"skipping {WD}Q4220917: offline cache miss")
 
 
 class TestMalformedDatatypeKey:

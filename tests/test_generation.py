@@ -11,11 +11,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from shexbench import generate
-from shexbench.cardml import train
+from shexbench.cardml import CardinalityModel, train
 from shexbench.generate import (
     CARDINALITY_INSTRUCTION,
     NODE_CONSTRAINT_INSTRUCTION,
-    MlCardinalitySource,
     AssemblyError,
     GenerationFailedError,
     HttpLlmClient,
@@ -502,12 +501,12 @@ class TestOnePromptPerRecord:
         return built
 
     @staticmethod
-    def _trained_source() -> MlCardinalitySource:
-        return MlCardinalitySource(train("dt", synthetic_cardinality_rows(200, seed=7), seed=42))
+    def _trained_model() -> CardinalityModel:
+        return train("dt", synthetic_cardinality_rows(200, seed=7), seed=42)
 
     @staticmethod
     def _node_client() -> RuleLlmClient:
-        """The rule client, with a node reply for P856 too: a trained source includes every predicate."""
+        """The rule client, with a node reply for P856 too: a trained model includes every predicate."""
         client = award_rule_client()
         client.node_replies[WDT + "P856"] = "{}"
         return client
@@ -527,8 +526,8 @@ class TestOnePromptPerRecord:
             assert instruction in (CARDINALITY_INSTRUCTION, NODE_CONSTRAINT_INSTRUCTION)
 
     def test_trained_cardinality_logs_as_before(self, tmp_path, caplog, monkeypatch):
-        """With a trained source the prompt is rendered at the node step.  With
-        the cardinality part down, the source still predicts first; the
+        """With a trained model the prompt is rendered at the node step.  With
+        the cardinality part down, the model still predicts first; the
         prompt then finds the record incomplete."""
         built = self._count_prompts(monkeypatch)
         endpoint = build_award_endpoint()
@@ -541,7 +540,7 @@ class TestOnePromptPerRecord:
         kg = KgClient(award_endpoint_config(tmp_path), transport=failing)
         client = self._node_client()
         with caplog.at_level("WARNING"):
-            generate_global(AWARD, kg, client, self._trained_source())
+            generate_global(AWARD, kg, client, self._trained_model())
         assert built == dict.fromkeys((p.value for p in kg.global_candidates(AWARD)), 1)
         assert all(NODE_CONSTRAINT_INSTRUCTION in m[-1]["content"] for m in client.sent)
         assert [(r.name, r.getMessage()) for r in caplog.records] == [

@@ -416,6 +416,57 @@ class TestRetryOverHttp:
         assert all("HTTP 503 from" in r["error"] for r in report["classes"])
         assert len(server.requests) == 3 * 4
 
+    @staticmethod
+    def _award_count_unavailable():
+        """A loopback answer: the benchmark endpoint's, except 503 for the
+        film award's instance count; and the list the count requests go to."""
+        from urllib.parse import parse_qs
+
+        from support import sparql_answer
+
+        answer, asked = sparql_answer(build_benchmark_endpoint()), []
+        count_query = instance_count_query(Iri(WD + "Q4220917"), Iri(WDT + "P31"))
+
+        def unavailable(path, headers, body):
+            if parse_qs(body.decode("ascii"))["query"] == [count_query]:
+                asked.append(body)
+                return 503, "unavailable"
+            return answer(path, headers, body)
+
+        return unavailable, asked
+
+    def test_generate_fails_a_class_whose_instance_count_is_unavailable(self, tmp_path, sleeps, caplog):
+        """The class's instance count is read once, before its predicates: four
+        attempts, one backoff, and the class is an ``error``, not ``failed``."""
+        from shexbench.cli import EXIT_NETWORK, cmd_generate
+        from support import benchmark_rule_client
+
+        answer, asked = self._award_count_unavailable()
+        with LoopbackServer(answer=answer) as server:
+            manifest = write_benchmark_manifest(tmp_path, endpoint_url=server.url)
+            code, report = cmd_generate(manifest, tmp_path / "out", tmp_path / "cache", "global",
+                                        classes=["film award"], llm_client=benchmark_rule_client())
+        assert (code, [r["status"] for r in report["classes"]]) == (EXIT_NETWORK, ["error"])
+        assert "HTTP 503 from" in report["classes"][0]["error"]
+        assert len(asked) == 4 and sleeps == [0.5, 1.0, 2.0]
+        assert not [r for r in caplog.records if "skipping predicate" in r.getMessage()]
+
+    def test_train_skips_a_class_whose_instance_count_is_unavailable(self, tmp_path, sleeps, caplog):
+        """Train reads each class's instance count once, before its rows, and
+        skips the class with one warning when it fails."""
+        from shexbench.cli import EXIT_OK, cmd_train_cardinality
+
+        answer, asked = self._award_count_unavailable()
+        with LoopbackServer(answer=answer) as server:
+            manifest = write_benchmark_manifest(tmp_path, endpoint_url=server.url)
+            with caplog.at_level("WARNING", logger="shexbench.cli"):
+                code, report = cmd_train_cardinality(manifest, tmp_path / "cache", tmp_path / "m.json", kind="dt")
+        assert code == EXIT_OK
+        assert report["classes"] == [WD + "Q1248784", WD + "Q33506"]
+        assert len(asked) == 4 and sleeps == [0.5, 1.0, 2.0]
+        skipped = [r.getMessage() for r in caplog.records if r.name == "shexbench.cli"]
+        assert len(skipped) == 1 and skipped[0].startswith(f"skipping {WD}Q4220917: HTTP 503 from")
+
 
 class TestCacheWriter:
     def test_cache_file_is_one_line_of_json(self, tmp_path):

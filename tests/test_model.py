@@ -30,7 +30,6 @@ from shexbench.model import (
     canonical_shape_label,
     canonicalize,
     classes_of,
-    compact_iri,
     compact_well_known,
     datatype_category,
     expand_iri,
@@ -74,11 +73,11 @@ class TestIri:
 
     def test_compaction_round_trip(self):
         for iri in (Iri(WD + "Q42"), Iri(WDT + "P31"), Iri("http://example.org/x")):
-            compact = compact_iri(iri, WELL_KNOWN_PREFIXES)
+            compact = compact_well_known(iri)
             if compact.startswith("<"):
                 assert compact == f"<{iri.value}>"
             else:
-                assert expand_iri(compact, WELL_KNOWN_PREFIXES) == iri
+                assert expand_iri(compact) == iri
 
 
 #: IRI strings near the well-known namespaces: a namespace (or a cut or
@@ -93,8 +92,7 @@ NEAR_WELL_KNOWN_IRIS = st.builds(
 
 class TestWellKnownOracle:
     """The memoized well-known lookup against the uncached scans it replaced:
-    ``compact_iri`` over the whole table (prompts) and the longest-namespace
-    scan of ``canonicalize``."""
+    the longest-namespace scan of ``canonicalize``."""
 
     @settings(deadline=None)
     @given(st.one_of(NEAR_WELL_KNOWN_IRIS, st.text(min_size=1).filter(lambda v: not any(c.isspace() for c in v))))
@@ -102,12 +100,11 @@ class TestWellKnownOracle:
         iri = Iri(value)
         split = well_known_split(value)
         assert split == well_known_split.__wrapped__(value)
-        assert compact_well_known(iri) == compact_iri(iri, WELL_KNOWN_PREFIXES)
         assert ([WELL_KNOWN_PREFIXES[split[0]]] if split else []) == reference_candidate_namespaces(iri)
         if split is None:
             assert compact_well_known(iri) == f"<{value}>"
         else:
-            assert expand_iri(compact_well_known(iri), WELL_KNOWN_PREFIXES) == iri
+            assert expand_iri(compact_well_known(iri)) == iri
 
     def test_cache_is_bounded(self):
         assert well_known_split.cache_info().maxsize == model._WELL_KNOWN_CACHE_SIZE

@@ -77,7 +77,7 @@ class TestTriplesPrompt:
         assert first_p17 < first_p571
 
     def test_single_example_group(self, client):
-        per_predicate = {Iri(WDT + "P17"): client.triple_examples(AWARD, Iri(WDT + "P17"), limit=1)}
+        per_predicate = {Iri(WDT + "P17"): client.triple_examples(AWARD, Iri(WDT + "P17"))[:1]}
         prompt = build_triples_prompt(AWARD, per_predicate)
         lines = [line for line in prompt.user.splitlines() if "wdt:P17" in line]
         assert len(lines) == 1

@@ -17,6 +17,7 @@ from shexbench.model import (
     TripleConstraint,
     ValueSet,
     DatatypeConstraint,
+    WELL_KNOWN_PREFIXES,
     XSD_NS,
     canonicalize,
 )
@@ -29,7 +30,13 @@ from shexbench.shexc import (
     _tokenize,
     to_canonical_json,
 )
-from support import parse_outcome, reference_parse_outcome, reference_tokenize, try_parse_shexc
+from support import (
+    parse_outcome,
+    reference_parse_outcome,
+    reference_serialize_shexc,
+    reference_tokenize,
+    try_parse_shexc,
+)
 
 WD = "http://www.wikidata.org/entity/"
 WDT = "http://www.wikidata.org/prop/direct/"
@@ -343,6 +350,49 @@ class TestSerialize:
             parse_shexc(serialize_shexc(parse_shexc(text)))
         elapsed = time.perf_counter() - start
         assert elapsed / len(texts) < 0.05
+
+
+#: IRI strings near the well-known namespaces: a namespace (or a cut one)
+#: followed by a local part that may or may not be clean.
+NEAR_WELL_KNOWN_IRIS = st.builds(
+    lambda namespace, cut, local: Iri(namespace[:len(namespace) - cut] + local),
+    st.sampled_from([*WELL_KNOWN_PREFIXES.values(), "http://example.org/"]),
+    st.integers(0, 3),
+    st.text("aZ09_.-#/:%éprop/directentity", max_size=10),
+)
+
+
+@st.composite
+def near_well_known_schemas(draw):
+    """Schemas whose predicates, EXTRA predicates, datatypes, value-set IRIs
+    and focus class all lie near the well-known namespaces."""
+    values = st.one_of(
+        NEAR_WELL_KNOWN_IRIS,
+        st.builds(Literal, st.text(max_size=3), NEAR_WELL_KNOWN_IRIS),
+        st.builds(Literal, st.text(max_size=3)),
+    )
+    nodes = st.one_of(
+        st.just(NodeKindIri()),
+        st.just(ShapeRef("S")),
+        st.builds(DatatypeConstraint, NEAR_WELL_KNOWN_IRIS),
+        st.lists(values, min_size=1, max_size=3, unique=True).map(lambda vs: ValueSet(tuple(vs))),
+    )
+    cardinalities = st.sampled_from([Cardinality(1, 1), Cardinality(0, None), Cardinality(2, 5)])
+    predicates = draw(st.lists(NEAR_WELL_KNOWN_IRIS, min_size=1, max_size=4, unique=True))
+    constraints = tuple(TripleConstraint(p, draw(nodes), draw(cardinalities)) for p in predicates)
+    extra = tuple(draw(st.lists(NEAR_WELL_KNOWN_IRIS, max_size=2, unique=True)))
+    return Schema({}, "S", {"S": Shape("S", constraints, extra)},
+                  focus_class=draw(st.one_of(st.none(), NEAR_WELL_KNOWN_IRIS)))
+
+
+class TestWriterOracle:
+    """The writer compacts each IRI by the well-known rule alone; the writer
+    it replaced compacted over the canonical form's own prefix map."""
+
+    @settings(deadline=None)
+    @given(near_well_known_schemas())
+    def test_matches_prefix_map_writer(self, schema):
+        assert serialize_shexc(schema) == reference_serialize_shexc(schema)
 
 
 #: Language tags the reader accepts after a string.
