@@ -8,8 +8,6 @@ bit-deterministic under a seed and models serialize to self-describing JSON.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass, fields
@@ -20,7 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import EmptyDatasetError
-from .jsonout import indented_json
+from .jsonout import csv_text, indented_json
 from .kginfo import GlobalPredicateRecord, RecordField, atomic_write_text, decode_json
 from .model import Cardinality, DatatypeCategory, DEFAULT_DATATYPE_CATEGORIES, Iri
 
@@ -707,10 +705,7 @@ def write_feature_csv(
     """Feature table with a documented header: identifiers, features, labels;
     ``class_uris`` and ``predicates`` name each row's class and predicate.
     Renamed into place, so a failed write leaves an earlier file unchanged."""
-    buffer = io.StringIO(newline="")
-    writer = csv.writer(buffer)
-    writer.writerow(["class_uri", "predicate_uri", *FEATURE_NAMES, "min_class", "max_class"])
-    for index, (features, label) in enumerate(rows):
-        writer.writerow([class_uris[index], predicates[index], *features.to_array(),
-                         label.min_class, label.max_class.value])
-    atomic_write_text(path, buffer.getvalue())
+    header = ["class_uri", "predicate_uri", *FEATURE_NAMES, "min_class", "max_class"]
+    table = [[class_uris[index], predicates[index], *features.to_array(), label.min_class, label.max_class.value]
+             for index, (features, label) in enumerate(rows)]
+    atomic_write_text(path, csv_text(header, table))

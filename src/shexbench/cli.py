@@ -13,8 +13,6 @@ Exit codes: 0 success, 2 configuration, 3 network or local file error,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import logging
 import os
 import random
@@ -59,11 +57,10 @@ from .kginfo import (
     KgSubclassOracle,
     LocalFileError,
     MalformedResultsError,
-    Triple,
     atomic_write_text as _atomic_write,
     decode_json,
 )
-from .jsonout import indented_json
+from .jsonout import csv_text, indented_json
 from .matching import (  # noqa: F401 - evaluate_pair stays bound for bench/tracer.py to patch
     ALL_CRITERIA,
     EvalReport,
@@ -319,30 +316,21 @@ def _check_counts(samples: int, max_candidates: int | None, max_repairs: int = 0
 # -- extract ------------------------------------------------------------------
 
 
-def _triple_groups(client: KgClient, entry: ManifestEntry, frequencies: dict[Iri, int],
-                   max_candidates: int | None) -> dict[Iri, list[Triple]]:
-    """Example triples per predicate for a triples-setting prompt; the typing
-    predicate stays in, its examples show class membership."""
-    return {p: client.triple_examples(entry.class_uri, p) for p in list(frequencies)[:max_candidates]}
-
-
 def _warm_entry(client: KgClient, entry: ManifestEntry, setting: PromptSetting,
                 samples: int, max_candidates: int | None) -> dict[str, int]:
     counts: dict[str, int] = {}
     counts["instances"] = client.instance_count(entry.class_uri)
-    frequencies = client.predicate_frequencies(entry.class_uri)
-    counts["predicates"] = len(frequencies)
+    counts["predicates"] = len(client.predicate_frequencies(entry.class_uri))
     if setting is PromptSetting.LOCAL:
-        instances = client.sample_instances(entry.class_uri, samples)
-        counts["sampled_instances"] = len(instances)
-        counts["triples"] = sum(len(client.instance_triples(instance)) for instance in instances)
+        sampled = client.sampled_triples(entry.class_uri, samples)
+        counts["sampled_instances"] = len(sampled)
+        counts["triples"] = sum(len(triples) for _, triples in sampled)
     elif setting is PromptSetting.TRIPLES:
-        groups = _triple_groups(client, entry, frequencies, max_candidates)
+        groups = client.triple_groups(entry.class_uri, max_candidates)
         counts["example_triples"] = sum(len(triples) for triples in groups.values())
     else:
         candidates = client.global_candidates(entry.class_uri, max_candidates)
-        records = [client.build_global_record(entry.class_uri, predicate) for predicate in candidates]
-        counts["records"] = len(records)
+        counts["records"] = len(client.global_records(entry.class_uri, candidates))
     return counts
 
 
@@ -459,12 +447,10 @@ def cmd_generate(
             )
         else:
             if prompt_setting is PromptSetting.LOCAL:
-                instances = kg.sample_instances(entry.class_uri, samples)
-                sampled = [(instance, kg.instance_triples(instance)) for instance in instances]
+                sampled = kg.sampled_triples(entry.class_uri, samples)
                 prompt = build_local_prompt(entry.class_uri, sampled, fewshot, entry.label)
             else:
-                frequencies = kg.predicate_frequencies(entry.class_uri)
-                groups = _triple_groups(kg, entry, frequencies, max_candidates)
+                groups = kg.triple_groups(entry.class_uri, max_candidates)
                 prompt = build_triples_prompt(entry.class_uri, groups, fewshot, entry.label)
             schema = generate_end_to_end(entry.class_uri, prompt, client, max_repairs)
         text = serialize_shexc(schema)
@@ -640,20 +626,10 @@ def _render_evaluation(doc: dict, fmt: str) -> str:
                              record["ged"], f"{record['nged']:.6f}", record["status"]])
             if not record["reports"]:
                 rows.append([record["class_uri"], "", "", "", "", "", "", record["status"]])
-        return _csv_text(["class_uri", "criteria", "precision", "recall", "f1", "ged", "nged", "status"], rows)
+        return csv_text(["class_uri", "criteria", "precision", "recall", "f1", "ged", "nged", "status"], rows)
     if fmt == "md":
         return _markdown_grid(doc)
     raise ManifestError(f"unknown format {fmt!r}")
-
-
-def _csv_text(header: list[str], rows: Iterable[list]) -> str:
-    """``header`` and ``rows`` as CSV with line-feed line ends, fields quoted
-    where they hold a comma or a quote."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
 
 
 def _markdown_grid(doc: dict) -> str:
@@ -710,7 +686,7 @@ def cmd_report(result_paths: Sequence[Path | str], fmt: str = "md") -> tuple[int
                  f"{doc['mean_nged']:.6f}", metrics["n"]]
                 for doc in docs for key, metrics in sorted(doc["aggregate"].items())]
         header = ["model_id", "setting", "criteria", "precision", "recall", "f1", "ged", "nged", "n"]
-        return EXIT_OK, _csv_text(header, rows)
+        return EXIT_OK, csv_text(header, rows)
 
     lines = [
         "| Model | Setting | P | R | F1 | GED | NGED | N |",
@@ -774,19 +750,14 @@ def cmd_train_cardinality(
     row_predicates: list[str] = []
     for entry, ground_truth in zip(entries, ground_truths):
         client = _kg_client(entry, cache_dir, offline, transport_factory, stores)
+        constraints = canonicalize(ground_truth).start_shape.constraints
         try:
-            # every row of the class reads these; one failure skips the class
-            client.instance_count(entry.class_uri)
-            client.predicate_frequencies(entry.class_uri)
+            # a failed class-level lookup skips the class
+            records = client.global_records(entry.class_uri, [c.predicate for c in constraints], FEATURE_FIELDS)
         except (EndpointError, CacheMissError) as exc:
             log.warning("skipping %s: %s", entry.class_uri, exc)
             continue
-        for constraint in canonicalize(ground_truth).start_shape.constraints:
-            try:
-                record = client.build_global_record(entry.class_uri, constraint.predicate, FEATURE_FIELDS)
-            except (EndpointError, CacheMissError) as exc:
-                log.warning("skipping %s / %s: %s", entry.class_uri, constraint.predicate, exc)
-                continue
+        for constraint, record in zip(constraints, records):
             rows.append((extract_features(record), CardinalityLabel.from_cardinality(constraint.cardinality)))
             row_classes.append(entry.class_uri.value)
             row_predicates.append(constraint.predicate.value)

@@ -24,9 +24,7 @@ from typing import Protocol, Sequence
 from .cardml import CardinalityModel, extract_features, predict_cardinality
 from .jsonout import indented_json
 from .kginfo import (
-    CacheMissError,
     EndpointConfig,
-    EndpointError,
     GlobalPredicateRecord,
     KgClient,
     NoResponseError,
@@ -520,20 +518,18 @@ def generate_global(
     """Two-step structured generation over the class's candidate predicates.
 
     Candidates come from the predicate frequency profile (typing predicate
-    excluded - it is added back as the schema's typing constraint).  Each
+    excluded - it is added back as the schema's typing constraint).  All the
+    class's records are looked up before any LLM call, so a failed
+    class-level lookup or an inconsistent record fails the class first.  Each
     record's prompt is rendered once, at the first step that needs it, and
     both LLM steps append their instruction to it; with a trained
     ``cardinality_model`` in place of step one that is the node-constraint
-    step.  Failures on individual predicates are logged and skipped rather
-    than aborting the class; a failed class-level lookup (the candidates or
-    the instance count) fails the class.
+    step.  A predicate whose record lacks a part its prompt needs, or whose
+    reply never validates, is logged and skipped.
     """
     parts: list[tuple[Iri, StructuredCardinality, StructuredNodeConstraint]] = []
-    candidates = kg.global_candidates(class_iri, max_candidates)
-    kg.instance_count(class_iri)
-    for predicate in candidates:
+    for record in kg.global_records(class_iri, kg.global_candidates(class_iri, max_candidates)):
         try:
-            record = kg.build_global_record(class_iri, predicate)
             prompt = None
             if cardinality_model is None:
                 prompt = build_global_prompt(record, fewshot)
@@ -544,9 +540,9 @@ def generate_global(
             if not cardinality.include:
                 continue
             node = predict_node_constraint_structured(prompt or build_global_prompt(record, fewshot), client)
-            parts.append((predicate, cardinality, node))
-        except (StructuredOutputFailedError, EndpointError, CacheMissError, IncompleteRecordError) as exc:
-            log.warning("skipping predicate %s for %s: %s", predicate, class_iri, exc)
+            parts.append((record.predicate_uri, cardinality, node))
+        except (StructuredOutputFailedError, IncompleteRecordError) as exc:
+            log.warning("skipping predicate %s for %s: %s", record.predicate_uri, class_iri, exc)
     return assemble_schema(class_iri, parts, kg.cfg)
 
 

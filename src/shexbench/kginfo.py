@@ -1,5 +1,10 @@
 """SPARQL extraction of local, triple-level, and global class information.
 
+Each prompt setting's class profile has one home, which ``extract``,
+``generate`` and ``train-cardinality`` share: :meth:`KgClient.sampled_triples`
+(local), :meth:`KgClient.triple_groups` (triples) and
+:meth:`KgClient.global_records` (global).
+
 Every query goes through a deterministic on-disk cache keyed by the
 whitespace-normalized query text plus the endpoint URL.  A cache hit never
 touches the network, and offline mode turns misses into errors instead of
@@ -837,6 +842,26 @@ class KgClient:
         ``max_candidates`` of them (all when None)."""
         frequencies = self._frequency_table(class_iri)
         return [p for p in frequencies if p != self.cfg.typing_predicate][:max_candidates]
+
+    def sampled_triples(self, class_iri: Iri, samples: int) -> list[tuple[Iri, list[Triple]]]:
+        """The local setting's profile: up to ``samples`` instances
+        (:meth:`sample_instances`), each with its one-hop triples."""
+        return [(instance, self.instance_triples(instance)) for instance in self.sample_instances(class_iri, samples)]
+
+    def triple_groups(self, class_iri: Iri, max_candidates: int | None = None) -> dict[Iri, list[Triple]]:
+        """The triples setting's profile: example triples for the class's first
+        ``max_candidates`` predicates by frequency (all when None), the typing
+        predicate included, as its examples show class membership."""
+        return {p: self.triple_examples(class_iri, p) for p in list(self._frequency_table(class_iri))[:max_candidates]}
+
+    def global_records(self, class_iri: Iri, predicates: list[Iri],
+                       fields: RecordField = ALL_FIELDS) -> list[GlobalPredicateRecord]:
+        """The global setting's profile: one :meth:`build_global_record` per
+        predicate.  The class-level reads every record needs come first, so
+        their failure raises before any record is built."""
+        self.instance_count(class_iri)
+        self._frequency_table(class_iri)
+        return [self.build_global_record(class_iri, predicate, fields) for predicate in predicates]
 
     def property_constraint_classes(self, predicate: Iri, constraint_type: Iri) -> tuple[Iri, ...]:
         if self.cfg.kg_kind is not KgKind.WIKIDATA:

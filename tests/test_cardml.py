@@ -550,6 +550,14 @@ def test_feature_csv_round_trip(tmp_path, synthetic_split):
     assert tuple(header[2:-2]) == FEATURE_NAMES
 
 
+def test_feature_csv_has_line_feed_line_ends(tmp_path, synthetic_split):
+    """The feature dump ends its lines with a line feed, as the other CSV outputs do."""
+    path = tmp_path / "features.csv"
+    write_feature_csv(synthetic_split[0][:3], path, class_uris=["c"] * 3, predicates=["p"] * 3)
+    data = path.read_bytes()
+    assert b"\r" not in data and data.count(b"\n") == 4
+
+
 def test_failed_feature_csv_rewrite_keeps_earlier_file(tmp_path, synthetic_split):
     rows = synthetic_split[0][:5]
     path = tmp_path / "features.csv"

@@ -1002,6 +1002,30 @@ class TestClassLevelLookupFailsOnce:
         assert warning.startswith(f"skipping {WD}Q4220917: offline cache miss")
 
 
+def test_inconsistent_record_fails_its_class_before_any_llm_call(bench):
+    """A cardinality count above the class's instance count makes the film
+    award's last candidate record inconsistent: all of a class's lookups come
+    before its first LLM call, so the class is an ``error`` and the LLM is
+    never asked about the predicates before it."""
+    award = WD + "Q4220917"
+
+    def inflating(query):
+        doc = bench["endpoint"](query)
+        if "?cardinality" in query and f"<{award}>" in query and f"<{WDT}P856>" in query:
+            doc = json.loads(json.dumps(doc))
+            for row in doc["results"]["bindings"]:
+                row["count"]["value"] = "99"
+        return doc
+
+    client = benchmark_rule_client()
+    code, report = cmd_generate(bench["manifest"], bench["tmp"] / "gen", bench["cache"], "global",
+                                classes=["film award"], llm_client=client, transport_factory=lambda cfg: inflating)
+    (row,) = report["classes"]
+    assert (code, row["status"]) == (EXIT_NETWORK, "error")
+    assert f"inconsistent profile of {award} / {WDT}P856" in row["error"]
+    assert client.sent == []
+
+
 class TestMalformedDatatypeKey:
     """A ``?kind`` binding that is neither ``IRI``, ``bnode`` nor an IRI is a
     malformed results document: it fails its class (generate) or the command
@@ -1422,6 +1446,60 @@ def _is_term_lookup(query: str, classes) -> bool:
         f"<{WDT}P31> <{class_uri}>" in normalized for class_uri in classes)
 
 
+class TestGenerateReadsWhatExtractWarmed:
+    """An offline ``generate`` over the cache ``extract`` just wrote reads no
+    key the extract did not touch, class by class, in every setting and under
+    ``--jobs 8``: both commands profile a class through the same lookup.  The
+    only keys extract touches beyond generate's are its own count lookups."""
+
+    class _GroundTruthClient:
+        """Replies to each class's prompt with that class's ground truth."""
+
+        def __init__(self, entries):
+            self.replies = {entry.class_uri.value: entry.ground_truth_path.read_text() for entry in entries}
+
+        def send(self, messages):
+            (reply,) = [text for uri, text in self.replies.items() if f"{uri} " in messages[-1]["content"]]
+            return reply
+
+    @pytest.mark.parametrize("jobs", [1, 8])
+    @pytest.mark.parametrize("setting", ["global", "local", "triples"])
+    def test_generate_keys_are_extract_keys(self, bench, monkeypatch, setting, jobs):
+        from shexbench import cli
+        from shexbench.kginfo import frequency_query
+
+        code, extracted = cmd_extract(bench["manifest"], bench["cache"], setting, jobs=jobs,
+                                      transport_factory=bench["factory"])
+        assert code == EXIT_OK
+        clients = {}
+        kg_client = cli._kg_client
+
+        def recording(entry, *args):
+            client = clients[entry.class_uri.value] = kg_client(entry, *args)
+            return client
+
+        monkeypatch.setattr(cli, "_kg_client", recording)
+        entries = load_manifest(bench["manifest"]).entries
+        llm = benchmark_rule_client() if setting == "global" else self._GroundTruthClient(entries)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            code, generated = cmd_generate(bench["manifest"], bench["tmp"] / "gen", bench["cache"], setting,
+                                           offline=True, jobs=jobs, llm_client=llm)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (code, [row["status"] for row in generated["classes"]]) == (EXIT_OK, ["ok"] * len(entries))
+        url = "https://fake.example.org/sparql"
+        for row in extracted["classes"]:
+            class_iri, typing = Iri(row["class_uri"]), Iri(WDT + "P31")
+            counts = {cache_key(instance_count_query(class_iri, typing), url)}
+            if setting == "local":
+                counts.add(cache_key(frequency_query(class_iri, typing), url))
+            read = clients[row["class_uri"]].keys_touched
+            assert read <= set(row["cache_keys"])
+            assert set(row["cache_keys"]) - read == (set() if setting == "global" else counts)
+
+
 class TestCacheStore:
     """A command's cache store against independent oracles: a private store
     per class, and the query texts the endpoint was sent."""
@@ -1775,6 +1853,6 @@ def test_pipeline_outputs_are_pinned(bench):
         "extract": "f09f41655f92bb94609d6824361945423b4229e4c43b59b086ef29b5d142a07e",
         "shex": "ba543499407baf8bd87d1c3c057593be9009d9b81465ef12909f9a773fbfa2fc",
         "transcripts": "c84d30aa82ebd65db941f7ca53a58f5009d676d16e5f65f4fff5d6bb5af2733d",
-        "model": "489371750d427e0ce2b397d2ef6226ff958c03886b8f49e2b99a81cf68c89d81",
+        "model": "fead65babc852e72955df6300334286f501c339546b3e049535f785201a71f0b",
         "evaluate": "8c0415275857877ed4447739d71078fd239bf36732a229ea64645e4bcf3cb8ee",
     }
