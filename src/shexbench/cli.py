@@ -29,6 +29,7 @@ from .cardml import (
     MODEL_KINDS,
     CardinalityLabel,
     CardinalityModel,
+    _is_number,
     evaluate_cardinality_accuracy,
     extract_features,
     train,
@@ -63,8 +64,10 @@ from .kginfo import (
 from .jsonout import csv_text, indented_json
 from .matching import (  # noqa: F401 - evaluate_pair stays bound for bench/tracer.py to patch
     ALL_CRITERIA,
+    CardinalityMode,
     EvalReport,
     MatchCriteria,
+    NodeMode,
     StaticSubclassOracle,
     evaluate_canonical,
     evaluate_pair,
@@ -470,10 +473,18 @@ def cmd_generate(
 # -- evaluate -----------------------------------------------------------------
 
 
+#: The ``--criteria`` values evaluate accepts, for its configuration error.
+_CRITERIA_HELP = ("'all' or ';'-separated combinations of node=" + "|".join(m.value for m in NodeMode)
+                  + " and card=" + "|".join(m.value for m in CardinalityMode))
+
+
 def _parse_criteria(spec: str | None) -> tuple[MatchCriteria, ...]:
     if not spec or spec == "all":
         return ALL_CRITERIA
-    return tuple(MatchCriteria.parse(part) for part in spec.split(";"))
+    try:
+        return tuple(MatchCriteria.parse(part) for part in spec.split(";"))
+    except ValueError as exc:
+        raise ManifestError(f"--criteria {spec!r}: {exc}; expected {_CRITERIA_HELP}") from exc
 
 
 def load_subclass_oracle(path: Path | str) -> StaticSubclassOracle:
@@ -507,11 +518,11 @@ def cmd_evaluate(
     jobs: int = 1,
     transport_factory: TransportFactory | None = None,
 ) -> tuple[int, dict]:
+    criteria_list = _parse_criteria(criteria)
     manifest = load_manifest(manifest_path)
     entries = manifest.select(classes)
     # read before any class runs, so a bad ground-truth file stops the command
     ground_truths = {entry.class_uri: entry.ground_truth for entry in entries}
-    criteria_list = _parse_criteria(criteria)
     generated = Path(generated_dir)
     static_oracle = None
     if subclass_file:
@@ -665,6 +676,9 @@ def _markdown_grid(doc: dict) -> str:
 #: The keys of an evaluation document that ``report`` reads.
 _RESULT_KEYS = ("model_id", "setting", "aggregate", "mean_ged", "mean_nged")
 
+#: The numbers ``report`` reads from each entry of a document's aggregate.
+_AGGREGATE_KEYS = ("precision", "recall", "f1", "n")
+
 
 def _load_results(path: Path | str) -> dict:
     try:
@@ -675,6 +689,15 @@ def _load_results(path: Path | str) -> dict:
             or not isinstance(doc["aggregate"], dict):
         raise ManifestError(f"results file {path} is not an evaluation document: "
                             f"it needs {', '.join(_RESULT_KEYS)}")
+    problems = [f"{key} is not a number" for key in ("mean_ged", "mean_nged") if not _is_number(doc[key])]
+    for key, metrics in doc["aggregate"].items():
+        if not isinstance(metrics, dict) or not all(_is_number(metrics.get(name)) for name in _AGGREGATE_KEYS):
+            problems.append(f"aggregate entry {key!r} needs numbers {', '.join(_AGGREGATE_KEYS)}")
+    breakdown = doc.get("error_breakdown")
+    if breakdown is not None and not (isinstance(breakdown, dict) and all(map(_is_number, breakdown.values()))):
+        problems.append("error_breakdown must map buckets to counts")
+    if problems:
+        raise ManifestError(f"results file {path} is malformed: {'; '.join(problems)}")
     return doc
 
 
@@ -825,8 +848,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = sub.add_parser("evaluate", help="score generated schemas against ground truth")
     _add_common(evaluate)
     evaluate.add_argument("--generated-dir", required=True)
-    evaluate.add_argument("--criteria", default="all",
-                          help="'all' or ';'-separated node=<mode>,card=<mode> combinations")
+    evaluate.add_argument("--criteria", default="all", help=_CRITERIA_HELP)
     evaluate.add_argument("--format", dest="fmt", choices=["json", "csv", "md"], default="json")
     evaluate.add_argument("--out")
     evaluate.add_argument("--subclass-file", help="static subclass oracle JSON")

@@ -920,7 +920,8 @@ class KgClient:
             values["value_type_constraint"] = constraints(predicate, WIKIDATA_VALUE_TYPE_CONSTRAINT)
 
         # Each part is best-effort: a failed lookup keeps what the part read
-        # before it, leaves the part's completeness bits unset and logs once.
+        # before it and leaves the part's completeness bits unset; a record
+        # with failed parts logs once, naming each part and its reason.
         parts = [
             (_CARDINALITY_BITS, "cardinality distribution", cardinality),
             (_OBJECT_PROFILE_BITS, "object profiles", object_profiles),
@@ -930,6 +931,9 @@ class KgClient:
         if self.cfg.kg_kind is KgKind.WIKIDATA:
             parts += [(_SUBJECT_TYPE_BITS, "subject-type constraints", subject_types),
                       (_VALUE_TYPE_BITS, "value-type constraints", value_types)]
+        # the reasons are kept as text: an exception kept past its handler
+        # holds this frame through its traceback, a cycle only gc frees
+        failed: list[tuple[str, str]] = []
         for bits, name, read in parts:
             if not bits & fields:
                 continue
@@ -937,7 +941,14 @@ class KgClient:
                 read()
                 completeness |= bits
             except (EndpointError, CacheMissError) as exc:
-                log.warning("%s unavailable for %s / %s: %s", name, class_iri, predicate, exc)
+                failed.append((name, str(exc)))
+        if failed:
+            if len(failed) == 1:
+                [(names, reasons)] = failed
+            else:
+                names = ", ".join(name for name, _ in failed)
+                reasons = "; ".join(f"{name}: {reason}" for name, reason in failed)
+            log.warning("%s unavailable for %s / %s: %s", names, class_iri, predicate, reasons)
 
         try:
             return GlobalPredicateRecord(

@@ -691,6 +691,19 @@ class TestReportAndTrain:
         sent = {query.split("\n", 1)[0] for query in bench["endpoint"].request_log}
         assert sent and not sent & unread
 
+    def test_train_on_a_local_cache_logs_once_per_degraded_row(self, bench, tmp_path, caplog):
+        """A local-setting cache holds none of the global parts train reads:
+        each row's record logs one warning naming all three parts."""
+        cmd_extract(bench["manifest"], bench["cache"], "local", transport_factory=bench["factory"])
+        with caplog.at_level("WARNING", logger="shexbench"):
+            code, report = cmd_train_cardinality(bench["manifest"], bench["cache"], tmp_path / "model.json",
+                                                 kind="dt", offline=True)
+        assert code == EXIT_OK and report["rows"] == 12
+        warnings = [r.getMessage() for r in caplog.records if r.name == "shexbench.kginfo"]
+        assert len(warnings) == len(set(warnings)) == report["rows"]
+        assert all(w.startswith("cardinality distribution, object profiles, value-type constraints unavailable for ")
+                   for w in warnings)
+
     def test_train_sampling_reports_ids(self, bench, tmp_path):
         cmd_extract(bench["manifest"], bench["cache"], "global", transport_factory=bench["factory"])
         code, report = cmd_train_cardinality(
@@ -1640,6 +1653,44 @@ class TestConfigurationErrors:
         assert code == EXIT_CONFIG
         assert "configuration error: --class names no manifest entry: 'nosuchclass'" in capsys.readouterr().err
         assert sorted(p.name for p in bench["tmp"].iterdir()) == ["gt", "manifest.json"]
+
+    @pytest.mark.parametrize("spec, reason", [
+        ("node=exact;card=loose", "'loose' is not a valid CardinalityMode"),
+        ("node=exact;", "bad criteria component ''"),
+        ("node=bogus", "'bogus' is not a valid NodeMode"),
+    ], ids=["card-loose", "empty-component", "node-bogus"])
+    def test_bad_criteria(self, bench, capsys, monkeypatch, spec, reason):
+        """A bad ``--criteria`` stops evaluate before any class is scored."""
+        generated = TestEvaluate()._copy_ground_truth(bench)
+        evaluated = []
+        monkeypatch.setattr("shexbench.cli.evaluate_canonical", lambda *args, **kwargs: evaluated.append(args))
+        code = main(["evaluate", "--manifest", str(bench["manifest"]), "--generated-dir", str(generated),
+                     "--criteria", spec])
+        assert code == EXIT_CONFIG and evaluated == []
+        assert capsys.readouterr().err == (
+            f"configuration error: --criteria {spec!r}: {reason}; expected 'all' or ';'-separated combinations "
+            "of node=exact|subclass|datatype and card=exact|loosened\n")
+
+    @pytest.mark.parametrize("changes, problem", [
+        ({"aggregate": {"node=exact,card=exact": {}}},
+         "aggregate entry 'node=exact,card=exact' needs numbers precision, recall, f1, n"),
+        ({"aggregate": {"node=exact,card=exact": {"precision": 0.5, "recall": 0.5, "f1": "0.5", "n": 1}}},
+         "aggregate entry 'node=exact,card=exact' needs numbers precision, recall, f1, n"),
+        ({"mean_ged": "x"}, "mean_ged is not a number"),
+        ({"mean_nged": None}, "mean_nged is not a number"),
+        ({"error_breakdown": {"correct": "1"}}, "error_breakdown must map buckets to counts"),
+        ({"error_breakdown": [1]}, "error_breakdown must map buckets to counts"),
+    ], ids=["empty-entry", "string-f1", "string-ged", "null-nged", "string-count", "list-breakdown"])
+    def test_malformed_results_file(self, tmp_path, capsys, changes, problem):
+        results = tmp_path / "results.json"
+        results.write_text(json.dumps({
+            "model_id": "m", "setting": "global", "mean_ged": 1.0, "mean_nged": 0.5,
+            "aggregate": {"node=exact,card=exact": {"precision": 0.5, "recall": 0.5, "f1": 0.5, "n": 1}},
+            "error_breakdown": {"correct": 1}, **changes,
+        }))
+        code = main(["report", str(results)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: results file {results} is malformed: {problem}\n"
 
     def test_class_that_names_no_entry_makes_no_lookup(self, bench, tmp_path):
         commands = [

@@ -940,6 +940,43 @@ class TestGlobalRecord:
         assert [r.levelname for r in caplog.records] == ["WARNING"]
         assert "template down" in caplog.records[0].getMessage()
 
+    # one SPARQL template -> the reason its failure gives
+    FAILURES = {
+        "AS ?cardinality": "histogram down",
+        "BIND (IF(isIRI": "datatypes down",
+        "Q21510865>": "value types down",
+    }
+
+    @pytest.mark.parametrize("templates, message", [
+        (("AS ?cardinality", "BIND (IF(isIRI"),
+         "cardinality distribution, object profiles unavailable for {award} / {conferred}: "
+         "cardinality distribution: histogram down; object profiles: datatypes down"),
+        (("Q21510865>", "BIND (IF(isIRI", "AS ?cardinality"),
+         "cardinality distribution, object profiles, value-type constraints unavailable for {award} / {conferred}: "
+         "cardinality distribution: histogram down; object profiles: datatypes down; "
+         "value-type constraints: value types down"),
+    ], ids=["two", "three"])
+    def test_failed_parts_log_one_warning(self, endpoint, client, tmp_path, caplog, templates, message):
+        """A record with several failed parts logs one warning that names the
+        parts in part order, then gives each part's reason."""
+        full = client.build_global_record(AWARD, CONFERRED)
+
+        def failing(query):
+            flat = " ".join(query.split())
+            for template in templates:
+                if template in flat:
+                    raise EndpointError(self.FAILURES[template])
+            return endpoint(query)
+
+        degraded_client = KgClient(award_endpoint_config(tmp_path / "other"), transport=failing)
+        with caplog.at_level("WARNING", logger="shexbench.kginfo"):
+            degraded = degraded_client.build_global_record(AWARD, CONFERRED)
+        lost = sum((self.DEGRADED_PARTS[template][1] for template in templates), RecordField(0))
+        assert degraded.completeness == full.completeness & ~lost
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("WARNING", message.format(award=AWARD, conferred=CONFERRED)),
+        ]
+
     def test_inconsistent_counts_are_malformed_results(self, endpoint, tmp_path):
         """More instances with a value than the class has is no valid profile:
         the endpoint's answers disagree with each other."""
