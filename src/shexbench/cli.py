@@ -465,13 +465,16 @@ def cmd_generate(
 
     results = _run_per_entry(entries, worker, _failure_row, jobs)
     report = {"dataset": manifest.dataset_name, "setting": setting, "out_dir": str(out),
-              "model_id": model or ("stub" if stub_dir or llm_client else "unknown"),
+              "model_id": model or "stub",
               "cardinality": cardinality_model.kind if cardinality_model else "llm", "classes": results}
     return _exit_code(r["status"] for r in results), report
 
 
 # -- evaluate -----------------------------------------------------------------
 
+
+#: The ``--format`` values evaluate renders.
+_EVALUATION_FORMATS = ("json", "csv", "md")
 
 #: The ``--criteria`` values evaluate accepts, for its configuration error.
 _CRITERIA_HELP = ("'all' or ';'-separated combinations of node=" + "|".join(m.value for m in NodeMode)
@@ -519,6 +522,8 @@ def cmd_evaluate(
     transport_factory: TransportFactory | None = None,
 ) -> tuple[int, dict]:
     criteria_list = _parse_criteria(criteria)
+    if fmt not in _EVALUATION_FORMATS:
+        raise ManifestError(f"unknown format {fmt!r}")
     manifest = load_manifest(manifest_path)
     entries = manifest.select(classes)
     # read before any class runs, so a bad ground-truth file stops the command
@@ -568,9 +573,8 @@ def cmd_evaluate(
 
     records = _run_per_entry(entries, worker, failure, jobs)
     doc = _evaluation_document(manifest, records, criteria_list, setting, model_id)
-    rendered = _render_evaluation(doc, fmt)
     if out:
-        _atomic_write(Path(out), rendered)
+        _atomic_write(Path(out), _render_evaluation(doc, fmt))
     return _exit_code(r.status for r in records), doc
 
 
@@ -626,6 +630,7 @@ def _evaluation_document(manifest, records, criteria_list, setting, model_id) ->
 
 
 def _render_evaluation(doc: dict, fmt: str) -> str:
+    """``doc`` in one of :data:`_EVALUATION_FORMATS`, which ``cmd_evaluate`` checks."""
     if fmt == "json":
         return indented_json(doc, sort_keys=True) + "\n"
     if fmt == "csv":
@@ -638,9 +643,7 @@ def _render_evaluation(doc: dict, fmt: str) -> str:
             if not record["reports"]:
                 rows.append([record["class_uri"], "", "", "", "", "", "", record["status"]])
         return csv_text(["class_uri", "criteria", "precision", "recall", "f1", "ged", "nged", "status"], rows)
-    if fmt == "md":
-        return _markdown_grid(doc)
-    raise ManifestError(f"unknown format {fmt!r}")
+    return _markdown_grid(doc)
 
 
 def _markdown_grid(doc: dict) -> str:
@@ -849,7 +852,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(evaluate)
     evaluate.add_argument("--generated-dir", required=True)
     evaluate.add_argument("--criteria", default="all", help=_CRITERIA_HELP)
-    evaluate.add_argument("--format", dest="fmt", choices=["json", "csv", "md"], default="json")
+    evaluate.add_argument("--format", dest="fmt", choices=_EVALUATION_FORMATS, default="json")
     evaluate.add_argument("--out")
     evaluate.add_argument("--subclass-file", help="static subclass oracle JSON")
     evaluate.add_argument("--cache-dir", help="use the cached KG for subclass answers")

@@ -34,7 +34,6 @@ from .kginfo import (
     read_small_file,
 )
 from .model import (
-    WELL_KNOWN_PREFIXES,
     Cardinality,
     DatatypeConstraint,
     Iri,
@@ -47,7 +46,6 @@ from .model import (
     TripleConstraint,
     ValueSet,
     canonical_shape_label,
-    canonicalize,
     expand_iri,
 )
 from .prompts import ChatPrompt, IncompleteRecordError, build_global_prompt
@@ -467,11 +465,12 @@ def assemble_schema(
     parts: Sequence[tuple[Iri, StructuredCardinality, StructuredNodeConstraint]],
     cfg: EndpointConfig,
 ) -> Schema:
-    """Combine per-predicate structured outputs into a canonical schema.
+    """Combine per-predicate structured outputs into a schema.
 
     The start shape carries EXTRA on the typing predicate and a leading
     ``typing [class]`` constraint; referenced-class variants materialize as
-    one-constraint typing shapes.
+    one-constraint typing shapes.  The schema is returned as built; its
+    readers (the ShExC writer, scoring) canonicalize it.
     """
     typing_predicate = cfg.typing_predicate
     start_label = canonical_shape_label([class_iri])
@@ -497,13 +496,7 @@ def assemble_schema(
     for classes, label in labels.items():
         typing = TripleConstraint(typing_predicate, ValueSet(classes), Cardinality(1, 1))
         shapes.setdefault(label, Shape(label, (typing,), (typing_predicate,)))
-    schema = Schema(
-        prefixes=dict(WELL_KNOWN_PREFIXES),
-        start_label=start_label,
-        shapes=shapes,
-        focus_class=class_iri,
-    )
-    return canonicalize(schema)
+    return Schema(start_label, shapes, class_iri)
 
 
 def generate_global(

@@ -573,10 +573,9 @@ class CacheStore:
     It holds one lock per missed key (so a miss is fetched once however
     many clients ask for it), the gate that lets at most ``_MAX_IN_FLIGHT``
     requests run at once, the :class:`IriTable` its clients decode ``uri``
-    bindings through, and two tables per endpoint URL: the cache key of each
-    query text asked, so each is hashed once, and the decoded answer of each
-    term lookup, so each is read and decoded once for all the clients.
-    Answers only: a miss or a malformed answer is looked up again next time.
+    bindings through, and per endpoint URL the decoded answer of each term
+    lookup, so each is read and decoded once for all the clients.  Answers
+    only: a miss or a malformed answer is looked up again next time.
     """
 
     def __init__(self):
@@ -584,17 +583,11 @@ class CacheStore:
         self.iris = IriTable()
         self._key_locks: dict[str, threading.Lock] = {}
         self._key_locks_guard = threading.Lock()
-        self._keys: dict[str, dict[str, str]] = {}
         self._lookups: dict[str, dict[str, tuple[str, object]]] = {}
 
     def key_lock(self, key: str) -> threading.Lock:
         with self._key_locks_guard:
             return self._key_locks.setdefault(key, threading.Lock())
-
-    def keys(self, endpoint_url: str) -> dict[str, str]:
-        """The memo of :func:`cache_key` for ``endpoint_url``: query text -> key."""
-        with self._key_locks_guard:
-            return self._keys.setdefault(endpoint_url, {})
 
     def lookups(self, endpoint_url: str) -> dict[str, tuple[str, object]]:
         """The term lookups decoded for ``endpoint_url``: query text -> (key, value)."""
@@ -619,7 +612,6 @@ class KgClient:
         self.keys_touched: set[str] = set()
         self._transport = transport or http_transport(cfg)
         self._store = store or CacheStore()
-        self._keys = self._store.keys(cfg.endpoint_url)
         self._lookups = self._store.lookups(cfg.endpoint_url)
         self._iris = self._store.iris
         # the same text as str(Path(cfg.cache_dir) / name), without a Path per lookup
@@ -637,10 +629,7 @@ class KgClient:
         Every call reads the file (or fetches on a miss); the repeats a command
         makes are served by the client's class tables and the store's term
         lookups instead."""
-        key = self._keys.get(query)
-        if key is None:
-            # two threads may both hash a new query; they store the same key
-            key = self._keys[query] = cache_key(query, self.cfg.endpoint_url)
+        key = cache_key(query, self.cfg.endpoint_url)
         self.keys_touched.add(key)
         path = self._cache_prefix + key + ".json"
         results = self._read_cache(path)
@@ -701,7 +690,7 @@ class KgClient:
         hit = self._lookups.get(query)
         if hit is None:
             value = decode(self.cached_query(query), *args)
-            hit = self._lookups[query] = (self._keys[query], value)
+            hit = self._lookups[query] = (cache_key(query, self.cfg.endpoint_url), value)
         else:
             self.keys_touched.add(hit[0])
         return hit[1]

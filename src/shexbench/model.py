@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Union
 
@@ -99,8 +99,8 @@ def well_known_split(value: str) -> tuple[str, str] | None:
     """(prefix, local part) of an IRI string under the longest
     :data:`WELL_KNOWN_PREFIXES` namespace that leaves a valid local part.
 
-    The rule behind both the prompts' compact IRIs and the prefix map of
-    :func:`canonicalize`; memoized, since the same IRIs recur in every
+    The rule behind both the prompts' compact IRIs and the PREFIX lines of
+    the ShExC writer; memoized, since the same IRIs recur in every
     schema and prompt of a run.  None when no namespace fits.
     """
     best: tuple[str, str] | None = None
@@ -275,9 +275,11 @@ class Shape:
 
 @dataclass(frozen=True)
 class Schema:
-    """A prefix map, a start shape, and the referenced shapes it closes over."""
+    """A start shape and the referenced shapes it closes over.
 
-    prefixes: dict[str, str]
+    Shapes only: the PREFIX lines of a ShExC rendering come from the writer.
+    """
+
     start_label: str
     shapes: dict[str, Shape]
     focus_class: Iri | None = None
@@ -406,32 +408,6 @@ def shape_focus_class(shape: Shape, typing_predicates: tuple[Iri, ...] = DEFAULT
     return min(classes) if classes else None
 
 
-def infer_focus_class(schema: Schema, typing_predicates: Iterable[Iri] = DEFAULT_TYPING_PREDICATES) -> Iri | None:
-    """First typing class of the start shape, if one is declared."""
-    return shape_focus_class(schema.start_shape, tuple(typing_predicates))
-
-
-def _used_prefixes(schema: Schema) -> set[str]:
-    iris: list[Iri] = []
-    if schema.focus_class is not None:
-        iris.append(schema.focus_class)
-    for shape in schema.shapes.values():
-        iris.extend(shape.extra_predicates)
-        for constraint in shape.constraints:
-            iris.append(constraint.predicate)
-            nc = constraint.node_constraint
-            if isinstance(nc, DatatypeConstraint):
-                iris.append(nc.datatype)
-            elif isinstance(nc, ValueSet):
-                for value in nc.values:
-                    if isinstance(value, Iri):
-                        iris.append(value)
-                    elif value.datatype is not None:
-                        iris.append(value.datatype)
-    splits = (well_known_split(iri.value) for iri in iris)
-    return {split[0] for split in splits if split is not None}
-
-
 def canonicalize(
     schema: Schema,
     typing_predicates: Iterable[Iri] = DEFAULT_TYPING_PREDICATES,
@@ -439,9 +415,9 @@ def canonicalize(
     """Rewrite a schema into its canonical, order-independent form.
 
     Shape labels become a pure function of each shape's typing class set,
-    constraints sort by predicate, value sets sort by value, the prefix map is
-    rebuilt from the well-known table restricted to used namespaces, and the
-    start shape is listed first.  Idempotent.
+    constraints sort by predicate, value sets sort by value, and the start
+    shape is listed first.  Without a focus class, the schema takes the first
+    typing class of its start shape.  Idempotent.
     """
     typing = tuple(typing_predicates)
 
@@ -484,10 +460,6 @@ def canonicalize(
         ordered.setdefault(label, new_shapes[label])
 
     focus = schema.focus_class
-    canonical = Schema(prefixes={}, start_label=start, shapes=ordered, focus_class=focus)
     if focus is None:
-        focus = infer_focus_class(canonical, typing)
-        canonical = replace(canonical, focus_class=focus)
-
-    prefixes = {p: WELL_KNOWN_PREFIXES[p] for p in sorted(_used_prefixes(canonical))}
-    return replace(canonical, prefixes=prefixes)
+        focus = shape_focus_class(ordered[start], typing)
+    return Schema(start, ordered, focus)

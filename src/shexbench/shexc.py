@@ -27,6 +27,7 @@ from .jsonout import indented_json
 from .model import (
     EXACTLY_ONE,
     RDF_TYPE,
+    WELL_KNOWN_PREFIXES,
     XSD_NS,
     Cardinality,
     DatatypeConstraint,
@@ -43,6 +44,7 @@ from .model import (
     compact_well_known,
     render_value,
     shape_focus_class,
+    well_known_split,
 )
 
 
@@ -161,6 +163,7 @@ class _Parser:
         self.text = text
         self.tokens, self.diagnostics = _tokenize(text)
         self.pos = 0
+        # the PREFIX declarations read so far; they only expand names
         self.prefixes: dict[str, str] = {}
         self.iris: dict[str, Iri] = {}
 
@@ -259,7 +262,7 @@ class _Parser:
         start = start_ref or shape_order[0]
         if focus_class is None:
             focus_class = shape_focus_class(shapes[start])
-        return Schema(prefixes=dict(self.prefixes), start_label=start, shapes=shapes, focus_class=focus_class)
+        return Schema(start, shapes, focus_class)
 
     def _parse_prefix_decl(self, at: _Token) -> None:
         name = self.tokens[self.pos]
@@ -565,9 +568,34 @@ def _render_node(nc: NodeConstraint) -> str:
     raise TypeError(f"not a node constraint: {nc!r}")
 
 
+def _used_prefixes(schema: Schema) -> dict[str, str]:
+    """The well-known prefixes of every IRI the writer prints, and of the
+    focus class, in name order."""
+    iris: list[Iri] = []
+    if schema.focus_class is not None:
+        iris.append(schema.focus_class)
+    for shape in schema.shapes.values():
+        iris.extend(shape.extra_predicates)
+        for constraint in shape.constraints:
+            iris.append(constraint.predicate)
+            nc = constraint.node_constraint
+            if isinstance(nc, DatatypeConstraint):
+                iris.append(nc.datatype)
+            elif isinstance(nc, ValueSet):
+                for value in nc.values:
+                    if isinstance(value, Iri):
+                        iris.append(value)
+                    elif value.datatype is not None:
+                        iris.append(value.datatype)
+    splits = (well_known_split(iri.value) for iri in iris)
+    used = {split[0] for split in splits if split is not None}
+    return {prefix: WELL_KNOWN_PREFIXES[prefix] for prefix in sorted(used)}
+
+
 def serialize_shexc(schema: Schema) -> str:
     """Deterministic ShExC rendering of the canonical form of ``schema``.
 
+    PREFIX lines declare the well-known namespaces the rendering uses.
     Parsing the output yields a schema structurally equal to
     ``canonicalize(schema)``.  Shapes without constraints cannot be expressed
     in the subset and are rejected.
@@ -576,7 +604,7 @@ def serialize_shexc(schema: Schema) -> str:
     for shape in canon.shapes.values():
         if not shape.constraints:
             raise ValueError(f"cannot serialize shape <{shape.label}> with no constraints")
-    lines = [f"PREFIX {prefix}: <{namespace}>" for prefix, namespace in canon.prefixes.items()]
+    lines = [f"PREFIX {prefix}: <{namespace}>" for prefix, namespace in _used_prefixes(canon).items()]
     if lines:
         lines.append("")
     for shape in canon.shapes.values():
@@ -641,7 +669,7 @@ def to_canonical_json(schema: Schema) -> str:
         }
     doc = {
         "focus_class": canon.focus_class.value if canon.focus_class else None,
-        "prefixes": canon.prefixes,
+        "prefixes": _used_prefixes(canon),
         "start": canon.start_label,
         "shapes": shapes,
     }

@@ -31,7 +31,7 @@ from shexbench.model import (
     ShapeRef,
     TripleConstraint,
     ValueSet,
-    infer_focus_class,
+    shape_focus_class,
 )
 
 
@@ -207,10 +207,10 @@ class _Parser:
             raise ShexcParseError(self.diagnostics)
 
         start = start_ref or shape_order[0]
-        schema = Schema(prefixes=dict(self.prefixes), start_label=start, shapes=shapes)
-        focus = infer_focus_class(schema)
+        schema = Schema(start_label=start, shapes=shapes)
+        focus = shape_focus_class(schema.start_shape)
         if focus is not None:
-            schema = Schema(prefixes=dict(self.prefixes), start_label=start, shapes=shapes, focus_class=focus)
+            schema = Schema(start_label=start, shapes=shapes, focus_class=focus)
         return schema
 
     def _parse_prefix_decl(self, at: _Token) -> None:
@@ -491,7 +491,7 @@ def parse_shexc(text: str, focus_class: Iri | None = None) -> Schema:
     """
     schema = _Parser(text).parse()
     if focus_class is not None:
-        schema = Schema(schema.prefixes, schema.start_label, schema.shapes, focus_class)
+        schema = Schema(schema.start_label, schema.shapes, focus_class)
     return schema
 
 

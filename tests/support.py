@@ -419,7 +419,7 @@ def mutate_schema(schema, rng: random.Random, n_mutations: int | None = None):
                     constraints[index] = dc_replace(constraints[index], node_constraint=ShapeRef(label))
 
     shapes[start.label] = Shape(start.label, tuple(constraints), start.extra_predicates)
-    return Schema(canon.prefixes, canon.start_label, shapes, canon.focus_class)
+    return Schema(canon.start_label, shapes, canon.focus_class)
 
 
 WD = "http://www.wikidata.org/entity/"
@@ -1227,6 +1227,26 @@ def _reference_render_node(nc, prefixes) -> str:
     raise TypeError(f"not a node constraint: {nc!r}")
 
 
+def _reference_prefix_map(canon: Schema) -> dict[str, str]:
+    """The prefix map ``canonicalize`` built when a schema carried one: the
+    well-known prefix that compacts the focus class or any IRI the writer
+    prints, in name order."""
+    iris = [canon.focus_class] if canon.focus_class is not None else []
+    for shape in canon.shapes.values():
+        iris += shape.extra_predicates
+        for constraint in shape.constraints:
+            iris.append(constraint.predicate)
+            nc = constraint.node_constraint
+            if isinstance(nc, DatatypeConstraint):
+                iris.append(nc.datatype)
+            elif isinstance(nc, ValueSet):
+                iris += [value if isinstance(value, Iri) else value.datatype for value in nc.values
+                         if isinstance(value, Iri) or value.datatype is not None]
+    compacted = (reference_compact_iri(iri, WELL_KNOWN_PREFIXES) for iri in iris)
+    used = {text.partition(":")[0] for text in compacted if not text.startswith("<")}
+    return {prefix: WELL_KNOWN_PREFIXES[prefix] for prefix in sorted(used)}
+
+
 def reference_serialize_shexc(schema: Schema) -> str:
     """``shexc.serialize_shexc`` as it was when it compacted each IRI over the
     canonical form's own prefix map, verbatim: the oracle for the writer."""
@@ -1234,18 +1254,19 @@ def reference_serialize_shexc(schema: Schema) -> str:
     for shape in canon.shapes.values():
         if not shape.constraints:
             raise ValueError(f"cannot serialize shape <{shape.label}> with no constraints")
-    lines = [f"PREFIX {prefix}: <{namespace}>" for prefix, namespace in canon.prefixes.items()]
+    prefixes = _reference_prefix_map(canon)
+    lines = [f"PREFIX {prefix}: <{namespace}>" for prefix, namespace in prefixes.items()]
     if lines:
         lines.append("")
     for shape in canon.shapes.values():
         head = f"<{shape.label}>"
         if shape.extra_predicates:
-            head += " EXTRA " + " ".join(reference_compact_iri(p, canon.prefixes) for p in shape.extra_predicates)
+            head += " EXTRA " + " ".join(reference_compact_iri(p, prefixes) for p in shape.extra_predicates)
         lines.append(head + " {")
         last = len(shape.constraints) - 1
         for index, constraint in enumerate(shape.constraints):
-            parts = [reference_compact_iri(constraint.predicate, canon.prefixes),
-                     _reference_render_node(constraint.node_constraint, canon.prefixes)]
+            parts = [reference_compact_iri(constraint.predicate, prefixes),
+                     _reference_render_node(constraint.node_constraint, prefixes)]
             token = constraint.cardinality.token()
             if token:
                 parts.append(token)

@@ -47,7 +47,7 @@ def drop_first_k(schema: Schema, k: int) -> Schema:
     kept = start.constraints[k:]
     shapes = dict(schema.shapes)
     shapes[start.label] = Shape(start.label, kept, start.extra_predicates)
-    return Schema(schema.prefixes, schema.start_label, shapes, schema.focus_class)
+    return Schema(schema.start_label, shapes, schema.focus_class)
 
 
 def test_criterion_1_parser_round_trip(fixture_schemas, fixture_paths, museum_text):

@@ -255,6 +255,14 @@ class TestGenerate:
             second = (bench["tmp"] / "run2" / f"{slug}.shex").read_bytes()
             assert first == second
 
+    def test_each_class_is_canonicalized_once(self, bench, monkeypatch):
+        """The global setting assembles plain schemas, and the writer
+        canonicalizes each class's schema once, as it writes the file."""
+        calls = TestEvaluate._record_canonicalizations(monkeypatch)
+        code, _ = generate_stubbed(bench)
+        assert code == EXIT_OK
+        assert Counter(schema.focus_class for schema in calls) == {Iri(uri): 1 for uri in BENCHMARK_CLASSES}
+
     def test_transcripts_replay_as_stubs(self, bench):
         """A replay writes no stubs of its own; its schemas and sidecars are
         byte-identical to the recording's."""
@@ -840,6 +848,31 @@ class TestMainEntry:
                      "--cache-dir", str(tmp_path / "c")])
         assert code == EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "md"])
+    def test_evaluate_renders_once_on_stdout(self, bench, capsys, monkeypatch, fmt):
+        from shexbench import cli
+
+        generated = TestEvaluate()._copy_ground_truth(bench)
+        rendered = []
+        render = cli._render_evaluation
+        monkeypatch.setattr(cli, "_render_evaluation",
+                            lambda doc, fmt: rendered.append(render(doc, fmt)) or rendered[-1])
+        code = main(["evaluate", "--manifest", str(bench["manifest"]), "--generated-dir", str(generated),
+                     "--format", fmt])
+        assert code == EXIT_OK and len(rendered) == 1
+        assert capsys.readouterr().out == rendered[0]
+
+    def test_unknown_format_fails_before_any_generated_file_is_read(self, bench, monkeypatch):
+        from shexbench import cli
+
+        generated = TestEvaluate()._copy_ground_truth(bench)
+        read = []
+        monkeypatch.setattr(cli, "_read_generated", lambda path: read.append(path) or path.read_text())
+        with pytest.raises(ManifestError, match="^unknown format 'xml'$"):
+            cmd_evaluate(bench["manifest"], generated, "all", out=bench["tmp"] / "eval.xml", fmt="xml")
+        assert read == []
+        assert not (bench["tmp"] / "eval.xml").exists()
 
     def test_report_via_argv(self, bench, tmp_path, capsys):
         generated = TestEvaluate()._copy_ground_truth(bench)

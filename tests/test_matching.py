@@ -99,7 +99,7 @@ def single_constraint_schema(constraint, label="S", extra_shapes=()):
     shapes = {label: Shape(label, (constraint,))}
     for shape in extra_shapes:
         shapes[shape.label] = shape
-    return Schema({}, label, shapes, focus_class=Iri(WD + "Q1"))
+    return Schema(label, shapes, focus_class=Iri(WD + "Q1"))
 
 
 def country_shape(label="Country", class_iri=WD + "Q6256"):
@@ -178,7 +178,6 @@ class TestEvaluatePair:
     def test_empty_generated_scores_zero(self, museum_schema):
         start = museum_schema.start_shape
         empty = Schema(
-            museum_schema.prefixes,
             start.label,
             {start.label: Shape(start.label, (), start.extra_predicates)},
             museum_schema.focus_class,
@@ -191,7 +190,7 @@ class TestEvaluatePair:
         kept = tuple(c for c in start.constraints if c.predicate.local_name() != "P17")
         shapes = dict(museum_schema.shapes)
         shapes[start.label] = Shape(start.label, kept, start.extra_predicates)
-        generated = Schema(museum_schema.prefixes, start.label, shapes, museum_schema.focus_class)
+        generated = Schema(start.label, shapes, museum_schema.focus_class)
         report = evaluate_pair(generated, museum_schema)
         assert report.precision == 1.0
         assert report.recall == pytest.approx(3 / 4)
@@ -219,7 +218,7 @@ class TestCategorizeErrors:
         )
         shapes = dict(museum_schema.shapes)
         shapes[start.label] = Shape(start.label, constraints, start.extra_predicates)
-        generated = Schema(museum_schema.prefixes, start.label, shapes, museum_schema.focus_class)
+        generated = Schema(start.label, shapes, museum_schema.focus_class)
         breakdown = categorize_errors(generated, museum_schema)
         assert breakdown.wrong_cardinality == 1
         assert breakdown.correct == 3
@@ -297,7 +296,7 @@ class TestMutationProperties:
             for k in range(len(start.constraints) + 1):
                 shapes = dict(gt.shapes)
                 shapes[start.label] = Shape(start.label, start.constraints[k:], start.extra_predicates)
-                dropped.append((Schema(gt.prefixes, gt.start_label, shapes, gt.focus_class), gt))
+                dropped.append((Schema(gt.start_label, shapes, gt.focus_class), gt))
         for generated, gt in pairs + dropped:
             expected = categorize_errors(generated, gt)
             for criteria in ALL_CRITERIA:
@@ -371,7 +370,7 @@ def small_schemas(draw):
         typing = draw(st.sampled_from([Iri(WDT + "P31"), RDF_TYPE, IS_A]))
         constraints.append(TripleConstraint(typing, ValueSet((Iri(WD + "Q33506"),))))
     shapes["S"] = Shape("S", tuple(constraints))
-    return Schema({}, "S", shapes, focus_class=draw(st.sampled_from([None, Iri(WD + "Q33506")])))
+    return Schema("S", shapes, focus_class=draw(st.sampled_from([None, Iri(WD + "Q33506")])))
 
 
 POOL_ORACLE = StaticSubclassOracle(

@@ -57,7 +57,7 @@ def museum_like(shuffle=False):
         "M": Shape("M", tuple(constraints), (Iri(WDT + "P31"),)),
         "Country": Shape("Country", (tc(WDT + "P31", ValueSet((Iri(WD + "Q6256"),))),)),
     }
-    return Schema({"wd": WD, "wdt": WDT}, "M", shapes)
+    return Schema("M", shapes)
 
 
 class TestIri:
@@ -153,11 +153,11 @@ class TestShapeAndSchema:
 
     def test_dangling_ref_rejected(self):
         with pytest.raises(DanglingShapeRefError):
-            Schema({}, "S", {"S": Shape("S", (tc(WDT + "P17", ShapeRef("Nowhere")),))})
+            Schema("S", {"S": Shape("S", (tc(WDT + "P17", ShapeRef("Nowhere")),))})
 
     def test_start_label_must_exist(self):
         with pytest.raises(ValueError):
-            Schema({}, "Missing", {"S": Shape("S", (tc(WDT + "P31", NodeKindIri()),))})
+            Schema("Missing", {"S": Shape("S", (tc(WDT + "P31", NodeKindIri()),))})
 
 
 class TestDatatypeCategory:
@@ -237,7 +237,7 @@ class TestCanonicalize:
     def test_label_collisions_disambiguated(self):
         shape_a = Shape("A", (tc(WDT + "P31", ValueSet((Iri(WD + "Q5"),))),))
         shape_b = Shape("B", (tc(RDF_NS + "type", ValueSet((Iri(WD + "Q5"),))),))
-        schema = Schema({}, "A", {"A": shape_a, "B": shape_b})
+        schema = Schema("A", {"A": shape_a, "B": shape_b})
         canon = canonicalize(schema)
         assert set(canon.shapes) == {"Q5", "Q5_2"}
         assert canonicalize(canon) == canon
@@ -248,7 +248,7 @@ class TestCanonicalize:
         and is the focus, in whichever order the constraints come."""
         constraints = (tc(WDT + "P31", ValueSet((Iri(WD + "Q6"),))), tc(RDF_NS + "type", ValueSet((Iri(WD + "Q5"),))),
                        tc("http://example.org/p", NodeKindIri()))
-        schema = Schema({}, "S", {"S": Shape("S", constraints[::-1] if reverse else constraints)})
+        schema = Schema("S", {"S": Shape("S", constraints[::-1] if reverse else constraints)})
         canon = canonicalize(schema)
         assert (canon.start_label, canon.focus_class) == ("Q5", Iri(WD + "Q5"))
         assert canonicalize(canon) == canon
@@ -268,7 +268,7 @@ class TestCanonicalize:
         refs = {f"R{i}": typed(f"R{i}", []) for i in range(data.draw(st.integers(0, 2)))}
         nodes = [NodeKindIri(), *map(ShapeRef, refs)]
         extra = [TripleConstraint(p, data.draw(st.sampled_from(nodes))) for p in predicates]
-        schema = Schema({}, "S", {"S": typed("S", extra), **refs})
+        schema = Schema("S", {"S": typed("S", extra), **refs})
         reordered = replace(schema, shapes={label: replace(shape, constraints=shape.constraints[::-1])
                                             for label, shape in schema.shapes.items()})
         typing = data.draw(st.sampled_from([tuple(typings), typings[:1], typings[1:]]))

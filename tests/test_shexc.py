@@ -339,7 +339,7 @@ class TestSerialize:
         assert "{2,}" in serialize_shexc(schema)
 
     def test_empty_shape_not_serializable(self):
-        schema = Schema({}, "S", {"S": Shape("S", ())})
+        schema = Schema("S", {"S": Shape("S", ())})
         with pytest.raises(ValueError, match="no constraints"):
             serialize_shexc(schema)
 
@@ -381,7 +381,7 @@ def near_well_known_schemas(draw):
     predicates = draw(st.lists(NEAR_WELL_KNOWN_IRIS, min_size=1, max_size=4, unique=True))
     constraints = tuple(TripleConstraint(p, draw(nodes), draw(cardinalities)) for p in predicates)
     extra = tuple(draw(st.lists(NEAR_WELL_KNOWN_IRIS, max_size=2, unique=True)))
-    return Schema({}, "S", {"S": Shape("S", constraints, extra)},
+    return Schema("S", {"S": Shape("S", constraints, extra)},
                   focus_class=draw(st.one_of(st.none(), NEAR_WELL_KNOWN_IRIS)))
 
 
@@ -421,7 +421,7 @@ class TestLiteralRoundTrip:
     @staticmethod
     def _schema(values):
         constraint = TripleConstraint(Iri("http://example.org/p"), ValueSet(tuple(values)))
-        return Schema({}, "S", {"S": Shape("S", (constraint,))})
+        return Schema("S", {"S": Shape("S", (constraint,))})
 
     @settings(deadline=None)
     @given(st.lists(LITERALS, min_size=1, max_size=3, unique=True))

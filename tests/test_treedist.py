@@ -37,7 +37,7 @@ def drop_constraints(schema: Schema, predicates: set[str]) -> Schema:
     kept = tuple(c for c in start.constraints if c.predicate.local_name() not in predicates)
     shapes = dict(schema.shapes)
     shapes[start.label] = Shape(start.label, kept, start.extra_predicates)
-    return Schema(schema.prefixes, schema.start_label, shapes, schema.focus_class)
+    return Schema(schema.start_label, shapes, schema.focus_class)
 
 
 def empty_start(schema: Schema) -> Schema:
@@ -238,7 +238,7 @@ class TestNged:
         )
         shapes = dict(museum_schema.shapes)
         shapes[start.label] = Shape(start.label, start.constraints + extra, start.extra_predicates)
-        generated = Schema(museum_schema.prefixes, museum_schema.start_label, shapes,
+        generated = Schema(museum_schema.start_label, shapes,
                            museum_schema.focus_class)
         assert schema_ged(generated, museum_schema) == 6
         assert nged(generated, museum_schema) == 0.5
