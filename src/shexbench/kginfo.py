@@ -12,11 +12,13 @@ requests.  The clients of one endpoint within one command share a
 :class:`CacheStore`: concurrent misses on the same key collapse to a single
 request, at most ``_MAX_IN_FLIGHT`` requests run at once, and each term
 lookup (a label, a description, a property constraint, a subclass path) is
-read and decoded once for every class, so a repeat is one table hit.  A
-client decodes each class's frequency table and instance count once; every
-other query is asked once per class, so its file is read when asked and
-nothing of it is kept.  The store also keeps one :class:`Iri` per IRI text
-its clients decode, so each IRI's whitespace check runs once per command.
+read, hashed and decoded once for every class.  The store's term table is
+keyed by the lookup's terms, so a repeat is one table hit that builds no
+query text and hashes nothing.  A client decodes each class's frequency
+table and instance count once; every other query is asked once per class,
+so its file is read when asked and nothing of it is kept.  The store also
+keeps one :class:`Iri` per IRI text its clients decode, so each IRI's
+whitespace check runs once per command.
 Cache files are plain JSON holding the query, a timestamp, and the standard
 SPARQL results document, so they can be inspected and checked into fixtures.
 They are written compact, on one line (``python -m json.tool <file>``
@@ -44,7 +46,7 @@ import zlib
 from dataclasses import dataclass, field
 from enum import Enum, IntFlag
 from pathlib import Path
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from .model import RDFS_NS, Iri, Literal
 
@@ -85,8 +87,7 @@ class BlankNode:
 Term = Union[Iri, Literal, BlankNode]
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
     subject: Iri
     predicate: Iri
     object: Term
@@ -565,6 +566,8 @@ _RETRY_BACKOFF_S = (0.5, 1.0, 2.0)
 #: Requests one endpoint serves at once for one command (one
 #: :class:`CacheStore`); a politeness bound on public endpoints.
 _MAX_IN_FLIGHT = 2
+#: Locks a :class:`CacheStore` decodes its term-lookup misses under.
+_TERM_LOCKS = 64
 
 
 class CacheStore:
@@ -573,8 +576,9 @@ class CacheStore:
     It holds one lock per missed key (so a miss is fetched once however
     many clients ask for it), the gate that lets at most ``_MAX_IN_FLIGHT``
     requests run at once, the :class:`IriTable` its clients decode ``uri``
-    bindings through, and per endpoint URL the decoded answer of each term
-    lookup, so each is read and decoded once for all the clients.  Answers
+    bindings through, and per endpoint URL a table of term lookups keyed by
+    their terms, so each lookup is read, hashed and decoded once for all the
+    clients (a miss is decoded under one of a fixed set of locks).  Answers
     only: a miss or a malformed answer is looked up again next time.
     """
 
@@ -583,14 +587,25 @@ class CacheStore:
         self.iris = IriTable()
         self._key_locks: dict[str, threading.Lock] = {}
         self._key_locks_guard = threading.Lock()
-        self._lookups: dict[str, dict[str, tuple[str, object]]] = {}
+        self._term_locks = [threading.Lock() for _ in range(_TERM_LOCKS)]
+        self._lookups: dict[str, dict[str | tuple, tuple[str, object]]] = {}
 
     def key_lock(self, key: str) -> threading.Lock:
         with self._key_locks_guard:
             return self._key_locks.setdefault(key, threading.Lock())
 
-    def lookups(self, endpoint_url: str) -> dict[str, tuple[str, object]]:
-        """The term lookups decoded for ``endpoint_url``: query text -> (key, value)."""
+    def term_lock(self, terms: str | tuple) -> threading.Lock:
+        """The lock a miss of the term lookup under ``terms`` is decoded
+        under.  Lookups whose terms hash alike share one: a fixed set of
+        locks, so a miss allocates none."""
+        return self._term_locks[hash(terms) % _TERM_LOCKS]
+
+    def lookups(self, endpoint_url: str) -> dict[str | tuple, tuple[str, object]]:
+        """The term lookups decoded for ``endpoint_url``, keyed by their terms
+        as text: a label by its IRI, a description by ``("description",
+        iri)``, a property constraint by ``("constraint", property,
+        constraint type)`` and a subclass path by ``("subclass", c, c')``.
+        Each maps to (cache key, decoded value)."""
         with self._key_locks_guard:
             return self._lookups.setdefault(endpoint_url, {})
 
@@ -623,13 +638,15 @@ class KgClient:
 
     # -- cache layer ---------------------------------------------------------
 
-    def cached_query(self, query: str) -> dict:
+    def cached_query(self, query: str, *, key: str | None = None) -> dict:
         """SPARQL JSON results for ``query``, read from the cache file when warm.
 
-        Every call reads the file (or fetches on a miss); the repeats a command
-        makes are served by the client's class tables and the store's term
-        lookups instead."""
-        key = cache_key(query, self.cfg.endpoint_url)
+        ``key`` is the query's :func:`cache_key` when the caller has already
+        hashed it.  Every call reads the file (or fetches on a miss); the
+        repeats a command makes are served by the client's class tables and
+        the store's term lookups instead."""
+        if key is None:
+            key = cache_key(query, self.cfg.endpoint_url)
         self.keys_touched.add(key)
         path = self._cache_prefix + key + ".json"
         results = self._read_cache(path)
@@ -684,15 +701,24 @@ class KgClient:
     def _rows(self, query: str) -> list[dict]:
         return _bindings(self.cached_query(query))
 
-    def _term_lookup(self, query: str, decode: Callable, *args):
-        """``decode(results, *args)`` of a term lookup any class may repeat, decoded
-        once per store; a repeat touches the key as :meth:`cached_query` does."""
-        hit = self._lookups.get(query)
+    def _term_lookup(self, terms: str | tuple, query: Callable[[], str], decode: Callable, *args):
+        """``decode(results, *args)`` of a term lookup any class may repeat,
+        kept in the store's table under ``terms`` (see
+        :meth:`CacheStore.lookups`).  A hit builds no query text and hashes
+        nothing: it touches the stored key as :meth:`cached_query` would.  A
+        miss builds ``query()`` and hashes it once, under the lookup's lock,
+        so clients that miss it at once read and decode it once."""
+        table = self._lookups
+        hit = table.get(terms)
         if hit is None:
-            value = decode(self.cached_query(query), *args)
-            hit = self._lookups[query] = (cache_key(query, self.cfg.endpoint_url), value)
-        else:
-            self.keys_touched.add(hit[0])
+            with self._store.term_lock(terms):
+                hit = table.get(terms)
+                if hit is None:
+                    text = query()
+                    key = cache_key(text, self.cfg.endpoint_url)
+                    hit = table[terms] = (key, decode(self.cached_query(text, key=key), *args))
+                    return hit[1]
+        self.keys_touched.add(hit[0])
         return hit[1]
 
     # -- extraction operations ------------------------------------------------
@@ -794,29 +820,31 @@ class KgClient:
         pairs = [(term_from_binding(_bound(row, "subject"), iris), term_from_binding(_bound(row, "object"), iris))
                  for row in rows]
         kept = [(s, predicate, labeled, o) for s, o in pairs if isinstance(s, Iri) and not isinstance(o, BlankNode)]
-        return self._labelled_triples(labeled, kept)[:TRIPLE_EXAMPLES]
+        # cut before labelling: a row past the limit must cost no lookup
+        return self._labelled_triples(labeled, kept[:TRIPLE_EXAMPLES])
 
     def _labelled_triples(self, first: Iri, rows: list[tuple[Iri, Iri, Iri, Term]]) -> list[Triple]:
         """Triples with English labels from (subject, predicate, the
-        predicate's labelled form, object) rows.  Each distinct IRI's label is
-        looked up once per call, ``first``'s before any other, even with no
-        rows; literal and blank-node objects get none."""
-        labels: dict[str, str | None] = {}
-
-        def label(term: Iri) -> str | None:
-            if term.value not in labels:
-                labels[term.value] = self.label_of(term)
-            return labels[term.value]
-
+        predicate's labelled form, object) rows.  ``first``'s label is looked
+        up before any other, even with no rows; literal and blank-node objects
+        get none."""
+        label = self.label_of
         label(first)
         return [Triple(s, p, o, label(s), label(form), label(o) if isinstance(o, Iri) else None)
                 for s, p, form, o in rows]
 
     def label_of(self, term: Iri) -> str | None:
-        return self._term_lookup(label_query(term), _first_value, "label")
+        # the most frequent lookup, so its hit is inlined: one dict get
+        hit = self._lookups.get(term.value)
+        if hit is None:
+            return self._term_lookup(term.value, lambda: label_query(term), _first_value, "label")
+        self.keys_touched.add(hit[0])
+        return hit[1]
 
     def description_of(self, term: Iri) -> str | None:
-        return self._term_lookup(description_query(term, self.cfg.description_predicate), _first_value, "description")
+        return self._term_lookup(("description", term.value),
+                                 lambda: description_query(term, self.cfg.description_predicate),
+                                 _first_value, "description")
 
     def _labeled_form(self, predicate: Iri) -> Iri:
         # Wikidata labels live on the property entity, not the direct-property IRI.
@@ -855,7 +883,8 @@ class KgClient:
     def property_constraint_classes(self, predicate: Iri, constraint_type: Iri) -> tuple[Iri, ...]:
         if self.cfg.kg_kind is not KgKind.WIKIDATA:
             return ()
-        return self._term_lookup(property_constraint_query(self._labeled_form(predicate), constraint_type),
+        return self._term_lookup(("constraint", predicate.value, constraint_type.value),
+                                 lambda: property_constraint_query(self._labeled_form(predicate), constraint_type),
                                  _sorted_iris, "class", self._iris)
 
     def is_subclass_of(self, c: Iri, c_prime: Iri) -> bool:
@@ -863,8 +892,8 @@ class KgClient:
         :data:`_SUBCLASS_MAX_DEPTH` steps."""
         if c == c_prime:
             return True
-        return self._term_lookup(subclass_path_query(c, c_prime, self.cfg.subclass_predicate),
-                                 _boolean)
+        return self._term_lookup(("subclass", c.value, c_prime.value),
+                                 lambda: subclass_path_query(c, c_prime, self.cfg.subclass_predicate), _boolean)
 
     def build_global_record(self, class_iri: Iri, predicate: Iri,
                             fields: RecordField = ALL_FIELDS) -> GlobalPredicateRecord:

@@ -533,6 +533,31 @@ def build_award_endpoint():
     return ep
 
 
+def term_lookup_query(cfg, terms) -> str:
+    """The query text of the term lookup that a ``CacheStore`` table keeps
+    under ``terms`` for an endpoint of ``cfg``: a label under its IRI text,
+    the other kinds under ``(kind, *IRI texts)``.  A Wikidata property's
+    constraints live on its entity, not on its direct-property IRI."""
+    from shexbench.kginfo import (
+        description_query,
+        label_query,
+        property_constraint_query,
+        subclass_path_query,
+    )
+    from shexbench.model import Iri
+
+    if isinstance(terms, str):
+        return label_query(Iri(terms))
+    kind, *texts = terms
+    if kind == "description":
+        return description_query(Iri(texts[0]), cfg.description_predicate)
+    if kind == "constraint":
+        return property_constraint_query(Iri(texts[0].replace(WDT, WD)), Iri(texts[1]))
+    if kind == "subclass":
+        return subclass_path_query(Iri(texts[0]), Iri(texts[1]), cfg.subclass_predicate)
+    raise ValueError(f"no term lookup kind {kind!r}")
+
+
 def award_endpoint_config(cache_dir, offline=False):
     from shexbench.kginfo import EndpointConfig, KgKind
     from shexbench.model import Iri

@@ -51,6 +51,7 @@ from support import (
     ScriptedLlmClient,
     benchmark_rule_client,
     build_benchmark_endpoint,
+    term_lookup_query,
     write_benchmark_manifest,
     write_shared_property_benchmark,
 )
@@ -1546,6 +1547,71 @@ class TestGenerateReadsWhatExtractWarmed:
             assert set(row["cache_keys"]) - read == (set() if setting == "global" else counts)
 
 
+class TestEachKeyHashedOnce:
+    """Over a warm cache, a command runs ``cache_key`` exactly once per
+    distinct key it touches, in every setting and under ``--jobs 8``: a term
+    lookup is hashed when it misses the store's table and never on a hit,
+    and classes that miss one at once (the KG's eight classes share their
+    property lookups) hash it once."""
+
+    @pytest.mark.parametrize("command, setting, jobs", [
+        *((command, setting, jobs) for command in ("extract", "generate")
+          for setting in ("global", "local", "triples") for jobs in (1, 8)),
+        ("train", "global", 1),
+    ])
+    def test_cache_key_runs_once_per_touched_key(self, tmp_path, monkeypatch, command, setting, jobs):
+        from shexbench import cli, kginfo
+
+        endpoint, manifest = write_shared_property_benchmark(tmp_path)
+        cache, model = tmp_path / "cache", tmp_path / "model.json"
+        if command == "train":
+            # training also reads the typing predicate's records, which no extract asks for
+            code, _ = cmd_train_cardinality(manifest, cache, model, "dt", transport_factory=lambda cfg: endpoint)
+        else:
+            code, _ = cmd_extract(manifest, cache, setting, transport_factory=lambda cfg: endpoint)
+        assert code == EXIT_OK
+        hashed, clients = [], []
+        real_cache_key, kg_client = kginfo.cache_key, cli._kg_client
+
+        def counting_cache_key(query, url):
+            key = real_cache_key(query, url)
+            hashed.append(key)
+            return key
+
+        def recording(*args):
+            clients.append(kg_client(*args))
+            return clients[-1]
+
+        def slow_read(path):
+            # widens the window in which several classes miss one lookup
+            time.sleep(0.001)
+            return read_cache(path)
+
+        read_cache = KgClient._read_cache
+        monkeypatch.setattr(KgClient, "_read_cache", staticmethod(slow_read))
+        monkeypatch.setattr(kginfo, "cache_key", counting_cache_key)
+        monkeypatch.setattr(cli, "_kg_client", recording)
+        entries = load_manifest(manifest).entries
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            if command == "extract":
+                code, report = cmd_extract(manifest, cache, setting, offline=True, jobs=jobs)
+            elif command == "generate":
+                llm = (benchmark_rule_client() if setting == "global"
+                       else TestGenerateReadsWhatExtractWarmed._GroundTruthClient(entries))
+                code, report = cmd_generate(manifest, tmp_path / "gen", cache, setting, offline=True, jobs=jobs,
+                                            llm_client=llm)
+            else:
+                code, report = cmd_train_cardinality(manifest, cache, model, "dt", offline=True)
+        finally:
+            sys.setswitchinterval(interval)
+        assert code == EXIT_OK, report
+        touched = set().union(*(client.keys_touched for client in clients))
+        assert len(clients) == len(entries) and touched
+        assert sorted(hashed) == sorted(touched)
+
+
 class TestCacheStore:
     """A command's cache store against independent oracles: a private store
     per class, and the query texts the endpoint was sent."""
@@ -1600,7 +1666,10 @@ class TestCacheStore:
 
         monkeypatch.setattr(cli, "CacheStore", RecordingStore)
         endpoint, manifest = write_shared_property_benchmark(tmp_path)
-        classes = [entry.class_uri.value for entry in load_manifest(manifest).entries]
+        entries = load_manifest(manifest).entries
+        classes = [entry.class_uri.value for entry in entries]
+        # every class shares the endpoint, so one config says how each lookup is asked
+        cfg = entry_endpoint_config(entries[0], tmp_path)
         sent = {}
         for setting in ("global", "local", "triples"):
             # a cold cache per setting, so the command reads only what it fetched
@@ -1611,7 +1680,7 @@ class TestCacheStore:
                              if _is_term_lookup(query, classes)}
             table = store.lookups(SHARED_URL)
             assert table and {key for key, _ in table.values()} == sent[setting]
-            assert all(key == cache_key(query, SHARED_URL) for query, (key, _) in table.items())
+            assert all(key == cache_key(term_lookup_query(cfg, terms), SHARED_URL) for terms, (key, _) in table.items())
             stores.clear()
         cmd_train_cardinality(manifest, tmp_path / "global", tmp_path / "model.json", "dt", offline=True)
         (store,) = stores

@@ -31,6 +31,7 @@ from shexbench.kginfo import (
     KgSubclassOracle,
     LocalFileError,
     MalformedResultsError,
+    TRIPLE_EXAMPLES,
     WIKIDATA_SUBJECT_TYPE_CONSTRAINT,
     WIKIDATA_VALUE_TYPE_CONSTRAINT,
     RecordField,
@@ -45,6 +46,7 @@ from shexbench.kginfo import (
     post,
     read_small_file,
     term_from_binding,
+    triple_examples_query,
 )
 from shexbench.model import Iri, Literal
 from support import (
@@ -57,6 +59,7 @@ from support import (
     build_award_endpoint,
     build_benchmark_endpoint,
     refused_url,
+    term_lookup_query,
     write_benchmark_manifest,
 )
 
@@ -636,7 +639,7 @@ class TestDocumentTable:
         queries, copies = [], []
         cached_query, predicate_frequencies = KgClient.cached_query, KgClient.predicate_frequencies
         monkeypatch.setattr(KgClient, "cached_query",
-                            lambda self, query: queries.append(query) or cached_query(self, query))
+                            lambda self, query, **kw: queries.append(query) or cached_query(self, query, **kw))
         monkeypatch.setattr(KgClient, "predicate_frequencies",
                             lambda self, class_iri: copies.append(class_iri) or predicate_frequencies(self, class_iri))
         for _ in range(2):
@@ -781,22 +784,56 @@ class TestCacheStore:
 
 
 class TestLabelledTriples:
-    def test_each_label_is_looked_up_once_per_call(self, client, monkeypatch):
+    def test_each_label_file_is_read_once_per_store(self, endpoint, client, monkeypatch):
+        """However many triples and calls repeat an IRI, its label file is read
+        once per store; a call looks up its first IRI's label before any
+        other, and every IRI of its triples."""
+        def profile(kg):
+            for predicate in kg.predicate_frequencies(AWARD):
+                yield kg._labeled_form(predicate), kg.triple_examples(AWARD, predicate)
+            for instance in kg.sample_instances(AWARD, 10):
+                yield instance, kg.instance_triples(instance)
+
+        expected = list(profile(client))
+        # a store of its own over the cache the first client warmed
+        warm = KgClient(client.cfg, transport=endpoint)
+        reads, looked_up, labelled = Counter(), [], set()
+        read_cache, label_of = KgClient._read_cache, warm.label_of
+        monkeypatch.setattr(KgClient, "_read_cache",
+                            staticmethod(lambda path: reads.update([Path(path).name]) or read_cache(path)))
+        monkeypatch.setattr(warm, "label_of", lambda term: looked_up.append(term) or label_of(term))
+        for _ in range(2):
+            looked_up.clear()
+            for (first, triples), expected_call in zip(profile(warm), expected):
+                assert (first, triples) == expected_call
+                iris = {t.subject for t in triples} | {t.object for t in triples if isinstance(t.object, Iri)}
+                assert looked_up[0] == first
+                assert set(looked_up) == iris | {warm._labeled_form(t.predicate) for t in triples} | {first}
+                labelled.update(looked_up)
+                looked_up.clear()
+        label_files = {f"{cache_key(label_query(term), warm.cfg.endpoint_url)}.json" for term in labelled}
+        assert len(label_files) > 10
+        assert {name: reads[name] for name in label_files} == dict.fromkeys(label_files, 1)
+
+    def test_rows_past_the_limit_cost_no_lookup(self, endpoint, tmp_path, monkeypatch):
+        """An examples answer with more rows than its LIMIT (from an endpoint
+        that ignores it, or a cache file written under a larger one) labels
+        only the rows it keeps, and gives what an endpoint that honours the
+        LIMIT gives."""
+        def unlimited(query):
+            return endpoint(query.replace(f"LIMIT {TRIPLE_EXAMPLES}", "LIMIT 8"))
+
+        honoured = KgClient(award_endpoint_config(tmp_path / "honoured"), transport=endpoint)
+        client = KgClient(award_endpoint_config(tmp_path / "cache"), transport=unlimited)
+        query = triple_examples_query(AWARD, COUNTRY_PRED, client.cfg.typing_predicate)
+        assert len(client.cached_query(query)["results"]["bindings"]) == 8
         looked_up = []
         label_of = client.label_of
         monkeypatch.setattr(client, "label_of", lambda term: looked_up.append(term) or label_of(term))
-        for predicate in client.predicate_frequencies(AWARD):
-            looked_up.clear()
-            triples = client.triple_examples(AWARD, predicate)
-            iris = {t.subject for t in triples} | {t.object for t in triples if isinstance(t.object, Iri)}
-            assert looked_up[0] == client._labeled_form(predicate)
-            assert sorted(looked_up) == sorted(iris | {client._labeled_form(predicate)})
-        for instance in client.sample_instances(AWARD, 10):
-            looked_up.clear()
-            triples = client.instance_triples(instance)
-            assert looked_up[0] == instance
-            assert len(looked_up) == len(set(looked_up))
-            assert all(t.subject_label == label_of(instance) for t in triples)
+        triples = client.triple_examples(AWARD, COUNTRY_PRED)
+        assert triples == honoured.triple_examples(AWARD, COUNTRY_PRED) and len(triples) == TRIPLE_EXAMPLES
+        assert set(looked_up) == {Iri(WD + "P17")} | {t.subject for t in triples} | {t.object for t in triples}
+        assert client.keys_touched == honoured.keys_touched
 
 
 class TestSubclass:
@@ -1058,7 +1095,8 @@ class TestTermTable:
             for cfg, client in ((here_cfg, here), (there_cfg, there)):
                 table = store.lookups(cfg.endpoint_url)
                 assert {key for key, _ in table.values()} == client.keys_touched
-                assert all(key == cache_key(query, cfg.endpoint_url) for query, (key, _) in table.items())
+                assert all(key == cache_key(term_lookup_query(cfg, terms), cfg.endpoint_url)
+                           for terms, (key, _) in table.items())
 
     def test_hit_touches_the_key_and_reads_nothing(self, endpoint, tmp_path, monkeypatch):
         store = CacheStore()
@@ -1104,21 +1142,26 @@ class TestTermTable:
         assert store.lookups(cfg.endpoint_url) == {}
 
 
-#: Terms the award KG knows, and one it does not.
+#: Terms the award KG knows (two of its instances among them), and one it does not.
 _ORACLE_TERMS = (AWARD, COUNTRY_PRED, CONFERRED, Iri(WD + "P17"), Iri(WD + "Q6256"), Iri(WD + "Q56061"),
-                 Iri(WD + "Q1048835"), Iri(WD + "Q43229"), Iri(WD + "Q404"))
-_ORACLE_KINDS = ("label", "description", "subject-type", "value-type", "subclass")
+                 Iri(WD + "Q1048835"), Iri(WD + "Q43229"), Iri(WD + "Q1000"), Iri(WD + "Q1003"), Iri(WD + "Q404"))
+_ORACLE_KINDS = ("label", "description", "subject-type", "value-type", "subclass", "examples", "triples")
 
 
 class TestTermTableOracle:
-    """Random term lookups by clients sharing one store, against clients that
-    each have a fresh store, over one cold cache directory each.  A term's
-    lookups fail on the endpoint while it is marked down, which both sides
-    must see on every ask."""
+    """Random term lookups by clients sharing one store, interleaved with the
+    labelled triples of examples and instances, against clients that each
+    have a fresh store, over one cold cache directory each.  A term's lookups
+    fail on the endpoint while it is marked down, which both sides must see
+    on every ask."""
 
     @staticmethod
     def _ask(client, kind, term, other):
         try:
+            if kind == "examples":
+                return client.triple_examples(AWARD, term)
+            if kind == "triples":
+                return client.instance_triples(term)
             if kind == "label":
                 return client.label_of(term)
             if kind == "description":
