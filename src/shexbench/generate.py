@@ -18,13 +18,11 @@ import os
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Literal as TypingLiteral
 from typing import Protocol, Sequence
 
 from .cardml import CardinalityModel, extract_features, predict_cardinality
 from .jsonout import indented_json
 from .kginfo import (
-    EndpointConfig,
     GlobalPredicateRecord,
     KgClient,
     NoResponseError,
@@ -250,49 +248,36 @@ def _reply_object(text: str, names: tuple[str, ...]) -> dict:
     return doc
 
 
-@dataclass(frozen=True)
-class StructuredCardinality:
-    """Step-one output: include the predicate, and with which bounds.
+def cardinality_from_reply(text: str) -> Cardinality | None:
+    """Step one's answer in a reply: the predicate's bounds, or None to
+    leave it out.
 
-    ``max`` None is unbounded; bounds are ignored when ``include`` is false.
-    The constructor checks nothing: a reply is checked by :meth:`from_json`.
+    A reply is a JSON object with a boolean ``include``, an integer ``min``
+    of at least 0 (default 0) and an integer or null ``max`` (-1 and null
+    mean unbounded) of at least ``min`` when ``include`` is true; bounds are
+    ignored when it is false.  JSON types are strict: ``1`` is no boolean and
+    ``true``, ``1.0`` and ``"1"`` are no integers.  Raises
+    StructuredReplyError.
     """
-
-    include: bool
-    min: int = 0
-    max: int | None = None
-
-    @classmethod
-    def from_json(cls, text: str) -> StructuredCardinality:
-        """A reply: a JSON object with a boolean ``include``, an integer
-        ``min`` of at least 0 (default 0) and an integer or null ``max``
-        (-1 and null mean unbounded) of at least ``min`` when ``include``
-        is true.  JSON types are strict: ``1`` is no boolean and ``true``,
-        ``1.0`` and ``"1"`` are no integers.  Raises StructuredReplyError."""
-        doc = _reply_object(text, ("include", "min", "max"))
-        include, minimum, maximum = doc.get("include"), doc.get("min", 0), doc.get("max")
-        if not isinstance(include, bool):
-            raise StructuredReplyError('"include" is required and must be true or false')
-        if type(minimum) is not int or minimum < 0:
-            raise StructuredReplyError('"min" must be an integer of at least 0')
-        if maximum is not None and type(maximum) is not int:
-            raise StructuredReplyError('"max" must be an integer or null')
-        if maximum == -1:
-            maximum = None
-        if include:
-            try:
-                Cardinality(minimum, maximum)
-            except ValueError as exc:
-                raise StructuredReplyError(str(exc)) from None
-        return cls(include, minimum, maximum)
-
-    def to_cardinality(self) -> Cardinality:
-        return Cardinality(self.min, self.max)
+    doc = _reply_object(text, ("include", "min", "max"))
+    include, minimum, maximum = doc.get("include"), doc.get("min", 0), doc.get("max")
+    if not isinstance(include, bool):
+        raise StructuredReplyError('"include" is required and must be true or false')
+    if type(minimum) is not int or minimum < 0:
+        raise StructuredReplyError('"min" must be an integer of at least 0')
+    if maximum is not None and type(maximum) is not int:
+        raise StructuredReplyError('"max" must be an integer or null')
+    if not include:
+        return None
+    try:
+        return Cardinality(minimum, None if maximum == -1 else maximum)
+    except ValueError as exc:
+        raise StructuredReplyError(str(exc)) from None
 
 
 @dataclass(frozen=True)
 class StructuredNodeConstraint:
-    """Step-two output: at most one variant; empty means the IRI node kind.
+    """Step-two output: at most one variant; none set means the IRI node kind.
 
     The constructor checks nothing: a reply is checked by :meth:`from_json`.
     """
@@ -300,14 +285,14 @@ class StructuredNodeConstraint:
     datatype: str | None = None
     referenced_classes: tuple[str, ...] | None = None
     value_list: tuple[str, ...] | None = None
-    node_kind: TypingLiteral["iri"] | None = None
 
     @classmethod
     def from_json(cls, text: str) -> StructuredNodeConstraint:
         """A reply: a JSON object with at most one of a string ``datatype``,
         non-empty lists of strings ``referenced_classes`` and ``value_list``,
-        and ``node_kind`` ``"iri"``; null is an absent key, and ``{}`` means
-        ``node_kind`` ``"iri"``.  Raises StructuredReplyError."""
+        and ``node_kind`` ``"iri"``; null is an absent key, and ``{}`` and a
+        lone ``node_kind`` both mean the IRI node kind.  Raises
+        StructuredReplyError."""
         names = ("datatype", "referenced_classes", "value_list", "node_kind")
         doc = _reply_object(text, names)
         variants = [doc.get(name) for name in names]
@@ -323,7 +308,7 @@ class StructuredNodeConstraint:
         populated = [name for name, value in zip(names, variants) if value is not None]
         if len(populated) > 1:
             raise StructuredReplyError(f"node constraint variants are mutually exclusive, got {populated}")
-        return cls(datatype, classes and tuple(classes), values and tuple(values), node_kind if populated else "iri")
+        return cls(datatype, classes and tuple(classes), values and tuple(values))
 
 
 CARDINALITY_INSTRUCTION = (
@@ -369,11 +354,11 @@ def _request_until_parsed(messages: Sequence[Message], client: LlmClient, parse,
     raise fail(None, transcript)
 
 
-def _structured_step(model_cls, instruction: str, prompt: ChatPrompt, client: LlmClient):
+def _structured_step(parse, instruction: str, prompt: ChatPrompt, client: LlmClient):
     messages = ChatPrompt(prompt.system, prompt.user + "\n\n" + instruction, prompt.fewshot).to_messages()
     return _request_until_parsed(
         messages, client,
-        parse=lambda reply: model_cls.from_json(extract_json_object(reply)),
+        parse=lambda reply: parse(extract_json_object(reply)),
         errors=ValueError,
         correction=lambda error: (
             f"The previous reply was invalid: {error}. Reply again with only the corrected JSON object."
@@ -385,14 +370,15 @@ def _structured_step(model_cls, instruction: str, prompt: ChatPrompt, client: Ll
     )
 
 
-def predict_cardinality_structured(prompt: ChatPrompt, client: LlmClient) -> StructuredCardinality:
-    """Step one for a record, given its :func:`build_global_prompt`."""
-    return _structured_step(StructuredCardinality, CARDINALITY_INSTRUCTION, prompt, client)
+def predict_cardinality_structured(prompt: ChatPrompt, client: LlmClient) -> Cardinality | None:
+    """Step one for a record, given its :func:`build_global_prompt`: its
+    bounds, or None to leave the predicate out."""
+    return _structured_step(cardinality_from_reply, CARDINALITY_INSTRUCTION, prompt, client)
 
 
 def predict_node_constraint_structured(prompt: ChatPrompt, client: LlmClient) -> StructuredNodeConstraint:
     """Step two for a record, given its :func:`build_global_prompt`."""
-    return _structured_step(StructuredNodeConstraint, NODE_CONSTRAINT_INSTRUCTION, prompt, client)
+    return _structured_step(StructuredNodeConstraint.from_json, NODE_CONSTRAINT_INSTRUCTION, prompt, client)
 
 
 def _repair_request(error: ShexcParseError) -> str:
@@ -462,17 +448,17 @@ def _node_constraint_from_structured(
 
 def assemble_schema(
     class_iri: Iri,
-    parts: Sequence[tuple[Iri, StructuredCardinality, StructuredNodeConstraint]],
-    cfg: EndpointConfig,
+    parts: Sequence[tuple[Iri, Cardinality, StructuredNodeConstraint]],
+    typing_predicate: Iri,
 ) -> Schema:
-    """Combine per-predicate structured outputs into a schema.
+    """Combine the included predicates' bounds and node constraints into a
+    schema.
 
-    The start shape carries EXTRA on the typing predicate and a leading
+    The start shape carries EXTRA on ``typing_predicate`` and a leading
     ``typing [class]`` constraint; referenced-class variants materialize as
     one-constraint typing shapes.  The schema is returned as built; its
     readers (the ShExC writer, scoring) canonicalize it.
     """
-    typing_predicate = cfg.typing_predicate
     start_label = canonical_shape_label([class_iri])
     # the label of each referenced class set; a part that references exactly
     # the focus class references the start shape
@@ -482,13 +468,11 @@ def assemble_schema(
     ]
     seen = {typing_predicate}
     for predicate, cardinality, structured_node in parts:
-        if not cardinality.include:
-            continue
         if predicate in seen:
             raise AssemblyError(f"duplicate predicate in parts: {predicate}")
         seen.add(predicate)
         node = _node_constraint_from_structured(structured_node, labels)
-        constraints.append(TripleConstraint(predicate, node, cardinality.to_cardinality()))
+        constraints.append(TripleConstraint(predicate, node, cardinality))
     if len(constraints) == 1:
         raise AssemblyError("no parts to assemble after exclusions")
 
@@ -517,10 +501,12 @@ def generate_global(
     record's prompt is rendered once, at the first step that needs it, and
     both LLM steps append their instruction to it; with a trained
     ``cardinality_model`` in place of step one that is the node-constraint
-    step.  A predicate whose record lacks a part its prompt needs, or whose
-    reply never validates, is logged and skipped.
+    step.  A predicate that step one leaves out gets no step two.  A
+    predicate whose record lacks a part its prompt needs, or whose reply
+    never validates, is logged and skipped.  The included parts are
+    assembled under the KG's typing predicate.
     """
-    parts: list[tuple[Iri, StructuredCardinality, StructuredNodeConstraint]] = []
+    parts: list[tuple[Iri, Cardinality, StructuredNodeConstraint]] = []
     for record in kg.global_records(class_iri, kg.global_candidates(class_iri, max_candidates)):
         try:
             prompt = None
@@ -528,15 +514,14 @@ def generate_global(
                 prompt = build_global_prompt(record, fewshot)
                 cardinality = predict_cardinality_structured(prompt, client)
             else:
-                bounds = predict_cardinality(cardinality_model, extract_features(record))
-                cardinality = StructuredCardinality(include=True, min=bounds.min, max=bounds.max)
-            if not cardinality.include:
+                cardinality = predict_cardinality(cardinality_model, extract_features(record))
+            if cardinality is None:
                 continue
             node = predict_node_constraint_structured(prompt or build_global_prompt(record, fewshot), client)
             parts.append((record.predicate_uri, cardinality, node))
         except (StructuredOutputFailedError, IncompleteRecordError) as exc:
             log.warning("skipping predicate %s for %s: %s", record.predicate_uri, class_iri, exc)
-    return assemble_schema(class_iri, parts, kg.cfg)
+    return assemble_schema(class_iri, parts, kg.cfg.typing_predicate)
 
 
 @dataclass(frozen=True)
@@ -561,7 +546,7 @@ def mine_baseline_schema(
     class_iri: Iri,
     records: Sequence[GlobalPredicateRecord],
     thresholds: MinerThresholds,
-    cfg: EndpointConfig,
+    typing_predicate: Iri,
 ) -> Schema:
     """Threshold miner over global records; fully deterministic.
 
@@ -578,9 +563,9 @@ def mine_baseline_schema(
         minimum = 1 if record.frequency >= thresholds.required_min_presence else 0
         share_at_most_one = (1.0 - record.frequency) + record.cardinality_distribution.get(1, 0.0)
         maximum = 1 if share_at_most_one >= thresholds.functional_min_share else None
-        cardinality = StructuredCardinality(include=True, min=minimum, max=maximum)
+        cardinality = Cardinality(minimum, maximum)
 
-        node = StructuredNodeConstraint(node_kind="iri")
+        node = StructuredNodeConstraint()
         literal_datatypes = {
             key: share for key, share in record.datatype_of_objects.items()
             if key not in ("IRI", "bnode")
@@ -594,4 +579,4 @@ def mine_baseline_schema(
         elif dominant_class is not None and dominant_class[1] >= thresholds.class_purity:
             node = StructuredNodeConstraint(referenced_classes=(dominant_class[0],))
         parts.append((record.predicate_uri, cardinality, node))
-    return assemble_schema(class_iri, parts, cfg)
+    return assemble_schema(class_iri, parts, typing_predicate)

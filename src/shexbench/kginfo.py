@@ -13,10 +13,11 @@ requests.  The clients of one endpoint within one command share a
 request, at most ``_MAX_IN_FLIGHT`` requests run at once, and each term
 lookup (a label, a description, a property constraint, a subclass path) is
 read, hashed and decoded once for every class.  The store's term table is
-keyed by the lookup's terms, so a repeat is one table hit that builds no
-query text and hashes nothing.  A client decodes each class's frequency
-table and instance count once; every other query is asked once per class,
-so its file is read when asked and nothing of it is kept.  The store also
+keyed by every term of the lookup's query, the KG kind's predicate
+included, so a repeat is one table hit that builds no query text and hashes
+nothing.  A client decodes each class's frequency table and instance count
+once; every other query is asked once per class, so its file is read when
+asked and nothing of it is kept.  The store also
 keeps one :class:`Iri` per IRI text its clients decode, so each IRI's
 whitespace check runs once per command.
 Cache files are plain JSON holding the query, a timestamp, and the standard
@@ -490,7 +491,8 @@ class IriTable(dict):
 def term_from_binding(binding: dict, iris: IriTable | None = None) -> Term:
     """The RDF term of a SPARQL JSON binding; raises
     :class:`MalformedResultsError` for one that is no valid term.  With
-    ``iris``, the binding's IRIs come from that table."""
+    ``iris``, the binding's IRIs and a literal's datatype come from that
+    table; a literal with a language tag too fails before it is looked up."""
     kind = binding.get("type")
     value = binding.get("value", "")
     try:
@@ -498,8 +500,10 @@ def term_from_binding(binding: dict, iris: IriTable | None = None) -> Term:
             return Iri(value) if iris is None else iris[value]
         if kind == "bnode":
             return BlankNode(value)
-        datatype = binding.get("datatype")
-        return Literal(value, Iri(datatype) if datatype else None, binding.get("xml:lang"))
+        datatype, language = binding.get("datatype"), binding.get("xml:lang")
+        if datatype and language is None and iris is not None:
+            return Literal(value, iris[datatype])
+        return Literal(value, Iri(datatype) if datatype else None, language)
     except (TypeError, ValueError) as exc:
         raise MalformedResultsError(f"binding is not a valid RDF term: {binding!r}: {exc}") from exc
 
@@ -575,10 +579,11 @@ class CacheStore:
 
     It holds one lock per missed key (so a miss is fetched once however
     many clients ask for it), the gate that lets at most ``_MAX_IN_FLIGHT``
-    requests run at once, the :class:`IriTable` its clients decode ``uri``
-    bindings through, and per endpoint URL a table of term lookups keyed by
-    their terms, so each lookup is read, hashed and decoded once for all the
-    clients (a miss is decoded under one of a fixed set of locks).  Answers
+    requests run at once, the :class:`IriTable` its clients decode IRI
+    bindings and literal datatypes through, and per endpoint URL a table of
+    term lookups keyed by their terms, so each lookup is read, hashed and
+    decoded once for all the clients (a miss is decoded under one of a fixed
+    set of locks).  Answers
     only: a miss or a malformed answer is looked up again next time.
     """
 
@@ -601,11 +606,13 @@ class CacheStore:
         return self._term_locks[hash(terms) % _TERM_LOCKS]
 
     def lookups(self, endpoint_url: str) -> dict[str | tuple, tuple[str, object]]:
-        """The term lookups decoded for ``endpoint_url``, keyed by their terms
-        as text: a label by its IRI, a description by ``("description",
-        iri)``, a property constraint by ``("constraint", property,
-        constraint type)`` and a subclass path by ``("subclass", c, c')``.
-        Each maps to (cache key, decoded value)."""
+        """The term lookups decoded for ``endpoint_url``, keyed by every term
+        of their query as text: a label by its IRI, a description by
+        ``("description", iri, description predicate)``, a property
+        constraint by ``("constraint", property, constraint type)`` and a
+        subclass path by ``("subclass", c, c', subclass predicate)``.  The
+        KG kind's predicate is in the key because clients of two kinds may
+        share one endpoint URL.  Each maps to (cache key, decoded value)."""
         with self._key_locks_guard:
             return self._lookups.setdefault(endpoint_url, {})
 
@@ -842,9 +849,9 @@ class KgClient:
         return hit[1]
 
     def description_of(self, term: Iri) -> str | None:
-        return self._term_lookup(("description", term.value),
-                                 lambda: description_query(term, self.cfg.description_predicate),
-                                 _first_value, "description")
+        predicate = self.cfg.description_predicate
+        return self._term_lookup(("description", term.value, predicate.value),
+                                 lambda: description_query(term, predicate), _first_value, "description")
 
     def _labeled_form(self, predicate: Iri) -> Iri:
         # Wikidata labels live on the property entity, not the direct-property IRI.
@@ -892,8 +899,9 @@ class KgClient:
         :data:`_SUBCLASS_MAX_DEPTH` steps."""
         if c == c_prime:
             return True
-        return self._term_lookup(("subclass", c.value, c_prime.value),
-                                 lambda: subclass_path_query(c, c_prime, self.cfg.subclass_predicate), _boolean)
+        predicate = self.cfg.subclass_predicate
+        return self._term_lookup(("subclass", c.value, c_prime.value, predicate.value),
+                                 lambda: subclass_path_query(c, c_prime, predicate), _boolean)
 
     def build_global_record(self, class_iri: Iri, predicate: Iri,
                             fields: RecordField = ALL_FIELDS) -> GlobalPredicateRecord:

@@ -83,30 +83,24 @@ def _with_label(text: str, label: str | None) -> str:
     return f"{text} ({label})" if label else text
 
 
-def _datatype_annotation(term) -> str:
+def _datatype_annotation(term: Iri | Literal) -> str:
     if isinstance(term, Iri):
         return "IRI"
-    if isinstance(term, Literal):
-        if term.language is not None:
-            return compact_well_known(Iri(RDF_LANGSTRING))
-        if term.datatype is None:
-            return compact_well_known(Iri(XSD_STRING))
-        return compact_well_known(term.datatype)
-    return "bnode"
+    if term.language is not None:
+        return compact_well_known(Iri(RDF_LANGSTRING))
+    if term.datatype is None:
+        return compact_well_known(Iri(XSD_STRING))
+    return compact_well_known(term.datatype)
 
 
-def _object_text(term, label: str | None) -> str:
-    if isinstance(term, Iri):
-        rendered = _with_label(compact_well_known(term), label)
-    elif isinstance(term, Literal):
-        rendered = term.lexical
-    else:
-        rendered = f"_:{term.id}"
+def _object_text(term: Iri | Literal, label: str | None) -> str:
+    """An object of a triple line; both callers drop blank-node objects."""
+    rendered = _with_label(compact_well_known(term), label) if isinstance(term, Iri) else term.lexical
     return f"{rendered} (datatype: {_datatype_annotation(term)})"
 
 
 def _triple_line(subject: Iri, subject_label: str | None, predicate: Iri,
-                 predicate_label: str | None, objects: list[tuple[object, str | None]]) -> str:
+                 predicate_label: str | None, objects: list[tuple[Iri | Literal, str | None]]) -> str:
     rendered_objects = ", ".join(_object_text(term, label) for term, label in objects)
     return (
         f"{_with_label(compact_well_known(subject), subject_label)} "

@@ -533,11 +533,12 @@ def build_award_endpoint():
     return ep
 
 
-def term_lookup_query(cfg, terms) -> str:
+def term_lookup_query(terms) -> str:
     """The query text of the term lookup that a ``CacheStore`` table keeps
-    under ``terms`` for an endpoint of ``cfg``: a label under its IRI text,
-    the other kinds under ``(kind, *IRI texts)``.  A Wikidata property's
-    constraints live on its entity, not on its direct-property IRI."""
+    under ``terms``: a label under its IRI text, the other kinds under
+    ``(kind, *IRI texts)``, a description's and a subclass path's KG-kind
+    predicate last.  A Wikidata property's constraints live on its entity,
+    not on its direct-property IRI."""
     from shexbench.kginfo import (
         description_query,
         label_query,
@@ -550,11 +551,11 @@ def term_lookup_query(cfg, terms) -> str:
         return label_query(Iri(terms))
     kind, *texts = terms
     if kind == "description":
-        return description_query(Iri(texts[0]), cfg.description_predicate)
+        return description_query(Iri(texts[0]), Iri(texts[1]))
     if kind == "constraint":
         return property_constraint_query(Iri(texts[0].replace(WDT, WD)), Iri(texts[1]))
     if kind == "subclass":
-        return subclass_path_query(Iri(texts[0]), Iri(texts[1]), cfg.subclass_predicate)
+        return subclass_path_query(Iri(texts[0]), Iri(texts[1]), Iri(texts[2]))
     raise ValueError(f"no term lookup kind {kind!r}")
 
 
@@ -716,6 +717,38 @@ def write_shared_property_benchmark(root, n_classes: int = 8):
     ep.property_constraints.update({(WD + "P17", WD + "Q21510865"): [WD + "Q6256"]})
     path = root / "manifest.json"
     path.write_text(_json.dumps({"dataset_name": "shared-property", "entries": entries}, indent=2))
+    return ep, path
+
+
+def write_two_kind_benchmark(root):
+    """A KG and manifest of one Wikidata and one YAGO class at one endpoint
+    URL, whose instances share the non-Wikidata predicate ``schema:name``:
+    the two kinds ask for its description under different predicates.
+
+    Returns ``(endpoint, manifest path)``."""
+    import json as _json
+    from pathlib import Path
+
+    from shexbench.model import RDF_TYPE, Literal
+
+    name = "http://schema.org/name"
+    kinds = (("wikidata", WD + "Q33506", WDT + "P31"),
+             ("yago", "http://yago-knowledge.org/resource/Museum", RDF_TYPE.value))
+    ep = FakeEndpoint()
+    entries = []
+    for kind, class_uri, typing in kinds:
+        for member in range(2):
+            ep.add_instance(class_uri, f"http://example.org/{kind}/{member}",
+                            [(name, Literal(f"{kind} museum {member}"))], typing)
+        ep.labels[class_uri] = f"{kind} museum"
+        ep.descriptions[class_uri] = f"a {kind} museum"
+        entries.append({"class_uri": class_uri, "label": f"{kind} museum", "kg_kind": kind,
+                        "endpoint_url": "https://fake.example.org/sparql", "typing_predicate": typing,
+                        "ground_truth_path": f"gt/{kind}.shex"})
+    ep.labels[name] = "name"
+    ep.descriptions[name] = "the name of the item"
+    path = Path(root) / "manifest.json"
+    path.write_text(_json.dumps({"dataset_name": "two-kinds", "entries": entries}, indent=2))
     return ep, path
 
 
@@ -1317,7 +1350,7 @@ def read_feature_csv(path) -> list[tuple[FeatureVector, CardinalityLabel]]:
 
 # The pydantic models the structured replies were checked with before the
 # package checked them itself; ``model_validate_json(text, strict=True)`` is
-# the oracle for ``StructuredCardinality.from_json`` and
+# the oracle for ``cardinality_from_reply`` and
 # ``StructuredNodeConstraint.from_json``.
 
 class ReferenceStructuredCardinality(BaseModel):

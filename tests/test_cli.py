@@ -54,6 +54,7 @@ from support import (
     term_lookup_query,
     write_benchmark_manifest,
     write_shared_property_benchmark,
+    write_two_kind_benchmark,
 )
 
 
@@ -1629,6 +1630,22 @@ class TestCacheStore:
             counts = _warm_entry(private, entry, PromptSetting(setting), 5, None)
             assert (row["status"], row["row_counts"], row["cache_keys"]) == ("ok", counts, sorted(private.keys_touched))
 
+    def test_two_kinds_on_one_url_touch_their_solo_keys(self, tmp_path):
+        """A Wikidata and a YAGO class at one URL share a store, and each
+        asks for ``schema:name``'s description under its own predicate."""
+        endpoint, manifest = write_two_kind_benchmark(tmp_path)
+        transport = _CountingTransport(endpoint)
+        code, report = cmd_extract(manifest, tmp_path / "cache", "global", jobs=8,
+                                   transport_factory=lambda cfg: transport)
+        assert code == EXIT_OK
+        for row in report["classes"]:
+            code, solo = cmd_extract(manifest, tmp_path / "solo", "global", classes=[row["class_uri"]],
+                                     transport_factory=lambda cfg: transport)
+            assert code == EXIT_OK
+            (solo_row,) = solo["classes"]
+            assert row["cache_keys"] == solo_row["cache_keys"]
+        assert len(report["classes"]) == 2
+
     def test_records_equal_a_private_store_per_class(self, tmp_path):
         """8 threads with a short switch interval fill one cold store."""
         endpoint, manifest = write_shared_property_benchmark(tmp_path)
@@ -1668,8 +1685,6 @@ class TestCacheStore:
         endpoint, manifest = write_shared_property_benchmark(tmp_path)
         entries = load_manifest(manifest).entries
         classes = [entry.class_uri.value for entry in entries]
-        # every class shares the endpoint, so one config says how each lookup is asked
-        cfg = entry_endpoint_config(entries[0], tmp_path)
         sent = {}
         for setting in ("global", "local", "triples"):
             # a cold cache per setting, so the command reads only what it fetched
@@ -1680,7 +1695,7 @@ class TestCacheStore:
                              if _is_term_lookup(query, classes)}
             table = store.lookups(SHARED_URL)
             assert table and {key for key, _ in table.values()} == sent[setting]
-            assert all(key == cache_key(term_lookup_query(cfg, terms), SHARED_URL) for terms, (key, _) in table.items())
+            assert all(key == cache_key(term_lookup_query(terms), SHARED_URL) for terms, (key, _) in table.items())
             stores.clear()
         cmd_train_cardinality(manifest, tmp_path / "global", tmp_path / "model.json", "dt", offline=True)
         (store,) = stores

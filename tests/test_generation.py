@@ -4,7 +4,7 @@ import gc
 import json
 import weakref
 from collections import Counter
-from dataclasses import astuple, replace
+from dataclasses import astuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,7 +20,6 @@ from shexbench.generate import (
     HttpLlmClient,
     MinerThresholds,
     ProviderError,
-    StructuredCardinality,
     StructuredNodeConstraint,
     StructuredOutputFailedError,
     StructuredReplyError,
@@ -28,6 +27,7 @@ from shexbench.generate import (
     StubReplyMissingError,
     TranscriptRecorder,
     assemble_schema,
+    cardinality_from_reply,
     extract_json_object,
     generate_end_to_end,
     generate_global,
@@ -37,7 +37,7 @@ from shexbench.generate import (
     prompt_hash,
     strip_code_fences,
 )
-from shexbench.kginfo import EndpointError, GlobalPredicateRecord, KgClient, KgKind, RecordField
+from shexbench.kginfo import EndpointError, GlobalPredicateRecord, KgClient, RecordField
 from shexbench.model import (
     RDF_TYPE,
     Cardinality,
@@ -69,6 +69,8 @@ from support import (
 
 AWARD = Iri(WD + "Q4220917")
 MUSEUM = Iri(WD + "Q33506")
+#: The typing predicate of a Wikidata KG.
+WD_TYPING = Iri(WDT + "P31")
 SCHEMA = "http://schema.org/"
 YAGO = "http://yago-knowledge.org/resource/"
 
@@ -90,21 +92,18 @@ def make_record(predicate=WDT + "P17", **overrides):
 
 class TestStructuredModels:
     def test_cardinality_passthrough(self):
-        value = StructuredCardinality.from_json(json.dumps({"include": True, "min": 1, "max": 1}))
-        assert (value.min, value.max) == (1, 1)
-        assert value.to_cardinality() == Cardinality(1, 1)
+        assert cardinality_from_reply(json.dumps({"include": True, "min": 1, "max": 1})) == Cardinality(1, 1)
 
     def test_minus_one_and_null_mean_unbounded(self):
-        assert StructuredCardinality.from_json(json.dumps({"include": True, "min": 0, "max": -1})).max is None
-        assert StructuredCardinality.from_json(json.dumps({"include": True, "min": 0, "max": None})).max is None
+        assert cardinality_from_reply(json.dumps({"include": True, "min": 0, "max": -1})).max is None
+        assert cardinality_from_reply(json.dumps({"include": True, "min": 0, "max": None})).max is None
 
     def test_invalid_bounds_rejected(self):
         with pytest.raises(StructuredReplyError):
-            StructuredCardinality.from_json(json.dumps({"include": True, "min": 2, "max": 1}))
+            cardinality_from_reply(json.dumps({"include": True, "min": 2, "max": 1}))
 
     def test_exclude_ignores_bounds(self):
-        value = StructuredCardinality.from_json(json.dumps({"include": False, "min": 9, "max": 1}))
-        assert not value.include
+        assert cardinality_from_reply(json.dumps({"include": False, "min": 9, "max": 1})) is None
 
     def test_node_constraint_variants(self):
         datatype = StructuredNodeConstraint.from_json(json.dumps({"datatype": "xsd:dateTime"}))
@@ -115,7 +114,9 @@ class TestStructuredModels:
         assert values.value_list == ("a", "b")
 
     def test_empty_object_defaults_to_iri(self):
-        assert StructuredNodeConstraint.from_json(json.dumps({})).node_kind == "iri"
+        """``{}`` and a lone ``node_kind`` both mean the IRI node kind: no variant set."""
+        for reply in ({}, {"node_kind": "iri"}, {"node_kind": None, "datatype": None}):
+            assert StructuredNodeConstraint.from_json(json.dumps(reply)) == StructuredNodeConstraint()
 
     def test_mutually_exclusive(self):
         with pytest.raises(StructuredReplyError):
@@ -130,10 +131,11 @@ class TestStructuredModels:
     def test_cardinality_types_are_strict(self, reply):
         """pydantic's lax mode coerced each of these; the instructions ask for JSON bools and ints."""
         with pytest.raises(StructuredReplyError):
-            StructuredCardinality.from_json(reply)
+            cardinality_from_reply(reply)
 
     def test_nulls_are_absent_keys(self):
-        assert StructuredCardinality.from_json('{"include": false, "max": null}') == StructuredCardinality(False)
+        assert cardinality_from_reply('{"include": false, "max": null}') is None
+        assert cardinality_from_reply('{"include": true, "max": null}') == Cardinality(0, None)
         assert StructuredNodeConstraint.from_json('{"datatype": null, "value_list": ["a"]}') == \
             StructuredNodeConstraint(value_list=("a",))
 
@@ -167,11 +169,17 @@ def _reply_objects(names: tuple[str, ...]):
         st.fixed_dictionaries({}, optional={**noisy, "Include": _REPLY_VALUES})
 
 
-def _values(model, text: str) -> tuple | None:
+#: The verdict of a reply that step one checks and leaves its predicate out.
+_EXCLUDED = ("excluded",)
+
+
+def _values(parse, text: str) -> tuple | None:
+    """The values ``parse`` gives the reply ``text``; None when it rejects it."""
     try:
-        return astuple(model.from_json(text))
+        value = parse(text)
     except StructuredReplyError:
         return None
+    return _EXCLUDED if value is None else astuple(value)
 
 
 def _typed(values: tuple | None) -> list | None:
@@ -179,8 +187,10 @@ def _typed(values: tuple | None) -> list | None:
 
 
 class TestStructuredReplyOracle:
-    """``from_json`` gives the verdict and the values of the pydantic models
-    it replaced, validating in strict mode."""
+    """The reply checks give the verdict and the kept values of the pydantic
+    models they replaced, validating in strict mode.  An excluded
+    cardinality drops its bounds, and the models' ``node_kind`` is ``"iri"``
+    exactly when no other variant is set, so the checks keep neither."""
 
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(_reply_objects(("include", "min", "max")))
@@ -190,14 +200,21 @@ class TestStructuredReplyOracle:
         if type(doc.get("max")) is float and doc["max"] == -1:
             # pydantic's before-validator compares with ==; a float is no integer here
             expected = None
-        assert _typed(_values(StructuredCardinality, text)) == _typed(expected)
+        if expected is not None:
+            include, minimum, maximum = expected
+            expected = (minimum, maximum) if include else _EXCLUDED
+        assert _typed(_values(cardinality_from_reply, text)) == _typed(expected)
 
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(_reply_objects(("datatype", "referenced_classes", "value_list", "node_kind")))
     def test_node_constraint_agrees_with_pydantic(self, doc):
         text = json.dumps(doc)
         expected = reference_reply_values(ReferenceStructuredNodeConstraint, text)
-        assert _typed(_values(StructuredNodeConstraint, text)) == _typed(expected)
+        if expected is not None:
+            *expected, node_kind = expected
+            assert (node_kind == "iri") == (expected == [None, None, None])
+            expected = tuple(expected)
+        assert _typed(_values(StructuredNodeConstraint.from_json, text)) == _typed(expected)
 
 
 class TestReplyExtraction:
@@ -219,7 +236,11 @@ class TestStructuredSteps:
     def test_cardinality_passthrough(self):
         client = ScriptedLlmClient(['{"include": true, "min": 1, "max": 1}'])
         value = predict_cardinality_structured(build_global_prompt(make_record()), client)
-        assert (value.include, value.min, value.max) == (True, 1, 1)
+        assert value == Cardinality(1, 1)
+
+    def test_exclusion_is_none(self):
+        client = ScriptedLlmClient(['{"include": false, "min": 2, "max": 1}'])
+        assert predict_cardinality_structured(build_global_prompt(make_record()), client) is None
 
     def test_invalid_then_valid_triggers_rerequest(self):
         client = ScriptedLlmClient(
@@ -237,7 +258,7 @@ class TestStructuredSteps:
         nested = '{"include": ' + "[" * 100_000 + "]" * 100_000 + "}"
         client = ScriptedLlmClient([nested, '{"include": true, "min": 0, "max": null}'])
         value = predict_cardinality_structured(build_global_prompt(make_record()), client)
-        assert value == StructuredCardinality(True, 0, None)
+        assert value == Cardinality(0, None)
         assert client.sent[1][-1]["content"] == (
             "The previous reply was invalid: invalid JSON: document nested too deeply for the JSON decoder. "
             "Reply again with only the corrected JSON object.")
@@ -289,7 +310,7 @@ class TestStructuredSteps:
         client = ScriptedLlmClient(['{"referenced_classes": ["wd:Q6256"]}'])
         assert predict_node_constraint_structured(prompt, client).referenced_classes == ("wd:Q6256",)
         client = ScriptedLlmClient(["{}"])
-        assert predict_node_constraint_structured(prompt, client).node_kind == "iri"
+        assert predict_node_constraint_structured(prompt, client) == StructuredNodeConstraint()
 
 
 class TestEndToEnd:
@@ -336,14 +357,9 @@ class TestEndToEnd:
 
 
 class TestAssembly:
-    def test_referenced_shape_emitted(self, tmp_path):
-        cfg = award_endpoint_config(tmp_path)
-        parts = [(
-            Iri(WDT + "P17"),
-            StructuredCardinality(include=True, min=1, max=1),
-            StructuredNodeConstraint(referenced_classes=("wd:Q6256",)),
-        )]
-        schema = assemble_schema(MUSEUM, parts, cfg)
+    def test_referenced_shape_emitted(self):
+        parts = [(Iri(WDT + "P17"), Cardinality(1, 1), StructuredNodeConstraint(referenced_classes=("wd:Q6256",)))]
+        schema = assemble_schema(MUSEUM, parts, WD_TYPING)
         start = schema.start_shape
         assert start.extra_predicates == (Iri(WDT + "P31"),)
         by_pred = {c.predicate.value: c for c in start.constraints}
@@ -356,18 +372,16 @@ class TestAssembly:
         parsed = parse_shexc(serialize_shexc(schema))
         assert parsed == canonicalize(schema)
 
-    def test_class_sets_sharing_a_local_name_stay_apart(self, tmp_path):
+    def test_class_sets_sharing_a_local_name_stay_apart(self):
         """schema:Person and yago:Person are both 'Person', and yago:Book
         shares the focus class's name; each keeps a shape of its own."""
-        cfg = replace(award_endpoint_config(tmp_path), kg_kind=KgKind.YAGO, typing_predicate=RDF_TYPE)
         book = Iri(SCHEMA + "Book")
         parts = [
-            (Iri(SCHEMA + predicate), StructuredCardinality(include=True, min=0, max=None),
-             StructuredNodeConstraint(referenced_classes=(referenced,)))
+            (Iri(SCHEMA + predicate), Cardinality(0, None), StructuredNodeConstraint(referenced_classes=(referenced,)))
             for predicate, referenced in (("author", "schema:Person"), ("editor", "yago:Person"),
                                           ("exampleOfWork", "yago:Book"), ("workExample", "schema:Book"))
         ]
-        schema = assemble_schema(book, parts, cfg)
+        schema = assemble_schema(book, parts, RDF_TYPE)
         by_pred = {c.predicate.value.removeprefix(SCHEMA): c.node_constraint for c in schema.start_shape.constraints}
         assert (schema.start_label, by_pred["workExample"]) == ("Book", ShapeRef("Book"))
         referenced = {name: classes_of(by_pred[name], schema, (RDF_TYPE,))
@@ -377,54 +391,29 @@ class TestAssembly:
         assert set(schema.shapes) == {"Book", "Book_2", "Person", "Person_2"}
         assert parse_shexc(serialize_shexc(schema)) == canonicalize(schema)
 
-    def test_single_node_kind_part(self, tmp_path):
-        cfg = award_endpoint_config(tmp_path)
-        parts = [(
-            Iri(WDT + "P856"),
-            StructuredCardinality(include=True, min=0, max=None),
-            StructuredNodeConstraint(node_kind="iri"),
-        )]
-        schema = assemble_schema(MUSEUM, parts, cfg)
+    def test_single_node_kind_part(self):
+        parts = [(Iri(WDT + "P856"), Cardinality(0, None), StructuredNodeConstraint())]
+        schema = assemble_schema(MUSEUM, parts, WD_TYPING)
         assert len(schema.start_shape.constraints) == 2
         website = {c.predicate.value: c for c in schema.start_shape.constraints}[WDT + "P856"]
         assert website.node_constraint == NodeKindIri()
         assert website.cardinality == Cardinality(0, None)
 
-    def test_duplicate_predicate_rejected(self, tmp_path):
-        cfg = award_endpoint_config(tmp_path)
-        part = (
-            Iri(WDT + "P856"),
-            StructuredCardinality(include=True, min=0, max=None),
-            StructuredNodeConstraint(node_kind="iri"),
-        )
+    def test_duplicate_predicate_rejected(self):
+        part = (Iri(WDT + "P856"), Cardinality(0, None), StructuredNodeConstraint())
         with pytest.raises(AssemblyError, match="duplicate"):
-            assemble_schema(MUSEUM, [part, part], cfg)
+            assemble_schema(MUSEUM, [part, part], WD_TYPING)
 
-    def test_excluded_parts_skipped_and_empty_rejected(self, tmp_path):
-        cfg = award_endpoint_config(tmp_path)
-        excluded = (
-            Iri(WDT + "P856"),
-            StructuredCardinality(include=False),
-            StructuredNodeConstraint(node_kind="iri"),
-        )
-        with pytest.raises(AssemblyError, match="no parts"):
-            assemble_schema(MUSEUM, [excluded], cfg)
+    def test_empty_parts_rejected(self):
+        with pytest.raises(AssemblyError, match="no parts to assemble after exclusions"):
+            assemble_schema(MUSEUM, [], WD_TYPING)
 
-    def test_datatype_and_value_list_parts(self, tmp_path):
-        cfg = award_endpoint_config(tmp_path)
+    def test_datatype_and_value_list_parts(self):
         parts = [
-            (
-                Iri(WDT + "P571"),
-                StructuredCardinality(include=True, min=0, max=1),
-                StructuredNodeConstraint(datatype="xsd:dateTime"),
-            ),
-            (
-                Iri(WDT + "P1552"),
-                StructuredCardinality(include=True, min=0, max=None),
-                StructuredNodeConstraint(value_list=("gold", "silver")),
-            ),
+            (Iri(WDT + "P571"), Cardinality(0, 1), StructuredNodeConstraint(datatype="xsd:dateTime")),
+            (Iri(WDT + "P1552"), Cardinality(0, None), StructuredNodeConstraint(value_list=("gold", "silver"))),
         ]
-        schema = assemble_schema(MUSEUM, parts, cfg)
+        schema = assemble_schema(MUSEUM, parts, WD_TYPING)
         by_pred = {c.predicate.value: c for c in schema.start_shape.constraints}
         assert by_pred[WDT + "P571"].node_constraint == DatatypeConstraint(Iri(XSD + "dateTime"))
         values = by_pred[WDT + "P1552"].node_constraint
@@ -629,53 +618,48 @@ class TestHttpLlmClient:
 
 
 class TestMiner:
-    def test_functional_datetime_predicate(self, tmp_path):
+    def test_functional_datetime_predicate(self):
         record = make_record(
             predicate=WDT + "P571",
             datatype_of_objects={XSD + "dateTime": 1.0},
             object_class_distribution={},
         )
-        schema = mine_baseline_schema(AWARD, [record], MinerThresholds(), award_endpoint_config(tmp_path))
+        schema = mine_baseline_schema(AWARD, [record], MinerThresholds(), WD_TYPING)
         constraint = {c.predicate.value: c for c in schema.start_shape.constraints}[WDT + "P571"]
         assert constraint.node_constraint == DatatypeConstraint(Iri(XSD + "dateTime"))
         assert constraint.cardinality == Cardinality(1, 1)
 
-    def test_low_frequency_excluded(self, tmp_path):
+    def test_low_frequency_excluded(self):
         rare = make_record(frequency=0.02, cardinality_distribution={1: 0.02})
         keep = make_record(predicate=WDT + "P571", frequency=0.5, cardinality_distribution={1: 0.5})
-        schema = mine_baseline_schema(
-            AWARD, [rare, keep], MinerThresholds(include_min_frequency=0.05), award_endpoint_config(tmp_path)
-        )
+        schema = mine_baseline_schema(AWARD, [rare, keep], MinerThresholds(include_min_frequency=0.05), WD_TYPING)
         predicates = {c.predicate.value for c in schema.start_shape.constraints}
         assert WDT + "P17" not in predicates
         assert WDT + "P571" in predicates
 
-    def test_dominant_class_becomes_shape_ref(self, tmp_path):
+    def test_dominant_class_becomes_shape_ref(self):
         record = make_record(
             frequency=0.5,
             cardinality_distribution={1: 0.5},
             datatype_of_objects={"IRI": 1.0},
             object_class_distribution={WD + "Q6256": 0.9, WD + "Q5": 0.1},
         )
-        schema = mine_baseline_schema(
-            AWARD, [record], MinerThresholds(class_purity=0.8), award_endpoint_config(tmp_path)
-        )
+        schema = mine_baseline_schema(AWARD, [record], MinerThresholds(class_purity=0.8), WD_TYPING)
         ref = {c.predicate.value: c for c in schema.start_shape.constraints}[WDT + "P17"].node_constraint
         assert isinstance(ref, ShapeRef)
         referenced = schema.shapes[ref.label]
         assert referenced.constraints[0].node_constraint == ValueSet((Iri(WD + "Q6256"),))
 
-    def test_unbounded_when_not_functional(self, tmp_path):
+    def test_unbounded_when_not_functional(self):
         record = make_record(
             frequency=1.0,
             cardinality_distribution={1: 0.4, 2: 0.6},
         )
-        schema = mine_baseline_schema(AWARD, [record], MinerThresholds(), award_endpoint_config(tmp_path))
+        schema = mine_baseline_schema(AWARD, [record], MinerThresholds(), WD_TYPING)
         mined = {c.predicate.value: c for c in schema.start_shape.constraints}[WDT + "P17"]
         assert mined.cardinality == Cardinality(1, None)
 
-    def test_monotone_in_include_threshold(self, tmp_path):
-        cfg = award_endpoint_config(tmp_path)
+    def test_monotone_in_include_threshold(self):
         records = [
             make_record(predicate=WDT + f"P{i}", frequency=f, cardinality_distribution={1: f})
             for i, f in ((17, 0.9), (571, 0.5), (856, 0.2), (1027, 0.07))
@@ -684,7 +668,7 @@ class TestMiner:
         for threshold in (0.0, 0.1, 0.3, 0.6, 0.95):
             try:
                 schema = mine_baseline_schema(
-                    AWARD, records, MinerThresholds(include_min_frequency=threshold), cfg
+                    AWARD, records, MinerThresholds(include_min_frequency=threshold), WD_TYPING
                 )
                 sizes.append(len(schema.start_shape.constraints))
             except AssemblyError:

@@ -1042,6 +1042,16 @@ class TestGlobalRecord:
                 term_from_binding(binding, table)
         assert iris == {}
 
+    def test_literal_datatype_comes_from_the_table(self):
+        iris = IriTable()
+        binding = {"type": "literal", "value": "1", "datatype": XSD + "integer"}
+        first, second = term_from_binding(binding, iris), term_from_binding(dict(binding, value="2"), iris)
+        assert (first, second) == (Literal("1", Iri(XSD + "integer")), Literal("2", Iri(XSD + "integer")))
+        assert first.datatype is second.datatype is iris[XSD + "integer"]
+        assert list(iris) == [XSD + "integer"]
+        assert term_from_binding({"type": "literal", "value": "x", "xml:lang": "en"}, iris) == Literal("x", None, "en")
+        assert list(iris) == [XSD + "integer"]
+
     def test_examples_capped_at_five(self):
         with pytest.raises(ValueError):
             GlobalPredicateRecord(AWARD, COUNTRY_PRED, triple_examples=tuple([None] * 6))  # type: ignore[arg-type]
@@ -1095,8 +1105,42 @@ class TestTermTable:
             for cfg, client in ((here_cfg, here), (there_cfg, there)):
                 table = store.lookups(cfg.endpoint_url)
                 assert {key for key, _ in table.values()} == client.keys_touched
-                assert all(key == cache_key(term_lookup_query(cfg, terms), cfg.endpoint_url)
+                assert all(key == cache_key(term_lookup_query(terms), cfg.endpoint_url)
                            for terms, (key, _) in table.items())
+
+    @pytest.mark.parametrize("order", [(KgKind.WIKIDATA, KgKind.YAGO), (KgKind.YAGO, KgKind.WIKIDATA)],
+                             ids=["wikidata-first", "yago-first"])
+    def test_two_kinds_on_one_url_keep_their_answers(self, tmp_path, order):
+        """A description and a subclass path read the KG kind's predicate,
+        so two kinds' clients on one URL each get their own answer."""
+        person, agent = Iri("http://schema.org/Person"), Iri("http://schema.org/Agent")
+        wikidata_only = ("http://schema.org/description", "http://www.wikidata.org/prop/direct/P279")
+
+        def transport(query):
+            wikidata = any(f"<{predicate}>" in query for predicate in wikidata_only)
+            if query.startswith("ASK"):
+                return {"head": {}, "boolean": wikidata}
+            text = "Wikidata's person" if wikidata else "YAGO's person"
+            return {"head": {"vars": ["description"]},
+                    "results": {"bindings": [{"description": {"type": "literal", "value": text}}]}}
+
+        def config(kind, name):
+            return replace(award_endpoint_config(tmp_path / name), kg_kind=kind)
+
+        def ask(client):
+            return [client.description_of(person), client.is_subclass_of(person, agent)]
+
+        solo = {kind: KgClient(config(kind, f"solo-{kind.value}"), transport=transport) for kind in order}
+        expected = {kind: (ask(client), client.keys_touched) for kind, client in solo.items()}
+        assert expected[KgKind.WIKIDATA][0] == ["Wikidata's person", True]
+        assert expected[KgKind.YAGO][0] == ["YAGO's person", False]
+        store = CacheStore()
+        shared = {kind: KgClient(config(kind, "shared"), transport=transport, store=store) for kind in order}
+        for _ in range(2):
+            for kind, client in shared.items():
+                assert ask(client) == expected[kind][0]
+        assert {kind: client.keys_touched for kind, client in shared.items()} == \
+            {kind: keys for kind, (_, keys) in expected.items()}
 
     def test_hit_touches_the_key_and_reads_nothing(self, endpoint, tmp_path, monkeypatch):
         store = CacheStore()

@@ -2,8 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from shexbench.kginfo import KgClient, RecordField
-from shexbench.model import Iri
+from shexbench.kginfo import GlobalPredicateRecord, KgClient, RecordField, Triple
+from shexbench.model import Iri, Literal
 from shexbench.prompts import (
     ChatPrompt,
     EmptyPredicateSetError,
@@ -14,8 +14,9 @@ from shexbench.prompts import (
     build_local_prompt,
     build_triples_prompt,
     load_fewshot,
+    render_datatypes,
 )
-from support import WD, WDT, award_endpoint_config, build_award_endpoint
+from support import WD, WDT, XSD, award_endpoint_config, build_award_endpoint
 
 AWARD = Iri(WD + "Q4220917")
 
@@ -61,6 +62,27 @@ class TestLocalPrompt:
         messages = prompt.to_messages()
         assert [m["role"] for m in messages] == ["system", "user", "assistant", "user"]
         assert messages[1]["content"] == "ex-user"
+
+
+class TestLiteralAnnotations:
+    """A language-tagged literal is annotated ``rdf:langString`` and a plain
+    one ``xsd:string``, in both triple-listing prompts."""
+
+    INSTANCE, NAME, MOTTO = Iri(WD + "Q1000"), Iri(WDT + "P1448"), Iri(WDT + "P1451")
+    TRIPLES = [
+        Triple(INSTANCE, NAME, Literal("Golden Reel", None, "en"), "reel", "official name"),
+        Triple(INSTANCE, MOTTO, Literal("ars longa"), "reel", "motto text"),
+    ]
+
+    def test_local_prompt(self):
+        user = build_local_prompt(AWARD, [(self.INSTANCE, self.TRIPLES)]).user
+        assert "  wd:Q1000 (reel) wdt:P1448 (official name) [Golden Reel (datatype: rdf:langString)],\n" \
+               "  wd:Q1000 (reel) wdt:P1451 (motto text) [ars longa (datatype: xsd:string)]\n]" in user
+
+    def test_triples_prompt(self):
+        user = build_triples_prompt(AWARD, {self.NAME: self.TRIPLES[:1], self.MOTTO: self.TRIPLES[1:]}).user
+        assert "  wd:Q1000 (reel) wdt:P1448 (official name) [Golden Reel (datatype: rdf:langString)],\n" \
+               "  wd:Q1000 (reel) wdt:P1451 (motto text) [ars longa (datatype: xsd:string)]\n]" in user
 
 
 class TestTriplesPrompt:
@@ -129,6 +151,16 @@ class TestGlobalPrompt:
         with pytest.raises(IncompleteRecordError) as exc:
             build_global_prompt(stripped)
         assert exc.value.missing == ("cardinality_distribution",)
+
+    def test_several_datatypes_are_listed_by_share(self):
+        """Shares first, then keys: ``IRI`` sorts before a datatype IRI."""
+        record = GlobalPredicateRecord(
+            AWARD, Iri(WDT + "P1027"), frequency=1.0, cardinality_distribution={1: 1.0},
+            datatype_of_objects={"bnode": 0.2, XSD + "dateTime": 0.4, "IRI": 0.4},
+            completeness=RecordField.FREQUENCY | RecordField.CARDINALITY | RecordField.DATATYPES)
+        assert render_datatypes(record) == "IRI (40.00%), xsd:dateTime (40.00%), bnode (20.00%)"
+        assert "\n  'datatype_of_objects': 'IRI (40.00%), xsd:dateTime (40.00%), bnode (20.00%)',\n" \
+            in build_global_prompt(record).user
 
     def test_distinct_records_distinct_prompts(self, client):
         first = build_global_prompt(client.build_global_record(AWARD, Iri(WDT + "P17")))

@@ -310,6 +310,24 @@ class TestDiagnostics:
         _, diagnostics = try_parse_shexc(text)
         assert (diagnostics[0].line, diagnostics[0].column, diagnostics[0].message) == (1, column, message)
 
+    @pytest.mark.parametrize("text, first", [
+        ("<S> { <p> IRI }\n<S> { <q> IRI }", (2, 1, DiagnosticKind.SYNTAX, "shape <S> is declared twice")),
+        ("start = @<T>\n<S> { <p> IRI }", (1, 1, DiagnosticKind.DANGLING_REF, "start shape <T> is not declared")),
+        ("start @<S>\n<S> { <p> IRI }", (1, 7, DiagnosticKind.SYNTAX, "expected '=' after start")),
+        ("start = <S>\n<S> { <p> IRI }", (1, 9, DiagnosticKind.SYNTAX, "expected @<Label> after start =")),
+        ('<S> { <p> [ "x"^^42 ] }', (1, 18, DiagnosticKind.SYNTAX, "expected an IRI, found '42'")),
+        ("<S> { <p> [ ] }", (1, 11, DiagnosticKind.SYNTAX, "value set must be non-empty")),
+        ("<S> { <p> IRI {1,2 ; <q> IRI }", (1, 20, DiagnosticKind.SYNTAX, "expected '}' to close cardinality")),
+        ("<S> { <p> IRI {3,1} }", (1, 16, DiagnosticKind.SYNTAX, "invalid cardinality range {3,1}")),
+    ], ids=["shape-twice", "start-undeclared", "start-without-equals", "start-without-label",
+            "datatype-not-an-iri", "empty-value-set", "cardinality-unclosed", "cardinality-range"])
+    def test_repair_prompt_diagnostics_are_pinned(self, text, first):
+        """The first diagnostic of each becomes the first line of a repair
+        prompt; the whole message agrees with the reference reader."""
+        _, diagnostics = try_parse_shexc(text)
+        assert (diagnostics[0].line, diagnostics[0].column, diagnostics[0].kind, diagnostics[0].message) == first
+        assert parse_outcome(text) == reference_parse_outcome(text)
+
     @settings(max_examples=500, deadline=None)
     @given(SHEXC_TEXTS)
     def test_any_token_sequence_parses_or_is_diagnosed(self, text):
@@ -460,6 +478,19 @@ class TestCanonicalJson:
         b = parse_shexc(shuffled)
         assert canonicalize(a) == canonicalize(b)
         assert to_canonical_json(a) == to_canonical_json(b)
+
+    def test_literal_members_carry_datatype_or_language(self):
+        import json
+
+        schema = parse_shexc('<S> { <http://example.org/p> [ "1"^^<http://www.w3.org/2001/XMLSchema#integer> '
+                             '"chat"@fr "x" <http://example.org/v> ] }')
+        (constraint,) = json.loads(to_canonical_json(schema))["shapes"]["S"]["constraints"]
+        assert constraint["node"] == {"type": "valueSet", "values": [
+            {"type": "iri", "value": "http://example.org/v"},
+            {"type": "literal", "value": "1", "datatype": XSD_NS + "integer"},
+            {"type": "literal", "value": "chat", "language": "fr"},
+            {"type": "literal", "value": "x"},
+        ]}
 
     def test_byte_stable_across_calls(self, fixture_schemas):
         for _, schema in fixture_schemas:
